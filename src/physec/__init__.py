@@ -45,7 +45,6 @@ from .gmm import (
     DetectorConfig,
     GmmModel,
     Hypothesis,
-    calibrate_threshold,
     classify,
     dump_model,
     fit,

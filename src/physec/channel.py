@@ -20,8 +20,11 @@ __all__ = [
     "exponential_tap_powers",
     "sample_initial_channel",
     "evolve_channel",
+    "evolve_block",
     "estimate_channel",
+    "estimate_block",
     "apply_prefilter",
+    "prefilter_block",
     "perfect_imitation_prefilter",
     "snr_db_to_noise_variance",
 ]
@@ -127,11 +130,15 @@ class ChannelProcess:
     def step_correlation(self, steps: int) -> float:
         return float(np.exp(-steps / self.coherence_samples))
 
-    def _draw_scattered_taps(self) -> np.ndarray:
+    def _draw_scattered_taps(self, count: int) -> np.ndarray:
+        """`count` diffuse tap vectors, shape (count, num_taps).
+
+        Row k takes the same draws as the k-th of `count` successive
+        single-vector draws: real parts, then imaginary parts.
+        """
         std = np.sqrt(self._scattered_powers / 2.0)
-        re = self._rng.standard_normal(self.num_taps)
-        im = self._rng.standard_normal(self.num_taps)
-        return (re + 1j * im) * std
+        z = self._rng.standard_normal((count, 2, self.num_taps))
+        return (z[:, 0] + 1j * z[:, 1]) * std
 
 
 @dataclass
@@ -168,59 +175,90 @@ def sample_initial_channel(
     Average per-subcarrier power is 1 because the tap powers sum to 1.
     """
     _check_m_full(process, m_full)
-    taps = process._los_taps + process._draw_scattered_taps()
+    taps = process._los_taps + process._draw_scattered_taps(1)[0]
     gains = np.fft.fft(taps, n=m_full)
     return ChannelRealization(gains, time_index=time_index, link_id=link_id)
 
 
-def evolve_channel(
-    current: ChannelRealization, process: ChannelProcess, steps: int = 1
-) -> ChannelRealization:
-    """Advance a realization by `steps` estimation intervals.
+def evolve_block(
+    gains: np.ndarray, process: ChannelProcess, count: int, steps: int = 1
+) -> np.ndarray:
+    """Gains after each of `count` successive evolutions of `steps` intervals.
 
     Per tap the update is h_new = rho * h_old + sqrt(1 - rho^2) * innovation
     with rho = exp(-steps / coherence_samples) and the innovation drawn from
     the tap's stationary distribution.  The DFT is linear, so the same
     combination is applied directly to the frequency-domain gains using a
     freshly drawn innovation channel; the stationary distribution is
-    preserved exactly for any step size.
+    preserved exactly for any step size.  `gains` has shape (m_full,); the
+    result has shape (count, m_full) and row k is the state k + 1 evolutions
+    after `gains`.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    m_full = current.m_full
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    m_full = gains.shape[-1]
     _check_m_full(process, m_full)
     rho = process.step_correlation(steps)
-    innovation = np.fft.fft(process._draw_scattered_taps(), n=m_full)
+    innovation = np.sqrt(1.0 - rho * rho) * np.fft.fft(
+        process._draw_scattered_taps(count), n=m_full, axis=1
+    )
     los = np.fft.fft(process._los_taps, n=m_full)
-    gains = los + rho * (current.gains - los) + np.sqrt(1.0 - rho * rho) * innovation
+    out = np.empty((count, m_full), dtype=np.complex128)
+    current = gains
+    # the recursion is sequential; everything else above is one array op
+    for k in range(count):
+        current = out[k] = los + rho * (current - los) + innovation[k]
+    return out
+
+
+def evolve_channel(
+    current: ChannelRealization, process: ChannelProcess, steps: int = 1
+) -> ChannelRealization:
+    """Advance a realization by `steps` estimation intervals (see evolve_block)."""
+    gains = evolve_block(current.gains, process, 1, steps)[0]
     return ChannelRealization(
         gains, time_index=current.time_index + steps, link_id=current.link_id
     )
+
+
+def estimate_block(truth: np.ndarray, noise: NoiseModel) -> np.ndarray:
+    """Noisy estimates of a (count, m_full) block of true gains.
+
+    Adds i.i.d. CN(0, noise_variance) per entry; row k takes the same draws
+    as the k-th of `count` successive single-estimate draws.
+    """
+    count, m_full = truth.shape
+    std = np.sqrt(noise.noise_variance / 2.0)
+    z = noise._rng.standard_normal((count, 2, m_full))
+    return truth + (z[:, 0] + 1j * z[:, 1]) * std
 
 
 def estimate_channel(
     truth: ChannelRealization, noise: NoiseModel
 ) -> ChannelRealization:
     """Noisy receiver-side estimate: truth plus i.i.d. CN(0, noise_variance)."""
-    m = truth.m_full
-    std = np.sqrt(noise.noise_variance / 2.0)
-    eps = (noise._rng.standard_normal(m) + 1j * noise._rng.standard_normal(m)) * std
-    return ChannelRealization(
-        truth.gains + eps, time_index=truth.time_index, link_id=truth.link_id
-    )
+    gains = estimate_block(truth.gains[None, :], noise)[0]
+    return ChannelRealization(gains, time_index=truth.time_index, link_id=truth.link_id)
+
+
+def prefilter_block(gains: np.ndarray, prefilter: Prefilter) -> np.ndarray:
+    """Gains (last axis = subcarriers) seen through a transmit prefilter."""
+    if prefilter.coefficients.size != gains.shape[-1]:
+        raise ValueError(
+            f"prefilter length {prefilter.coefficients.size} does not match "
+            f"m_full={gains.shape[-1]}"
+        )
+    return gains * prefilter.coefficients
 
 
 def apply_prefilter(
     channel: ChannelRealization, prefilter: Prefilter
 ) -> ChannelRealization:
     """Effective channel seen through a transmit prefilter (element-wise product)."""
-    if prefilter.coefficients.size != channel.m_full:
-        raise ValueError(
-            f"prefilter length {prefilter.coefficients.size} does not match "
-            f"m_full={channel.m_full}"
-        )
     return ChannelRealization(
-        channel.gains * prefilter.coefficients,
+        prefilter_block(channel.gains, prefilter),
         time_index=channel.time_index,
         link_id=channel.link_id,
     )

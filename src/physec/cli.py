@@ -287,16 +287,19 @@ def cmd_simulate(args, parser) -> int:
     except ValueError as exc:
         parser.error(str(exc))
     total = requested_blocks * config.block_size
-    pairs = ev.simulated_estimate_pairs(config)
+    blocks = ev.simulated_estimate_blocks(config)
     trace = trace_io.CsiTrace(
         m_full=config.m_full,
         sample_interval_us=s.get("interval_us", trace_io.DEFAULT_INTERVAL_US),
         description=s.get("desc", "simulated"),
     )
-    for t in range(1, total + 1):
-        bob_est, eve_est = next(pairs)
-        trace.records.append(trace_io.TraceRecord(t, ev.BOB_LINK, bob_est.gains))
-        trace.records.append(trace_io.TraceRecord(t, ev.EVE_LINK, eve_est.gains))
+    t = 0
+    for _ in range(requested_blocks):
+        for bob_gains, eve_gains in zip(*next(blocks)):
+            t += 1
+            # copies: a record that viewed its block would keep the whole block alive
+            trace.records.append(trace_io.TraceRecord(t, ev.BOB_LINK, bob_gains.copy()))
+            trace.records.append(trace_io.TraceRecord(t, ev.EVE_LINK, eve_gains.copy()))
     try:
         trace_io.write_trace(trace, args.out)
     except OSError as exc:

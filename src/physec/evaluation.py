@@ -34,7 +34,7 @@ __all__ = [
     "RocCurve",
     "run_experiment",
     "run_experiment_from_trace",
-    "simulated_estimate_pairs",
+    "simulated_estimate_blocks",
     "compute_roc",
     "detection_at_fa",
     "sweep_subcarriers",
@@ -158,10 +158,6 @@ class TrialResult:
     def total_test_messages(self) -> int:
         return int(sum(self.counts))
 
-    @property
-    def realized_fa(self) -> float | None:
-        return self.p_fa
-
 
 @dataclass
 class RocCurve:
@@ -183,12 +179,12 @@ def _derived_seeds(seed: int) -> list[int]:
     return [int(s) for s in np.random.SeedSequence(seed).generate_state(6, dtype=np.uint64)]
 
 
-def simulated_estimate_pairs(config: ExperimentConfig):
-    """Infinite stream of (bob_estimate, eve_estimate) pairs, one per message.
+def simulated_estimate_blocks(config: ExperimentConfig):
+    """Infinite stream of (bob, eve) estimate blocks, one message per row.
 
-    Both links evolve every message so their time bases stay aligned; the
-    attacker's channel passes through the configured prefilter before
-    estimation.
+    Each block is a pair of (block_size, m_full) complex arrays.  Both links
+    evolve every message so their time bases stay aligned; the attacker's
+    channel passes through the configured prefilter before estimation.
     """
     seeds = _derived_seeds(config.rng_seed)
     pdp = ch.exponential_tap_powers(config.num_taps)
@@ -203,26 +199,40 @@ def simulated_estimate_pairs(config: ExperimentConfig):
     if isinstance(prefilter, str):
         prefilter = ch.perfect_imitation_prefilter(bob, eve)
 
-    def generate():
-        b, e = bob, eve
-        while True:
-            b = ch.evolve_channel(b, bob_proc, 1)
-            e = ch.evolve_channel(e, eve_proc, 1)
-            effective = ch.apply_prefilter(e, prefilter) if prefilter is not None else e
-            yield ch.estimate_channel(b, bob_noise), ch.estimate_channel(effective, eve_noise)
+    def link_block(gains, process, noise, prefilter=None):
+        """Next block of estimates of one link, and its last true gains."""
+        truth = ch.evolve_block(gains, process, config.block_size)
+        last = truth[-1].copy()
+        if prefilter is not None:
+            truth = ch.prefilter_block(truth, prefilter)
+        return _finite(ch.estimate_block(truth, noise)), last
 
-    return generate()
+    b, e = bob.gains, eve.gains
+
+    def next_block():
+        nonlocal b, e
+        bob_block, b = link_block(b, bob_proc, bob_noise)
+        eve_block, e = link_block(e, eve_proc, eve_noise, prefilter)
+        return bob_block, eve_block
+
+    # unlike a suspended generator, a returned call holds no block while the
+    # caller works on it, which keeps peak memory near one block per link
+    return iter(next_block, None)
 
 
-def _make_feature(selected, previous_selected, kind):
-    if kind is ft.FeatureKind.NORMALIZED_MAGNITUDE:
-        return ft.normalize_magnitude(selected)
-    if previous_selected is None:
-        return None
-    return ft.delta_feature(selected, previous_selected)
+def _finite(gains: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(gains)):
+        raise ValueError("gains must be finite")
+    return gains
 
 
-def _run_on_pairs(config: ExperimentConfig, pairs, m_full: int) -> TrialResult:
+def _run_on_blocks(config: ExperimentConfig, blocks, m_full: int, times=None) -> TrialResult:
+    """Run the configured detector over (bob, eve) estimate blocks.
+
+    `times`, when given, is the (bob, eve) pair of per-message time-index
+    arrays of a recording; delta features require the chosen estimates to
+    move strictly forward in time.
+    """
     if config.m_subcarriers > m_full:
         raise ValueError(
             f"m_subcarriers={config.m_subcarriers} exceeds available m_full={m_full}"
@@ -231,25 +241,38 @@ def _run_on_pairs(config: ExperimentConfig, pairs, m_full: int) -> TrialResult:
     attack_rng = np.random.default_rng(seeds[4])
     det_cfg = config.detector_config(rng_seed=seeds[5])
     m = config.m_subcarriers
+    n = config.block_size
+    use_delta = config.feature_kind is ft.FeatureKind.DELTA
 
-    def pull():
+    previous = previous_time = None
+
+    def next_features(b: int, from_eve: np.ndarray) -> np.ndarray:
+        """Features of block b, each message taken from the link `from_eve` picks."""
+        nonlocal previous, previous_time
         try:
-            return next(pairs)
+            bob_block, eve_block = next(blocks)
         except StopIteration:
-            raise ValueError(
-                "estimate stream exhausted before the experiment finished"
-            ) from None
+            bob_block = eve_block = ()
+        if len(bob_block) < n or len(eve_block) < n:
+            raise ValueError("estimate stream exhausted before the experiment finished")
+        selected = ft.select_block(np.where(from_eve[:, None], eve_block, bob_block), m)
+        if not use_delta:
+            return ft.normalize_magnitude_block(selected)
+        if times is not None:
+            bob_t, eve_t = (t[b * n : (b + 1) * n] for t in times)
+            chosen = np.where(from_eve, eve_t, bob_t)
+            if previous_time is not None:
+                chosen = np.concatenate([[previous_time], chosen])
+            if np.any(np.diff(chosen) <= 0):
+                raise ValueError("current estimate must be strictly later than previous")
+            previous_time = chosen[-1]
+        # the first training message has no predecessor and gives no feature
+        features = ft.delta_feature_block(selected, previous)
+        previous = selected[-1].copy()
+        return features
 
     # -- training block: legitimate traffic only ------------------------------
-    previous = None
-    train_features = []
-    for _ in range(config.block_size):
-        bob_est, _eve_est = pull()
-        selected = ft.select_subcarriers(bob_est, m)
-        feat = _make_feature(selected, previous, config.feature_kind)
-        previous = selected
-        if feat is not None:
-            train_features.append(feat)
+    train_features = next_features(0, np.zeros(n, dtype=bool))
 
     use_gmm = config.detector is DetectorKind.GMM
     if use_gmm:
@@ -263,54 +286,43 @@ def _run_on_pairs(config: ExperimentConfig, pairs, m_full: int) -> TrialResult:
 
     # -- test blocks -----------------------------------------------------------
     detects = alarms = misses = accepts = 0
-    bob_scores: list[float] = []
-    eve_scores: list[float] = []
+    bob_scores: list[np.ndarray] = []
+    eve_scores: list[np.ndarray] = []
     block_traces: list[BlockTrace] = []
     for b in range(1, config.num_blocks):
-        block_features = []
-        block_is_bob = []
-        blk_bob = blk_eve = blk_alarms = blk_detects = 0
-        for _ in range(config.block_size):
-            from_eve = attack_rng.random() < config.attack_intensity
-            bob_est, eve_est = pull()
-            est = eve_est if from_eve else bob_est
-            selected = ft.select_subcarriers(est, m)
-            feat = _make_feature(selected, previous, config.feature_kind)
-            previous = selected
-            if use_gmm:
-                score = gmm.log_likelihood(model, feat)
-                is_bob = score >= model.threshold
-                accept_score = score
-            else:
-                decision = mse.classify_mse(state, feat)
-                is_bob = decision.hypothesis is Hypothesis.H0_BOB
-                accept_score = -decision.score
-            block_features.append(feat)
-            block_is_bob.append(not from_eve)
-            if from_eve:
-                blk_eve += 1
-                eve_scores.append(accept_score)
-                if is_bob:
-                    misses += 1
-                else:
-                    detects += 1
-                    blk_detects += 1
-            else:
-                blk_bob += 1
-                bob_scores.append(accept_score)
-                if is_bob:
-                    accepts += 1
-                else:
-                    alarms += 1
-                    blk_alarms += 1
+        from_eve = attack_rng.random(n) < config.attack_intensity
+        features = next_features(b, from_eve)
+        if use_gmm:
+            # the model only changes at block boundaries: score the block at once
+            scores = gmm.log_likelihoods(model, features)
+            is_bob = scores >= model.threshold
+        else:
+            # the reference moves on every accept, so MSE stays sequential
+            scores = np.empty(n)
+            is_bob = np.empty(n, dtype=bool)
+            for i, row in enumerate(features):
+                decision = mse.classify_mse(state, row)
+                is_bob[i] = decision.hypothesis is Hypothesis.H0_BOB
+                scores[i] = -decision.score
+        from_bob = ~from_eve
+        blk_alarms = int(np.sum(from_bob & ~is_bob))
+        blk_detects = int(np.sum(from_eve & ~is_bob))
+        alarms += blk_alarms
+        detects += blk_detects
+        accepts += int(np.sum(from_bob & is_bob))
+        misses += int(np.sum(from_eve & is_bob))
+        bob_scores.append(scores[from_bob])
+        eve_scores.append(scores[from_eve])
         updated = False
         if use_gmm and config.update_enabled:
-            mask = np.array(block_is_bob) if config.oracle_update else None
-            new_model = gmm.update_block(model, block_features, det_cfg, bob_mask=mask)
+            mask = from_bob if config.oracle_update else None
+            new_model = gmm.update_block(model, features, det_cfg, bob_mask=mask)
             updated = new_model is not model
             model = new_model
         block_traces.append(
-            BlockTrace(b, blk_bob, blk_eve, blk_alarms, blk_detects, updated)
+            BlockTrace(
+                b, int(from_bob.sum()), int(from_eve.sum()), blk_alarms, blk_detects, updated
+            )
         )
 
     counts = Counts(detects, alarms, misses, accepts)
@@ -326,16 +338,15 @@ def _run_on_pairs(config: ExperimentConfig, pairs, m_full: int) -> TrialResult:
         p_md=p_md,
         target_fa=config.target_fa,
         blocks=block_traces,
-        bob_scores=np.array(bob_scores),
-        eve_scores=np.array(eve_scores),
+        bob_scores=np.concatenate(bob_scores),
+        eve_scores=np.concatenate(eve_scores),
         config=config,
     )
 
 
 def run_experiment(config: ExperimentConfig) -> TrialResult:
     """Simulate both links and run the configured detector over the stream."""
-    pairs = simulated_estimate_pairs(config)
-    return _run_on_pairs(config, pairs, config.m_full)
+    return _run_on_blocks(config, simulated_estimate_blocks(config), config.m_full)
 
 
 def run_experiment_from_trace(
@@ -348,21 +359,30 @@ def run_experiment_from_trace(
     """
     if config.prefilter is not None:
         raise ValueError("prefilters require the simulator; traces are already recorded")
-    streams: dict[str, list] = {bob_label: [], eve_label: []}
+    records = {bob_label: [], eve_label: []}
     for rec in trace.records:
-        if rec.link_label in streams:
-            streams[rec.link_label].append(
-                ch.ChannelRealization(rec.gains, rec.time_index, rec.link_label)
-            )
+        if rec.link_label in records:
+            records[rec.link_label].append(rec)
+    links = {}
+    for label, recs in records.items():
+        if any(rec.gains.shape != (trace.m_full,) for rec in recs):
+            raise ValueError(f"every {label!r} record must have m_full={trace.m_full} gains")
+        gains = np.array([rec.gains for rec in recs], dtype=np.complex128)
+        links[label] = (
+            _finite(gains.reshape(len(recs), trace.m_full)),
+            np.array([rec.time_index for rec in recs], dtype=np.int64),
+        )
     total = config.num_blocks * config.block_size
     for label in (bob_label, eve_label):
-        if len(streams[label]) < total:
+        if len(records[label]) < total:
             raise ValueError(
-                f"trace has {len(streams[label])} records for link {label!r}, "
+                f"trace has {len(records[label])} records for link {label!r}, "
                 f"need {total}"
             )
-    pairs = iter(zip(streams[bob_label], streams[eve_label]))
-    return _run_on_pairs(config, pairs, trace.m_full)
+    (bob, bob_t), (eve, eve_t) = links[bob_label], links[eve_label]
+    n = config.block_size
+    blocks = ((bob[k : k + n], eve[k : k + n]) for k in range(0, total, n))
+    return _run_on_blocks(config, blocks, trace.m_full, times=(bob_t, eve_t))
 
 
 def compute_roc(bob_scores, eve_scores) -> RocCurve:

@@ -14,8 +14,11 @@ __all__ = [
     "FeatureVector",
     "subcarrier_indices",
     "select_subcarriers",
+    "select_block",
     "normalize_magnitude",
+    "normalize_magnitude_block",
     "delta_feature",
+    "delta_feature_block",
 ]
 
 
@@ -57,21 +60,50 @@ def select_subcarriers(estimate: ChannelRealization, m: int) -> ChannelRealizati
     )
 
 
-def normalize_magnitude(estimate: ChannelRealization) -> FeatureVector:
-    """Per-subcarrier magnitudes divided by their sum.
+def select_block(estimates: np.ndarray, m: int) -> np.ndarray:
+    """Keep `m` equally spaced subcarriers of each row of a (count, m_full) block."""
+    return estimates[:, subcarrier_indices(estimates.shape[1], m)]
 
-    The result sums to 1 and is invariant to any common complex scaling of
-    the estimate, which removes transmit-power and phase offsets.
+
+def normalize_magnitude_block(selected: np.ndarray) -> np.ndarray:
+    """Per-row magnitudes of a (count, m) block divided by their row sum.
+
+    Each row sums to 1 and is invariant to any common complex scaling of
+    that row, which removes transmit-power and phase offsets.
     """
-    mags = np.abs(estimate.gains)
-    total = mags.sum()
-    if total == 0:
+    # a column selection is not C-contiguous, and row sums over it can differ
+    # in the last bits from the sum over each row on its own
+    mags = np.abs(np.ascontiguousarray(selected))
+    totals = mags.sum(axis=1)
+    if np.any(totals == 0):
         raise ValueError("all-zero estimate: magnitude normalization is undefined")
+    return mags / totals[:, None]
+
+
+def normalize_magnitude(estimate: ChannelRealization) -> FeatureVector:
+    """Magnitudes of one estimate divided by their sum (see normalize_magnitude_block)."""
     return FeatureVector(
-        mags / total,
+        normalize_magnitude_block(estimate.gains[None, :])[0],
         source_time=estimate.time_index,
         kind=FeatureKind.NORMALIZED_MAGNITUDE,
     )
+
+
+def delta_feature_block(selected: np.ndarray, previous: np.ndarray | None = None) -> np.ndarray:
+    """|difference| between consecutive rows of a (count, m) block.
+
+    Row k is |selected[k] - selected[k - 1]|, where `previous` stands in for
+    the row before the first; without it the first row has no predecessor
+    and the result has count - 1 rows.
+    """
+    # a C-contiguous result, as a stack of per-row features would be: EM
+    # results depend on the memory layout of the training matrix
+    selected = np.ascontiguousarray(selected)
+    if previous is None:
+        return np.abs(selected[1:] - selected[:-1])
+    if previous.shape != selected.shape[1:]:
+        raise ValueError("estimates must have the same number of subcarriers")
+    return np.abs(selected - np.concatenate([previous[None, :], selected[:-1]]))
 
 
 def delta_feature(
@@ -88,9 +120,9 @@ def delta_feature(
         raise ValueError("estimates must have the same number of subcarriers")
     if current.time_index <= previous.time_index:
         raise ValueError("current estimate must be strictly later than previous")
-    diff = current.gains - previous.gains
     if split_complex:
+        diff = current.gains - previous.gains
         values = np.concatenate([diff.real, diff.imag])
     else:
-        values = np.abs(diff)
+        values = delta_feature_block(current.gains[None, :], previous.gains)[0]
     return FeatureVector(values, source_time=current.time_index, kind=FeatureKind.DELTA)

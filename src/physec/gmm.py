@@ -30,7 +30,6 @@ __all__ = [
     "log_likelihoods",
     "responsibilities",
     "lower_tail_threshold",
-    "calibrate_threshold",
     "classify",
     "update_block",
     "dump_model",
@@ -311,7 +310,7 @@ def fit(
         em_log_likelihoods=history,
     )
     scores = log_likelihoods(model, x)
-    model.threshold = calibrate_threshold(model, scores, config.target_false_alarm)
+    model.threshold = lower_tail_threshold(scores, config.target_false_alarm)
     return model
 
 
@@ -324,15 +323,6 @@ def lower_tail_threshold(scores, target_fa: float) -> float:
         raise ValueError("target_fa must lie in (0, 1)")
     j = min(int(math.floor(target_fa * s.size)), s.size - 1)
     return float(s[j])
-
-
-def calibrate_threshold(model: GmmModel, held_out_bob_scores, target_fa: float) -> float:
-    """Lower-tail empirical quantile of legitimate scores.
-
-    The model itself does not enter the computation; it is part of the
-    signature so calibration sits next to the model it belongs to.
-    """
-    return lower_tail_threshold(held_out_bob_scores, target_fa)
 
 
 def classify(model: GmmModel, feature) -> Decision:
@@ -380,11 +370,9 @@ def update_block(
     )
     if n_accepted < guard:
         return model
-    warm = (model.weights, model.means, model.variances)
-    refit_config = config
     if config.num_components != model.num_components:
         raise ValueError("config.num_components does not match the model")
-    return fit(x[accept], refit_config, init=warm)
+    return fit(x[accept], config, init=(model.weights, model.means, model.variances))
 
 
 # --- flat text serialization ------------------------------------------------

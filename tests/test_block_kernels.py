@@ -1,0 +1,237 @@
+"""Block kernels against their per-message primitives, bit for bit.
+
+The experiment pipeline works on (block_size, m) arrays; every block kernel
+must give exactly (np.array_equal) what the per-message functions give one
+row at a time, so block-vectorized runs reproduce per-message runs.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from physec import channel as ch
+from physec import evaluation as ev
+from physec import features as ft
+from physec import gmm
+
+from conftest import desk_config, make_channel
+
+M_FULL = 48
+TAPS = 8
+BLOCK = 200
+
+
+def fresh_process(seed=0, coherence=math.inf, rician_k=0.0):
+    return ch.ChannelProcess(
+        num_taps=TAPS,
+        tap_powers=ch.exponential_tap_powers(TAPS),
+        coherence_samples=coherence,
+        rng_seed=seed,
+        rician_k=rician_k,
+    )
+
+
+def random_estimates(seed, rows=BLOCK, m_full=M_FULL):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((rows, m_full)) + 1j * rng.standard_normal((rows, m_full))
+
+
+# ---------------------------------------------------------------------------
+# channel
+# ---------------------------------------------------------------------------
+
+
+def reference_evolve(gains, process, steps):
+    """One evolution step written out per message, as a single draw."""
+    rho = process.step_correlation(steps)
+    std = np.sqrt(process._scattered_powers / 2.0)
+    re = process._rng.standard_normal(process.num_taps)
+    im = process._rng.standard_normal(process.num_taps)
+    innovation = np.fft.fft((re + 1j * im) * std, n=gains.size)
+    los = np.fft.fft(process._los_taps, n=gains.size)
+    return los + rho * (gains - los) + np.sqrt(1.0 - rho * rho) * innovation
+
+
+@pytest.mark.parametrize("coherence", [math.inf, 50.0, 2.0])
+@pytest.mark.parametrize("rician_k", [0.0, 4.0])
+@pytest.mark.parametrize("steps", [1, 3])
+def test_block_evolution_matches_repeated_single_steps(coherence, rician_k, steps):
+    block_proc, single_proc, ref_proc = (
+        fresh_process(seed=5, coherence=coherence, rician_k=rician_k) for _ in range(3)
+    )
+    start = ch.sample_initial_channel(block_proc, M_FULL, link_id="AE", time_index=2)
+    assert np.array_equal(ch.sample_initial_channel(single_proc, M_FULL).gains, start.gains)
+    assert np.array_equal(ch.sample_initial_channel(ref_proc, M_FULL).gains, start.gains)
+
+    block = ch.evolve_block(start.gains, block_proc, BLOCK, steps)
+    assert block.shape == (BLOCK, M_FULL)
+    single, ref = start, start.gains
+    for k in range(BLOCK):
+        single = ch.evolve_channel(single, single_proc, steps)
+        ref = reference_evolve(ref, ref_proc, steps)
+        assert np.array_equal(block[k], single.gains)
+        assert np.array_equal(block[k], ref)
+    assert single.time_index == 2 + BLOCK * steps
+    assert single.link_id == "AE"
+    # the streams stay aligned after the block
+    assert np.array_equal(
+        ch.evolve_block(block[-1], block_proc, 1, steps)[0],
+        ch.evolve_channel(single, single_proc, steps).gains,
+    )
+
+
+def test_block_evolution_validation():
+    proc = fresh_process()
+    gains = ch.sample_initial_channel(proc, M_FULL).gains
+    with pytest.raises(ValueError, match="steps"):
+        ch.evolve_block(gains, proc, 4, steps=0)
+    with pytest.raises(ValueError, match="count"):
+        ch.evolve_block(gains, proc, 0)
+    with pytest.raises(ValueError, match="m_full"):
+        ch.evolve_block(gains[: TAPS - 1], proc, 4)
+
+
+@pytest.mark.parametrize("variance", [0.0, 0.01, 0.3])
+def test_block_estimation_matches_repeated_single_estimates(variance):
+    truth = random_estimates(7)
+    block_noise, single_noise, ref_noise = (
+        ch.NoiseModel(variance, rng_seed=8) for _ in range(3)
+    )
+    block = ch.estimate_block(truth, block_noise)
+    std = np.sqrt(variance / 2.0)
+    for k in range(BLOCK):
+        single = ch.estimate_channel(make_channel(truth[k], time_index=k), single_noise)
+        assert single.time_index == k
+        assert np.array_equal(block[k], single.gains)
+        eps = (
+            ref_noise._rng.standard_normal(M_FULL) + 1j * ref_noise._rng.standard_normal(M_FULL)
+        ) * std
+        assert np.array_equal(block[k], truth[k] + eps)
+
+
+def test_block_prefilter_matches_single_prefilter():
+    gains = random_estimates(9)
+    coefficients = random_estimates(10, rows=1)[0]
+    prefilter = ch.Prefilter(coefficients)
+    block = ch.prefilter_block(gains, prefilter)
+    for k in range(BLOCK):
+        assert np.array_equal(block[k], ch.apply_prefilter(make_channel(gains[k]), prefilter).gains)
+    with pytest.raises(ValueError, match="does not match"):
+        ch.prefilter_block(gains[:, :-1], prefilter)
+
+
+def reference_pairs(config):
+    """The estimate stream built one message at a time from per-message calls."""
+    seeds = ev._derived_seeds(config.rng_seed)
+    pdp = ch.exponential_tap_powers(config.num_taps)
+    bob_proc = ch.ChannelProcess(config.num_taps, pdp, config.coherence_samples, seeds[0])
+    eve_proc = ch.ChannelProcess(config.num_taps, pdp, config.coherence_samples, seeds[1])
+    noise_var = ch.snr_db_to_noise_variance(config.snr_db)
+    bob_noise = ch.NoiseModel(noise_var, seeds[2])
+    eve_noise = ch.NoiseModel(noise_var, seeds[3])
+    b = ch.sample_initial_channel(bob_proc, config.m_full)
+    e = ch.sample_initial_channel(eve_proc, config.m_full)
+    prefilter = config.prefilter
+    if isinstance(prefilter, str):
+        prefilter = ch.perfect_imitation_prefilter(b, e)
+    while True:
+        b = ch.evolve_channel(b, bob_proc, 1)
+        e = ch.evolve_channel(e, eve_proc, 1)
+        effective = ch.apply_prefilter(e, prefilter) if prefilter is not None else e
+        yield ch.estimate_channel(b, bob_noise).gains, ch.estimate_channel(effective, eve_noise).gains
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [dict(), dict(coherence_samples=100.0), dict(prefilter=ev.PERFECT_IMITATION, snr_db=5.0)],
+)
+def test_simulated_blocks_match_the_per_message_stream(overrides):
+    cfg = desk_config(block_size=50, **overrides)
+    blocks = ev.simulated_estimate_blocks(cfg)
+    pairs = reference_pairs(cfg)
+    for _ in range(3):
+        bob_block, eve_block = next(blocks)
+        assert bob_block.shape == eve_block.shape == (cfg.block_size, cfg.m_full)
+        for bob_row, eve_row in zip(bob_block, eve_block):
+            bob_ref, eve_ref = next(pairs)
+            assert np.array_equal(bob_row, bob_ref)
+            assert np.array_equal(eve_row, eve_ref)
+
+
+# ---------------------------------------------------------------------------
+# features
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("m", [4, 8, 16, 48])
+def test_block_features_match_per_row_features(m):
+    estimates = random_estimates(11)
+    selected = ft.select_block(estimates, m)
+    magnitudes = ft.normalize_magnitude_block(selected)
+    deltas = ft.delta_feature_block(selected)
+    previous = random_estimates(12, rows=1, m_full=m)[0]
+    deltas_after = ft.delta_feature_block(selected, previous)
+    assert magnitudes.shape == deltas_after.shape == (BLOCK, m)
+    assert deltas.shape == (BLOCK - 1, m)
+
+    rows = [ft.select_subcarriers(make_channel(g, time_index=k + 1), m) for k, g in enumerate(estimates)]
+    before = make_channel(previous, time_index=0)
+    for k, row in enumerate(rows):
+        assert np.array_equal(selected[k], row.gains)
+        assert np.array_equal(magnitudes[k], ft.normalize_magnitude(row).values)
+        assert np.array_equal(
+            deltas_after[k], ft.delta_feature(row, rows[k - 1] if k else before).values
+        )
+        if k:
+            assert np.array_equal(deltas[k - 1], ft.delta_feature(row, rows[k - 1]).values)
+
+
+@pytest.mark.parametrize("m", [8, 16])
+def test_non_contiguous_selection_matches_per_row_features(m):
+    # A column selection such as est[:, idx] is not C-contiguous.  Row sums
+    # over it differed in the last bits from per-row sums (94 of 200 rows at
+    # m=8), and EM on a training matrix in that layout differs from EM on the
+    # stacked per-row features.  The kernels must match for any input layout.
+    estimates = random_estimates(13)
+    idx = ft.subcarrier_indices(M_FULL, m)
+    rows = [make_channel(g[idx], time_index=k) for k, g in enumerate(estimates)]
+    magnitudes = np.stack([ft.normalize_magnitude(r).values for r in rows])
+    deltas = np.stack([ft.delta_feature(r, p).values for p, r in zip(rows, rows[1:])])
+    cfg = gmm.DetectorConfig(num_components=3, rng_seed=0)
+    for layout in (estimates[:, idx], np.asfortranarray(estimates[:, idx])):
+        for block, stacked in (
+            (ft.normalize_magnitude_block(layout), magnitudes),
+            (ft.delta_feature_block(layout), deltas),
+        ):
+            assert block.flags.c_contiguous
+            assert np.array_equal(block, stacked)
+            fitted, reference = gmm.fit(block, cfg), gmm.fit(stacked, cfg)
+            assert np.array_equal(fitted.means, reference.means)
+            assert np.array_equal(fitted.variances, reference.variances)
+
+
+def test_block_normalization_rejects_an_all_zero_row():
+    selected = random_estimates(14, rows=5, m_full=4)
+    selected[3] = 0.0
+    with pytest.raises(ValueError, match="all-zero"):
+        ft.normalize_magnitude_block(selected)
+
+
+def test_block_delta_checks_the_previous_width():
+    with pytest.raises(ValueError, match="subcarriers"):
+        ft.delta_feature_block(random_estimates(15, rows=5, m_full=4), np.zeros(3, dtype=complex))
+
+
+# ---------------------------------------------------------------------------
+# scoring
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("m", [4, 16])
+def test_block_scores_match_per_row_scores(m):
+    features = ft.normalize_magnitude_block(ft.select_block(random_estimates(16, rows=1000), m))
+    model = gmm.fit(features[:400], gmm.DetectorConfig(num_components=3, rng_seed=0))
+    scores = gmm.log_likelihoods(model, features)
+    per_row = np.array([gmm.log_likelihood(model, row) for row in features])
+    assert np.array_equal(scores, per_row)

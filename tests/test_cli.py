@@ -220,6 +220,20 @@ def test_trace_problems_are_usage_errors(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_traces_with_non_finite_gains_are_usage_errors(tmp_path, bad):
+    trace = tmp_path / "trace.csv"
+    assert run_cli("simulate", *DESK, "--out", str(trace)) == 0
+    lines = trace.read_text().splitlines()
+    cells = lines[3].split(",")
+    cells[4] = bad
+    lines[3] = ",".join(cells)
+    trace.write_text("\n".join(lines) + "\n")
+    with pytest.raises(SystemExit) as exc:
+        run_cli("evaluate", *DESK, "--m", "8", "--trace", str(trace))
+    assert exc.value.code == 2
+
+
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------

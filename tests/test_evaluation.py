@@ -37,7 +37,6 @@ def test_misdetection_is_exactly_one_minus_detection():
     r = ev.run_experiment(desk_config())
     assert r.p_d is not None
     assert r.p_md == 1.0 - r.p_d  # computed, not approximated
-    assert r.realized_fa == r.p_fa
 
 
 def test_all_legitimate_traffic_leaves_detection_undefined():
@@ -222,14 +221,19 @@ def test_explicit_prefilter_object_is_applied():
 # ---------------------------------------------------------------------------
 
 
-def build_trace_for(cfg) -> trace_io.CsiTrace:
-    pairs = ev.simulated_estimate_pairs(cfg)
+def build_trace_for(cfg, eve_time_offset=0) -> trace_io.CsiTrace:
+    blocks = ev.simulated_estimate_blocks(cfg)
     trace = trace_io.CsiTrace(m_full=cfg.m_full, description="replay test")
-    total = cfg.num_blocks * cfg.block_size
-    for t in range(1, total + 1):
-        bob_est, eve_est = next(pairs)
-        trace.records.append(trace_io.TraceRecord(t, ev.BOB_LINK, bob_est.gains))
-        trace.records.append(trace_io.TraceRecord(t, ev.EVE_LINK, eve_est.gains))
+    t = 0
+    for _ in range(cfg.num_blocks):
+        bob_block, eve_block = next(blocks)
+        assert bob_block.shape == eve_block.shape == (cfg.block_size, cfg.m_full)
+        for bob_gains, eve_gains in zip(bob_block, eve_block):
+            t += 1
+            trace.records.append(trace_io.TraceRecord(t, ev.BOB_LINK, bob_gains))
+            trace.records.append(
+                trace_io.TraceRecord(t + eve_time_offset, ev.EVE_LINK, eve_gains)
+            )
     return trace
 
 
@@ -256,6 +260,72 @@ def test_replay_rejects_short_traces_and_prefilters():
         ev.run_experiment_from_trace(
             trace, dataclasses.replace(cfg, prefilter=ev.PERFECT_IMITATION)
         )
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_replay_rejects_non_finite_gains(tmp_path, bad):
+    cfg = desk_config()
+    trace = build_trace_for(cfg)
+    trace.records[2 * cfg.block_size + 1].gains[5] = complex(bad, 0.0)
+    path = tmp_path / "trace.csv"
+    trace_io.write_trace(trace, path)
+    with pytest.raises(ValueError, match="finite"):
+        ev.run_experiment_from_trace(trace_io.read_trace(path), cfg)
+
+
+def test_replay_rejects_all_zero_selected_estimates():
+    cfg = desk_config()
+    trace = build_trace_for(cfg)
+    for rec in trace.records[2 * cfg.block_size : 2 * cfg.block_size + 2]:
+        rec.gains[:] = 0.0  # both links of the first test message
+    with pytest.raises(ValueError, match="all-zero"):
+        ev.run_experiment_from_trace(trace, cfg)
+
+
+def test_replay_rejects_records_of_the_wrong_width():
+    cfg = desk_config()
+    trace = build_trace_for(cfg)
+    trace.records[7].gains = trace.records[7].gains[:-1]
+    with pytest.raises(ValueError, match="m_full"):
+        ev.run_experiment_from_trace(trace, cfg)
+
+
+def test_replayed_delta_features_need_forward_time_indices():
+    from physec.features import FeatureKind
+
+    cfg = desk_config(feature_kind=FeatureKind.DELTA)
+    # the attacker link's clock runs far ahead: going back to the legitimate
+    # link after an attacker message steps back in time
+    skewed = build_trace_for(cfg, eve_time_offset=10**6)
+    with pytest.raises(ValueError, match="later"):
+        ev.run_experiment_from_trace(skewed, cfg)
+    # magnitude features do not look at time indices
+    ev.run_experiment_from_trace(skewed, desk_config())
+
+
+def test_short_estimate_streams_are_reported():
+    cfg = desk_config()
+    with pytest.raises(ValueError, match="exhausted"):
+        ev._run_on_blocks(cfg, iter([]), cfg.m_full)
+    blocks = ev.simulated_estimate_blocks(dataclasses.replace(cfg, block_size=cfg.block_size - 1))
+    with pytest.raises(ValueError, match="exhausted"):
+        ev._run_on_blocks(cfg, blocks, cfg.m_full)
+
+
+def test_prefilter_of_the_wrong_length_is_rejected():
+    from physec.channel import Prefilter
+
+    with pytest.raises(ValueError, match="does not match"):
+        ev.run_experiment(desk_config(prefilter=Prefilter(np.ones(47, dtype=np.complex128))))
+
+
+def test_overflowing_prefilter_gains_are_rejected():
+    from physec.channel import Prefilter
+
+    # finite coefficients, but the filtered gains overflow to inf
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError, match="finite"):
+            ev.run_experiment(desk_config(prefilter=Prefilter(np.full(48, 1.7e308 + 0j))))
 
 
 # ---------------------------------------------------------------------------

@@ -282,12 +282,6 @@ def test_threshold_validation():
             gmm.lower_tail_threshold(np.arange(5.0), bad)
 
 
-def test_calibrate_threshold_delegates_to_quantile_rule():
-    model = single_gaussian_model()
-    scores = np.arange(1.0, 101.0)
-    assert gmm.calibrate_threshold(model, scores, 0.10) == 11.0
-
-
 @given(
     scores=st.lists(
         st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=200
