@@ -8,12 +8,8 @@ baseline is included for comparison).
 
 from .channel import (
     ChannelProcess,
-    ChannelRealization,
     NoiseModel,
     Prefilter,
-    apply_prefilter,
-    estimate_channel,
-    evolve_channel,
     exponential_tap_powers,
     perfect_imitation_prefilter,
     sample_initial_channel,
@@ -25,31 +21,19 @@ from .evaluation import (
     PERFECT_IMITATION,
     RocCurve,
     TrialResult,
-    compare_update_modes,
     compute_roc,
     detection_at_fa,
     run_experiment,
     run_experiment_from_trace,
-    sweep_subcarriers,
 )
-from .features import (
-    FeatureKind,
-    FeatureVector,
-    delta_feature,
-    normalize_magnitude,
-    select_subcarriers,
-    subcarrier_indices,
-)
+from .features import FeatureKind, subcarrier_indices
 from .gmm import (
     Decision,
     DetectorConfig,
     GmmModel,
     Hypothesis,
-    classify,
-    dump_model,
     fit,
-    load_model,
-    log_likelihood,
+    log_likelihoods,
     update_block,
 )
 from .mse import MseDetectorState, classify_mse, fit_mse, mse_score

@@ -13,17 +13,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
-    "ChannelRealization",
     "ChannelProcess",
     "NoiseModel",
     "Prefilter",
     "exponential_tap_powers",
     "sample_initial_channel",
-    "evolve_channel",
     "evolve_block",
-    "estimate_channel",
     "estimate_block",
-    "apply_prefilter",
     "prefilter_block",
     "perfect_imitation_prefilter",
     "snr_db_to_noise_variance",
@@ -49,26 +45,6 @@ def snr_db_to_noise_variance(snr_db: float) -> float:
 
 
 @dataclass
-class ChannelRealization:
-    """Per-subcarrier complex gains of one link at one time instant."""
-
-    gains: np.ndarray
-    time_index: int
-    link_id: str
-
-    def __post_init__(self):
-        self.gains = np.asarray(self.gains, dtype=np.complex128)
-        if self.gains.ndim != 1 or self.gains.size < 1:
-            raise ValueError("gains must be a non-empty 1-D vector")
-        if not np.all(np.isfinite(self.gains)):
-            raise ValueError("gains must be finite")
-
-    @property
-    def m_full(self) -> int:
-        return self.gains.size
-
-
-@dataclass
 class Prefilter:
     """Per-subcarrier complex coefficients applied at the transmitter."""
 
@@ -88,18 +64,14 @@ class ChannelProcess:
 
     `coherence_samples` is the coherence time in estimation intervals: a
     single evolve step multiplies tap correlation by exp(-1/coherence_samples).
-    `rician_k` adds a fixed line-of-sight component on the first tap
-    (0 keeps the pure-Rayleigh model).  Not safe for concurrent mutation.
+    Not safe for concurrent mutation.
     """
 
     num_taps: int
     tap_powers: np.ndarray
     coherence_samples: float
     rng_seed: int
-    rician_k: float = 0.0
     _rng: np.random.Generator = field(init=False, repr=False, compare=False)
-    _scattered_powers: np.ndarray = field(init=False, repr=False, compare=False)
-    _los_taps: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.tap_powers = np.asarray(self.tap_powers, dtype=np.float64)
@@ -113,30 +85,20 @@ class ChannelProcess:
             raise ValueError("tap powers must sum to 1")
         if not self.coherence_samples > 0:
             raise ValueError("coherence_samples must be positive")
-        if self.rician_k < 0:
-            raise ValueError("rician_k must be non-negative")
         if self.rng_seed < 0:
             raise ValueError("rng_seed must be non-negative")
-        # split the first tap's power between a deterministic line-of-sight
-        # part and the diffuse remainder; rician_k = 0 leaves everything diffuse
-        self._scattered_powers = self.tap_powers.copy()
-        self._scattered_powers[0] /= 1.0 + self.rician_k
-        self._los_taps = np.zeros(self.num_taps, dtype=np.complex128)
-        self._los_taps[0] = np.sqrt(
-            self.tap_powers[0] * self.rician_k / (1.0 + self.rician_k)
-        )
         self._rng = np.random.default_rng(self.rng_seed)
 
     def step_correlation(self, steps: int) -> float:
         return float(np.exp(-steps / self.coherence_samples))
 
-    def _draw_scattered_taps(self, count: int) -> np.ndarray:
-        """`count` diffuse tap vectors, shape (count, num_taps).
+    def _draw_taps(self, count: int) -> np.ndarray:
+        """`count` stationary tap vectors, shape (count, num_taps).
 
         Row k takes the same draws as the k-th of `count` successive
         single-vector draws: real parts, then imaginary parts.
         """
-        std = np.sqrt(self._scattered_powers / 2.0)
+        std = np.sqrt(self.tap_powers / 2.0)
         z = self._rng.standard_normal((count, 2, self.num_taps))
         return (z[:, 0] + 1j * z[:, 1]) * std
 
@@ -164,20 +126,13 @@ def _check_m_full(process: ChannelProcess, m_full: int) -> None:
         )
 
 
-def sample_initial_channel(
-    process: ChannelProcess,
-    m_full: int,
-    link_id: str = "link",
-    time_index: int = 0,
-) -> ChannelRealization:
-    """Draw a stationary channel realization on `m_full` subcarriers.
+def sample_initial_channel(process: ChannelProcess, m_full: int) -> np.ndarray:
+    """Draw stationary per-subcarrier gains, shape (m_full,).
 
     Average per-subcarrier power is 1 because the tap powers sum to 1.
     """
     _check_m_full(process, m_full)
-    taps = process._los_taps + process._draw_scattered_taps(1)[0]
-    gains = np.fft.fft(taps, n=m_full)
-    return ChannelRealization(gains, time_index=time_index, link_id=link_id)
+    return np.fft.fft(process._draw_taps(1)[0], n=m_full)
 
 
 def evolve_block(
@@ -202,25 +157,14 @@ def evolve_block(
     _check_m_full(process, m_full)
     rho = process.step_correlation(steps)
     innovation = np.sqrt(1.0 - rho * rho) * np.fft.fft(
-        process._draw_scattered_taps(count), n=m_full, axis=1
+        process._draw_taps(count), n=m_full, axis=1
     )
-    los = np.fft.fft(process._los_taps, n=m_full)
     out = np.empty((count, m_full), dtype=np.complex128)
     current = gains
     # the recursion is sequential; everything else above is one array op
     for k in range(count):
-        current = out[k] = los + rho * (current - los) + innovation[k]
+        current = out[k] = rho * current + innovation[k]
     return out
-
-
-def evolve_channel(
-    current: ChannelRealization, process: ChannelProcess, steps: int = 1
-) -> ChannelRealization:
-    """Advance a realization by `steps` estimation intervals (see evolve_block)."""
-    gains = evolve_block(current.gains, process, 1, steps)[0]
-    return ChannelRealization(
-        gains, time_index=current.time_index + steps, link_id=current.link_id
-    )
 
 
 def estimate_block(truth: np.ndarray, noise: NoiseModel) -> np.ndarray:
@@ -235,14 +179,6 @@ def estimate_block(truth: np.ndarray, noise: NoiseModel) -> np.ndarray:
     return truth + (z[:, 0] + 1j * z[:, 1]) * std
 
 
-def estimate_channel(
-    truth: ChannelRealization, noise: NoiseModel
-) -> ChannelRealization:
-    """Noisy receiver-side estimate: truth plus i.i.d. CN(0, noise_variance)."""
-    gains = estimate_block(truth.gains[None, :], noise)[0]
-    return ChannelRealization(gains, time_index=truth.time_index, link_id=truth.link_id)
-
-
 def prefilter_block(gains: np.ndarray, prefilter: Prefilter) -> np.ndarray:
     """Gains (last axis = subcarriers) seen through a transmit prefilter."""
     if prefilter.coefficients.size != gains.shape[-1]:
@@ -253,27 +189,14 @@ def prefilter_block(gains: np.ndarray, prefilter: Prefilter) -> np.ndarray:
     return gains * prefilter.coefficients
 
 
-def apply_prefilter(
-    channel: ChannelRealization, prefilter: Prefilter
-) -> ChannelRealization:
-    """Effective channel seen through a transmit prefilter (element-wise product)."""
-    return ChannelRealization(
-        prefilter_block(channel.gains, prefilter),
-        time_index=channel.time_index,
-        link_id=channel.link_id,
-    )
+def perfect_imitation_prefilter(target: np.ndarray, actual: np.ndarray) -> Prefilter:
+    """Coefficients that make gains `actual` look exactly like gains `target`.
 
-
-def perfect_imitation_prefilter(
-    target: ChannelRealization, actual: ChannelRealization
-) -> Prefilter:
-    """Coefficients that make `actual` look exactly like `target`.
-
-    Test fixture for the strongest attacker: with these coefficients the
-    filtered channel equals the target realization element-wise.
+    The strongest attacker: with these coefficients the filtered channel
+    equals the target gains element-wise.
     """
-    if target.m_full != actual.m_full:
+    if target.shape != actual.shape:
         raise ValueError("target and actual must share m_full")
-    if np.any(actual.gains == 0):
+    if np.any(actual == 0):
         raise ValueError("actual channel has a zero gain; imitation undefined")
-    return Prefilter(target.gains / actual.gains)
+    return Prefilter(target / actual)

@@ -10,7 +10,7 @@ detector refits itself on its own accepted samples at every block boundary.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
 
@@ -37,8 +37,6 @@ __all__ = [
     "simulated_estimate_blocks",
     "compute_roc",
     "detection_at_fa",
-    "sweep_subcarriers",
-    "compare_update_modes",
 ]
 
 BOB_LINK = "AB"
@@ -78,7 +76,6 @@ class ExperimentConfig:
     num_taps: int = 8
     gmm_components: int = 3
     oracle_update: bool = False
-    mse_track_reference: bool = True
 
     def __post_init__(self):
         if not 1 <= self.m_subcarriers <= self.m_full:
@@ -108,7 +105,6 @@ class ExperimentConfig:
         return gmm.DetectorConfig(
             num_components=self.gmm_components,
             target_false_alarm=self.target_fa,
-            update_enabled=self.update_enabled,
             block_size=self.block_size,
             rng_seed=rng_seed,
         )
@@ -193,11 +189,11 @@ def simulated_estimate_blocks(config: ExperimentConfig):
     noise_var = ch.snr_db_to_noise_variance(config.snr_db)
     bob_noise = ch.NoiseModel(noise_var, seeds[2])
     eve_noise = ch.NoiseModel(noise_var, seeds[3])
-    bob = ch.sample_initial_channel(bob_proc, config.m_full, link_id=BOB_LINK)
-    eve = ch.sample_initial_channel(eve_proc, config.m_full, link_id=EVE_LINK)
+    b = ch.sample_initial_channel(bob_proc, config.m_full)
+    e = ch.sample_initial_channel(eve_proc, config.m_full)
     prefilter = config.prefilter
     if isinstance(prefilter, str):
-        prefilter = ch.perfect_imitation_prefilter(bob, eve)
+        prefilter = ch.perfect_imitation_prefilter(b, e)
 
     def link_block(gains, process, noise, prefilter=None):
         """Next block of estimates of one link, and its last true gains."""
@@ -206,8 +202,6 @@ def simulated_estimate_blocks(config: ExperimentConfig):
         if prefilter is not None:
             truth = ch.prefilter_block(truth, prefilter)
         return _finite(ch.estimate_block(truth, noise)), last
-
-    b, e = bob.gains, eve.gains
 
     def next_block():
         nonlocal b, e
@@ -280,9 +274,7 @@ def _run_on_blocks(config: ExperimentConfig, blocks, m_full: int, times=None) ->
         state = None
     else:
         model = None
-        state = mse.fit_mse(
-            train_features, config.target_fa, track_reference=config.mse_track_reference
-        )
+        state = mse.fit_mse(train_features, config.target_fa)
 
     # -- test blocks -----------------------------------------------------------
     detects = alarms = misses = accepts = 0
@@ -315,8 +307,8 @@ def _run_on_blocks(config: ExperimentConfig, blocks, m_full: int, times=None) ->
         eve_scores.append(scores[from_eve])
         updated = False
         if use_gmm and config.update_enabled:
-            mask = from_bob if config.oracle_update else None
-            new_model = gmm.update_block(model, features, det_cfg, bob_mask=mask)
+            accepted = from_bob if config.oracle_update else is_bob
+            new_model = gmm.update_block(model, features, accepted, det_cfg)
             updated = new_model is not model
             model = new_model
         block_traces.append(
@@ -420,23 +412,3 @@ def detection_at_fa(result: TrialResult, fa: float) -> float:
     thr = gmm.lower_tail_threshold(result.bob_scores, fa)
     return float(np.mean(result.eve_scores < thr))
 
-
-def sweep_subcarriers(base: ExperimentConfig, m_values) -> list:
-    """Rerun one scenario at several subcarrier counts with common seeds."""
-    m_values = list(m_values)
-    if not m_values:
-        raise ValueError("m_values must be non-empty")
-    results = []
-    for m in m_values:
-        result = run_experiment(replace(base, m_subcarriers=int(m)))
-        results.append((int(m), result))
-    return results
-
-
-def compare_update_modes(base: ExperimentConfig) -> tuple[TrialResult, TrialResult]:
-    """Paired-seed comparison of block updating on versus off."""
-    if not np.isfinite(base.coherence_samples):
-        raise ValueError("coherence_samples must be finite for an update comparison")
-    with_update = run_experiment(replace(base, update_enabled=True))
-    without_update = run_experiment(replace(base, update_enabled=False))
-    return with_update, without_update

@@ -11,13 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 from scipy.special import logsumexp
-
-from .features import FeatureVector
 
 __all__ = [
     "Hypothesis",
@@ -26,14 +22,9 @@ __all__ = [
     "GmmModel",
     "as_feature_matrix",
     "fit",
-    "log_likelihood",
     "log_likelihoods",
-    "responsibilities",
     "lower_tail_threshold",
-    "classify",
     "update_block",
-    "dump_model",
-    "load_model",
 ]
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -65,7 +56,6 @@ class DetectorConfig:
     convergence_tol: float = 1e-6
     variance_floor: float = 1e-8
     target_false_alarm: float = 0.01
-    update_enabled: bool = True
     block_size: int = 1000
     rng_seed: int = 0
     min_update_fraction: float = 0.1
@@ -129,26 +119,17 @@ class GmmModel:
 
 
 def as_feature_matrix(features, dim: int | None = None) -> np.ndarray:
-    """Stack features into an (N, dim) float64 matrix.
+    """Features as a C-contiguous (N, dim) float64 matrix; a 1-D input is one row.
 
-    Accepts an ndarray or a sequence of FeatureVector / 1-D arrays; all rows
-    must share one dimension.
+    EM's reductions and matrix products depend on the memory layout, so the
+    same values in another layout would train a slightly different model.
     """
-    if isinstance(features, np.ndarray):
-        x = np.asarray(features, dtype=np.float64)
-        if x.ndim == 1:
-            x = x[None, :]
-        if x.ndim != 2:
-            raise ValueError("feature array must be 1-D or 2-D")
-    else:
-        rows = [f.values if isinstance(f, FeatureVector) else np.asarray(f, dtype=np.float64) for f in features]
-        if not rows:
-            raise ValueError("empty feature collection")
-        widths = {r.size for r in rows}
-        if len(widths) != 1:
-            raise ValueError(f"inconsistent feature dimensions: {sorted(widths)}")
-        x = np.stack(rows).astype(np.float64)
-    if x.shape[0] == 0:
+    x = np.ascontiguousarray(features, dtype=np.float64)
+    if x.ndim == 1:
+        x = x[None, :]
+    if x.ndim != 2:
+        raise ValueError("feature array must be 1-D or 2-D")
+    if x.size == 0:
         raise ValueError("empty feature collection")
     if dim is not None and x.shape[1] != dim:
         raise ValueError(f"expected feature dimension {dim}, got {x.shape[1]}")
@@ -179,21 +160,6 @@ def log_likelihoods(model: GmmModel, features) -> np.ndarray:
     return logsumexp(
         _weighted_log_densities(x, model.weights, model.means, model.variances), axis=1
     )
-
-
-def log_likelihood(model: GmmModel, feature) -> float:
-    """Mixture log-likelihood of a single feature."""
-    if isinstance(feature, FeatureVector):
-        feature = feature.values
-    return float(log_likelihoods(model, np.asarray(feature, dtype=np.float64)[None, :])[0])
-
-
-def responsibilities(
-    x: np.ndarray, weights: np.ndarray, means: np.ndarray, variances: np.ndarray
-) -> np.ndarray:
-    """Posterior component memberships; rows sum to 1."""
-    lw = _weighted_log_densities(x, weights, means, variances)
-    return np.exp(lw - logsumexp(lw, axis=1)[:, None])
 
 
 def _seed_initial_parameters(x, k, rng, floor):
@@ -325,45 +291,26 @@ def lower_tail_threshold(scores, target_fa: float) -> float:
     return float(s[j])
 
 
-def classify(model: GmmModel, feature) -> Decision:
-    """Accept as legitimate when the log-likelihood reaches the threshold."""
-    if model.threshold is None:
-        raise ValueError("model has no calibrated threshold")
-    score = log_likelihood(model, feature)
-    hyp = Hypothesis.H0_BOB if score >= model.threshold else Hypothesis.H1_NOT_BOB
-    return Decision(hypothesis=hyp, score=score)
-
-
 def update_block(
-    model: GmmModel,
-    block,
-    config: DetectorConfig,
-    bob_mask: np.ndarray | None = None,
+    model: GmmModel, block, accepted: np.ndarray, config: DetectorConfig
 ) -> GmmModel:
     """Decision-directed refit on one block of streamed features.
 
-    Samples the current model accepts are used for a warm-started refit and
-    threshold recalibration.  `bob_mask` substitutes ground-truth labels for
-    the detector's own decisions (oracle-labeled updates, for comparison
-    runs).  The model is returned unchanged when updating is disabled or too
-    few samples were accepted.
+    `accepted` marks the samples to refit on: the detector's own decisions
+    (score at or above the threshold), or ground-truth labels for
+    oracle-labeled comparison runs.  The refit is warm-started from the
+    current model and recalibrates the threshold.  The model is returned
+    unchanged when too few samples were accepted.
     """
-    if not config.update_enabled:
-        return model
-    if model.threshold is None:
-        raise ValueError("model has no calibrated threshold")
     x = as_feature_matrix(block, model.dim)
     if x.shape[0] != config.block_size:
         raise ValueError(
             f"block length {x.shape[0]} does not match config.block_size={config.block_size}"
         )
-    if bob_mask is not None:
-        accept = np.asarray(bob_mask, dtype=bool)
-        if accept.shape != (x.shape[0],):
-            raise ValueError("bob_mask must have one boolean per block sample")
-    else:
-        accept = log_likelihoods(model, x) >= model.threshold
-    n_accepted = int(accept.sum())
+    accepted = np.asarray(accepted, dtype=bool)
+    if accepted.shape != (x.shape[0],):
+        raise ValueError("accepted must have one boolean per block sample")
+    n_accepted = int(accepted.sum())
     guard = max(
         config.num_components,
         math.ceil(config.min_update_fraction * x.shape[0]),
@@ -372,85 +319,4 @@ def update_block(
         return model
     if config.num_components != model.num_components:
         raise ValueError("config.num_components does not match the model")
-    return fit(x[accept], config, init=(model.weights, model.means, model.variances))
-
-
-# --- flat text serialization ------------------------------------------------
-#
-# K=<int>
-# M=<int>
-# floor=<float>
-# trained_on=<int>
-# <weight> <mean_0> ... <mean_{M-1}> <var_0> ... <var_{M-1}>     (K lines)
-# threshold=<float or none>
-#
-# Floats use Python repr, the shortest form that round-trips exactly.
-
-
-def _fmt(v: float) -> str:
-    return repr(float(v))
-
-
-def dump_model(model: GmmModel, dest) -> None:
-    """Write a model in the flat text format (path or text stream)."""
-    lines = [
-        f"K={model.num_components}",
-        f"M={model.dim}",
-        f"floor={_fmt(model.variance_floor)}",
-        f"trained_on={model.trained_on}",
-    ]
-    for j in range(model.num_components):
-        parts = [_fmt(model.weights[j])]
-        parts += [_fmt(v) for v in model.means[j]]
-        parts += [_fmt(v) for v in model.variances[j]]
-        lines.append(" ".join(parts))
-    thr = "none" if model.threshold is None else _fmt(model.threshold)
-    lines.append(f"threshold={thr}")
-    text = "\n".join(lines) + "\n"
-    if hasattr(dest, "write"):
-        dest.write(text)
-    else:
-        Path(dest).write_text(text, encoding="utf-8")
-
-
-def load_model(src) -> GmmModel:
-    """Read a model written by dump_model (path or text stream)."""
-    if hasattr(src, "read"):
-        text = src.read()
-    else:
-        text = Path(src).read_text(encoding="utf-8")
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    try:
-        header = dict(ln.split("=", 1) for ln in lines[:4])
-        k = int(header["K"])
-        m = int(header["M"])
-        floor = float(header["floor"])
-        trained_on = int(header["trained_on"])
-        comp_lines = lines[4 : 4 + k]
-        if len(comp_lines) != k:
-            raise ValueError(f"expected {k} component lines")
-        weights = np.empty(k)
-        means = np.empty((k, m))
-        variances = np.empty((k, m))
-        for j, ln in enumerate(comp_lines):
-            vals = [float(tok) for tok in ln.split()]
-            if len(vals) != 1 + 2 * m:
-                raise ValueError(f"component line {j} has {len(vals)} values, expected {1 + 2 * m}")
-            weights[j] = vals[0]
-            means[j] = vals[1 : 1 + m]
-            variances[j] = vals[1 + m :]
-        thr_line = lines[4 + k]
-        key, _, val = thr_line.partition("=")
-        if key != "threshold":
-            raise ValueError("missing threshold line")
-        threshold = None if val == "none" else float(val)
-    except (KeyError, IndexError, ValueError) as exc:
-        raise ValueError(f"malformed model file: {exc}") from exc
-    return GmmModel(
-        weights,
-        means,
-        variances,
-        variance_floor=floor,
-        threshold=threshold,
-        trained_on=trained_on,
-    )
+    return fit(x[accepted], config, init=(model.weights, model.means, model.variances))

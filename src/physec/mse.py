@@ -6,7 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .features import FeatureVector
 from .gmm import Decision, Hypothesis, as_feature_matrix, lower_tail_threshold
 
 __all__ = ["MseDetectorState", "mse_score", "classify_mse", "fit_mse"]
@@ -16,31 +15,22 @@ __all__ = ["MseDetectorState", "mse_score", "classify_mse", "fit_mse"]
 class MseDetectorState:
     """Reference feature plus an upper-tail score threshold.
 
-    With `track_reference` the reference is replaced by every accepted
-    feature, so the detector follows a slowly varying link.
+    The reference is replaced by every accepted feature, so the detector
+    follows a slowly varying link.
     """
 
     reference: np.ndarray
     threshold: float | None = None
-    track_reference: bool = True
 
     def __post_init__(self):
-        if isinstance(self.reference, FeatureVector):
-            self.reference = self.reference.values
         self.reference = np.asarray(self.reference, dtype=np.float64)
         if self.reference.ndim != 1 or self.reference.size < 1:
             raise ValueError("reference must be a non-empty 1-D vector")
 
 
-def _values(feature) -> np.ndarray:
-    if isinstance(feature, FeatureVector):
-        return feature.values
-    return np.asarray(feature, dtype=np.float64)
-
-
 def mse_score(state: MseDetectorState, feature) -> float:
     """Mean squared difference between the feature and the reference."""
-    v = _values(feature)
+    v = np.asarray(feature, dtype=np.float64)
     if v.shape != state.reference.shape:
         raise ValueError(
             f"feature dimension {v.size} does not match reference {state.reference.size}"
@@ -52,38 +42,29 @@ def mse_score(state: MseDetectorState, feature) -> float:
 def classify_mse(state: MseDetectorState, feature) -> Decision:
     """Accept when the score stays at or below the threshold.
 
-    Accepted features become the new reference when tracking is enabled.
+    An accepted feature becomes the new reference.
     """
     if state.threshold is None:
         raise ValueError("detector has no calibrated threshold")
     score = mse_score(state, feature)
     if score <= state.threshold:
-        if state.track_reference:
-            state.reference = _values(feature).copy()
+        state.reference = np.array(feature, dtype=np.float64)
         return Decision(hypothesis=Hypothesis.H0_BOB, score=score)
     return Decision(hypothesis=Hypothesis.H1_NOT_BOB, score=score)
 
 
-def fit_mse(training, target_fa: float, track_reference: bool = True) -> MseDetectorState:
+def fit_mse(training, target_fa: float) -> MseDetectorState:
     """Build the reference and calibrate the threshold on legitimate features.
 
-    In tracking mode the training block is scored sequentially, each feature
-    against its predecessor, mirroring live operation; otherwise every
-    feature is scored against the training mean.  The threshold mirrors the
-    mixture detector's quantile rule on the opposite tail: scores here grow
-    with suspicion, so the rule is applied to negated scores.
+    The training block is scored sequentially, each feature against its
+    predecessor, mirroring live operation; the last feature becomes the
+    reference.  The threshold mirrors the mixture detector's quantile rule on
+    the opposite tail: scores here grow with suspicion, so the rule is
+    applied to negated scores.
     """
     x = as_feature_matrix(training)
     if x.shape[0] < 2:
         raise ValueError("need at least two training features")
-    if track_reference:
-        scores = np.mean(np.diff(x, axis=0) ** 2, axis=1)
-        reference = x[-1].copy()
-    else:
-        reference = x.mean(axis=0)
-        d = x - reference
-        scores = np.mean(d * d, axis=1)
+    scores = np.mean(np.diff(x, axis=0) ** 2, axis=1)
     threshold = -lower_tail_threshold(-scores, target_fa)
-    return MseDetectorState(
-        reference=reference, threshold=threshold, track_reference=track_reference
-    )
+    return MseDetectorState(reference=x[-1].copy(), threshold=threshold)

@@ -3,14 +3,7 @@
 import numpy as np
 import pytest
 
-from physec.channel import ChannelRealization
 from physec.evaluation import DESK_PRESET, ExperimentConfig
-
-
-def make_channel(gains, time_index=0, link_id="AB") -> ChannelRealization:
-    return ChannelRealization(
-        np.asarray(gains, dtype=np.complex128), time_index=time_index, link_id=link_id
-    )
 
 
 def desk_config(**overrides) -> ExperimentConfig:

@@ -1,8 +1,8 @@
-"""Block kernels against their per-message primitives, bit for bit.
+"""Block kernels against per-message computations, bit for bit.
 
 The experiment pipeline works on (block_size, m) arrays; every block kernel
-must give exactly (np.array_equal) what the per-message functions give one
-row at a time, so block-vectorized runs reproduce per-message runs.
+must give exactly (np.array_equal) what one message at a time gives: a
+written-out per-message reference, or the same kernel called on single rows.
 """
 
 import math
@@ -15,20 +15,19 @@ from physec import evaluation as ev
 from physec import features as ft
 from physec import gmm
 
-from conftest import desk_config, make_channel
+from conftest import desk_config
 
 M_FULL = 48
 TAPS = 8
 BLOCK = 200
 
 
-def fresh_process(seed=0, coherence=math.inf, rician_k=0.0):
+def fresh_process(seed=0, coherence=math.inf):
     return ch.ChannelProcess(
         num_taps=TAPS,
         tap_powers=ch.exponential_tap_powers(TAPS),
         coherence_samples=coherence,
         rng_seed=seed,
-        rician_k=rician_k,
     )
 
 
@@ -45,45 +44,41 @@ def random_estimates(seed, rows=BLOCK, m_full=M_FULL):
 def reference_evolve(gains, process, steps):
     """One evolution step written out per message, as a single draw."""
     rho = process.step_correlation(steps)
-    std = np.sqrt(process._scattered_powers / 2.0)
+    std = np.sqrt(process.tap_powers / 2.0)
     re = process._rng.standard_normal(process.num_taps)
     im = process._rng.standard_normal(process.num_taps)
     innovation = np.fft.fft((re + 1j * im) * std, n=gains.size)
-    los = np.fft.fft(process._los_taps, n=gains.size)
-    return los + rho * (gains - los) + np.sqrt(1.0 - rho * rho) * innovation
+    return rho * gains + np.sqrt(1.0 - rho * rho) * innovation
 
 
 @pytest.mark.parametrize("coherence", [math.inf, 50.0, 2.0])
-@pytest.mark.parametrize("rician_k", [0.0, 4.0])
 @pytest.mark.parametrize("steps", [1, 3])
-def test_block_evolution_matches_repeated_single_steps(coherence, rician_k, steps):
+def test_block_evolution_matches_repeated_single_steps(coherence, steps):
     block_proc, single_proc, ref_proc = (
-        fresh_process(seed=5, coherence=coherence, rician_k=rician_k) for _ in range(3)
+        fresh_process(seed=5, coherence=coherence) for _ in range(3)
     )
-    start = ch.sample_initial_channel(block_proc, M_FULL, link_id="AE", time_index=2)
-    assert np.array_equal(ch.sample_initial_channel(single_proc, M_FULL).gains, start.gains)
-    assert np.array_equal(ch.sample_initial_channel(ref_proc, M_FULL).gains, start.gains)
+    start = ch.sample_initial_channel(block_proc, M_FULL)
+    assert np.array_equal(ch.sample_initial_channel(single_proc, M_FULL), start)
+    assert np.array_equal(ch.sample_initial_channel(ref_proc, M_FULL), start)
 
-    block = ch.evolve_block(start.gains, block_proc, BLOCK, steps)
+    block = ch.evolve_block(start, block_proc, BLOCK, steps)
     assert block.shape == (BLOCK, M_FULL)
-    single, ref = start, start.gains
+    single = ref = start
     for k in range(BLOCK):
-        single = ch.evolve_channel(single, single_proc, steps)
+        single = ch.evolve_block(single, single_proc, 1, steps)[0]
         ref = reference_evolve(ref, ref_proc, steps)
-        assert np.array_equal(block[k], single.gains)
+        assert np.array_equal(block[k], single)
         assert np.array_equal(block[k], ref)
-    assert single.time_index == 2 + BLOCK * steps
-    assert single.link_id == "AE"
     # the streams stay aligned after the block
     assert np.array_equal(
         ch.evolve_block(block[-1], block_proc, 1, steps)[0],
-        ch.evolve_channel(single, single_proc, steps).gains,
+        ch.evolve_block(single, single_proc, 1, steps)[0],
     )
 
 
 def test_block_evolution_validation():
     proc = fresh_process()
-    gains = ch.sample_initial_channel(proc, M_FULL).gains
+    gains = ch.sample_initial_channel(proc, M_FULL)
     with pytest.raises(ValueError, match="steps"):
         ch.evolve_block(gains, proc, 4, steps=0)
     with pytest.raises(ValueError, match="count"):
@@ -101,9 +96,7 @@ def test_block_estimation_matches_repeated_single_estimates(variance):
     block = ch.estimate_block(truth, block_noise)
     std = np.sqrt(variance / 2.0)
     for k in range(BLOCK):
-        single = ch.estimate_channel(make_channel(truth[k], time_index=k), single_noise)
-        assert single.time_index == k
-        assert np.array_equal(block[k], single.gains)
+        assert np.array_equal(block[k], ch.estimate_block(truth[k : k + 1], single_noise)[0])
         eps = (
             ref_noise._rng.standard_normal(M_FULL) + 1j * ref_noise._rng.standard_normal(M_FULL)
         ) * std
@@ -116,13 +109,14 @@ def test_block_prefilter_matches_single_prefilter():
     prefilter = ch.Prefilter(coefficients)
     block = ch.prefilter_block(gains, prefilter)
     for k in range(BLOCK):
-        assert np.array_equal(block[k], ch.apply_prefilter(make_channel(gains[k]), prefilter).gains)
+        assert np.array_equal(block[k], ch.prefilter_block(gains[k], prefilter))
+        assert np.array_equal(block[k], gains[k] * coefficients)
     with pytest.raises(ValueError, match="does not match"):
         ch.prefilter_block(gains[:, :-1], prefilter)
 
 
 def reference_pairs(config):
-    """The estimate stream built one message at a time from per-message calls."""
+    """The estimate stream built one message at a time from single-row calls."""
     seeds = ev._derived_seeds(config.rng_seed)
     pdp = ch.exponential_tap_powers(config.num_taps)
     bob_proc = ch.ChannelProcess(config.num_taps, pdp, config.coherence_samples, seeds[0])
@@ -136,10 +130,13 @@ def reference_pairs(config):
     if isinstance(prefilter, str):
         prefilter = ch.perfect_imitation_prefilter(b, e)
     while True:
-        b = ch.evolve_channel(b, bob_proc, 1)
-        e = ch.evolve_channel(e, eve_proc, 1)
-        effective = ch.apply_prefilter(e, prefilter) if prefilter is not None else e
-        yield ch.estimate_channel(b, bob_noise).gains, ch.estimate_channel(effective, eve_noise).gains
+        b = ch.evolve_block(b, bob_proc, 1)[0]
+        e = ch.evolve_block(e, eve_proc, 1)[0]
+        effective = ch.prefilter_block(e, prefilter) if prefilter is not None else e
+        yield (
+            ch.estimate_block(b[None, :], bob_noise)[0],
+            ch.estimate_block(effective[None, :], eve_noise)[0],
+        )
 
 
 @pytest.mark.parametrize(
@@ -164,6 +161,12 @@ def test_simulated_blocks_match_the_per_message_stream(overrides):
 # ---------------------------------------------------------------------------
 
 
+def reference_magnitude(row):
+    """Normalized magnitudes of one selected estimate, written out."""
+    mags = np.abs(row)
+    return mags / mags.sum()
+
+
 @pytest.mark.parametrize("m", [4, 8, 16, 48])
 def test_block_features_match_per_row_features(m):
     estimates = random_estimates(11)
@@ -175,16 +178,17 @@ def test_block_features_match_per_row_features(m):
     assert magnitudes.shape == deltas_after.shape == (BLOCK, m)
     assert deltas.shape == (BLOCK - 1, m)
 
-    rows = [ft.select_subcarriers(make_channel(g, time_index=k + 1), m) for k, g in enumerate(estimates)]
-    before = make_channel(previous, time_index=0)
+    idx = ft.subcarrier_indices(M_FULL, m)
+    rows = [g[idx] for g in estimates]
     for k, row in enumerate(rows):
-        assert np.array_equal(selected[k], row.gains)
-        assert np.array_equal(magnitudes[k], ft.normalize_magnitude(row).values)
-        assert np.array_equal(
-            deltas_after[k], ft.delta_feature(row, rows[k - 1] if k else before).values
-        )
+        before = rows[k - 1] if k else previous
+        assert np.array_equal(selected[k], row)
+        assert np.array_equal(magnitudes[k], reference_magnitude(row))
+        assert np.array_equal(magnitudes[k], ft.normalize_magnitude_block(row[None, :])[0])
+        assert np.array_equal(deltas_after[k], np.abs(row - before))
+        assert np.array_equal(deltas_after[k], ft.delta_feature_block(row[None, :], before)[0])
         if k:
-            assert np.array_equal(deltas[k - 1], ft.delta_feature(row, rows[k - 1]).values)
+            assert np.array_equal(deltas[k - 1], np.abs(row - rows[k - 1]))
 
 
 @pytest.mark.parametrize("m", [8, 16])
@@ -195,9 +199,9 @@ def test_non_contiguous_selection_matches_per_row_features(m):
     # stacked per-row features.  The kernels must match for any input layout.
     estimates = random_estimates(13)
     idx = ft.subcarrier_indices(M_FULL, m)
-    rows = [make_channel(g[idx], time_index=k) for k, g in enumerate(estimates)]
-    magnitudes = np.stack([ft.normalize_magnitude(r).values for r in rows])
-    deltas = np.stack([ft.delta_feature(r, p).values for p, r in zip(rows, rows[1:])])
+    rows = [g[idx] for g in estimates]
+    magnitudes = np.stack([reference_magnitude(r) for r in rows])
+    deltas = np.stack([np.abs(r - p) for p, r in zip(rows, rows[1:])])
     cfg = gmm.DetectorConfig(num_components=3, rng_seed=0)
     for layout in (estimates[:, idx], np.asfortranarray(estimates[:, idx])):
         for block, stacked in (
@@ -233,5 +237,5 @@ def test_block_scores_match_per_row_scores(m):
     features = ft.normalize_magnitude_block(ft.select_block(random_estimates(16, rows=1000), m))
     model = gmm.fit(features[:400], gmm.DetectorConfig(num_components=3, rng_seed=0))
     scores = gmm.log_likelihoods(model, features)
-    per_row = np.array([gmm.log_likelihood(model, row) for row in features])
+    per_row = np.array([gmm.log_likelihoods(model, row)[0] for row in features])
     assert np.array_equal(scores, per_row)

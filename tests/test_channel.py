@@ -14,19 +14,16 @@ from hypothesis import strategies as st
 
 from physec import channel as ch
 
-from conftest import make_channel
-
 M_FULL = 48
 TAPS = 8
 
 
-def fresh_process(seed=0, coherence=math.inf, taps=TAPS, rician_k=0.0):
+def fresh_process(seed=0, coherence=math.inf, taps=TAPS):
     return ch.ChannelProcess(
         num_taps=taps,
         tap_powers=ch.exponential_tap_powers(taps),
         coherence_samples=coherence,
         rng_seed=seed,
-        rician_k=rician_k,
     )
 
 
@@ -81,7 +78,7 @@ def test_unit_average_subcarrier_power():
     # grand-mean standard error is ~0.008; tolerance 0.04 = 5 SE.
     proc = fresh_process(seed=11)
     powers = [
-        np.mean(np.abs(ch.sample_initial_channel(proc, M_FULL).gains) ** 2)
+        np.mean(np.abs(ch.sample_initial_channel(proc, M_FULL)) ** 2)
         for _ in range(4000)
     ]
     assert np.mean(powers) == pytest.approx(1.0, abs=0.04)
@@ -94,10 +91,8 @@ def test_power_preserved_after_many_evolution_steps():
     proc = fresh_process(seed=12, coherence=2.0)
     powers = []
     for _ in range(1500):
-        c = ch.sample_initial_channel(proc, M_FULL)
-        for _ in range(10):
-            c = ch.evolve_channel(c, proc, 1)
-        powers.append(np.mean(np.abs(c.gains) ** 2))
+        c = ch.evolve_block(ch.sample_initial_channel(proc, M_FULL), proc, 10)[-1]
+        powers.append(np.mean(np.abs(c) ** 2))
     assert np.mean(powers) == pytest.approx(1.0, abs=0.06)
 
 
@@ -110,9 +105,9 @@ def test_evolution_correlation_matches_coherence():
     den = 0.0
     for _ in range(3000):
         c0 = ch.sample_initial_channel(proc, M_FULL)
-        c1 = ch.evolve_channel(c0, proc, 10)
-        num += float(np.sum((c1.gains * np.conj(c0.gains)).real))
-        den += float(np.sum(np.abs(c0.gains) ** 2))
+        c1 = ch.evolve_block(c0, proc, 1, 10)[0]
+        num += float(np.sum((c1 * np.conj(c0)).real))
+        den += float(np.sum(np.abs(c0) ** 2))
     assert num / den == pytest.approx(math.exp(-1.0), abs=0.03)
 
 
@@ -133,8 +128,8 @@ def test_spatially_separate_links_are_uncorrelated():
     den_a = 0.0
     den_b = 0.0
     for _ in range(2000):
-        ga = ch.sample_initial_channel(a, M_FULL).gains
-        gb = ch.sample_initial_channel(b, M_FULL).gains
+        ga = ch.sample_initial_channel(a, M_FULL)
+        gb = ch.sample_initial_channel(b, M_FULL)
         num += float(np.sum((ga * np.conj(gb)).real))
         den_a += float(np.sum(np.abs(ga) ** 2))
         den_b += float(np.sum(np.abs(gb) ** 2))
@@ -146,70 +141,20 @@ def test_same_seed_reproduces_the_same_link():
     p2 = fresh_process(seed=5, coherence=50.0)
     c1 = ch.sample_initial_channel(p1, M_FULL)
     c2 = ch.sample_initial_channel(p2, M_FULL)
-    assert np.array_equal(c1.gains, c2.gains)
-    e1 = ch.evolve_channel(c1, p1, 3)
-    e2 = ch.evolve_channel(c2, p2, 3)
-    assert np.array_equal(e1.gains, e2.gains)
+    assert np.array_equal(c1, c2)
+    e1 = ch.evolve_block(c1, p1, 1, 3)
+    e2 = ch.evolve_block(c2, p2, 1, 3)
+    assert np.array_equal(e1, e2)
 
 
 def test_static_channel_never_changes():
     proc = fresh_process(seed=7, coherence=math.inf)
     c0 = ch.sample_initial_channel(proc, M_FULL)
-    c1 = ch.evolve_channel(c0, proc, 1)
-    c2 = ch.evolve_channel(c1, proc, 10**6)
-    assert np.array_equal(c0.gains, c1.gains)
-    assert np.array_equal(c0.gains, c2.gains)
-    assert c2.time_index == 1 + 10**6
+    c1 = ch.evolve_block(c0, proc, 1)[0]
+    c2 = ch.evolve_block(c1, proc, 1, 10**6)[0]
+    assert np.array_equal(c0, c1)
+    assert np.array_equal(c0, c2)
 
-
-def test_evolution_advances_time_and_keeps_identity():
-    proc = fresh_process(seed=7, coherence=30.0)
-    c0 = ch.sample_initial_channel(proc, M_FULL, link_id="AE", time_index=4)
-    c1 = ch.evolve_channel(c0, proc, 3)
-    assert c1.time_index == 7
-    assert c1.link_id == "AE"
-    assert not np.array_equal(c0.gains, c1.gains)
-
-
-# ---------------------------------------------------------------------------
-# line-of-sight component
-# ---------------------------------------------------------------------------
-
-
-def test_line_of_sight_mean_and_power():
-    # rician_k=4 puts 4/5 of the first tap's power into a fixed component:
-    # the mean gain vector is the transform of that fixed tap, and average
-    # power stays 1.  3000 draws -> per-subcarrier SE ~0.02.
-    k = 4.0
-    proc = fresh_process(seed=31, rician_k=k)
-    p0 = ch.exponential_tap_powers(TAPS)[0]
-    los_amplitude = math.sqrt(p0 * k / (1.0 + k))
-    expected_mean = np.fft.fft(
-        np.array([los_amplitude] + [0.0] * (TAPS - 1)), n=M_FULL
-    )
-    draws = np.array(
-        [ch.sample_initial_channel(proc, M_FULL).gains for _ in range(3000)]
-    )
-    assert np.allclose(draws.mean(axis=0), expected_mean, atol=0.1)
-    assert np.mean(np.abs(draws) ** 2) == pytest.approx(1.0, abs=0.04)
-
-
-def test_line_of_sight_survives_evolution():
-    # The fixed component is the AR process mean, so it must persist after
-    # full decorrelation rather than wash out.
-    k = 9.0
-    proc = fresh_process(seed=32, coherence=1.0, rician_k=k)
-    c = ch.sample_initial_channel(proc, M_FULL)
-    draws = []
-    for _ in range(2000):
-        c = ch.evolve_channel(c, proc, 5)
-        draws.append(c.gains)
-    p0 = ch.exponential_tap_powers(TAPS)[0]
-    los_amplitude = math.sqrt(p0 * k / (1.0 + k))
-    expected_mean = np.fft.fft(
-        np.array([los_amplitude] + [0.0] * (TAPS - 1)), n=M_FULL
-    )
-    assert np.allclose(np.mean(draws, axis=0), expected_mean, atol=0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -225,9 +170,7 @@ def test_estimation_noise_statistics():
     proc = fresh_process(seed=41)
     noise = ch.NoiseModel(variance, rng_seed=42)
     truth = ch.sample_initial_channel(proc, M_FULL)
-    eps = np.concatenate(
-        [ch.estimate_channel(truth, noise).gains - truth.gains for _ in range(4000)]
-    )
+    eps = (ch.estimate_block(np.tile(truth, (4000, 1)), noise) - truth).ravel()
     assert np.mean(eps.real) == pytest.approx(0.0, abs=0.005)
     assert np.mean(eps.imag) == pytest.approx(0.0, abs=0.005)
     assert np.mean(np.abs(eps) ** 2) == pytest.approx(variance, abs=0.005)
@@ -237,10 +180,8 @@ def test_zero_noise_estimate_is_exact():
     proc = fresh_process(seed=43)
     noise = ch.NoiseModel(0.0, rng_seed=44)
     truth = ch.sample_initial_channel(proc, M_FULL)
-    est = ch.estimate_channel(truth, noise)
-    assert np.array_equal(est.gains, truth.gains)
-    assert est.time_index == truth.time_index
-    assert est.link_id == truth.link_id
+    est = ch.estimate_block(truth[None, :], noise)
+    assert np.array_equal(est[0], truth)
 
 
 # ---------------------------------------------------------------------------
@@ -249,38 +190,34 @@ def test_zero_noise_estimate_is_exact():
 
 
 def test_prefilter_is_elementwise():
-    c = make_channel([1 + 1j, 2 + 0j])
+    gains = np.array([1 + 1j, 2 + 0j])
     f = ch.Prefilter(np.array([2 + 0j, -1j]))
-    out = ch.apply_prefilter(c, f)
-    assert np.array_equal(out.gains, np.array([2 + 2j, -2j]))
-    assert out.time_index == c.time_index
-    assert out.link_id == c.link_id
+    out = ch.prefilter_block(gains, f)
+    assert np.array_equal(out, np.array([2 + 2j, -2j]))
 
 
 def test_prefilter_length_mismatch():
-    c = make_channel([1 + 1j, 2 + 0j])
+    gains = np.array([1 + 1j, 2 + 0j])
     with pytest.raises(ValueError, match="does not match"):
-        ch.apply_prefilter(c, ch.Prefilter(np.array([1 + 0j])))
+        ch.prefilter_block(gains, ch.Prefilter(np.array([1 + 0j])))
 
 
 def test_imitation_prefilter_reproduces_target():
     rng = np.random.default_rng(9)
-    target = make_channel(rng.standard_normal(16) + 1j * rng.standard_normal(16))
-    actual = make_channel(
-        rng.standard_normal(16) + 1j * rng.standard_normal(16), link_id="AE"
-    )
+    target = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+    actual = rng.standard_normal(16) + 1j * rng.standard_normal(16)
     f = ch.perfect_imitation_prefilter(target, actual)
-    out = ch.apply_prefilter(actual, f)
-    assert np.allclose(out.gains, target.gains, rtol=1e-12, atol=1e-12)
+    out = ch.prefilter_block(actual, f)
+    assert np.allclose(out, target, rtol=1e-12, atol=1e-12)
 
 
 def test_imitation_prefilter_rejects_zero_gain():
-    target = make_channel([1 + 0j, 1 + 0j])
-    actual = make_channel([1 + 0j, 0 + 0j])
+    target = np.array([1 + 0j, 1 + 0j])
+    actual = np.array([1 + 0j, 0 + 0j])
     with pytest.raises(ValueError, match="zero gain"):
         ch.perfect_imitation_prefilter(target, actual)
     with pytest.raises(ValueError, match="m_full"):
-        ch.perfect_imitation_prefilter(target, make_channel([1 + 0j]))
+        ch.perfect_imitation_prefilter(target, np.array([1 + 0j]))
 
 
 # ---------------------------------------------------------------------------
@@ -297,8 +234,6 @@ def test_process_validation_errors():
     with pytest.raises(ValueError):
         ch.ChannelProcess(4, good, 10.0, -1)  # negative seed
     with pytest.raises(ValueError):
-        ch.ChannelProcess(4, good, 10.0, 0, rician_k=-0.5)
-    with pytest.raises(ValueError):
         ch.ChannelProcess(3, good, 10.0, 0)  # shape mismatch
 
 
@@ -308,7 +243,7 @@ def test_subcarrier_count_must_cover_taps():
         ch.sample_initial_channel(proc, TAPS - 1)
     c = ch.sample_initial_channel(proc, M_FULL)
     with pytest.raises(ValueError, match="steps"):
-        ch.evolve_channel(c, proc, 0)
+        ch.evolve_block(c, proc, 1, 0)
 
 
 def test_noise_model_validation():
@@ -316,15 +251,6 @@ def test_noise_model_validation():
         ch.NoiseModel(-0.1, 0)
     with pytest.raises(ValueError):
         ch.NoiseModel(0.1, -3)
-
-
-def test_realization_validation():
-    with pytest.raises(ValueError):
-        make_channel([])
-    with pytest.raises(ValueError):
-        make_channel([np.nan + 0j])
-    c = make_channel([1 + 0j, 2 + 0j, 3 + 0j])
-    assert c.m_full == 3
 
 
 @settings(max_examples=25)

@@ -1,11 +1,12 @@
 """Experiment harness: metrics, ROC, determinism, trace replay, sweeps."""
 
+import csv
 import dataclasses
-import math
 
 import numpy as np
 import pytest
 
+from physec import cli
 from physec import evaluation as ev
 from physec import trace_io
 from physec.evaluation import DetectorKind
@@ -142,39 +143,41 @@ def test_detection_at_matched_false_alarm_hand_example():
 
 
 # ---------------------------------------------------------------------------
-# sweeps and paired comparisons
+# sweeps and paired comparisons (grids of runs go through `physec sweep`)
 # ---------------------------------------------------------------------------
 
 
-def test_sweep_repeats_are_bit_identical():
-    base = desk_config()
-    results = ev.sweep_subcarriers(base, [8, 8])
-    (m1, r1), (m2, r2) = results
-    assert m1 == m2 == 8
-    assert r1.counts == r2.counts
-    assert np.array_equal(r1.bob_scores, r2.bob_scores)
+def sweep_rows(tmp_path, monkeypatch, *argv) -> list:
+    """Result rows of a desk-scale `physec sweep` with desk_config()'s seed."""
+    monkeypatch.delenv("PHYSEC_SEED", raising=False)
+    out = tmp_path / "sweep.csv"
+    assert cli.main(["sweep", "--preset", "desk", "--seed", "0", *argv, "--out", str(out)]) == 0
+    with open(out, encoding="utf-8", newline="") as fh:
+        return list(csv.DictReader(fh))
 
 
-def test_sweep_records_requested_subcarrier_counts():
-    results = ev.sweep_subcarriers(desk_config(), [4, 8])
-    assert [m for m, _ in results] == [4, 8]
-    for m, r in results:
-        assert r.config.m_subcarriers == m
-    with pytest.raises(ValueError):
-        ev.sweep_subcarriers(desk_config(), [])
+def test_sweep_repeats_are_bit_identical(tmp_path, monkeypatch):
+    first, second = sweep_rows(tmp_path, monkeypatch, "--m", "8,8")
+    assert first["M"] == second["M"] == "8"
+    assert first == second  # rates are written repr-exact
 
 
-def test_update_comparison_on_a_slow_channel_changes_nothing():
-    base = desk_config(coherence_samples=1e12)
-    with_update, without_update = ev.compare_update_modes(base)
-    assert abs(with_update.p_d - without_update.p_d) <= 0.02
-    assert with_update.p_md <= 0.02
-    assert without_update.p_md <= 0.02
+def test_sweep_records_requested_subcarrier_counts(tmp_path, monkeypatch):
+    rows = sweep_rows(tmp_path, monkeypatch, "--m", "4,8")
+    assert [r["M"] for r in rows] == ["4", "8"]
+    with pytest.raises(SystemExit) as exc:
+        sweep_rows(tmp_path, monkeypatch, "--m", ",")
+    assert exc.value.code == 2
 
 
-def test_update_comparison_requires_a_finite_coherence():
-    with pytest.raises(ValueError, match="finite"):
-        ev.compare_update_modes(desk_config(coherence_samples=math.inf))
+def test_update_comparison_on_a_slow_channel_changes_nothing(tmp_path, monkeypatch):
+    with_update, without_update = sweep_rows(
+        tmp_path, monkeypatch, "--m", "8", "--coherence", "1e12", "--compare-update"
+    )
+    assert (with_update["detector"], without_update["detector"]) == ("gmm", "gmm-noupdate")
+    assert abs(float(with_update["p_d"]) - float(without_update["p_d"])) <= 0.02
+    assert float(with_update["p_md"]) <= 0.02
+    assert float(without_update["p_md"]) <= 0.02
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,18 @@ from hypothesis import strategies as st
 
 from physec import features as ft
 
-from conftest import make_channel
+
+def normalize(gains) -> np.ndarray:
+    """Normalized-magnitude feature of one estimate, as a one-row block."""
+    return ft.normalize_magnitude_block(np.asarray(gains, dtype=np.complex128)[None, :])[0]
+
+
+def delta(current, previous) -> np.ndarray:
+    """Delta feature of one estimate after another, as a one-row block."""
+    return ft.delta_feature_block(
+        np.asarray(current, dtype=np.complex128)[None, :],
+        np.asarray(previous, dtype=np.complex128),
+    )[0]
 
 
 # ---------------------------------------------------------------------------
@@ -47,12 +58,11 @@ def test_indices_validation():
 
 
 def test_select_subcarriers_picks_expected_gains():
-    gains = np.arange(48, dtype=np.complex128)
-    c = make_channel(gains, time_index=5, link_id="AB")
-    sel = ft.select_subcarriers(c, 4)
-    assert np.array_equal(sel.gains, np.array([0, 12, 24, 36], dtype=np.complex128))
-    assert sel.time_index == 5
-    assert sel.link_id == "AB"
+    block = np.arange(96, dtype=np.complex128).reshape(2, 48)
+    sel = ft.select_block(block, 4)
+    assert np.array_equal(
+        sel, np.array([[0, 12, 24, 36], [48, 60, 72, 84]], dtype=np.complex128)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -62,57 +72,53 @@ def test_select_subcarriers_picks_expected_gains():
 
 def test_normalized_magnitude_hand_example():
     # |[1, 2i, -2, 0]| = [1, 2, 2, 0], sum 5 -> [0.2, 0.4, 0.4, 0.0]
-    c = make_channel([1 + 0j, 2j, -2 + 0j, 0 + 0j], time_index=3)
-    f = ft.normalize_magnitude(c)
-    assert np.allclose(f.values, [0.2, 0.4, 0.4, 0.0], atol=1e-15)
-    assert f.kind is ft.FeatureKind.NORMALIZED_MAGNITUDE
-    assert f.source_time == 3
-    assert f.dim == 4
+    f = normalize([1 + 0j, 2j, -2 + 0j, 0 + 0j])
+    assert np.allclose(f, [0.2, 0.4, 0.4, 0.0], atol=1e-15)
+    assert f.shape == (4,)
 
 
 def test_all_zero_estimate_rejected():
     with pytest.raises(ValueError, match="all-zero"):
-        ft.normalize_magnitude(make_channel([0j, 0j]))
+        normalize([0j, 0j])
 
 
-complex_gains = st.lists(
-    st.tuples(
-        st.floats(min_value=-100.0, max_value=100.0),
-        st.floats(min_value=-100.0, max_value=100.0),
-    ),
-    min_size=1,
-    max_size=32,
-).filter(lambda pairs: any(re != 0.0 or im != 0.0 for re, im in pairs))
+def complex_gains(**float_options):
+    part = st.floats(min_value=-100.0, max_value=100.0, **float_options)
+    return st.lists(st.tuples(part, part), min_size=1, max_size=32).filter(
+        lambda pairs: any(re != 0.0 or im != 0.0 for re, im in pairs)
+    )
 
 
-@given(pairs=complex_gains)
+@given(pairs=complex_gains())
 def test_normalized_magnitude_sums_to_one(pairs):
     gains = np.array([complex(re, im) for re, im in pairs])
-    f = ft.normalize_magnitude(make_channel(gains))
-    assert np.all(f.values >= 0.0)
-    assert abs(f.values.sum() - 1.0) < 1e-9
+    f = normalize(gains)
+    assert np.all(f >= 0.0)
+    assert abs(f.sum() - 1.0) < 1e-9
 
 
 @settings(max_examples=50)
 @given(
-    pairs=complex_gains,
+    # scaling a subnormal gain rounds it to a few bits (or to zero), which
+    # changes the magnitude ratios the feature is made of
+    pairs=complex_gains(allow_subnormal=False),
     magnitude=st.floats(min_value=1e-3, max_value=1e3),
     phase=st.floats(min_value=0.0, max_value=2 * math.pi),
 )
 def test_normalized_magnitude_scale_invariant(pairs, magnitude, phase):
     gains = np.array([complex(re, im) for re, im in pairs])
     scale = magnitude * complex(math.cos(phase), math.sin(phase))
-    base = ft.normalize_magnitude(make_channel(gains))
-    scaled = ft.normalize_magnitude(make_channel(gains * scale))
-    assert np.allclose(base.values, scaled.values, atol=1e-9)
+    base = normalize(gains)
+    scaled = normalize(gains * scale)
+    assert np.allclose(base, scaled, atol=1e-9)
 
 
 def test_normalized_magnitude_permutation_equivariant(rng):
     gains = rng.standard_normal(12) + 1j * rng.standard_normal(12)
     perm = rng.permutation(12)
-    base = ft.normalize_magnitude(make_channel(gains))
-    permuted = ft.normalize_magnitude(make_channel(gains[perm]))
-    assert np.allclose(permuted.values, base.values[perm], atol=1e-15)
+    base = normalize(gains)
+    permuted = normalize(gains[perm])
+    assert np.allclose(permuted, base[perm], atol=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -121,39 +127,21 @@ def test_normalized_magnitude_permutation_equivariant(rng):
 
 
 def test_delta_feature_hand_example():
-    prev = make_channel([0 + 0j, 1 + 0j], time_index=0)
-    cur = make_channel([1 + 1j, 0 + 0j], time_index=1)
-    f = ft.delta_feature(cur, prev)
-    assert np.allclose(f.values, [math.sqrt(2.0), 1.0], atol=1e-15)
-    assert f.kind is ft.FeatureKind.DELTA
-    assert f.source_time == 1
-
-    split = ft.delta_feature(cur, prev, split_complex=True)
-    assert np.allclose(split.values, [1.0, -1.0, 1.0, 0.0], atol=1e-15)
-    assert split.dim == 4
+    f = delta([1 + 1j, 0 + 0j], [0 + 0j, 1 + 0j])
+    assert np.allclose(f, [math.sqrt(2.0), 1.0], atol=1e-15)
+    # without a previous estimate the block's own rows are differenced
+    block = np.array([[0 + 0j, 1 + 0j], [1 + 1j, 0 + 0j]])
+    assert np.array_equal(ft.delta_feature_block(block), f[None, :])
 
 
 def test_delta_of_identical_estimates_is_zero():
-    prev = make_channel([1 + 2j, -3 + 0j], time_index=0)
-    cur = make_channel([1 + 2j, -3 + 0j], time_index=1)
-    assert np.array_equal(ft.delta_feature(cur, prev).values, np.zeros(2))
-    assert np.array_equal(
-        ft.delta_feature(cur, prev, split_complex=True).values, np.zeros(4)
-    )
+    assert np.array_equal(delta([1 + 2j, -3 + 0j], [1 + 2j, -3 + 0j]), np.zeros(2))
 
 
 def test_delta_requires_consistent_inputs():
-    prev = make_channel([1 + 0j, 2 + 0j], time_index=5)
+    # the time order of replayed estimates is checked by the experiment
+    # harness (tests/test_evaluation.py); the kernel checks widths
     with pytest.raises(ValueError, match="subcarriers"):
-        ft.delta_feature(make_channel([1 + 0j], time_index=6), prev)
-    with pytest.raises(ValueError, match="later"):
-        ft.delta_feature(make_channel([1 + 0j, 2 + 0j], time_index=5), prev)
-    with pytest.raises(ValueError, match="later"):
-        ft.delta_feature(make_channel([1 + 0j, 2 + 0j], time_index=4), prev)
-
-
-def test_feature_vector_validation():
-    with pytest.raises(ValueError):
-        ft.FeatureVector(np.empty(0), source_time=0, kind=ft.FeatureKind.DELTA)
-    with pytest.raises(ValueError):
-        ft.FeatureVector(np.zeros((2, 2)), source_time=0, kind=ft.FeatureKind.DELTA)
+        delta([1 + 0j], [1 + 0j, 2 + 0j])
+    with pytest.raises(ValueError, match="subcarriers"):
+        delta([1 + 0j, 2 + 0j], [1 + 0j])

@@ -9,11 +9,9 @@ from physec import mse
 from physec.gmm import Hypothesis
 
 
-def state(reference, threshold=None, track=True) -> mse.MseDetectorState:
+def state(reference, threshold=None) -> mse.MseDetectorState:
     return mse.MseDetectorState(
-        reference=np.asarray(reference, dtype=np.float64),
-        threshold=threshold,
-        track_reference=track,
+        reference=np.asarray(reference, dtype=np.float64), threshold=threshold
     )
 
 
@@ -47,30 +45,29 @@ def test_score_is_symmetric(a, data):
     assert mse.mse_score(state(va), vb) == mse.mse_score(state(vb), va)
 
 
-def test_accept_updates_reference_only_when_tracking():
-    tracking = state([0.0, 0.0], threshold=1.0, track=True)
+def test_accept_updates_the_reference():
+    tracking = state([0.0, 0.0], threshold=1.0)
     feat = np.array([0.5, 0.5])
     decision = mse.classify_mse(tracking, feat)
     assert decision.hypothesis is Hypothesis.H0_BOB
     assert np.array_equal(tracking.reference, feat)
-
-    fixed = state([0.0, 0.0], threshold=1.0, track=False)
-    mse.classify_mse(fixed, feat)
-    assert np.array_equal(fixed.reference, np.array([0.0, 0.0]))
+    feat[0] = 9.0  # the reference is a copy, not the caller's array
+    assert np.array_equal(tracking.reference, np.array([0.5, 0.5]))
 
 
 def test_reject_never_touches_the_reference():
-    s = state([0.0, 0.0], threshold=0.01, track=True)
+    s = state([0.0, 0.0], threshold=0.01)
     decision = mse.classify_mse(s, np.array([5.0, 5.0]))
     assert decision.hypothesis is Hypothesis.H1_NOT_BOB
     assert np.array_equal(s.reference, np.array([0.0, 0.0]))
 
 
 def test_boundary_score_accepts():
-    s = state([0.0], threshold=0.25, track=False)
+    s = state([0.0], threshold=0.25)
     decision = mse.classify_mse(s, np.array([0.5]))  # score exactly 0.25
     assert decision.score == 0.25
     assert decision.hypothesis is Hypothesis.H0_BOB
+    assert np.array_equal(s.reference, np.array([0.5]))
 
 
 def test_classify_requires_threshold():
@@ -83,19 +80,9 @@ def test_fit_tracking_uses_consecutive_differences():
     # At target 0.4 the mirrored quantile rule admits scores above 4 as
     # alarms: 1/3 of the calibration scores, within target.
     x = np.array([[0.0], [1.0], [3.0], [6.0]])
-    s = mse.fit_mse(x, target_fa=0.4, track_reference=True)
+    s = mse.fit_mse(x, target_fa=0.4)
     assert s.threshold == pytest.approx(4.0, abs=1e-12)
     assert np.array_equal(s.reference, np.array([6.0]))
-    assert s.track_reference is True
-
-
-def test_fit_fixed_reference_uses_training_mean():
-    x = np.array([[0.0], [2.0]])
-    s = mse.fit_mse(x, target_fa=0.3, track_reference=False)
-    assert np.array_equal(s.reference, np.array([1.0]))
-    assert s.threshold == pytest.approx(1.0, abs=1e-12)
-    scores = np.array([mse.mse_score(s, row) for row in x])
-    assert np.mean(scores > s.threshold) <= 0.3
 
 
 def test_fit_needs_two_samples():
@@ -108,15 +95,11 @@ def test_fit_needs_two_samples():
     d=st.integers(min_value=1, max_value=3),
     target=st.floats(min_value=0.05, max_value=0.5),
     seed=st.integers(min_value=0, max_value=2**31),
-    track=st.booleans(),
 )
-def test_calibration_false_alarm_never_exceeds_target(n, d, target, seed, track):
+def test_calibration_false_alarm_never_exceeds_target(n, d, target, seed):
     x = np.random.default_rng(seed).standard_normal((n, d))
-    s = mse.fit_mse(x, target_fa=target, track_reference=track)
-    if track:
-        scores = np.mean(np.diff(x, axis=0) ** 2, axis=1)
-    else:
-        scores = np.mean((x - x.mean(axis=0)) ** 2, axis=1)
+    s = mse.fit_mse(x, target_fa=target)
+    scores = np.mean(np.diff(x, axis=0) ** 2, axis=1)
     assert np.mean(scores > s.threshold) <= target + 1e-12
 
 
