@@ -156,6 +156,23 @@ def test_static_channel_never_changes():
     assert np.array_equal(c0, c2)
 
 
+def test_evolution_advances_time_and_keeps_identity():
+    # row k of an evolved block is the link k + 1 intervals on; the starting
+    # gains are left as they were, and a same-seeded process walks the same
+    # path
+    proc = fresh_process(seed=7, coherence=30.0)
+    twin = fresh_process(seed=7, coherence=30.0)
+    c0 = ch.sample_initial_channel(proc, M_FULL)
+    assert np.array_equal(ch.sample_initial_channel(twin, M_FULL), c0)
+    kept = c0.copy()
+    block = ch.evolve_block(c0, proc, 3)
+    assert block.shape == (3, M_FULL)
+    assert np.array_equal(c0, kept)
+    assert not np.array_equal(block[0], c0)
+    assert not np.array_equal(block[1], block[0])
+    assert not np.array_equal(block[2], block[1])
+    assert np.array_equal(ch.evolve_block(c0, twin, 3), block)
+
 
 # ---------------------------------------------------------------------------
 # estimation noise
@@ -244,6 +261,20 @@ def test_subcarrier_count_must_cover_taps():
     c = ch.sample_initial_channel(proc, M_FULL)
     with pytest.raises(ValueError, match="steps"):
         ch.evolve_block(c, proc, 1, 0)
+
+
+def test_realization_validation():
+    # a realization is one (m_full,) complex gains vector; one narrower
+    # than the channel's taps, or empty, cannot be evolved
+    proc = fresh_process(seed=3)
+    c = ch.sample_initial_channel(proc, M_FULL)
+    assert c.shape == (M_FULL,)
+    assert c.dtype == np.complex128
+    assert np.all(np.isfinite(c))
+    with pytest.raises(ValueError, match="m_full"):
+        ch.evolve_block(np.empty(0, dtype=np.complex128), proc, 1)
+    with pytest.raises(ValueError, match="m_full"):
+        ch.evolve_block(c[: TAPS - 1], proc, 1)
 
 
 def test_noise_model_validation():

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp
 from scipy.stats import norm
 
 from physec import gmm
@@ -126,6 +127,18 @@ def test_fit_does_not_depend_on_memory_layout(rng):
         assert other.threshold == c_order.threshold
 
 
+def test_fit_accepts_feature_vectors(rng):
+    # a list of per-message feature vectors trains the same model as the
+    # stacked (N, dim) block
+    feats = [rng.random(4) for _ in range(50)]
+    model = gmm.fit(feats, config(num_components=2))
+    assert model.dim == 4
+    assert model.threshold is not None
+    stacked = gmm.fit(np.stack(feats), config(num_components=2))
+    assert np.array_equal(model.means, stacked.means)
+    assert model.threshold == stacked.threshold
+
+
 def test_fit_input_validation(rng):
     with pytest.raises(ValueError):
         gmm.fit([], config())
@@ -173,6 +186,26 @@ def test_em_log_likelihood_never_decreases(rng):
     slack = 1e-10 * max(1.0, abs(history[0]))
     diffs = np.diff(history)
     assert np.all(diffs >= -slack), f"worst EM step: {diffs.min()}"
+
+
+def test_responsibilities_are_a_distribution(rng):
+    # the E-step's responsibilities: each sample's weighted component
+    # densities normalized over components.  One EM iteration sets the
+    # weights to their column means.
+    x = rng.standard_normal((64, 3))
+    weights = np.array([0.2, 0.5, 0.3])
+    means = rng.standard_normal((3, 3))
+    variances = rng.uniform(0.5, 2.0, (3, 3))
+    lw = gmm._weighted_log_densities(x, weights, means, variances)
+    resp = np.exp(lw - logsumexp(lw, axis=1)[:, None])
+    assert resp.shape == (64, 3)
+    assert np.all(resp >= 0)
+    assert np.allclose(resp.sum(axis=1), 1.0, atol=1e-12)
+    new_weights, _, _, history = gmm._em(
+        x, weights, means, variances, config(max_em_iterations=1)
+    )
+    assert len(history) == 1
+    assert np.allclose(new_weights, resp.mean(axis=0), atol=1e-15)
 
 
 def test_fitted_weights_form_a_distribution(rng):
@@ -294,6 +327,20 @@ def test_calibrated_false_alarm_never_exceeds_target(scores, target):
 # ---------------------------------------------------------------------------
 # block updates
 # ---------------------------------------------------------------------------
+
+
+def test_classify_is_deterministic(rng):
+    # the run loop accepts a message when its score reaches the threshold;
+    # scoring keeps no state, so the same feature always gets the same
+    # score and decision, alone or inside a block
+    model = gmm.fit(rng.standard_normal((100, 2)), config())
+    block = rng.standard_normal((8, 2))
+    first = gmm.log_likelihoods(model, block[3])[0]
+    for _ in range(5):
+        again = gmm.log_likelihoods(model, block[3])[0]
+        assert again == first
+        assert (again >= model.threshold) == (first >= model.threshold)
+    assert gmm.log_likelihoods(model, block)[3] == first
 
 
 def test_update_fully_rejected_block_unchanged():

@@ -45,13 +45,17 @@ def test_score_is_symmetric(a, data):
     assert mse.mse_score(state(va), vb) == mse.mse_score(state(vb), va)
 
 
-def test_accept_updates_the_reference():
+def test_accept_updates_reference_only_when_tracking():
+    # the reference tracks accepted features only
     tracking = state([0.0, 0.0], threshold=1.0)
     feat = np.array([0.5, 0.5])
     decision = mse.classify_mse(tracking, feat)
     assert decision.hypothesis is Hypothesis.H0_BOB
     assert np.array_equal(tracking.reference, feat)
     feat[0] = 9.0  # the reference is a copy, not the caller's array
+    assert np.array_equal(tracking.reference, np.array([0.5, 0.5]))
+    rejected = mse.classify_mse(tracking, np.array([5.0, 5.0]))
+    assert rejected.hypothesis is Hypothesis.H1_NOT_BOB
     assert np.array_equal(tracking.reference, np.array([0.5, 0.5]))
 
 
