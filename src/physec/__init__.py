@@ -37,6 +37,6 @@ from .gmm import (
     update_block,
 )
 from .mse import MseDetectorState, classify_mse, fit_mse, mse_score
-from .trace_io import CsiTrace, TraceFormatError, TraceRecord, read_trace, write_trace
+from .trace_io import CsiTrace, TraceFormatError, read_trace, write_trace
 
 __version__ = "0.1.0"

@@ -13,6 +13,8 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from . import evaluation as ev
 from . import trace_io
 from .evaluation import DetectorKind, ExperimentConfig
@@ -286,26 +288,26 @@ def cmd_simulate(args, parser) -> int:
         config = ExperimentConfig(m_subcarriers=kwargs["m_full"], **kwargs)
     except ValueError as exc:
         parser.error(str(exc))
-    total = requested_blocks * config.block_size
-    blocks = ev.simulated_estimate_blocks(config)
+    n = config.block_size
+    total = requested_blocks * n
+    # file order: both links' estimates for slot 1, then slot 2, ...
+    gains = np.empty((requested_blocks, n, 2, config.m_full), dtype=np.complex128)
+    for block, (bob, eve) in zip(gains, ev.simulated_estimate_blocks(config)):
+        block[:, 0], block[:, 1] = bob, eve
     trace = trace_io.CsiTrace(
         m_full=config.m_full,
         sample_interval_us=s.get("interval_us", trace_io.DEFAULT_INTERVAL_US),
         description=s.get("desc", "simulated"),
+        time_index=np.repeat(np.arange(1, total + 1), 2),
+        link_labels=[ev.BOB_LINK, ev.EVE_LINK] * total,
+        gains=gains.reshape(2 * total, config.m_full),
     )
-    t = 0
-    for _ in range(requested_blocks):
-        for bob_gains, eve_gains in zip(*next(blocks)):
-            t += 1
-            # copies: a record that viewed its block would keep the whole block alive
-            trace.records.append(trace_io.TraceRecord(t, ev.BOB_LINK, bob_gains.copy()))
-            trace.records.append(trace_io.TraceRecord(t, ev.EVE_LINK, eve_gains.copy()))
     try:
         trace_io.write_trace(trace, args.out)
     except OSError as exc:
         parser.error(f"cannot write trace: {exc}")
     print(
-        f"wrote {len(trace.records)} records ({total} per link) to {args.out}",
+        f"wrote {len(trace.link_labels)} records ({total} per link) to {args.out}",
         file=sys.stderr,
     )
     return 0

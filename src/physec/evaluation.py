@@ -150,10 +150,6 @@ class TrialResult:
     eve_scores: np.ndarray = field(default_factory=lambda: np.empty(0))
     config: ExperimentConfig | None = None
 
-    @property
-    def total_test_messages(self) -> int:
-        return int(sum(self.counts))
-
 
 @dataclass
 class RocCurve:
@@ -161,13 +157,6 @@ class RocCurve:
 
     p_fa: np.ndarray
     p_d: np.ndarray
-
-    @property
-    def points(self) -> list:
-        return list(zip(self.p_fa.tolist(), self.p_d.tolist()))
-
-    def auc(self) -> float:
-        return float(np.trapezoid(self.p_d, self.p_fa))
 
 
 def _derived_seeds(seed: int) -> list[int]:
@@ -351,25 +340,15 @@ def run_experiment_from_trace(
     """
     if config.prefilter is not None:
         raise ValueError("prefilters require the simulator; traces are already recorded")
-    records = {bob_label: [], eve_label: []}
-    for rec in trace.records:
-        if rec.link_label in records:
-            records[rec.link_label].append(rec)
     links = {}
-    for label, recs in records.items():
-        if any(rec.gains.shape != (trace.m_full,) for rec in recs):
-            raise ValueError(f"every {label!r} record must have m_full={trace.m_full} gains")
-        gains = np.array([rec.gains for rec in recs], dtype=np.complex128)
-        links[label] = (
-            _finite(gains.reshape(len(recs), trace.m_full)),
-            np.array([rec.time_index for rec in recs], dtype=np.int64),
-        )
-    total = config.num_blocks * config.block_size
     for label in (bob_label, eve_label):
-        if len(records[label]) < total:
+        rows = np.array([link == label for link in trace.link_labels], dtype=bool)
+        links[label] = (_finite(trace.gains[rows]), trace.time_index[rows])
+    total = config.num_blocks * config.block_size
+    for label, (gains, _) in links.items():
+        if len(gains) < total:
             raise ValueError(
-                f"trace has {len(records[label])} records for link {label!r}, "
-                f"need {total}"
+                f"trace has {len(gains)} records for link {label!r}, need {total}"
             )
     (bob, bob_t), (eve, eve_t) = links[bob_label], links[eve_label]
     n = config.block_size

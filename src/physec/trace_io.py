@@ -14,12 +14,13 @@ skipped on read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-__all__ = ["TraceFormatError", "TraceRecord", "CsiTrace", "read_trace", "write_trace"]
+__all__ = ["TraceFormatError", "CsiTrace", "read_trace", "write_trace"]
 
 DEFAULT_INTERVAL_US = 998.4
 
@@ -35,36 +36,41 @@ class TraceFormatError(ValueError):
 
 
 @dataclass
-class TraceRecord:
-    time_index: int
-    link_label: str
-    gains: np.ndarray
-
-    def __post_init__(self):
-        self.gains = np.asarray(self.gains, dtype=np.complex128)
-        if self.gains.ndim != 1:
-            raise ValueError("gains must be 1-D")
-
-
-@dataclass
 class CsiTrace:
+    """A recorded trace as parallel arrays, one row per estimate in file order.
+
+    `time_index` is an (n,) int64 array, `link_labels` a sequence of n
+    Python strings (kept as `str`: a numpy string array drops trailing NULs
+    and would merge distinct labels), and `gains` an (n, m_full) complex128
+    array.
+    """
+
     m_full: int
     sample_interval_us: float = DEFAULT_INTERVAL_US
     description: str = ""
-    records: list = field(default_factory=list)
+    time_index: np.ndarray = ()
+    link_labels: list = ()
+    gains: np.ndarray = None
 
     def __post_init__(self):
         if self.m_full < 1:
             raise ValueError("m_full must be >= 1")
         if not self.sample_interval_us > 0:
             raise ValueError("sample_interval_us must be positive")
-
-
-def _fmt(x: float) -> str:
-    v = float(x)
-    if v == 0.0:
-        v = 0.0  # canonicalize -0.0
-    return repr(v)
+        try:
+            self.time_index = np.asarray(self.time_index, dtype=np.int64)
+        except OverflowError as exc:
+            raise ValueError(f"time index outside int64: {exc}") from exc
+        if self.gains is None:
+            self.gains = np.empty((0, self.m_full), dtype=np.complex128)
+        self.gains = np.asarray(self.gains, dtype=np.complex128)
+        n = len(self.link_labels)
+        if self.time_index.shape != (n,) or self.gains.shape != (n, self.m_full):
+            raise ValueError(
+                f"{n} link labels need time_index of shape ({n},) and gains of shape "
+                f"(n, m_full) = ({n}, {self.m_full}); got {self.time_index.shape} "
+                f"and {self.gains.shape}"
+            )
 
 
 def write_trace(trace: CsiTrace, dest) -> None:
@@ -72,30 +78,24 @@ def write_trace(trace: CsiTrace, dest) -> None:
     if "\n" in trace.description or "\r" in trace.description:
         raise ValueError("description must not contain newlines")
     lines = [
-        f"#CSI,m_full={trace.m_full},interval_us={_fmt(trace.sample_interval_us)},"
+        f"#CSI,m_full={trace.m_full},interval_us={float(trace.sample_interval_us)!r},"
         f"desc={trace.description}"
     ]
     last_time: dict[str, int] = {}
-    for rec in trace.records:
-        if "," in rec.link_label or "\n" in rec.link_label or "\r" in rec.link_label:
-            raise ValueError(f"link label {rec.link_label!r} contains a delimiter")
-        if rec.gains.size != trace.m_full:
-            raise ValueError(
-                f"record at time {rec.time_index} has {rec.gains.size} gains, "
-                f"expected {trace.m_full}"
-            )
-        prev = last_time.get(rec.link_label)
-        if prev is not None and rec.time_index <= prev:
+    # one row at a time: Python floats for the whole array would outweigh the text
+    floats = np.ascontiguousarray(trace.gains).view(np.float64)
+    for t, label, row in zip(trace.time_index.tolist(), trace.link_labels, floats):
+        if "," in label or "\n" in label or "\r" in label:
+            raise ValueError(f"link label {label!r} contains a delimiter")
+        prev = last_time.get(label)
+        if prev is not None and t <= prev:
             raise ValueError(
                 f"time indices must be strictly increasing per link; "
-                f"{rec.link_label} goes {prev} -> {rec.time_index}"
+                f"{label} goes {prev} -> {t}"
             )
-        last_time[rec.link_label] = rec.time_index
-        cells = [str(int(rec.time_index)), rec.link_label]
-        for g in rec.gains:
-            cells.append(_fmt(g.real))
-            cells.append(_fmt(g.imag))
-        lines.append(",".join(cells))
+        last_time[label] = t
+        # adding 0.0 canonicalizes -0.0
+        lines.append(f"{t},{label}," + ",".join([repr(v + 0.0) for v in row.tolist()]))
     text = "\n".join(lines) + "\n"
     if hasattr(dest, "write"):
         dest.write(text)
@@ -141,12 +141,15 @@ def read_trace(src) -> CsiTrace:
     except ValueError as exc:
         raise TraceFormatError(f"bad header value: {exc}", line=1) from exc
     desc = parts[3][len("desc="):]
-    if m_full < 1:
-        raise TraceFormatError("m_full must be >= 1", line=1)
+    # the upper bound is the widest row numpy can hold as complex128
+    if not 1 <= m_full <= np.iinfo(np.intp).max // 16:
+        raise TraceFormatError("m_full must be >= 1 and fit in an array", line=1)
     if not interval > 0 or not np.isfinite(interval):
         raise TraceFormatError("interval_us must be a positive real", line=1)
 
-    trace = CsiTrace(m_full=m_full, sample_interval_us=interval, description=desc)
+    times = array("q")
+    labels: list[str] = []
+    reals = array("d")  # re0, im0, re1, ... of every row, in file order
     last_time: dict[str, int] = {}
     expected = 2 + 2 * m_full
     for lineno, raw in enumerate(lines[1:], start=2):
@@ -162,11 +165,14 @@ def read_trace(src) -> CsiTrace:
             )
         try:
             t = int(cells[0])
-        except ValueError as exc:
-            raise TraceFormatError(f"bad time index {cells[0]!r}", line=lineno) from exc
+            times.append(t)  # array("q") refuses what int64 cannot hold
+        except (ValueError, OverflowError) as exc:
+            raise TraceFormatError(
+                f"time index {cells[0]!r} is not an int64", line=lineno
+            ) from exc
         label = cells[1]
         try:
-            reals = np.array([float(c) for c in cells[2:]], dtype=np.float64)
+            reals.extend(map(float, cells[2:]))
         except ValueError as exc:
             raise TraceFormatError(f"bad gain value: {exc}", line=lineno) from exc
         prev = last_time.get(label)
@@ -176,6 +182,14 @@ def read_trace(src) -> CsiTrace:
                 line=lineno,
             )
         last_time[label] = t
-        gains = reals[0::2] + 1j * reals[1::2]
-        trace.records.append(TraceRecord(time_index=t, link_label=label, gains=gains))
-    return trace
+        labels.append(label)
+    return CsiTrace(
+        m_full=m_full,
+        sample_interval_us=interval,
+        description=desc,
+        time_index=np.frombuffer(times, dtype=np.int64),
+        link_labels=labels,
+        gains=np.frombuffer(reals, dtype=np.float64)
+        .reshape(-1, 2 * m_full)
+        .view(np.complex128),
+    )

@@ -5,6 +5,7 @@ checks see the same code paths the installed console script uses.
 """
 
 import csv
+import hashlib
 import io
 
 import pytest
@@ -188,6 +189,18 @@ def test_simulate_reports_record_totals(tmp_path, capsys):
     assert out.exists()
 
 
+def test_simulate_writes_the_pinned_csv_bytes(tmp_path):
+    # recorded from the per-record writer this format started with
+    out = tmp_path / "trace.csv"
+    argv = ("--blocks", "1", "--block-size", "7", "--m-full", "16", "--taps", "4")
+    assert run_cli("simulate", *argv, "--seed", "0", "--out", str(out)) == 0
+    data = out.read_bytes()
+    assert len(data) == 8993
+    assert hashlib.sha256(data).hexdigest() == (
+        "22f634bd6762382e5e4bf60c3d52d1980720967721d6b115a0374c80c48f7b50"
+    )
+
+
 def test_replaying_a_simulated_trace_matches_the_direct_run(tmp_path):
     trace = tmp_path / "trace.csv"
     direct = tmp_path / "direct.csv"
@@ -232,6 +245,19 @@ def test_traces_with_non_finite_gains_are_usage_errors(tmp_path, bad):
     with pytest.raises(SystemExit) as exc:
         run_cli("evaluate", *DESK, "--m", "8", "--trace", str(trace))
     assert exc.value.code == 2
+
+
+def test_trace_time_index_outside_int64_is_a_usage_error(tmp_path, capsys):
+    # magnitude features never read time, but the index must still fit int64
+    trace = tmp_path / "trace.csv"
+    assert run_cli("simulate", *DESK, "--out", str(trace)) == 0
+    lines = trace.read_text().splitlines()
+    lines[-1] = str(2**63) + lines[-1][lines[-1].index(","):]
+    trace.write_text("\n".join(lines) + "\n")
+    with pytest.raises(SystemExit) as exc:
+        run_cli("evaluate", *DESK, "--m", "8", "--trace", str(trace))
+    assert exc.value.code == 2
+    assert "bad trace file" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

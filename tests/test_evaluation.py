@@ -23,7 +23,6 @@ def test_counts_conserve_message_totals():
     cfg = desk_config()
     r = ev.run_experiment(cfg)
     expected = (cfg.num_blocks - 1) * cfg.block_size
-    assert r.total_test_messages == expected
     assert sum(r.counts) == expected
     assert len(r.bob_scores) + len(r.eve_scores) == expected
     assert len(r.blocks) == cfg.num_blocks - 1
@@ -97,7 +96,7 @@ def test_roc_of_same_distribution_hugs_the_diagonal():
     rng = np.random.default_rng(4)
     curve = ev.compute_roc(rng.standard_normal(2000), rng.standard_normal(2000))
     assert float(np.max(np.abs(curve.p_d - curve.p_fa))) <= 0.06
-    assert curve.auc() == pytest.approx(0.5, abs=0.03)
+    assert np.trapezoid(curve.p_d, curve.p_fa) == pytest.approx(0.5, abs=0.03)
 
 
 def test_roc_is_strictly_increasing_and_ends_at_one():
@@ -107,7 +106,6 @@ def test_roc_is_strictly_increasing_and_ends_at_one():
     assert np.all(np.diff(curve.p_d) >= 0)
     assert curve.p_fa[-1] == 1.0 and curve.p_d[-1] == 1.0
     assert curve.p_fa[0] >= 0.0
-    assert curve.points[-1] == (1.0, 1.0)
 
 
 def test_roc_area_matches_known_separation():
@@ -118,7 +116,7 @@ def test_roc_area_matches_known_separation():
     curve = ev.compute_roc(
         rng.standard_normal(4000) + 3.0, rng.standard_normal(4000)
     )
-    assert 0.97 <= curve.auc() <= 0.995
+    assert 0.97 <= np.trapezoid(curve.p_d, curve.p_fa) <= 0.995
 
 
 def test_roc_rejects_empty_inputs():
@@ -195,7 +193,7 @@ def test_delta_feature_pipeline_runs():
     from physec.features import FeatureKind
 
     r = ev.run_experiment(desk_config(feature_kind=FeatureKind.DELTA))
-    assert r.total_test_messages == 1800
+    assert sum(r.counts) == 1800
     assert r.p_fa is not None and r.p_d is not None
 
 
@@ -225,19 +223,22 @@ def test_explicit_prefilter_object_is_applied():
 
 
 def build_trace_for(cfg, eve_time_offset=0) -> trace_io.CsiTrace:
+    """Both links of `cfg`'s simulation, interleaved as `physec simulate` writes them."""
     blocks = ev.simulated_estimate_blocks(cfg)
-    trace = trace_io.CsiTrace(m_full=cfg.m_full, description="replay test")
-    t = 0
+    rows = []
     for _ in range(cfg.num_blocks):
         bob_block, eve_block = next(blocks)
         assert bob_block.shape == eve_block.shape == (cfg.block_size, cfg.m_full)
-        for bob_gains, eve_gains in zip(bob_block, eve_block):
-            t += 1
-            trace.records.append(trace_io.TraceRecord(t, ev.BOB_LINK, bob_gains))
-            trace.records.append(
-                trace_io.TraceRecord(t + eve_time_offset, ev.EVE_LINK, eve_gains)
-            )
-    return trace
+        rows.append(np.stack([bob_block, eve_block], axis=1))
+    total = cfg.num_blocks * cfg.block_size
+    slots = np.arange(1, total + 1)
+    return trace_io.CsiTrace(
+        m_full=cfg.m_full,
+        description="replay test",
+        time_index=np.stack([slots, slots + eve_time_offset], axis=1).reshape(-1),
+        link_labels=[ev.BOB_LINK, ev.EVE_LINK] * total,
+        gains=np.concatenate(rows).reshape(2 * total, cfg.m_full),
+    )
 
 
 def test_replaying_a_recorded_trace_reproduces_the_simulation(tmp_path):
@@ -269,7 +270,7 @@ def test_replay_rejects_short_traces_and_prefilters():
 def test_replay_rejects_non_finite_gains(tmp_path, bad):
     cfg = desk_config()
     trace = build_trace_for(cfg)
-    trace.records[2 * cfg.block_size + 1].gains[5] = complex(bad, 0.0)
+    trace.gains[2 * cfg.block_size + 1, 5] = complex(bad, 0.0)
     path = tmp_path / "trace.csv"
     trace_io.write_trace(trace, path)
     with pytest.raises(ValueError, match="finite"):
@@ -279,8 +280,8 @@ def test_replay_rejects_non_finite_gains(tmp_path, bad):
 def test_replay_rejects_all_zero_selected_estimates():
     cfg = desk_config()
     trace = build_trace_for(cfg)
-    for rec in trace.records[2 * cfg.block_size : 2 * cfg.block_size + 2]:
-        rec.gains[:] = 0.0  # both links of the first test message
+    # both links of the first test message
+    trace.gains[2 * cfg.block_size : 2 * cfg.block_size + 2] = 0.0
     with pytest.raises(ValueError, match="all-zero"):
         ev.run_experiment_from_trace(trace, cfg)
 
@@ -288,9 +289,9 @@ def test_replay_rejects_all_zero_selected_estimates():
 def test_replay_rejects_records_of_the_wrong_width():
     cfg = desk_config()
     trace = build_trace_for(cfg)
-    trace.records[7].gains = trace.records[7].gains[:-1]
+    # the trace itself refuses rows narrower than its m_full, so none reach replay
     with pytest.raises(ValueError, match="m_full"):
-        ev.run_experiment_from_trace(trace, cfg)
+        dataclasses.replace(trace, gains=trace.gains[:, :-1])
 
 
 def test_replayed_delta_features_need_forward_time_indices():

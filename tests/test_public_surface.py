@@ -2,12 +2,14 @@
 
 A name in a `physec` module's `__all__` must be read somewhere in
 `src/physec/` or `bench/` apart from its own definition, its `__all__`
-entry and its re-export from the package `__init__`.  An export that only
-its own tests use is dead code: delete it, or wire it into the CLI.
+entry and its re-export from the package `__init__`.  So must every public
+method and property of an exported class.  An export that only its own
+tests use is dead code: delete it, or wire it into the CLI.
 """
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -42,3 +44,33 @@ def test_every_export_is_used_outside_the_tests(module):
     exported = importlib.import_module(f"physec.{module}").__all__
     unused = sorted(set(exported) - referenced_names())
     assert not unused, f"physec.{module} exports names nothing uses: {unused}"
+
+
+def public_members(cls) -> list:
+    """Public methods and properties a class defines itself."""
+    return [
+        name
+        for name, value in vars(cls).items()
+        if not name.startswith("_")
+        and (
+            inspect.isfunction(value)
+            or isinstance(value, (property, classmethod, staticmethod))
+        )
+    ]
+
+
+@pytest.mark.parametrize(
+    "module",
+    [m for m in MODULES if hasattr(importlib.import_module(f"physec.{m}"), "__all__")],
+)
+def test_every_exported_class_member_is_used_outside_the_tests(module):
+    mod = importlib.import_module(f"physec.{module}")
+    used = referenced_names()
+    unused = sorted(
+        f"{name}.{member}"
+        for name in mod.__all__
+        if inspect.isclass(getattr(mod, name))
+        for member in public_members(getattr(mod, name))
+        if member not in used
+    )
+    assert not unused, f"physec.{module} classes have members nothing uses: {unused}"

@@ -8,23 +8,34 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from physec import evaluation as ev
 from physec import trace_io
-from physec.trace_io import CsiTrace, TraceFormatError, TraceRecord
+from physec.trace_io import CsiTrace, TraceFormatError
+
+from conftest import desk_config
 
 
 def two_link_trace() -> CsiTrace:
-    trace = CsiTrace(m_full=2, sample_interval_us=998.4, description="bench test")
     tricky = [
-        np.array([1.5 + 2.5j, math.pi - 1e-9j]),
-        np.array([-0.0 + 0.0j, 1e-300 + 1e300j]),
-        np.array([0.1 + 0.2j, -7.25 + 0j]),
-        np.array([3.0 - 4.0j, 2.2250738585072014e-308 + 0j]),
+        [1.5 + 2.5j, math.pi - 1e-9j],
+        [-0.0 + 0.0j, 1e-300 + 1e300j],
+        [0.1 + 0.2j, -7.25 + 0j],
+        [3.0 - 4.0j, 2.2250738585072014e-308 + 0j],
     ]
-    for t, gains in enumerate(tricky[:2], start=1):
-        trace.records.append(TraceRecord(t, "AB", gains))
-    for t, gains in enumerate(tricky[2:], start=1):
-        trace.records.append(TraceRecord(t, "AE", gains))
-    return trace
+    return CsiTrace(
+        m_full=2,
+        sample_interval_us=998.4,
+        description="bench test",
+        time_index=[1, 2, 1, 2],
+        link_labels=["AB", "AB", "AE", "AE"],
+        gains=tricky,
+    )
+
+
+def one_row_trace(gains, **kwargs) -> CsiTrace:
+    return CsiTrace(
+        m_full=len(gains), time_index=[1], link_labels=["AB"], gains=[gains], **kwargs
+    )
 
 
 def canonical(gains: np.ndarray) -> np.ndarray:
@@ -42,11 +53,12 @@ def test_round_trip_is_lossless(tmp_path):
     assert loaded.m_full == trace.m_full
     assert loaded.sample_interval_us == trace.sample_interval_us
     assert loaded.description == trace.description
-    assert len(loaded.records) == len(trace.records)
-    for got, expected in zip(loaded.records, trace.records):
-        assert got.time_index == expected.time_index
-        assert got.link_label == expected.link_label
-        assert np.array_equal(got.gains, canonical(expected.gains))
+    assert len(loaded.link_labels) == len(trace.link_labels)
+    assert np.array_equal(loaded.time_index, trace.time_index)
+    assert loaded.time_index.dtype == np.int64
+    assert loaded.link_labels == trace.link_labels
+    assert loaded.gains.shape == trace.gains.shape
+    assert np.array_equal(loaded.gains, canonical(trace.gains))
 
 
 def test_round_trip_through_streams():
@@ -54,28 +66,26 @@ def test_round_trip_through_streams():
     buf = io.StringIO()
     trace_io.write_trace(trace, buf)
     loaded = trace_io.read_trace(io.StringIO(buf.getvalue()))
-    assert len(loaded.records) == 4
+    assert len(loaded.link_labels) == 4
     rewritten = io.StringIO()
     trace_io.write_trace(loaded, rewritten)
     assert rewritten.getvalue() == buf.getvalue()  # write is byte-deterministic
 
 
 def test_negative_zero_is_canonicalized():
-    trace = CsiTrace(m_full=1)
-    trace.records.append(TraceRecord(1, "AB", np.array([-0.0 - 0.0j])))
+    trace = one_row_trace([-0.0 - 0.0j])
     buf = io.StringIO()
     trace_io.write_trace(trace, buf)
     assert "-0.0" not in buf.getvalue()
     loaded = trace_io.read_trace(io.StringIO(buf.getvalue()))
-    gain = loaded.records[0].gains[0]
+    gain = loaded.gains[0, 0]
     assert gain == 0
     assert not np.signbit(gain.real)
     assert not np.signbit(gain.imag)
 
 
 def test_description_may_contain_commas():
-    trace = CsiTrace(m_full=1, description="office, day 2, desk by the window")
-    trace.records.append(TraceRecord(1, "AB", np.array([1 + 1j])))
+    trace = one_row_trace([1 + 1j], description="office, day 2, desk by the window")
     buf = io.StringIO()
     trace_io.write_trace(trace, buf)
     loaded = trace_io.read_trace(io.StringIO(buf.getvalue()))
@@ -91,8 +101,8 @@ def test_comments_and_blank_lines_are_skipped():
         "\n"
     )
     loaded = trace_io.read_trace(io.StringIO(text))
-    assert len(loaded.records) == 1
-    assert loaded.records[0].gains[0] == 0.5 + 0.25j
+    assert len(loaded.link_labels) == 1
+    assert loaded.gains[0, 0] == 0.5 + 0.25j
 
 
 def test_header_errors_carry_line_one():
@@ -104,6 +114,7 @@ def test_header_errors_carry_line_one():
         "#CSI,m_full=2,interval_us=-1.0,desc=\n",
         "#CSI,m_full=0,interval_us=1.0,desc=\n",
         "#CSI,interval_us=1.0,m_full=2,desc=\n",
+        f"#CSI,m_full={2**60},interval_us=1.0,desc=\n",  # too wide for any array
     ):
         with pytest.raises(TraceFormatError) as err:
             trace_io.read_trace(io.StringIO(text))
@@ -116,6 +127,8 @@ def test_data_errors_carry_their_line_number():
         (header + "1,AB,0.5\n", 2),  # wrong field count
         (header + "1,AB,0.5,0.5\nx,AB,0.5,0.5\n", 3),  # bad time index
         (header + "1,AB,0.5,0.5\n2,AB,zz,0.5\n", 3),  # bad gain value
+        (header + "1,AB,0.5,0.5\n9223372036854775808,AB,0.5,0.5\n", 3),  # 2**63
+        (header + "1,AB,0.5,0.5\n-9223372036854775809,AE,0.5,0.5\n", 3),  # -2**63 - 1
     ]
     for text, lineno in cases:
         with pytest.raises(TraceFormatError) as err:
@@ -139,25 +152,18 @@ def test_time_must_increase_per_link_on_read():
         "2,AE,0.6,0.6\n"
     )
     loaded = trace_io.read_trace(io.StringIO(interleaved))  # per-link rule only
-    assert len(loaded.records) == 4
+    assert len(loaded.link_labels) == 4
 
 
 def test_write_rejects_bad_records():
-    trace = CsiTrace(m_full=2)
-    trace.records.append(TraceRecord(2, "AB", np.array([1 + 0j, 2 + 0j])))
-    trace.records.append(TraceRecord(1, "AB", np.array([1 + 0j, 2 + 0j])))
+    gains = [[1 + 0j, 2 + 0j]] * 2
+    trace = CsiTrace(m_full=2, time_index=[2, 1], link_labels=["AB", "AB"], gains=gains)
     with pytest.raises(ValueError, match="increasing"):
         trace_io.write_trace(trace, io.StringIO())
 
-    label = CsiTrace(m_full=1)
-    label.records.append(TraceRecord(1, "A,B", np.array([1 + 0j])))
+    label = CsiTrace(m_full=1, time_index=[1], link_labels=["A,B"], gains=[[1 + 0j]])
     with pytest.raises(ValueError, match="delimiter"):
         trace_io.write_trace(label, io.StringIO())
-
-    width = CsiTrace(m_full=2)
-    width.records.append(TraceRecord(1, "AB", np.array([1 + 0j])))
-    with pytest.raises(ValueError, match="gains"):
-        trace_io.write_trace(width, io.StringIO())
 
     newline = CsiTrace(m_full=1, description="two\nlines")
     with pytest.raises(ValueError, match="newline"):
@@ -176,8 +182,30 @@ def test_trace_validation():
         CsiTrace(m_full=0)
     with pytest.raises(ValueError):
         CsiTrace(m_full=1, sample_interval_us=0.0)
-    with pytest.raises(ValueError):
-        TraceRecord(1, "AB", np.zeros((2, 2), dtype=np.complex128))
+    with pytest.raises(ValueError, match="m_full"):
+        CsiTrace(m_full=2, time_index=[1], link_labels=["AB"], gains=[[1 + 0j]])
+    with pytest.raises(ValueError, match="m_full"):
+        CsiTrace(m_full=2, time_index=[1], link_labels=["AB"], gains=np.zeros((1, 2, 2)))
+    with pytest.raises(ValueError, match="m_full"):
+        CsiTrace(m_full=1, time_index=[1], link_labels=["AB"], gains=np.zeros((2, 1)))
+    with pytest.raises(ValueError, match="time_index"):
+        CsiTrace(m_full=1, time_index=[1, 2], link_labels=["AB"], gains=[[1 + 0j]])
+    with pytest.raises(ValueError, match="int64"):
+        CsiTrace(m_full=1, time_index=[2**63], link_labels=["AB"], gains=[[1 + 0j]])
+    empty = CsiTrace(m_full=3)
+    assert empty.gains.shape == (0, 3) and empty.time_index.shape == (0,)
+
+
+def test_labels_differing_only_by_a_trailing_nul_stay_apart():
+    header = "#CSI,m_full=1,interval_us=1.0,desc=\n"
+    loaded = trace_io.read_trace(io.StringIO(header + "1,AB,0.5,0.5\n1,AB\x00,0.5,0.5\n"))
+    assert loaded.link_labels == ["AB", "AB\x00"]
+    # enough rows for both links, but the legitimate one is labelled "AB\x00"
+    cfg = desk_config(num_blocks=2, block_size=2, m_full=1, m_subcarriers=1, num_taps=1)
+    rows = "".join(f"{t},AB\x00,0.5,0.5\n{t},AE,0.25,0.5\n" for t in range(1, 5))
+    nul_only = trace_io.read_trace(io.StringIO(header + rows))
+    with pytest.raises(ValueError, match="trace has 0 records for link 'AB'"):
+        ev.run_experiment_from_trace(nul_only, cfg)
 
 
 @settings(max_examples=200)
