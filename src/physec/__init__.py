@@ -27,16 +27,8 @@ from .evaluation import (
     run_experiment_from_trace,
 )
 from .features import FeatureKind, subcarrier_indices
-from .gmm import (
-    Decision,
-    DetectorConfig,
-    GmmModel,
-    Hypothesis,
-    fit,
-    log_likelihoods,
-    update_block,
-)
-from .mse import MseDetectorState, classify_mse, fit_mse, mse_score
+from .gmm import DetectorConfig, GmmModel, fit, log_likelihoods, update_block
+from .mse import MseDetectorState, fit_mse, score_block
 from .trace_io import CsiTrace, TraceFormatError, read_trace, write_trace
 
 __version__ = "0.1.0"

@@ -48,10 +48,8 @@ def _int_list(text: str) -> list[int]:
     return values
 
 
-def _bool(text) -> bool:
-    if isinstance(text, bool):
-        return text
-    lowered = str(text).strip().lower()
+def _bool(text: str) -> bool:
+    lowered = text.strip().lower()
     if lowered in {"1", "true", "yes", "on"}:
         return True
     if lowered in {"0", "false", "no", "off"}:
@@ -59,11 +57,8 @@ def _bool(text) -> bool:
     raise argparse.ArgumentTypeError(f"not a boolean: {text!r}")
 
 
-def _detector_list(text) -> list[str]:
-    if isinstance(text, list):
-        names = text
-    else:
-        names = [tok.strip() for tok in str(text).split(",") if tok.strip()]
+def _detector_list(text: str) -> list[str]:
+    names = [tok.strip() for tok in text.split(",") if tok.strip()]
     for name in names:
         if name not in {"gmm", "mse"}:
             raise argparse.ArgumentTypeError(f"unknown detector {name!r}")
@@ -72,11 +67,9 @@ def _detector_list(text) -> list[str]:
     return names
 
 
-def _feature_kind(text) -> FeatureKind:
-    if isinstance(text, FeatureKind):
-        return text
+def _feature_kind(text: str) -> FeatureKind:
     try:
-        return _FEATURES[str(text).strip().lower()]
+        return _FEATURES[text.strip().lower()]
     except KeyError:
         raise argparse.ArgumentTypeError(
             f"unknown feature {text!r} (choose from {sorted(_FEATURES)})"
@@ -256,7 +249,6 @@ def _run_combos(s: Settings, parser, combos, trace_path):
         kwargs = dict(base_kwargs)
         if trace is not None:
             kwargs["m_full"] = trace.m_full
-            kwargs["prefilter"] = None
         try:
             config = ExperimentConfig(
                 m_subcarriers=m,
@@ -313,34 +305,37 @@ def cmd_simulate(args, parser) -> int:
     return 0
 
 
-def cmd_evaluate(args, parser, force_roc: bool = False) -> int:
-    s = Settings(args, parser)
+def _evaluate_combos(s: Settings) -> list:
     m_values = s.get("m", [16])
     detectors = s.get("detector", ["gmm"])
     update = s.get("update", True)
-    combos = [(name, m, update if name == "gmm" else True) for name in detectors for m in m_values]
-    want_roc = force_roc or getattr(args, "roc", False)
-    if want_roc and len(combos) != 1:
-        parser.error("--roc needs exactly one detector and one m value")
-    rows, results = _run_combos(s, parser, combos, getattr(args, "trace", None))
-    if want_roc:
-        if not args.out:
-            parser.error("--roc requires --out")
-        config, result = results[0]
-        try:
-            curve = ev.compute_roc(result.bob_scores, result.eve_scores)
-        except ValueError as exc:
-            parser.error(str(exc))
-        _write_roc(curve, args.out)
-        print(f"wrote {curve.p_fa.size} operating points to {args.out}", file=sys.stderr)
-        return 0
+    return [(name, m, update if name == "gmm" else True) for name in detectors for m in m_values]
+
+
+def cmd_evaluate(args, parser) -> int:
+    s = Settings(args, parser)
+    rows, _ = _run_combos(s, parser, _evaluate_combos(s), args.trace)
     _print_table(rows)
     _write_rows(rows, args.out)
     return 0
 
 
 def cmd_roc(args, parser) -> int:
-    return cmd_evaluate(args, parser, force_roc=True)
+    s = Settings(args, parser)
+    combos = _evaluate_combos(s)
+    if len(combos) != 1:
+        parser.error("roc needs exactly one detector and one m value")
+    if not args.out:
+        parser.error("roc requires --out")
+    _, results = _run_combos(s, parser, combos, args.trace)
+    _, result = results[0]
+    try:
+        curve = ev.compute_roc(result.bob_scores, result.eve_scores)
+    except ValueError as exc:
+        parser.error(str(exc))
+    _write_roc(curve, args.out)
+    print(f"wrote {curve.p_fa.size} operating points to {args.out}", file=sys.stderr)
+    return 0
 
 
 def cmd_sweep(args, parser) -> int:
@@ -356,7 +351,7 @@ def cmd_sweep(args, parser) -> int:
                 combos.append((name, m, False))
             else:
                 combos.append((name, m, update if name == "gmm" else True))
-    rows, _ = _run_combos(s, parser, combos, getattr(args, "trace", None))
+    rows, _ = _run_combos(s, parser, combos, args.trace)
     _print_table(rows)
     _write_rows(rows, args.out)
     return 0
@@ -410,7 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = subs.add_parser("evaluate", help="run detectors and report rates")
     _add_eval_options(p_eval)
-    p_eval.add_argument("--roc", action="store_true", help="write the ROC curve instead of rates")
     p_eval.set_defaults(func=cmd_evaluate)
 
     p_roc = subs.add_parser("roc", help="run one detector and write its ROC curve")

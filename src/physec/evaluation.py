@@ -20,7 +20,6 @@ from . import channel as ch
 from . import features as ft
 from . import gmm
 from . import mse
-from .gmm import Hypothesis
 
 __all__ = [
     "DetectorKind",
@@ -105,7 +104,6 @@ class ExperimentConfig:
         return gmm.DetectorConfig(
             num_components=self.gmm_components,
             target_false_alarm=self.target_fa,
-            block_size=self.block_size,
             rng_seed=rng_seed,
         )
 
@@ -246,7 +244,8 @@ def _run_on_blocks(config: ExperimentConfig, blocks, m_full: int, times=None) ->
             chosen = np.where(from_eve, eve_t, bob_t)
             if previous_time is not None:
                 chosen = np.concatenate([[previous_time], chosen])
-            if np.any(np.diff(chosen) <= 0):
+            # neighbours are compared, not subtracted: a difference can overflow
+            if np.any(chosen[1:] <= chosen[:-1]):
                 raise ValueError("current estimate must be strictly later than previous")
             previous_time = chosen[-1]
         # the first training message has no predecessor and gives no feature
@@ -278,13 +277,8 @@ def _run_on_blocks(config: ExperimentConfig, blocks, m_full: int, times=None) ->
             scores = gmm.log_likelihoods(model, features)
             is_bob = scores >= model.threshold
         else:
-            # the reference moves on every accept, so MSE stays sequential
-            scores = np.empty(n)
-            is_bob = np.empty(n, dtype=bool)
-            for i, row in enumerate(features):
-                decision = mse.classify_mse(state, row)
-                is_bob[i] = decision.hypothesis is Hypothesis.H0_BOB
-                scores[i] = -decision.score
+            distances, is_bob = mse.score_block(state, features)
+            scores = -distances
         from_bob = ~from_eve
         blk_alarms = int(np.sum(from_bob & ~is_bob))
         blk_detects = int(np.sum(from_eve & ~is_bob))

@@ -10,14 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 from scipy.special import logsumexp
 
 __all__ = [
-    "Hypothesis",
-    "Decision",
     "DetectorConfig",
     "GmmModel",
     "as_feature_matrix",
@@ -29,52 +26,33 @@ __all__ = [
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
-
-class Hypothesis(Enum):
-    H0_BOB = "bob"
-    H1_NOT_BOB = "not-bob"
-
-
-@dataclass
-class Decision:
-    hypothesis: Hypothesis
-    score: float
+# EM stops after this many iterations, or once the log-likelihood changes by
+# at most EM_TOLERANCE relative to the previous iteration.
+EM_ITERATIONS = 200
+EM_TOLERANCE = 1e-6
+# Every component variance is floored here, which keeps EM away from
+# collapsing a component onto a single sample.
+MIN_VARIANCE = 1e-8
+# A block update refits only when at least max(num_components,
+# ceil(UPDATE_GUARD_FRACTION * block length)) samples were accepted, so a
+# block of rejected attacker traffic cannot drag the model off its
+# legitimate cluster.
+UPDATE_GUARD_FRACTION = 0.1
 
 
 @dataclass
 class DetectorConfig:
-    """Training, calibration, and update parameters of the mixture detector.
-
-    `min_update_fraction` guards block updates against poisoning: a refit
-    only happens when at least max(num_components, fraction * block) samples
-    were accepted, so a block of rejected attacker traffic cannot drag the
-    model off its legitimate cluster.
-    """
+    """Training and calibration parameters of the mixture detector."""
 
     num_components: int = 3
-    max_em_iterations: int = 200
-    convergence_tol: float = 1e-6
-    variance_floor: float = 1e-8
     target_false_alarm: float = 0.01
-    block_size: int = 1000
     rng_seed: int = 0
-    min_update_fraction: float = 0.1
 
     def __post_init__(self):
         if self.num_components < 1:
             raise ValueError("num_components must be >= 1")
-        if self.max_em_iterations < 1:
-            raise ValueError("max_em_iterations must be >= 1")
-        if self.convergence_tol <= 0:
-            raise ValueError("convergence_tol must be positive")
-        if self.variance_floor <= 0:
-            raise ValueError("variance_floor must be positive")
         if not 0.0 < self.target_false_alarm < 1.0:
             raise ValueError("target_false_alarm must lie in (0, 1)")
-        if self.block_size < 1:
-            raise ValueError("block_size must be >= 1")
-        if not 0.0 <= self.min_update_fraction <= 1.0:
-            raise ValueError("min_update_fraction must lie in [0, 1]")
 
 
 @dataclass
@@ -84,7 +62,6 @@ class GmmModel:
     weights: np.ndarray
     means: np.ndarray
     variances: np.ndarray
-    variance_floor: float
     threshold: float | None = None
     trained_on: int = 0
     em_log_likelihoods: list = field(default_factory=list, repr=False, compare=False)
@@ -104,9 +81,7 @@ class GmmModel:
             raise ValueError("weights must be non-negative")
         if abs(float(self.weights.sum()) - 1.0) > 1e-9:
             raise ValueError("weights must sum to 1")
-        if self.variance_floor <= 0:
-            raise ValueError("variance_floor must be positive")
-        if np.any(self.variances < self.variance_floor):
+        if np.any(self.variances < MIN_VARIANCE):
             raise ValueError("variances must not fall below the variance floor")
 
     @property
@@ -162,7 +137,7 @@ def log_likelihoods(model: GmmModel, features) -> np.ndarray:
     )
 
 
-def _seed_initial_parameters(x, k, rng, floor):
+def _seed_initial_parameters(x, k, rng):
     """k-means++-style seeding followed by a hard assignment.
 
     Returns initial (weights, means, variances) for EM.
@@ -183,20 +158,20 @@ def _seed_initial_parameters(x, k, rng, floor):
     dist = np.sum((x[:, None, :] - centers[None, :, :]) ** 2, axis=2)
     assign = np.argmin(dist, axis=1)
     counts = np.bincount(assign, minlength=k)
-    global_var = np.maximum(x.var(axis=0), floor)
+    global_var = np.maximum(x.var(axis=0), MIN_VARIANCE)
     means = centers.copy()
     variances = np.tile(global_var, (k, 1))
     for j in range(k):
         if counts[j] > 0:
             means[j] = x[assign == j].mean(axis=0)
         if counts[j] > 1:
-            variances[j] = np.maximum(x[assign == j].var(axis=0), floor)
+            variances[j] = np.maximum(x[assign == j].var(axis=0), MIN_VARIANCE)
     counts_adj = np.maximum(counts, 1)
     weights = counts_adj / counts_adj.sum()
     return weights, means, variances
 
 
-def _em(x, weights, means, variances, config):
+def _em(x, weights, means, variances):
     """Run EM to convergence; returns parameters and the log-likelihood history.
 
     The history is non-decreasing: flooring the variances is the constrained
@@ -205,7 +180,7 @@ def _em(x, weights, means, variances, config):
     n = x.shape[0]
     history = []
     ll_prev = None
-    for _ in range(config.max_em_iterations):
+    for _ in range(EM_ITERATIONS):
         lw = _weighted_log_densities(x, weights, means, variances)
         per_sample = logsumexp(lw, axis=1)
         ll = float(per_sample.sum())
@@ -224,8 +199,8 @@ def _em(x, weights, means, variances, config):
                 new_var[j] = resp[:, j] @ (d * d) / nk[j]
             else:
                 new_var[j] = variances[j]
-        variances = np.maximum(new_var, config.variance_floor)
-        if ll_prev is not None and abs(ll - ll_prev) <= config.convergence_tol * abs(ll_prev):
+        variances = np.maximum(new_var, MIN_VARIANCE)
+        if ll_prev is not None and abs(ll - ll_prev) <= EM_TOLERANCE * abs(ll_prev):
             break
         ll_prev = ll
     return weights, means, variances, history
@@ -251,9 +226,7 @@ def fit(
         raise ValueError(f"num_components={k} exceeds training size {n}")
     if init is None:
         rng = np.random.default_rng(config.rng_seed)
-        weights, means, variances = _seed_initial_parameters(
-            x, k, rng, config.variance_floor
-        )
+        weights, means, variances = _seed_initial_parameters(x, k, rng)
     else:
         weights = np.asarray(init[0], dtype=np.float64).copy()
         means = np.asarray(init[1], dtype=np.float64).copy()
@@ -264,13 +237,12 @@ def fit(
         # weight so EM can revive it instead of freezing it at exactly zero
         weights = np.maximum(weights, 1e-12)
         weights = weights / weights.sum()
-        variances = np.maximum(variances, config.variance_floor)
-    weights, means, variances, history = _em(x, weights, means, variances, config)
+        variances = np.maximum(variances, MIN_VARIANCE)
+    weights, means, variances, history = _em(x, weights, means, variances)
     model = GmmModel(
         weights,
         means,
         variances,
-        variance_floor=config.variance_floor,
         threshold=None,
         trained_on=n,
         em_log_likelihoods=history,
@@ -300,20 +272,16 @@ def update_block(
     (score at or above the threshold), or ground-truth labels for
     oracle-labeled comparison runs.  The refit is warm-started from the
     current model and recalibrates the threshold.  The model is returned
-    unchanged when too few samples were accepted.
+    unchanged when too few samples were accepted (see UPDATE_GUARD_FRACTION).
     """
     x = as_feature_matrix(block, model.dim)
-    if x.shape[0] != config.block_size:
-        raise ValueError(
-            f"block length {x.shape[0]} does not match config.block_size={config.block_size}"
-        )
     accepted = np.asarray(accepted, dtype=bool)
     if accepted.shape != (x.shape[0],):
         raise ValueError("accepted must have one boolean per block sample")
     n_accepted = int(accepted.sum())
     guard = max(
         config.num_components,
-        math.ceil(config.min_update_fraction * x.shape[0]),
+        math.ceil(UPDATE_GUARD_FRACTION * x.shape[0]),
     )
     if n_accepted < guard:
         return model

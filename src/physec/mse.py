@@ -6,9 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gmm import Decision, Hypothesis, as_feature_matrix, lower_tail_threshold
+from .gmm import as_feature_matrix, lower_tail_threshold
 
-__all__ = ["MseDetectorState", "mse_score", "classify_mse", "fit_mse"]
+__all__ = ["MseDetectorState", "score_block", "fit_mse"]
 
 
 @dataclass
@@ -28,29 +28,29 @@ class MseDetectorState:
             raise ValueError("reference must be a non-empty 1-D vector")
 
 
-def mse_score(state: MseDetectorState, feature) -> float:
-    """Mean squared difference between the feature and the reference."""
-    v = np.asarray(feature, dtype=np.float64)
-    if v.shape != state.reference.shape:
-        raise ValueError(
-            f"feature dimension {v.size} does not match reference {state.reference.size}"
-        )
-    d = v - state.reference
-    return float(np.mean(d * d))
+def score_block(state: MseDetectorState, features) -> tuple[np.ndarray, np.ndarray]:
+    """Score a block of features in order; returns (scores, accepted).
 
-
-def classify_mse(state: MseDetectorState, feature) -> Decision:
-    """Accept when the score stays at or below the threshold.
-
-    An accepted feature becomes the new reference.
+    Each score is the mean squared difference between a feature and the
+    current reference.  A feature is accepted when its score stays at or
+    below the threshold, and then becomes the reference for the next one,
+    so the rows are walked one by one.
     """
     if state.threshold is None:
         raise ValueError("detector has no calibrated threshold")
-    score = mse_score(state, feature)
-    if score <= state.threshold:
-        state.reference = np.array(feature, dtype=np.float64)
-        return Decision(hypothesis=Hypothesis.H0_BOB, score=score)
-    return Decision(hypothesis=Hypothesis.H1_NOT_BOB, score=score)
+    x = as_feature_matrix(features, state.reference.size)
+    scores = np.empty(x.shape[0])
+    accepted = np.empty(x.shape[0], dtype=bool)
+    threshold = state.threshold
+    reference = state.reference
+    for i, row in enumerate(x):
+        d = row - reference
+        scores[i] = score = float(np.mean(d * d))
+        accepted[i] = ok = score <= threshold
+        if ok:
+            reference = row
+    state.reference = reference.copy()
+    return scores, accepted
 
 
 def fit_mse(training, target_fa: float) -> MseDetectorState:

@@ -73,10 +73,20 @@ class CsiTrace:
             )
 
 
+def _breaks_line(text: str) -> bool:
+    r"""Whether `str.splitlines`, which the reader splits the file with, would
+    break the text: besides \n and \r it breaks on \v, \f, \x1c-\x1e, \x85,
+    \u2028 and \u2029."""
+    return len(f".{text}.".splitlines()) > 1
+
+
 def write_trace(trace: CsiTrace, dest) -> None:
     """Write a trace to a path or text stream; output is byte-deterministic."""
-    if "\n" in trace.description or "\r" in trace.description:
-        raise ValueError("description must not contain newlines")
+    if _breaks_line(trace.description):
+        raise ValueError("description must not contain newlines or other line breaks")
+    for label in dict.fromkeys(trace.link_labels):
+        if "," in label or _breaks_line(label):
+            raise ValueError(f"link label {label!r} contains a delimiter or line break")
     lines = [
         f"#CSI,m_full={trace.m_full},interval_us={float(trace.sample_interval_us)!r},"
         f"desc={trace.description}"
@@ -85,8 +95,6 @@ def write_trace(trace: CsiTrace, dest) -> None:
     # one row at a time: Python floats for the whole array would outweigh the text
     floats = np.ascontiguousarray(trace.gains).view(np.float64)
     for t, label, row in zip(trace.time_index.tolist(), trace.link_labels, floats):
-        if "," in label or "\n" in label or "\r" in label:
-            raise ValueError(f"link label {label!r} contains a delimiter")
         prev = last_time.get(label)
         if prev is not None and t <= prev:
             raise ValueError(

@@ -181,7 +181,7 @@ def test_em_training_correctness_bundle():
     single = gmm.fit(data, gmm.DetectorConfig(num_components=1, rng_seed=0))
     assert single.weights[0] == pytest.approx(1.0, abs=1e-12)
     assert np.allclose(single.means[0], data.mean(axis=0), atol=1e-9)
-    expected_var = np.maximum(data.var(axis=0), single.variance_floor)
+    expected_var = np.maximum(data.var(axis=0), gmm.MIN_VARIANCE)
     assert np.allclose(single.variances[0], expected_var, atol=1e-9)
 
     five = gmm.GmmModel(
@@ -190,7 +190,6 @@ def test_em_training_correctness_bundle():
         variances=np.array(
             [[1.0, 2.0], [0.5, 0.5], [2.0, 1.0], [1.5, 0.25], [0.75, 3.0]]
         ),
-        variance_floor=1e-8,
     )
     points = rng.normal(0.0, 2.0, size=(50, 2))
     fast = gmm.log_likelihoods(five, points)

@@ -14,6 +14,7 @@ from physec import channel as ch
 from physec import evaluation as ev
 from physec import features as ft
 from physec import gmm
+from physec import mse
 
 from conftest import desk_config
 
@@ -239,3 +240,28 @@ def test_block_scores_match_per_row_scores(m):
     scores = gmm.log_likelihoods(model, features)
     per_row = np.array([gmm.log_likelihoods(model, row)[0] for row in features])
     assert np.array_equal(scores, per_row)
+
+
+def test_mse_block_scores_match_a_per_row_walk():
+    features = ft.normalize_magnitude_block(ft.select_block(random_estimates(17, rows=1000), 8))
+    state = mse.fit_mse(features[:400], target_fa=0.05)
+    block = features[400:]
+    start = state.reference.copy()
+    # the first row's score lands exactly on the threshold, so it is accepted
+    state.threshold = float(np.mean((block[0] - start) ** 2))
+
+    reference = start
+    expected_scores, expected_accepted = [], []
+    for row in block:
+        d = row - reference
+        score = float(np.mean(d * d))
+        expected_scores.append(score)
+        expected_accepted.append(score <= state.threshold)
+        if score <= state.threshold:
+            reference = row.copy()
+
+    scores, accepted = mse.score_block(state, block)
+    assert np.array_equal(scores, expected_scores)
+    assert np.array_equal(accepted, expected_accepted)
+    assert np.array_equal(state.reference, reference)
+    assert accepted[0] and not accepted.all()

@@ -165,14 +165,19 @@ def test_roc_subcommand_writes_a_monotone_curve(tmp_path):
 
 
 def test_roc_flag_requires_out_and_a_single_combo(tmp_path):
+    out = str(tmp_path / "roc.csv")
     with pytest.raises(SystemExit) as exc:
-        run_cli("evaluate", *DESK, "--m", "8", "--roc")
+        run_cli("roc", *DESK, "--m", "8")
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
-        run_cli(
-            "evaluate", *DESK, "--m", "4,8", "--roc",
-            "--out", str(tmp_path / "roc.csv"),
-        )
+        run_cli("roc", *DESK, "--m", "4,8", "--out", out)
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        run_cli("roc", *DESK, "--m", "8", "--detector", "gmm", "--detector", "mse", "--out", out)
+    assert exc.value.code == 2
+    # `physec roc` is the one way to write a curve
+    with pytest.raises(SystemExit) as exc:
+        run_cli("evaluate", *DESK, "--m", "8", "--roc", "--out", out)
     assert exc.value.code == 2
 
 
@@ -214,7 +219,7 @@ def test_replaying_a_simulated_trace_matches_the_direct_run(tmp_path):
     assert direct.read_bytes() == replial.read_bytes()
 
 
-def test_trace_problems_are_usage_errors(tmp_path):
+def test_trace_problems_are_usage_errors(tmp_path, capsys):
     missing = tmp_path / "nope.csv"
     with pytest.raises(SystemExit) as exc:
         run_cli("evaluate", *DESK, "--m", "8", "--trace", str(missing))
@@ -231,6 +236,15 @@ def test_trace_problems_are_usage_errors(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run_cli("evaluate", *DESK, "--m", "8", "--trace", str(short))
     assert exc.value.code == 2
+
+    # a recording cannot be re-filtered to imitate the legitimate link
+    full = tmp_path / "full.csv"
+    assert run_cli("simulate", *DESK, "--out", str(full)) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        run_cli("evaluate", *DESK, "--m", "8", "--trace", str(full), "--imitate")
+    assert exc.value.code == 2
+    assert "prefilters require the simulator" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf"])

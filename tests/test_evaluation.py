@@ -305,6 +305,16 @@ def test_replayed_delta_features_need_forward_time_indices():
         ev.run_experiment_from_trace(skewed, cfg)
     # magnitude features do not look at time indices
     ev.run_experiment_from_trace(skewed, desk_config())
+    # strictly increasing indices that jump across almost the whole int64
+    # range: their difference overflows, yet they move forward in time
+    trace = build_trace_for(cfg)
+    slots = np.arange(cfg.num_blocks * cfg.block_size, dtype=np.int64)
+    half = slots.size // 2
+    jumping = np.where(slots < half, -(2**63) + slots, 2**63 - 1 - slots.size + slots)
+    assert np.all(jumping[1:] > jumping[:-1])
+    trace.time_index = np.repeat(jumping, 2)
+    replayed = ev.run_experiment_from_trace(trace, cfg)
+    assert replayed.counts == ev.run_experiment(cfg).counts
 
 
 def test_short_estimate_streams_are_reported():

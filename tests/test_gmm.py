@@ -52,7 +52,6 @@ def single_gaussian_model(mean=0.0, var=1.0, threshold=None) -> GmmModel:
         weights=np.array([1.0]),
         means=np.array([[mean]]),
         variances=np.array([[var]]),
-        variance_floor=1e-8,
         threshold=threshold,
     )
 
@@ -78,7 +77,7 @@ def test_single_component_fit_matches_closed_form(rng):
     )
     cfg = config(num_components=1)
     model = gmm.fit(x, cfg)
-    mean, var, ll = closed_form_single_gaussian(x, cfg.variance_floor)
+    mean, var, ll = closed_form_single_gaussian(x, gmm.MIN_VARIANCE)
     assert np.allclose(model.means[0], mean, atol=1e-9)
     assert np.allclose(model.variances[0], var, atol=1e-9)
     assert model.weights[0] == pytest.approx(1.0, abs=1e-12)
@@ -188,7 +187,7 @@ def test_em_log_likelihood_never_decreases(rng):
     assert np.all(diffs >= -slack), f"worst EM step: {diffs.min()}"
 
 
-def test_responsibilities_are_a_distribution(rng):
+def test_responsibilities_are_a_distribution(rng, monkeypatch):
     # the E-step's responsibilities: each sample's weighted component
     # densities normalized over components.  One EM iteration sets the
     # weights to their column means.
@@ -201,9 +200,8 @@ def test_responsibilities_are_a_distribution(rng):
     assert resp.shape == (64, 3)
     assert np.all(resp >= 0)
     assert np.allclose(resp.sum(axis=1), 1.0, atol=1e-12)
-    new_weights, _, _, history = gmm._em(
-        x, weights, means, variances, config(max_em_iterations=1)
-    )
+    monkeypatch.setattr(gmm, "EM_ITERATIONS", 1)
+    new_weights, _, _, history = gmm._em(x, weights, means, variances)
     assert len(history) == 1
     assert np.allclose(new_weights, resp.mean(axis=0), atol=1e-15)
 
@@ -212,7 +210,7 @@ def test_fitted_weights_form_a_distribution(rng):
     model = gmm.fit(rng.standard_normal((120, 2)), config())
     assert np.all(model.weights >= 0)
     assert abs(model.weights.sum() - 1.0) < 1e-9
-    assert np.all(model.variances >= model.variance_floor)
+    assert np.all(model.variances >= gmm.MIN_VARIANCE)
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +232,6 @@ def test_identical_components_collapse_to_one():
         weights=np.array([0.5, 0.5]),
         means=np.array([[0.3], [0.3]]),
         variances=np.array([[1.7], [1.7]]),
-        variance_floor=1e-8,
     )
     for v in (-2.0, 0.0, 0.3, 5.0):
         assert log_likelihood(two, v) == pytest.approx(log_likelihood(one, v), abs=1e-12)
@@ -246,7 +243,7 @@ def test_five_component_density_matches_naive_sum(rng):
     weights /= weights.sum()
     means = rng.uniform(-3, 3, (k, d))
     variances = rng.uniform(0.5, 2.0, (k, d))
-    model = GmmModel(weights, means, variances, variance_floor=1e-8)
+    model = GmmModel(weights, means, variances)
     x = rng.uniform(-4, 4, (100, d))
     got = gmm.log_likelihoods(model, x)
     expected = [naive_mixture_log_density(row, weights, means, variances) for row in x]
@@ -258,7 +255,6 @@ def test_one_dimensional_density_integrates_to_one():
         weights=np.array([0.2, 0.5, 0.3]),
         means=np.array([[-3.0], [0.0], [4.0]]),
         variances=np.array([[0.5], [1.0], [2.0]]),
-        variance_floor=1e-8,
     )
     grid = np.linspace(-50.0, 50.0, 400001)
     density = np.exp(gmm.log_likelihoods(model, grid[:, None]))
@@ -345,7 +341,7 @@ def test_classify_is_deterministic(rng):
 
 def test_update_fully_rejected_block_unchanged():
     model = single_gaussian_model(threshold=-2.0)
-    cfg = config(num_components=1, block_size=20)
+    cfg = config(num_components=1)
     block = np.full((20, 1), 1000.0)  # all far below threshold
     assert not accepted_by(model, block).any()
     assert gmm.update_block(model, block, accepted_by(model, block), cfg) is model
@@ -356,8 +352,8 @@ def test_update_guard_needs_a_minimum_accepted_fraction():
     weights = np.full(3, 1.0 / 3.0)
     means = np.zeros((3, 1))
     variances = np.ones((3, 1))
-    model = GmmModel(weights, means, variances, variance_floor=1e-8, threshold=-2.0)
-    cfg = config(block_size=40)
+    model = GmmModel(weights, means, variances, threshold=-2.0)
+    cfg = config()
 
     three_accepted = np.concatenate([np.zeros(3), np.full(37, 100.0)])[:, None]
     assert accepted_by(model, three_accepted).sum() == 3
@@ -372,7 +368,7 @@ def test_update_guard_needs_a_minimum_accepted_fraction():
 
 def test_update_refits_on_accepted_subset(rng):
     x = rng.standard_normal((400, 2))
-    cfg = config(block_size=400)
+    cfg = config()
     model = gmm.fit(x, cfg)
     block = rng.standard_normal((400, 2))
     accepted = accepted_by(model, block)
@@ -386,7 +382,7 @@ def test_update_refits_on_accepted_subset(rng):
 
 def test_update_on_stationary_data_keeps_the_model_close(rng):
     x = rng.standard_normal((1000, 2))
-    cfg = config(block_size=1000)
+    cfg = config()
     model = gmm.fit(x, cfg)
     block = rng.standard_normal((1000, 2))
     updated = gmm.update_block(model, block, accepted_by(model, block), cfg)
@@ -398,7 +394,7 @@ def test_update_on_stationary_data_keeps_the_model_close(rng):
 
 def test_update_with_oracle_labels(rng):
     x = rng.standard_normal((300, 2))
-    cfg = config(block_size=300)
+    cfg = config()
     model = gmm.fit(x, cfg)
     block = rng.standard_normal((300, 2))
     mask = np.zeros(300, dtype=bool)
@@ -411,14 +407,12 @@ def test_update_with_oracle_labels(rng):
 
 def test_update_input_validation(rng):
     x = rng.standard_normal((50, 1))
-    cfg = config(num_components=1, block_size=50)
+    cfg = config(num_components=1)
     model = gmm.fit(x, cfg)
     everything = np.ones(50, dtype=bool)
-    with pytest.raises(ValueError, match="block length"):
-        gmm.update_block(model, x[:20], everything[:20], cfg)
     with pytest.raises(ValueError, match="accepted"):
         gmm.update_block(model, x, everything[:10], cfg)
-    mismatched = config(num_components=3, block_size=50)
+    mismatched = config(num_components=3)
     with pytest.raises(ValueError, match="num_components"):
         gmm.update_block(model, x, everything, mismatched)
 
@@ -462,24 +456,14 @@ def test_detector_config_validation():
         DetectorConfig(num_components=0)
     with pytest.raises(ValueError):
         DetectorConfig(target_false_alarm=0.0)
-    with pytest.raises(ValueError):
-        DetectorConfig(block_size=0)
-    with pytest.raises(ValueError):
-        DetectorConfig(min_update_fraction=1.5)
-    with pytest.raises(ValueError):
-        DetectorConfig(variance_floor=0.0)
-    with pytest.raises(ValueError):
-        DetectorConfig(max_em_iterations=0)
-    with pytest.raises(ValueError):
-        DetectorConfig(convergence_tol=0.0)
 
 
 def test_model_invariant_validation():
     with pytest.raises(ValueError, match="sum to 1"):
-        GmmModel(np.array([0.5, 0.6]), np.zeros((2, 1)), np.ones((2, 1)), 1e-8)
+        GmmModel(np.array([0.5, 0.6]), np.zeros((2, 1)), np.ones((2, 1)))
     with pytest.raises(ValueError, match="non-negative"):
-        GmmModel(np.array([1.5, -0.5]), np.zeros((2, 1)), np.ones((2, 1)), 1e-8)
+        GmmModel(np.array([1.5, -0.5]), np.zeros((2, 1)), np.ones((2, 1)))
     with pytest.raises(ValueError, match="variance floor"):
-        GmmModel(np.array([1.0]), np.zeros((1, 1)), np.full((1, 1), 1e-12), 1e-8)
+        GmmModel(np.array([1.0]), np.zeros((1, 1)), np.full((1, 1), 1e-12))
     with pytest.raises(ValueError, match="shape"):
-        GmmModel(np.array([1.0]), np.zeros((2, 1)), np.ones((2, 1)), 1e-8)
+        GmmModel(np.array([1.0]), np.zeros((2, 1)), np.ones((2, 1)))

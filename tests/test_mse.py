@@ -6,7 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from physec import mse
-from physec.gmm import Hypothesis
 
 
 def state(reference, threshold=None) -> mse.MseDetectorState:
@@ -15,16 +14,22 @@ def state(reference, threshold=None) -> mse.MseDetectorState:
     )
 
 
+def score_one(s, feature) -> tuple[float, bool]:
+    """Score and decision of a one-row block."""
+    scores, accepted = mse.score_block(s, np.asarray(feature, dtype=np.float64)[None, :])
+    assert scores.shape == accepted.shape == (1,)
+    return float(scores[0]), bool(accepted[0])
+
+
 def test_score_hand_example():
     # mean of [(0.3)^2, (0.3)^2] = 0.09
-    s = state([0.0, 0.0])
-    assert mse.mse_score(s, np.array([0.3, 0.3])) == pytest.approx(0.09, abs=1e-12)
-    assert mse.mse_score(s, np.array([0.0, 0.0])) == 0.0
+    assert score_one(state([0.0, 0.0], np.inf), [0.3, 0.3])[0] == pytest.approx(0.09, abs=1e-12)
+    assert score_one(state([0.0, 0.0], np.inf), [0.0, 0.0])[0] == 0.0
 
 
 def test_score_dimension_mismatch():
     with pytest.raises(ValueError, match="dimension"):
-        mse.mse_score(state([0.0, 0.0]), np.array([1.0]))
+        score_one(state([0.0, 0.0], np.inf), [1.0])
 
 
 finite_vec = st.lists(
@@ -42,41 +47,38 @@ def test_score_is_symmetric(a, data):
         )
     )
     va, vb = np.array(a), np.array(b)
-    assert mse.mse_score(state(va), vb) == mse.mse_score(state(vb), va)
+    assert score_one(state(va, np.inf), vb)[0] == score_one(state(vb, np.inf), va)[0]
 
 
 def test_accept_updates_reference_only_when_tracking():
     # the reference tracks accepted features only
     tracking = state([0.0, 0.0], threshold=1.0)
     feat = np.array([0.5, 0.5])
-    decision = mse.classify_mse(tracking, feat)
-    assert decision.hypothesis is Hypothesis.H0_BOB
+    assert score_one(tracking, feat)[1]
     assert np.array_equal(tracking.reference, feat)
     feat[0] = 9.0  # the reference is a copy, not the caller's array
     assert np.array_equal(tracking.reference, np.array([0.5, 0.5]))
-    rejected = mse.classify_mse(tracking, np.array([5.0, 5.0]))
-    assert rejected.hypothesis is Hypothesis.H1_NOT_BOB
+    assert not score_one(tracking, [5.0, 5.0])[1]
     assert np.array_equal(tracking.reference, np.array([0.5, 0.5]))
 
 
 def test_reject_never_touches_the_reference():
     s = state([0.0, 0.0], threshold=0.01)
-    decision = mse.classify_mse(s, np.array([5.0, 5.0]))
-    assert decision.hypothesis is Hypothesis.H1_NOT_BOB
+    assert not score_one(s, [5.0, 5.0])[1]
     assert np.array_equal(s.reference, np.array([0.0, 0.0]))
 
 
 def test_boundary_score_accepts():
     s = state([0.0], threshold=0.25)
-    decision = mse.classify_mse(s, np.array([0.5]))  # score exactly 0.25
-    assert decision.score == 0.25
-    assert decision.hypothesis is Hypothesis.H0_BOB
+    score, accepted = score_one(s, [0.5])  # score exactly 0.25
+    assert score == 0.25
+    assert accepted
     assert np.array_equal(s.reference, np.array([0.5]))
 
 
 def test_classify_requires_threshold():
     with pytest.raises(ValueError, match="threshold"):
-        mse.classify_mse(state([0.0]), np.array([0.0]))
+        score_one(state([0.0]), [0.0])
 
 
 def test_fit_tracking_uses_consecutive_differences():

@@ -169,6 +169,15 @@ def test_write_rejects_bad_records():
     with pytest.raises(ValueError, match="newline"):
         trace_io.write_trace(newline, io.StringIO())
 
+    # every line break the reader's str.splitlines honours, not just \n and \r
+    for brk in ("\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"):
+        label = CsiTrace(m_full=1, time_index=[1], link_labels=[f"A{brk}B"], gains=[[1 + 0j]])
+        with pytest.raises(ValueError, match="delimiter"):
+            trace_io.write_trace(label, io.StringIO())
+        description = CsiTrace(m_full=1, description=f"x{brk}y")
+        with pytest.raises(ValueError, match="newline"):
+            trace_io.write_trace(description, io.StringIO())
+
 
 def test_non_utf8_bytes_rejected_cleanly(tmp_path):
     path = tmp_path / "junk.bin"
