@@ -27,7 +27,7 @@ from .evaluation import (
     run_experiment_from_trace,
 )
 from .features import FeatureKind, subcarrier_indices
-from .gmm import DetectorConfig, GmmModel, fit, log_likelihoods, update_block
+from .gmm import GmmModel, fit, log_likelihoods, update_block
 from .mse import MseDetectorState, fit_mse, score_block
 from .trace_io import CsiTrace, TraceFormatError, read_trace, write_trace
 

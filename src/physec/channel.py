@@ -27,15 +27,15 @@ __all__ = [
 
 # tap powers must sum to unity so that average per-subcarrier power is 1
 _POWER_TOL = 1e-9
+# tap i of the power-delay profile has power proportional to exp(-i / TAP_DECAY)
+TAP_DECAY = 3.0
 
 
-def exponential_tap_powers(num_taps: int, decay: float = 3.0) -> np.ndarray:
+def exponential_tap_powers(num_taps: int) -> np.ndarray:
     """Exponentially decaying power-delay profile, normalized to unit total power."""
     if num_taps < 1:
         raise ValueError("num_taps must be >= 1")
-    if decay <= 0:
-        raise ValueError("decay must be positive")
-    p = np.exp(-np.arange(num_taps) / decay)
+    p = np.exp(-np.arange(num_taps) / TAP_DECAY)
     return p / p.sum()
 
 
@@ -89,8 +89,9 @@ class ChannelProcess:
             raise ValueError("rng_seed must be non-negative")
         self._rng = np.random.default_rng(self.rng_seed)
 
-    def step_correlation(self, steps: int) -> float:
-        return float(np.exp(-steps / self.coherence_samples))
+    def step_correlation(self) -> float:
+        """Tap correlation between consecutive estimation intervals."""
+        return float(np.exp(-1.0 / self.coherence_samples))
 
     def _draw_taps(self, count: int) -> np.ndarray:
         """`count` stationary tap vectors, shape (count, num_taps).
@@ -135,27 +136,22 @@ def sample_initial_channel(process: ChannelProcess, m_full: int) -> np.ndarray:
     return np.fft.fft(process._draw_taps(1)[0], n=m_full)
 
 
-def evolve_block(
-    gains: np.ndarray, process: ChannelProcess, count: int, steps: int = 1
-) -> np.ndarray:
-    """Gains after each of `count` successive evolutions of `steps` intervals.
+def evolve_block(gains: np.ndarray, process: ChannelProcess, count: int) -> np.ndarray:
+    """Gains after each of `count` successive one-interval evolutions.
 
     Per tap the update is h_new = rho * h_old + sqrt(1 - rho^2) * innovation
-    with rho = exp(-steps / coherence_samples) and the innovation drawn from
+    with rho = exp(-1 / coherence_samples) and the innovation drawn from
     the tap's stationary distribution.  The DFT is linear, so the same
     combination is applied directly to the frequency-domain gains using a
     freshly drawn innovation channel; the stationary distribution is
-    preserved exactly for any step size.  `gains` has shape (m_full,); the
-    result has shape (count, m_full) and row k is the state k + 1 evolutions
-    after `gains`.
+    preserved exactly.  `gains` has shape (m_full,); the result has shape
+    (count, m_full) and row k is the state k + 1 evolutions after `gains`.
     """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
     if count < 1:
         raise ValueError("count must be >= 1")
     m_full = gains.shape[-1]
     _check_m_full(process, m_full)
-    rho = process.step_correlation(steps)
+    rho = process.step_correlation()
     innovation = np.sqrt(1.0 - rho * rho) * np.fft.fft(
         process._draw_taps(count), n=m_full, axis=1
     )

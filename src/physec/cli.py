@@ -1,17 +1,19 @@
 """Command-line front end: simulate traces, evaluate detectors, export ROC tables.
 
-Subcommands: simulate | evaluate | roc | sweep.  Options can also come from a
-flat key=value config file ('#' starts a comment); explicit flags win over
-file entries.  The PHYSEC_SEED environment variable overrides any --seed.
+Subcommands: simulate | evaluate | roc.  Options can also come from a flat
+key=value config file ('#' starts a comment); explicit flags win over file
+entries, and file entries over the preset.  The PHYSEC_SEED environment
+variable overrides any --seed.  An option nobody sets is not passed on, so
+its default is the one ExperimentConfig declares.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import math
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -36,6 +38,9 @@ _FEATURES = {
     "magnitude": FeatureKind.NORMALIZED_MAGNITUDE,
     "delta": FeatureKind.DELTA,
 }
+
+# Small-scale override for quick runs, keyed by option name.
+DESK_PRESET = {"blocks": 10, "block_size": 200}
 
 
 def _int_list(text: str) -> list[int]:
@@ -91,24 +96,26 @@ def read_config_file(path: str) -> dict:
     return values
 
 
-# config-file key -> parser; names match the long CLI flags
-_FILE_PARSERS = {
-    "m": _int_list,
-    "m_full": int,
-    "snr": float,
-    "attack": float,
-    "blocks": int,
-    "block_size": int,
-    "coherence": float,
-    "fa": float,
-    "seed": int,
-    "taps": int,
-    "components": int,
-    "feature": _feature_kind,
-    "detector": _detector_list,
-    "update": _bool,
-    "imitate": _bool,
-    "oracle_update": _bool,
+# option name -> (config-file parser, the ExperimentConfig field it sets);
+# names match the long CLI flags.  "seed", "imitate", "m" and "detector" are
+# turned into fields by hand.
+_OPTIONS = {
+    "m": (_int_list, None),
+    "m_full": (int, "m_full"),
+    "snr": (float, "snr_db"),
+    "attack": (float, "attack_intensity"),
+    "blocks": (int, "num_blocks"),
+    "block_size": (int, "block_size"),
+    "coherence": (float, "coherence_samples"),
+    "fa": (float, "target_fa"),
+    "seed": (int, None),
+    "taps": (int, "num_taps"),
+    "components": (int, "gmm_components"),
+    "feature": (_feature_kind, "feature_kind"),
+    "detector": (_detector_list, None),
+    "update": (_bool, "update_enabled"),
+    "imitate": (_bool, None),
+    "oracle_update": (_bool, "oracle_update"),
 }
 
 
@@ -118,7 +125,7 @@ class Settings:
     def __init__(self, args, parser):
         self.args = args
         self.parser = parser
-        self.preset = dict(ev.DESK_PRESET) if getattr(args, "preset", None) == "desk" else {}
+        self.preset = DESK_PRESET if getattr(args, "preset", None) == "desk" else {}
         self.file = {}
         path = getattr(args, "config", None)
         if path:
@@ -129,51 +136,38 @@ class Settings:
             except ValueError as exc:
                 parser.error(f"bad config file: {exc}")
             for key, text in raw.items():
-                if key not in _FILE_PARSERS:
+                if key not in _OPTIONS:
                     parser.error(f"unknown config file key {key!r}")
                 try:
-                    self.file[key] = _FILE_PARSERS[key](text)
+                    self.file[key] = _OPTIONS[key][0](text)
                 except argparse.ArgumentTypeError as exc:
                     parser.error(f"config file key {key!r}: {exc}")
                 except ValueError as exc:
                     parser.error(f"config file key {key!r}: {exc}")
 
-    def get(self, key, default=None, preset_key=None):
+    def get(self, key, default=None):
         value = getattr(self.args, key, None)
         if value is not None:
             return value
-        if key in self.file:
-            return self.file[key]
-        if preset_key and preset_key in self.preset:
-            return self.preset[preset_key]
-        return default
+        return self.file.get(key, self.preset.get(key, default))
 
-    def seed(self) -> int:
+    def seed(self) -> int | None:
         env = os.environ.get("PHYSEC_SEED")
         if env is not None:
             try:
                 return int(env)
             except ValueError:
                 self.parser.error(f"PHYSEC_SEED must be an integer, got {env!r}")
-        return self.get("seed", 0)
+        return self.get("seed")
 
 
 def _experiment_kwargs(s: Settings) -> dict:
-    return dict(
-        snr_db=s.get("snr", 20.0),
-        attack_intensity=s.get("attack", 0.5),
-        num_blocks=s.get("blocks", 100, preset_key="num_blocks"),
-        block_size=s.get("block_size", 1000, preset_key="block_size"),
-        coherence_samples=s.get("coherence", math.inf),
-        target_fa=s.get("fa", 0.01),
-        rng_seed=s.seed(),
-        m_full=s.get("m_full", 48),
-        num_taps=s.get("taps", 8),
-        gmm_components=s.get("components", 3),
-        feature_kind=s.get("feature", FeatureKind.NORMALIZED_MAGNITUDE),
-        prefilter=ev.PERFECT_IMITATION if s.get("imitate", False) else None,
-        oracle_update=s.get("oracle_update", False),
-    )
+    """The ExperimentConfig fields that some option set, and only those."""
+    kwargs = {field: s.get(key) for key, (_, field) in _OPTIONS.items() if field}
+    kwargs["rng_seed"] = s.seed()
+    if s.get("imitate"):
+        kwargs["prefilter"] = ev.PERFECT_IMITATION
+    return {field: value for field, value in kwargs.items() if value is not None}
 
 
 def _fmt(value) -> str:
@@ -233,51 +227,64 @@ def _write_roc(curve: ev.RocCurve, out: str) -> None:
             fh.write(f"{repr(float(fa))},{repr(float(pd))}\n")
 
 
-def _run_combos(s: Settings, parser, combos, trace_path):
-    """Run every (detector_name, m, update) combo; returns (rows, results)."""
-    trace = None
-    if trace_path:
-        try:
-            trace = trace_io.read_trace(trace_path)
-        except OSError as exc:
-            parser.error(f"cannot read trace: {exc}")
-        except trace_io.TraceFormatError as exc:
-            parser.error(f"bad trace file: {exc}")
-    base_kwargs = _experiment_kwargs(s)
-    rows, results = [], []
-    for name, m, update in combos:
-        kwargs = dict(base_kwargs)
-        if trace is not None:
-            kwargs["m_full"] = trace.m_full
-        try:
-            config = ExperimentConfig(
-                m_subcarriers=m,
-                detector=DetectorKind(name),
-                update_enabled=update,
-                **kwargs,
-            )
-            result = (
-                ev.run_experiment(config)
-                if trace is None
-                else ev.run_experiment_from_trace(trace, config)
-            )
-        except ValueError as exc:
-            parser.error(str(exc))
-        rows.append(_result_row(config, result))
-        results.append((config, result))
-    return rows, results
+def _read_trace(parser, path):
+    """The recorded trace at `path`, or None when no trace was given."""
+    if not path:
+        return None
+    try:
+        return trace_io.read_trace(path)
+    except OSError as exc:
+        parser.error(f"cannot read trace: {exc}")
+    except trace_io.TraceFormatError as exc:
+        parser.error(f"bad trace file: {exc}")
+
+
+def _configs(s: Settings, parser, trace=None, compare_update=False) -> list:
+    """One ExperimentConfig per result row, in row order: detector, then M,
+    then, with `compare_update`, the mixture detector with and without
+    updating."""
+    kwargs = _experiment_kwargs(s)
+    if trace is not None:
+        kwargs["m_full"] = trace.m_full
+    detectors = [{"detector": DetectorKind(name)} for name in s.get("detector", [])] or [{}]
+    m_values = [{"m_subcarriers": m} for m in s.get("m", [])] or [{}]
+    configs = []
+    try:
+        for detector in detectors:
+            for m in m_values:
+                config = ExperimentConfig(**kwargs, **detector, **m)
+                if compare_update and config.detector is DetectorKind.GMM:
+                    configs += [replace(config, update_enabled=u) for u in (True, False)]
+                else:
+                    configs.append(config)
+    except ValueError as exc:
+        parser.error(str(exc))
+    return configs
+
+
+def _run(parser, configs, trace) -> list:
+    """The TrialResult of each config, simulated or replayed from `trace`."""
+    try:
+        if trace is None:
+            return [ev.run_experiment(config) for config in configs]
+        return [ev.run_experiment_from_trace(trace, config) for config in configs]
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 def cmd_simulate(args, parser) -> int:
     s = Settings(args, parser)
     kwargs = _experiment_kwargs(s)
-    requested_blocks = kwargs["num_blocks"]
+    requested_blocks = kwargs.pop("num_blocks", ExperimentConfig.num_blocks)
     if requested_blocks < 1:
         parser.error("--blocks must be >= 1")
-    # the generator only needs channel/seed parameters; keep the config valid
-    kwargs["num_blocks"] = max(requested_blocks, 2)
     try:
-        config = ExperimentConfig(m_subcarriers=kwargs["m_full"], **kwargs)
+        # the generator only needs channel/seed parameters; keep the config valid
+        config = ExperimentConfig(
+            m_subcarriers=kwargs.get("m_full", ExperimentConfig.m_full),
+            num_blocks=max(requested_blocks, 2),
+            **kwargs,
+        )
     except ValueError as exc:
         parser.error(str(exc))
     n = config.block_size
@@ -305,16 +312,12 @@ def cmd_simulate(args, parser) -> int:
     return 0
 
 
-def _evaluate_combos(s: Settings) -> list:
-    m_values = s.get("m", [16])
-    detectors = s.get("detector", ["gmm"])
-    update = s.get("update", True)
-    return [(name, m, update if name == "gmm" else True) for name in detectors for m in m_values]
-
-
 def cmd_evaluate(args, parser) -> int:
     s = Settings(args, parser)
-    rows, _ = _run_combos(s, parser, _evaluate_combos(s), args.trace)
+    trace = _read_trace(parser, args.trace)
+    configs = _configs(s, parser, trace, args.compare_update)
+    results = _run(parser, configs, trace)
+    rows = [_result_row(config, result) for config, result in zip(configs, results)]
     _print_table(rows)
     _write_rows(rows, args.out)
     return 0
@@ -322,13 +325,13 @@ def cmd_evaluate(args, parser) -> int:
 
 def cmd_roc(args, parser) -> int:
     s = Settings(args, parser)
-    combos = _evaluate_combos(s)
-    if len(combos) != 1:
+    trace = _read_trace(parser, args.trace)
+    configs = _configs(s, parser, trace)
+    if len(configs) != 1:
         parser.error("roc needs exactly one detector and one m value")
     if not args.out:
         parser.error("roc requires --out")
-    _, results = _run_combos(s, parser, combos, args.trace)
-    _, result = results[0]
+    (result,) = _run(parser, configs, trace)
     try:
         curve = ev.compute_roc(result.bob_scores, result.eve_scores)
     except ValueError as exc:
@@ -338,50 +341,38 @@ def cmd_roc(args, parser) -> int:
     return 0
 
 
-def cmd_sweep(args, parser) -> int:
-    s = Settings(args, parser)
-    m_values = s.get("m", [4, 8, 16, 32, 48])
-    detectors = s.get("detector", ["gmm"])
-    update = s.get("update", True)
-    combos = []
-    for name in detectors:
-        for m in m_values:
-            if name == "gmm" and args.compare_update:
-                combos.append((name, m, True))
-                combos.append((name, m, False))
-            else:
-                combos.append((name, m, update if name == "gmm" else True))
-    rows, _ = _run_combos(s, parser, combos, args.trace)
-    _print_table(rows)
-    _write_rows(rows, args.out)
-    return 0
+def _default(field: str) -> str:
+    """Help-text note of an ExperimentConfig field's default."""
+    return f"(default {getattr(ExperimentConfig, field):g})"
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="flat key=value config file")
     sub.add_argument("--seed", type=int, help="experiment seed (PHYSEC_SEED overrides)")
-    sub.add_argument("--snr", type=float, help="estimation SNR in dB (default 20)")
-    sub.add_argument("--m-full", dest="m_full", type=int, help="active subcarriers in the system (default 48)")
-    sub.add_argument("--taps", type=int, help="channel taps (default 8)")
-    sub.add_argument("--coherence", type=float, help="coherence time in estimation intervals (default inf: static channel)")
-    sub.add_argument("--blocks", type=int, help="total blocks incl. training (default 100)")
-    sub.add_argument("--block-size", dest="block_size", type=int, help="messages per block (default 1000)")
-    sub.add_argument("--attack", type=float, help="attacker message probability (default 0.5)")
+    sub.add_argument("--snr", type=float, help=f"estimation SNR in dB {_default('snr_db')}")
+    sub.add_argument("--m-full", dest="m_full", type=int, help=f"active subcarriers in the system {_default('m_full')}")
+    sub.add_argument("--taps", type=int, help=f"channel taps {_default('num_taps')}")
+    sub.add_argument("--coherence", type=float, help=f"coherence time in estimation intervals, inf = static {_default('coherence_samples')}")
+    sub.add_argument("--blocks", type=int, help=f"total blocks incl. training {_default('num_blocks')}")
+    sub.add_argument("--block-size", dest="block_size", type=int, help=f"messages per block {_default('block_size')}")
+    sub.add_argument("--attack", type=float, help=f"attacker message probability {_default('attack_intensity')}")
     sub.add_argument("--imitate", action="store_true", default=None,
                      help="give the attacker a prefilter imitating the legitimate link")
-    sub.add_argument("--preset", choices=["desk", "full"], help="desk = 10 blocks x 200 messages")
+    sub.add_argument("--preset", choices=["desk"],
+                     help="desk = {blocks} blocks x {block_size} messages".format(**DESK_PRESET))
 
 
 def _add_eval_options(sub: argparse.ArgumentParser) -> None:
     _add_common(sub)
     sub.add_argument("--detector", action="append", choices=["gmm", "mse"],
-                     help="detector to run (repeatable)")
-    sub.add_argument("--m", type=_int_list, help="comma-separated subcarrier counts, e.g. 4,16")
-    sub.add_argument("--fa", type=float, help="target false-alarm rate (default 0.01)")
-    sub.add_argument("--feature", type=_feature_kind, help="magnitude (default) or delta")
-    sub.add_argument("--components", type=int, help="mixture components (default 3)")
+                     help=f"detector to run, repeatable (default {ExperimentConfig.detector.value})")
+    sub.add_argument("--m", type=_int_list, help=f"comma-separated subcarrier counts, e.g. 4,16 {_default('m_subcarriers')}")
+    sub.add_argument("--fa", type=float, help=f"target false-alarm rate {_default('target_fa')}")
+    feature = {kind: name for name, kind in _FEATURES.items()}[ExperimentConfig.feature_kind]
+    sub.add_argument("--feature", type=_feature_kind, help=f"magnitude or delta (default {feature})")
+    sub.add_argument("--components", type=int, help=f"mixture components {_default('gmm_components')}")
     sub.add_argument("--update", action=argparse.BooleanOptionalAction, default=None,
-                     help="block-wise model updating (default on)")
+                     help=f"block-wise model updating (default {'on' if ExperimentConfig.update_enabled else 'off'})")
     sub.add_argument("--oracle-update", dest="oracle_update", action="store_true", default=None,
                      help="update on ground-truth labels instead of decisions")
     sub.add_argument("--trace", help="replay a recorded trace instead of simulating")
@@ -398,24 +389,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = subs.add_parser("simulate", help="write a simulated two-link estimate trace")
     _add_common(p_sim)
     p_sim.add_argument("--interval-us", dest="interval_us", type=float,
-                       help="estimation interval in microseconds (default 998.4)")
+                       help=f"estimation interval in microseconds (default {trace_io.DEFAULT_INTERVAL_US:g})")
     p_sim.add_argument("--desc", help="trace description text")
     p_sim.add_argument("--out", required=True, help="trace CSV path")
     p_sim.set_defaults(func=cmd_simulate)
 
-    p_eval = subs.add_parser("evaluate", help="run detectors and report rates")
+    p_eval = subs.add_parser("evaluate", help="run a grid of detectors and M values, report rates")
     _add_eval_options(p_eval)
+    p_eval.add_argument("--compare-update", dest="compare_update", action="store_true",
+                        help="emit an update and a no-update row per mixture-detector run")
     p_eval.set_defaults(func=cmd_evaluate)
 
     p_roc = subs.add_parser("roc", help="run one detector and write its ROC curve")
     _add_eval_options(p_roc)
     p_roc.set_defaults(func=cmd_roc)
-
-    p_sweep = subs.add_parser("sweep", help="rerun one scenario across subcarrier counts")
-    _add_eval_options(p_sweep)
-    p_sweep.add_argument("--compare-update", dest="compare_update", action="store_true",
-                         help="emit update and no-update rows per m")
-    p_sweep.set_defaults(func=cmd_sweep)
 
     return parser
 

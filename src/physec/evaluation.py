@@ -46,9 +46,6 @@ EVE_LINK = "AE"
 # with quasi-static channels (large coherence_samples).
 PERFECT_IMITATION = "imitate-bob"
 
-# Small-scale override for quick CI runs.
-DESK_PRESET = {"num_blocks": 10, "block_size": 200}
-
 
 class DetectorKind(Enum):
     GMM = "gmm"
@@ -57,7 +54,11 @@ class DetectorKind(Enum):
 
 @dataclass
 class ExperimentConfig:
-    """Everything one trial depends on; a given config is fully reproducible."""
+    """Everything one trial depends on; a given config is fully reproducible.
+
+    This is the one place an experiment parameter has its name, default and
+    validation rule; the CLI passes only the values its options set.
+    """
 
     m_subcarriers: int = 16
     snr_db: float = 20.0
@@ -100,13 +101,6 @@ class ExperimentConfig:
         if isinstance(self.prefilter, str) and self.prefilter != PERFECT_IMITATION:
             raise ValueError(f"unknown prefilter sentinel {self.prefilter!r}")
 
-    def detector_config(self, rng_seed: int) -> gmm.DetectorConfig:
-        return gmm.DetectorConfig(
-            num_components=self.gmm_components,
-            target_false_alarm=self.target_fa,
-            rng_seed=rng_seed,
-        )
-
 
 class Counts(NamedTuple):
     true_detects: int
@@ -142,11 +136,9 @@ class TrialResult:
     p_d: float | None
     p_fa: float | None
     p_md: float | None
-    target_fa: float
     blocks: list = field(default_factory=list)
     bob_scores: np.ndarray = field(default_factory=lambda: np.empty(0))
     eve_scores: np.ndarray = field(default_factory=lambda: np.empty(0))
-    config: ExperimentConfig | None = None
 
 
 @dataclass
@@ -220,7 +212,6 @@ def _run_on_blocks(config: ExperimentConfig, blocks, m_full: int, times=None) ->
         )
     seeds = _derived_seeds(config.rng_seed)
     attack_rng = np.random.default_rng(seeds[4])
-    det_cfg = config.detector_config(rng_seed=seeds[5])
     m = config.m_subcarriers
     n = config.block_size
     use_delta = config.feature_kind is ft.FeatureKind.DELTA
@@ -258,7 +249,7 @@ def _run_on_blocks(config: ExperimentConfig, blocks, m_full: int, times=None) ->
 
     use_gmm = config.detector is DetectorKind.GMM
     if use_gmm:
-        model = gmm.fit(train_features, det_cfg)
+        model = gmm.fit(train_features, config.gmm_components, config.target_fa, seeds[5])
         state = None
     else:
         model = None
@@ -291,7 +282,7 @@ def _run_on_blocks(config: ExperimentConfig, blocks, m_full: int, times=None) ->
         updated = False
         if use_gmm and config.update_enabled:
             accepted = from_bob if config.oracle_update else is_bob
-            new_model = gmm.update_block(model, features, accepted, det_cfg)
+            new_model = gmm.update_block(model, features, accepted, config.target_fa)
             updated = new_model is not model
             model = new_model
         block_traces.append(
@@ -311,11 +302,9 @@ def _run_on_blocks(config: ExperimentConfig, blocks, m_full: int, times=None) ->
         p_d=p_d,
         p_fa=p_fa,
         p_md=p_md,
-        target_fa=config.target_fa,
         blocks=block_traces,
         bob_scores=np.concatenate(bob_scores),
         eve_scores=np.concatenate(eve_scores),
-        config=config,
     )
 
 
@@ -324,18 +313,17 @@ def run_experiment(config: ExperimentConfig) -> TrialResult:
     return _run_on_blocks(config, simulated_estimate_blocks(config), config.m_full)
 
 
-def run_experiment_from_trace(
-    trace, config: ExperimentConfig, bob_label: str = BOB_LINK, eve_label: str = EVE_LINK
-) -> TrialResult:
+def run_experiment_from_trace(trace, config: ExperimentConfig) -> TrialResult:
     """Replay a recorded trace instead of simulating.
 
-    The trace must carry both links at every message slot.  Prefilters are a
-    transmit-side construct and cannot be applied to recordings.
+    The trace must carry both links, labelled BOB_LINK and EVE_LINK, at
+    every message slot.  Prefilters are a transmit-side construct and cannot
+    be applied to recordings.
     """
     if config.prefilter is not None:
         raise ValueError("prefilters require the simulator; traces are already recorded")
     links = {}
-    for label in (bob_label, eve_label):
+    for label in (BOB_LINK, EVE_LINK):
         rows = np.array([link == label for link in trace.link_labels], dtype=bool)
         links[label] = (_finite(trace.gains[rows]), trace.time_index[rows])
     total = config.num_blocks * config.block_size
@@ -344,7 +332,7 @@ def run_experiment_from_trace(
             raise ValueError(
                 f"trace has {len(gains)} records for link {label!r}, need {total}"
             )
-    (bob, bob_t), (eve, eve_t) = links[bob_label], links[eve_label]
+    (bob, bob_t), (eve, eve_t) = links[BOB_LINK], links[EVE_LINK]
     n = config.block_size
     blocks = ((bob[k : k + n], eve[k : k + n]) for k in range(0, total, n))
     return _run_on_blocks(config, blocks, trace.m_full, times=(bob_t, eve_t))

@@ -15,7 +15,6 @@ import numpy as np
 from scipy.special import logsumexp
 
 __all__ = [
-    "DetectorConfig",
     "GmmModel",
     "as_feature_matrix",
     "fit",
@@ -38,21 +37,6 @@ MIN_VARIANCE = 1e-8
 # block of rejected attacker traffic cannot drag the model off its
 # legitimate cluster.
 UPDATE_GUARD_FRACTION = 0.1
-
-
-@dataclass
-class DetectorConfig:
-    """Training and calibration parameters of the mixture detector."""
-
-    num_components: int = 3
-    target_false_alarm: float = 0.01
-    rng_seed: int = 0
-
-    def __post_init__(self):
-        if self.num_components < 1:
-            raise ValueError("num_components must be >= 1")
-        if not 0.0 < self.target_false_alarm < 1.0:
-            raise ValueError("target_false_alarm must lie in (0, 1)")
 
 
 @dataclass
@@ -208,31 +192,35 @@ def _em(x, weights, means, variances):
 
 def fit(
     training,
-    config: DetectorConfig,
+    num_components: int,
+    target_fa: float,
+    rng_seed: int,
     *,
     init: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> GmmModel:
     """Train the mixture on legitimate features and calibrate its threshold.
 
     Initial parameters come from k-means++-style seeding driven by
-    config.rng_seed, or from `init` (weights, means, variances) for warm
-    starts.  The threshold is set on the training scores at
-    config.target_false_alarm.
+    `rng_seed`, or from `init` (weights, means, variances) for warm starts,
+    which draw no random numbers.  The threshold is set on the training
+    scores at `target_fa`.
     """
     x = as_feature_matrix(training)
     n = x.shape[0]
-    k = config.num_components
+    k = num_components
+    if k < 1:
+        raise ValueError("num_components must be >= 1")
     if k > n:
         raise ValueError(f"num_components={k} exceeds training size {n}")
     if init is None:
-        rng = np.random.default_rng(config.rng_seed)
+        rng = np.random.default_rng(rng_seed)
         weights, means, variances = _seed_initial_parameters(x, k, rng)
     else:
         weights = np.asarray(init[0], dtype=np.float64).copy()
         means = np.asarray(init[1], dtype=np.float64).copy()
         variances = np.asarray(init[2], dtype=np.float64).copy()
         if weights.size != k or means.shape != (k, x.shape[1]):
-            raise ValueError("warm-start parameters do not match config/data shape")
+            raise ValueError("warm-start parameters do not match num_components/data shape")
         # a component may have starved in an earlier refit; give it a sliver of
         # weight so EM can revive it instead of freezing it at exactly zero
         weights = np.maximum(weights, 1e-12)
@@ -248,7 +236,7 @@ def fit(
         em_log_likelihoods=history,
     )
     scores = log_likelihoods(model, x)
-    model.threshold = lower_tail_threshold(scores, config.target_false_alarm)
+    model.threshold = lower_tail_threshold(scores, target_fa)
     return model
 
 
@@ -263,28 +251,24 @@ def lower_tail_threshold(scores, target_fa: float) -> float:
     return float(s[j])
 
 
-def update_block(
-    model: GmmModel, block, accepted: np.ndarray, config: DetectorConfig
-) -> GmmModel:
+def update_block(model: GmmModel, block, accepted: np.ndarray, target_fa: float) -> GmmModel:
     """Decision-directed refit on one block of streamed features.
 
     `accepted` marks the samples to refit on: the detector's own decisions
     (score at or above the threshold), or ground-truth labels for
     oracle-labeled comparison runs.  The refit is warm-started from the
-    current model and recalibrates the threshold.  The model is returned
-    unchanged when too few samples were accepted (see UPDATE_GUARD_FRACTION).
+    current model and recalibrates the threshold at `target_fa`.  The model
+    is returned unchanged when too few samples were accepted (see
+    UPDATE_GUARD_FRACTION).
     """
     x = as_feature_matrix(block, model.dim)
     accepted = np.asarray(accepted, dtype=bool)
     if accepted.shape != (x.shape[0],):
         raise ValueError("accepted must have one boolean per block sample")
     n_accepted = int(accepted.sum())
-    guard = max(
-        config.num_components,
-        math.ceil(UPDATE_GUARD_FRACTION * x.shape[0]),
-    )
-    if n_accepted < guard:
+    k = model.num_components
+    if n_accepted < max(k, math.ceil(UPDATE_GUARD_FRACTION * x.shape[0])):
         return model
-    if config.num_components != model.num_components:
-        raise ValueError("config.num_components does not match the model")
-    return fit(x[accepted], config, init=(model.weights, model.means, model.variances))
+    # a warm start draws no random numbers, so its seed is never read
+    init = (model.weights, model.means, model.variances)
+    return fit(x[accepted], k, target_fa, rng_seed=0, init=init)

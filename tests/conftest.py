@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from physec.evaluation import DESK_PRESET, ExperimentConfig
+from physec.evaluation import ExperimentConfig
 
 
 def desk_config(**overrides) -> ExperimentConfig:
@@ -13,7 +13,8 @@ def desk_config(**overrides) -> ExperimentConfig:
         snr_db=20.0,
         attack_intensity=0.5,
         rng_seed=0,
-        **DESK_PRESET,
+        num_blocks=10,
+        block_size=200,
     )
     kwargs.update(overrides)
     return ExperimentConfig(**kwargs)

@@ -160,8 +160,7 @@ def test_em_training_correctness_bundle():
     data = np.concatenate(
         [rng.normal(0.0, 1.0, size=(300, 2)), rng.normal(6.0, 0.5, size=(200, 2))]
     )
-    cfg = gmm.DetectorConfig(num_components=3, rng_seed=0)
-    model = gmm.fit(data, cfg)
+    model = gmm.fit(data, num_components=3, target_fa=0.01, rng_seed=0)
 
     ll = np.asarray(model.em_log_likelihoods)
     slack = 1e-10 * max(1.0, abs(float(ll[0])))
@@ -178,7 +177,7 @@ def test_em_training_correctness_bundle():
     resp = np.exp(log_joint - logsumexp(log_joint, axis=1, keepdims=True))
     assert np.max(np.abs(resp.sum(axis=1) - 1.0)) <= 1e-12
 
-    single = gmm.fit(data, gmm.DetectorConfig(num_components=1, rng_seed=0))
+    single = gmm.fit(data, num_components=1, target_fa=0.01, rng_seed=0)
     assert single.weights[0] == pytest.approx(1.0, abs=1e-12)
     assert np.allclose(single.means[0], data.mean(axis=0), atol=1e-9)
     expected_var = np.maximum(data.var(axis=0), gmm.MIN_VARIANCE)
@@ -201,7 +200,7 @@ def test_em_training_correctness_bundle():
     assert max_err <= 1e-9
 
     scalar_model = gmm.fit(
-        rng.normal(2.0, 1.5, size=(400, 1)), gmm.DetectorConfig(num_components=3, rng_seed=1)
+        rng.normal(2.0, 1.5, size=(400, 1)), num_components=3, target_fa=0.01, rng_seed=1
     )
     grid = np.linspace(-50.0, 50.0, 400_001).reshape(-1, 1)
     density = np.exp(gmm.log_likelihoods(scalar_model, grid))

@@ -42,9 +42,9 @@ def random_estimates(seed, rows=BLOCK, m_full=M_FULL):
 # ---------------------------------------------------------------------------
 
 
-def reference_evolve(gains, process, steps):
+def reference_evolve(gains, process):
     """One evolution step written out per message, as a single draw."""
-    rho = process.step_correlation(steps)
+    rho = process.step_correlation()
     std = np.sqrt(process.tap_powers / 2.0)
     re = process._rng.standard_normal(process.num_taps)
     im = process._rng.standard_normal(process.num_taps)
@@ -53,35 +53,38 @@ def reference_evolve(gains, process, steps):
 
 
 @pytest.mark.parametrize("coherence", [math.inf, 50.0, 2.0])
-@pytest.mark.parametrize("steps", [1, 3])
-def test_block_evolution_matches_repeated_single_steps(coherence, steps):
-    block_proc, single_proc, ref_proc = (
+@pytest.mark.parametrize("rows_per_call", [1, 3])
+def test_block_evolution_matches_repeated_single_steps(coherence, rows_per_call):
+    # one call for the whole block gives the same rows as a stream of calls
+    # of `rows_per_call` rows each, and as the per-message reference
+    block_proc, chunk_proc, ref_proc = (
         fresh_process(seed=5, coherence=coherence) for _ in range(3)
     )
     start = ch.sample_initial_channel(block_proc, M_FULL)
-    assert np.array_equal(ch.sample_initial_channel(single_proc, M_FULL), start)
+    assert np.array_equal(ch.sample_initial_channel(chunk_proc, M_FULL), start)
     assert np.array_equal(ch.sample_initial_channel(ref_proc, M_FULL), start)
 
-    block = ch.evolve_block(start, block_proc, BLOCK, steps)
+    block = ch.evolve_block(start, block_proc, BLOCK)
     assert block.shape == (BLOCK, M_FULL)
-    single = ref = start
+    chunks, last = [], start
+    for first in range(0, BLOCK, rows_per_call):
+        chunks.append(ch.evolve_block(last, chunk_proc, min(rows_per_call, BLOCK - first)))
+        last = chunks[-1][-1]
+    assert np.array_equal(block, np.concatenate(chunks))
+    ref = start
     for k in range(BLOCK):
-        single = ch.evolve_block(single, single_proc, 1, steps)[0]
-        ref = reference_evolve(ref, ref_proc, steps)
-        assert np.array_equal(block[k], single)
+        ref = reference_evolve(ref, ref_proc)
         assert np.array_equal(block[k], ref)
     # the streams stay aligned after the block
     assert np.array_equal(
-        ch.evolve_block(block[-1], block_proc, 1, steps)[0],
-        ch.evolve_block(single, single_proc, 1, steps)[0],
+        ch.evolve_block(block[-1], block_proc, 1)[0],
+        ch.evolve_block(last, chunk_proc, 1)[0],
     )
 
 
 def test_block_evolution_validation():
     proc = fresh_process()
     gains = ch.sample_initial_channel(proc, M_FULL)
-    with pytest.raises(ValueError, match="steps"):
-        ch.evolve_block(gains, proc, 4, steps=0)
     with pytest.raises(ValueError, match="count"):
         ch.evolve_block(gains, proc, 0)
     with pytest.raises(ValueError, match="m_full"):
@@ -203,7 +206,6 @@ def test_non_contiguous_selection_matches_per_row_features(m):
     rows = [g[idx] for g in estimates]
     magnitudes = np.stack([reference_magnitude(r) for r in rows])
     deltas = np.stack([np.abs(r - p) for p, r in zip(rows, rows[1:])])
-    cfg = gmm.DetectorConfig(num_components=3, rng_seed=0)
     for layout in (estimates[:, idx], np.asfortranarray(estimates[:, idx])):
         for block, stacked in (
             (ft.normalize_magnitude_block(layout), magnitudes),
@@ -211,7 +213,7 @@ def test_non_contiguous_selection_matches_per_row_features(m):
         ):
             assert block.flags.c_contiguous
             assert np.array_equal(block, stacked)
-            fitted, reference = gmm.fit(block, cfg), gmm.fit(stacked, cfg)
+            fitted, reference = (gmm.fit(x, 3, 0.01, 0) for x in (block, stacked))
             assert np.array_equal(fitted.means, reference.means)
             assert np.array_equal(fitted.variances, reference.variances)
 
@@ -236,7 +238,7 @@ def test_block_delta_checks_the_previous_width():
 @pytest.mark.parametrize("m", [4, 16])
 def test_block_scores_match_per_row_scores(m):
     features = ft.normalize_magnitude_block(ft.select_block(random_estimates(16, rows=1000), m))
-    model = gmm.fit(features[:400], gmm.DetectorConfig(num_components=3, rng_seed=0))
+    model = gmm.fit(features[:400], num_components=3, target_fa=0.01, rng_seed=0)
     scores = gmm.log_likelihoods(model, features)
     per_row = np.array([gmm.log_likelihoods(model, row)[0] for row in features])
     assert np.array_equal(scores, per_row)

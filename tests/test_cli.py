@@ -10,6 +10,7 @@ import io
 
 import pytest
 
+from physec import evaluation as ev
 from physec.cli import RESULT_COLUMNS, main, read_config_file
 
 
@@ -88,6 +89,19 @@ def test_no_update_flag_changes_the_detector_label(tmp_path):
     out = tmp_path / "r.csv"
     assert run_cli("evaluate", *DESK, "--m", "8", "--no-update", "--out", str(out)) == 0
     assert read_rows(out.read_text())[0]["detector"] == "gmm-noupdate"
+
+
+def test_desk_preset_sets_only_the_block_shape(monkeypatch, capsys):
+    # every value no option sets is ExperimentConfig's own default
+    seen = []
+
+    def run(config):
+        seen.append(config)
+        return ev.TrialResult(counts=ev.Counts(0, 0, 0, 0), p_d=None, p_fa=None, p_md=None)
+
+    monkeypatch.setattr(ev, "run_experiment", run)
+    assert run_cli("evaluate", "--preset", "desk") == 0
+    assert seen == [ev.ExperimentConfig(num_blocks=10, block_size=200)]
 
 
 def test_imitating_attacker_is_detected_only_at_chance_level(tmp_path):
@@ -275,20 +289,23 @@ def test_trace_time_index_outside_int64_is_a_usage_error(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# sweep
+# grids with update comparison
 # ---------------------------------------------------------------------------
 
 
 def test_sweep_compare_update_emits_paired_rows(tmp_path):
-    out = tmp_path / "sweep.csv"
+    out = tmp_path / "grid.csv"
     assert (
-        run_cli("sweep", *DESK, "--m", "4", "--compare-update",
-                "--coherence", "100000", "--out", str(out))
+        run_cli("evaluate", *DESK, "--detector", "gmm", "--detector", "mse", "--m", "4,8",
+                "--compare-update", "--coherence", "100000", "--out", str(out))
         == 0
     )
     rows = read_rows(out.read_text())
-    assert [r["detector"] for r in rows] == ["gmm", "gmm-noupdate"]
-    assert all(r["M"] == "4" for r in rows)
+    # the mixture detector runs with and without updating; MSE has no update mode
+    assert [(r["detector"], r["M"]) for r in rows] == [
+        ("gmm", "4"), ("gmm-noupdate", "4"), ("gmm", "8"), ("gmm-noupdate", "8"),
+        ("mse", "4"), ("mse", "8"),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +323,8 @@ def test_sweep_compare_update_emits_paired_rows(tmp_path):
         ("simulate", "--preset", "desk", "--blocks", "0", "--out", "t.csv"),
         ("simulate", "--preset", "desk"),  # --out is required
         ("evaluate", "--preset", "desk", "--m", "999"),  # exceeds m_full
+        ("sweep", "--preset", "desk", "--m", "4"),  # folded into evaluate
+        ("evaluate", "--preset", "full", "--m", "4"),  # the defaults are full scale
     ],
 )
 def test_usage_errors_exit_with_code_two(argv):

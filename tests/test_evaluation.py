@@ -1,4 +1,4 @@
-"""Experiment harness: metrics, ROC, determinism, trace replay, sweeps."""
+"""Experiment harness: metrics, ROC, determinism, trace replay, grids of runs."""
 
 import csv
 import dataclasses
@@ -132,7 +132,6 @@ def test_detection_at_matched_false_alarm_hand_example():
         p_d=None,
         p_fa=None,
         p_md=None,
-        target_fa=0.01,
         bob_scores=np.arange(1.0, 101.0),
         eve_scores=np.array([0.5, 10.5, 200.0]),
     )
@@ -141,15 +140,15 @@ def test_detection_at_matched_false_alarm_hand_example():
 
 
 # ---------------------------------------------------------------------------
-# sweeps and paired comparisons (grids of runs go through `physec sweep`)
+# grids and paired comparisons (grids of runs go through `physec evaluate`)
 # ---------------------------------------------------------------------------
 
 
 def sweep_rows(tmp_path, monkeypatch, *argv) -> list:
-    """Result rows of a desk-scale `physec sweep` with desk_config()'s seed."""
+    """Result rows of a desk-scale `physec evaluate` with desk_config()'s seed."""
     monkeypatch.delenv("PHYSEC_SEED", raising=False)
-    out = tmp_path / "sweep.csv"
-    assert cli.main(["sweep", "--preset", "desk", "--seed", "0", *argv, "--out", str(out)]) == 0
+    out = tmp_path / "grid.csv"
+    assert cli.main(["evaluate", "--preset", "desk", "--seed", "0", *argv, "--out", str(out)]) == 0
     with open(out, encoding="utf-8", newline="") as fh:
         return list(csv.DictReader(fh))
 

@@ -15,7 +15,7 @@ from scipy.special import logsumexp
 from scipy.stats import norm
 
 from physec import gmm
-from physec.gmm import DetectorConfig, GmmModel
+from physec.gmm import GmmModel
 
 
 # ---------------------------------------------------------------------------
@@ -41,10 +41,12 @@ def naive_mixture_log_density(row, weights, means, variances):
     return math.log(density)
 
 
-def config(**overrides) -> DetectorConfig:
-    kwargs = dict(num_components=3, rng_seed=0)
-    kwargs.update(overrides)
-    return DetectorConfig(**kwargs)
+TARGET_FA = 0.01
+
+
+def fit(x, num_components=3, target_fa=TARGET_FA, **kwargs) -> GmmModel:
+    """`gmm.fit` seeded with 0."""
+    return gmm.fit(x, num_components, target_fa, 0, **kwargs)
 
 
 def single_gaussian_model(mean=0.0, var=1.0, threshold=None) -> GmmModel:
@@ -75,8 +77,7 @@ def test_single_component_fit_matches_closed_form(rng):
     x = rng.standard_normal((200, 3)) * np.array([1.0, 2.0, 0.5]) + np.array(
         [0.0, -4.0, 7.0]
     )
-    cfg = config(num_components=1)
-    model = gmm.fit(x, cfg)
+    model = fit(x, num_components=1)
     mean, var, ll = closed_form_single_gaussian(x, gmm.MIN_VARIANCE)
     assert np.allclose(model.means[0], mean, atol=1e-9)
     assert np.allclose(model.variances[0], var, atol=1e-9)
@@ -89,7 +90,7 @@ def test_two_separated_clusters_recovered(rng):
     a = rng.standard_normal((500, 2))
     b = rng.standard_normal((500, 2)) + np.array([10.0, 0.0])
     x = np.vstack([a, b])
-    model = gmm.fit(x, config(num_components=2))
+    model = fit(x, num_components=2)
     order = np.argsort(model.means[:, 0])
     assert np.allclose(model.means[order][0], [0.0, 0.0], atol=0.1)
     assert np.allclose(model.means[order][1], [10.0, 0.0], atol=0.1)
@@ -103,9 +104,8 @@ def test_duplicating_samples_changes_nothing_given_same_start(rng):
         np.array([[0.5, 0.0], [-0.5, 0.0]]),
         np.ones((2, 2)),
     )
-    cfg = config(num_components=2, target_false_alarm=0.05)
-    m1 = gmm.fit(x, cfg, init=init)
-    m2 = gmm.fit(np.vstack([x, x]), cfg, init=init)
+    m1 = fit(x, 2, 0.05, init=init)
+    m2 = fit(np.vstack([x, x]), 2, 0.05, init=init)
     assert np.allclose(m1.weights, m2.weights, atol=1e-9)
     assert np.allclose(m1.means, m2.means, atol=1e-9)
     assert np.allclose(m1.variances, m2.variances, atol=1e-9)
@@ -116,11 +116,10 @@ def test_fit_does_not_depend_on_memory_layout(rng):
     # a Fortran-ordered copy or a strided view of the same values trains
     # the same model, bit for bit
     x = rng.standard_normal((199, 8)) * rng.uniform(0.5, 2.0, 8)
-    cfg = config(num_components=3)
-    c_order = gmm.fit(x, cfg)
+    c_order = fit(x)
     for layout in (np.asfortranarray(x), np.repeat(x, 2, axis=1)[:, ::2]):
         assert np.array_equal(layout, x)
-        other = gmm.fit(layout, cfg)
+        other = fit(layout)
         assert np.array_equal(other.means, c_order.means)
         assert np.array_equal(other.variances, c_order.variances)
         assert other.threshold == c_order.threshold
@@ -130,23 +129,23 @@ def test_fit_accepts_feature_vectors(rng):
     # a list of per-message feature vectors trains the same model as the
     # stacked (N, dim) block
     feats = [rng.random(4) for _ in range(50)]
-    model = gmm.fit(feats, config(num_components=2))
+    model = fit(feats, num_components=2)
     assert model.dim == 4
     assert model.threshold is not None
-    stacked = gmm.fit(np.stack(feats), config(num_components=2))
+    stacked = fit(np.stack(feats), num_components=2)
     assert np.array_equal(model.means, stacked.means)
     assert model.threshold == stacked.threshold
 
 
 def test_fit_input_validation(rng):
     with pytest.raises(ValueError):
-        gmm.fit([], config())
+        fit([])
     with pytest.raises(ValueError, match="exceeds training size"):
-        gmm.fit(rng.random((2, 3)), config(num_components=3))
+        fit(rng.random((2, 3)), num_components=3)
     with pytest.raises(ValueError, match="warm-start"):
-        gmm.fit(
+        fit(
             rng.random((10, 2)),
-            config(num_components=2),
+            num_components=2,
             init=(np.array([1.0]), np.zeros((1, 2)), np.ones((1, 2))),
         )
 
@@ -160,7 +159,7 @@ def test_warm_start_with_dead_component_survives(rng):
         np.array([[0.0, 0.0], [1.0, 1.0], [50.0, 50.0]]),
         np.ones((3, 2)),
     )
-    model = gmm.fit(x, config(num_components=3), init=init)
+    model = fit(x, init=init)
     assert abs(model.weights.sum() - 1.0) < 1e-9
     assert np.all(np.isfinite(model.means))
     assert np.all(model.variances >= 1e-8)
@@ -179,7 +178,7 @@ def test_em_log_likelihood_never_decreases(rng):
             rng.standard_normal((300, 2)) - 4.0,
         ]
     )
-    model = gmm.fit(x, config(num_components=3))
+    model = fit(x)
     history = model.em_log_likelihoods
     assert len(history) >= 2
     slack = 1e-10 * max(1.0, abs(history[0]))
@@ -207,7 +206,7 @@ def test_responsibilities_are_a_distribution(rng, monkeypatch):
 
 
 def test_fitted_weights_form_a_distribution(rng):
-    model = gmm.fit(rng.standard_normal((120, 2)), config())
+    model = fit(rng.standard_normal((120, 2)))
     assert np.all(model.weights >= 0)
     assert abs(model.weights.sum() - 1.0) < 1e-9
     assert np.all(model.variances >= gmm.MIN_VARIANCE)
@@ -329,7 +328,7 @@ def test_classify_is_deterministic(rng):
     # the run loop accepts a message when its score reaches the threshold;
     # scoring keeps no state, so the same feature always gets the same
     # score and decision, alone or inside a block
-    model = gmm.fit(rng.standard_normal((100, 2)), config())
+    model = fit(rng.standard_normal((100, 2)))
     block = rng.standard_normal((8, 2))
     first = gmm.log_likelihoods(model, block[3])[0]
     for _ in range(5):
@@ -341,10 +340,9 @@ def test_classify_is_deterministic(rng):
 
 def test_update_fully_rejected_block_unchanged():
     model = single_gaussian_model(threshold=-2.0)
-    cfg = config(num_components=1)
     block = np.full((20, 1), 1000.0)  # all far below threshold
     assert not accepted_by(model, block).any()
-    assert gmm.update_block(model, block, accepted_by(model, block), cfg) is model
+    assert gmm.update_block(model, block, accepted_by(model, block), TARGET_FA) is model
 
 
 def test_update_guard_needs_a_minimum_accepted_fraction():
@@ -353,14 +351,15 @@ def test_update_guard_needs_a_minimum_accepted_fraction():
     means = np.zeros((3, 1))
     variances = np.ones((3, 1))
     model = GmmModel(weights, means, variances, threshold=-2.0)
-    cfg = config()
 
     three_accepted = np.concatenate([np.zeros(3), np.full(37, 100.0)])[:, None]
     assert accepted_by(model, three_accepted).sum() == 3
-    assert gmm.update_block(model, three_accepted, accepted_by(model, three_accepted), cfg) is model
+    assert gmm.update_block(
+        model, three_accepted, accepted_by(model, three_accepted), TARGET_FA
+    ) is model
 
     four_accepted = np.concatenate([np.zeros(4), np.full(36, 100.0)])[:, None]
-    updated = gmm.update_block(model, four_accepted, accepted_by(model, four_accepted), cfg)
+    updated = gmm.update_block(model, four_accepted, accepted_by(model, four_accepted), TARGET_FA)
     assert updated is not model
     assert updated.trained_on == 4
     assert updated.threshold is not None
@@ -368,24 +367,22 @@ def test_update_guard_needs_a_minimum_accepted_fraction():
 
 def test_update_refits_on_accepted_subset(rng):
     x = rng.standard_normal((400, 2))
-    cfg = config()
-    model = gmm.fit(x, cfg)
+    model = fit(x)
     block = rng.standard_normal((400, 2))
     accepted = accepted_by(model, block)
-    updated = gmm.update_block(model, block, accepted, cfg)
+    updated = gmm.update_block(model, block, accepted, TARGET_FA)
     assert updated is not model
     assert updated.trained_on == int(accepted.sum())
-    refit = gmm.fit(block[accepted], cfg, init=(model.weights, model.means, model.variances))
+    refit = fit(block[accepted], init=(model.weights, model.means, model.variances))
     assert np.array_equal(updated.means, refit.means)
     assert updated.threshold == refit.threshold
 
 
 def test_update_on_stationary_data_keeps_the_model_close(rng):
     x = rng.standard_normal((1000, 2))
-    cfg = config()
-    model = gmm.fit(x, cfg)
+    model = fit(x)
     block = rng.standard_normal((1000, 2))
-    updated = gmm.update_block(model, block, accepted_by(model, block), cfg)
+    updated = gmm.update_block(model, block, accepted_by(model, block), TARGET_FA)
     fresh = rng.standard_normal((1000, 2))
     before = float(np.mean(gmm.log_likelihoods(model, fresh)))
     after = float(np.mean(gmm.log_likelihoods(updated, fresh)))
@@ -394,27 +391,22 @@ def test_update_on_stationary_data_keeps_the_model_close(rng):
 
 def test_update_with_oracle_labels(rng):
     x = rng.standard_normal((300, 2))
-    cfg = config()
-    model = gmm.fit(x, cfg)
+    model = fit(x)
     block = rng.standard_normal((300, 2))
     mask = np.zeros(300, dtype=bool)
     mask[:120] = True
-    updated = gmm.update_block(model, block, mask, cfg)
+    updated = gmm.update_block(model, block, mask, TARGET_FA)
     assert updated.trained_on == 120
-    all_false = gmm.update_block(model, block, np.zeros(300, dtype=bool), cfg)
+    all_false = gmm.update_block(model, block, np.zeros(300, dtype=bool), TARGET_FA)
     assert all_false is model
 
 
 def test_update_input_validation(rng):
     x = rng.standard_normal((50, 1))
-    cfg = config(num_components=1)
-    model = gmm.fit(x, cfg)
+    model = fit(x, num_components=1)
     everything = np.ones(50, dtype=bool)
     with pytest.raises(ValueError, match="accepted"):
-        gmm.update_block(model, x, everything[:10], cfg)
-    mismatched = config(num_components=3)
-    with pytest.raises(ValueError, match="num_components"):
-        gmm.update_block(model, x, everything, mismatched)
+        gmm.update_block(model, x, everything[:10], TARGET_FA)
 
 
 @settings(max_examples=40, deadline=None)
@@ -426,7 +418,7 @@ def test_update_input_validation(rng):
 )
 def test_fit_calibration_respects_target_on_training_data(n, d, target, seed):
     x = np.random.default_rng(seed).standard_normal((n, d))
-    model = gmm.fit(x, config(num_components=1, target_false_alarm=target))
+    model = fit(x, num_components=1, target_fa=target)
     scores = gmm.log_likelihoods(model, x)
     assert np.mean(scores < model.threshold) <= target + 1e-12
 
@@ -451,11 +443,12 @@ def test_as_feature_matrix_shapes(rng):
         gmm.as_feature_matrix(np.zeros((4, 3)), dim=2)
 
 
-def test_detector_config_validation():
-    with pytest.raises(ValueError):
-        DetectorConfig(num_components=0)
-    with pytest.raises(ValueError):
-        DetectorConfig(target_false_alarm=0.0)
+def test_detector_config_validation(rng):
+    x = rng.standard_normal((20, 2))
+    with pytest.raises(ValueError, match="num_components"):
+        fit(x, num_components=0)
+    with pytest.raises(ValueError, match="target_fa"):
+        fit(x, target_fa=0.0)
 
 
 def test_model_invariant_validation():
