@@ -259,6 +259,15 @@ def _configs(s: Settings, parser, trace=None, compare_update=False) -> list:
                     configs.append(config)
     except ValueError as exc:
         parser.error(str(exc))
+    # an explicit flag that would change nothing is a usage error
+    if compare_update and "update_enabled" in kwargs:
+        parser.error("--compare-update runs with and without updating; drop --update/--no-update")
+    if "oracle_update" in kwargs and kwargs.get("update_enabled") is False:
+        parser.error("--oracle-update picks what an update refits on; --no-update makes none")
+    if kwargs.keys() & {"update_enabled", "oracle_update"} and all(
+        config.detector is DetectorKind.MSE for config in configs
+    ):
+        parser.error("update options apply to the mixture detector; mse has no update mode")
     return configs
 
 

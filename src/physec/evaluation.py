@@ -322,10 +322,14 @@ def run_experiment_from_trace(trace, config: ExperimentConfig) -> TrialResult:
     """
     if config.prefilter is not None:
         raise ValueError("prefilters require the simulator; traces are already recorded")
-    links = {}
-    for label in (BOB_LINK, EVE_LINK):
-        rows = np.array([link == label for link in trace.link_labels], dtype=bool)
-        links[label] = (_finite(trace.gains[rows]), trace.time_index[rows])
+    rows = {BOB_LINK: [], EVE_LINK: []}
+    for row, link in enumerate(trace.link_labels):
+        if link in rows:
+            rows[link].append(row)
+    links = {
+        label: (_finite(trace.gains[index]), trace.time_index[index])
+        for label, index in rows.items()
+    }
     total = config.num_blocks * config.block_size
     for label, (gains, _) in links.items():
         if len(gains) < total:

@@ -10,13 +10,19 @@ form that parses back to the identical float (Python repr); negative zero is
 canonicalized to positive zero on write.  Time indices must be strictly
 increasing per link label.  Lines after the header starting with '#' are
 skipped on read.
+
+The file is UTF-8.  Rows end at \n (as written), \r\n or \r; any other
+character `str.splitlines` breaks at (\v, \f, \x1c-\x1e, \x85, \u2028,
+\u2029) is an error inside a row.  Both directions work one row at a time, so
+memory stays near the size of the gains array.
 """
 
 from __future__ import annotations
 
+import io
 from array import array
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -74,27 +80,31 @@ class CsiTrace:
 
 
 def _breaks_line(text: str) -> bool:
-    r"""Whether `str.splitlines`, which the reader splits the file with, would
-    break the text: besides \n and \r it breaks on \v, \f, \x1c-\x1e, \x85,
-    \u2028 and \u2029."""
-    return len(f".{text}.".splitlines()) > 1
+    r"""Whether `str.splitlines` would break the text: besides \n and \r it
+    breaks at \v, \f, \x1c-\x1e, \x85, \u2028 and \u2029."""
+    return text.splitlines() not in ([text], [])
 
 
 def write_trace(trace: CsiTrace, dest) -> None:
-    """Write a trace to a path or text stream; output is byte-deterministic."""
+    """Write a trace to a path or text stream; output is byte-deterministic.
+
+    Every record is checked before the destination is opened, so a bad one
+    leaves no partial file; rows are then formatted and written one at a time.
+    """
     if _breaks_line(trace.description):
         raise ValueError("description must not contain newlines or other line breaks")
-    for label in dict.fromkeys(trace.link_labels):
+    labels = dict.fromkeys(trace.link_labels)
+    for label in labels:
         if "," in label or _breaks_line(label):
             raise ValueError(f"link label {label!r} contains a delimiter or line break")
-    lines = [
-        f"#CSI,m_full={trace.m_full},interval_us={float(trace.sample_interval_us)!r},"
-        f"desc={trace.description}"
-    ]
+    for text in (trace.description, *labels):
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise ValueError(f"{text!r} cannot be written as UTF-8: {exc}") from exc
+    times = trace.time_index.tolist()
     last_time: dict[str, int] = {}
-    # one row at a time: Python floats for the whole array would outweigh the text
-    floats = np.ascontiguousarray(trace.gains).view(np.float64)
-    for t, label, row in zip(trace.time_index.tolist(), trace.link_labels, floats):
+    for t, label in zip(times, trace.link_labels):
         prev = last_time.get(label)
         if prev is not None and t <= prev:
             raise ValueError(
@@ -102,39 +112,91 @@ def write_trace(trace: CsiTrace, dest) -> None:
                 f"{label} goes {prev} -> {t}"
             )
         last_time[label] = t
-        # adding 0.0 canonicalizes -0.0
-        lines.append(f"{t},{label}," + ",".join([repr(v + 0.0) for v in row.tolist()]))
-    text = "\n".join(lines) + "\n"
     if hasattr(dest, "write"):
-        dest.write(text)
+        target = nullcontext(dest)
     else:
-        Path(dest).write_text(text, encoding="utf-8")
+        target = open(dest, "w", encoding="utf-8", newline="")
+    with target as fh:
+        fh.write(
+            f"#CSI,m_full={trace.m_full},interval_us={float(trace.sample_interval_us)!r},"
+            f"desc={trace.description}\n"
+        )
+        # one row at a time: Python floats for the whole array would outweigh the text
+        floats = np.ascontiguousarray(trace.gains).view(np.float64)
+        for t, label, row in zip(times, trace.link_labels, floats):
+            # adding 0.0 canonicalizes -0.0
+            fh.write(f"{t},{label}," + ",".join([repr(v + 0.0) for v in row.tolist()]) + "\n")
 
 
-def _read_text(src) -> str:
-    if hasattr(src, "read"):
-        data = src.read()
-    else:
-        data = Path(src).read_bytes()
-    if isinstance(data, bytes):
+@contextmanager
+def _open_text(src):
+    """The source as a text stream.  Paths and binary streams are decoded with
+    universal newlines, and bytes that are not UTF-8 are kept as lone
+    surrogates so `_lines` can name the line they are on."""
+    if isinstance(src, io.TextIOBase):
+        yield src
+    elif hasattr(src, "read"):
+        text = io.TextIOWrapper(src, encoding="utf-8", errors="surrogateescape")
         try:
-            return data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise TraceFormatError(f"not valid UTF-8: {exc}") from exc
-    return data
+            yield text
+        finally:
+            text.detach()  # leave the caller's stream open
+    else:
+        with open(src, encoding="utf-8", errors="surrogateescape") as text:
+            yield text
+
+
+def _lines(text):
+    r"""(line number, line) of each row of a text stream, one at a time.
+
+    Rows end at \n, \r\n or \r, whichever newline mode the stream has; any
+    other line-break character or non-UTF-8 text raises TraceFormatError.
+    """
+    lineno = 0
+    after_cr = False
+    try:
+        for piece in text:
+            if after_cr and piece.startswith("\n"):
+                piece = piece[1:]  # a \r\n the stream split after its \r
+            after_cr = piece.endswith("\r")
+            if "\r" in piece:
+                piece = piece.replace("\r\n", "\n").replace("\r", "\n")
+            rows = piece.split("\n")
+            if rows[-1] == "":
+                rows.pop()  # nothing after the final row end
+            for line in rows:
+                lineno += 1
+                if not line.isascii():
+                    try:
+                        line.encode("utf-8")
+                    except UnicodeEncodeError as exc:
+                        raise TraceFormatError(
+                            f"not valid UTF-8 at column {exc.start + 1}", line=lineno
+                        ) from None
+                if _breaks_line(line):
+                    raise TraceFormatError("line break character inside a row", line=lineno)
+                yield lineno, line
+    except UnicodeDecodeError as exc:
+        # a caller's strictly decoding stream decodes ahead: the bad byte is on
+        # the next line or a later one
+        raise TraceFormatError(f"not valid UTF-8: {exc}", line=lineno + 1) from exc
 
 
 def read_trace(src) -> CsiTrace:
-    """Parse a trace from a path or stream.
+    """Parse a trace from a path, a text stream or a binary stream, row by row.
 
     Every failure raises TraceFormatError with the offending line number;
     arbitrary junk input never escapes as another exception type.
     """
-    text = _read_text(src)
-    lines = text.splitlines()
-    if not lines or not lines[0].startswith("#CSI,"):
+    with _open_text(src) as text:
+        return _parse(_lines(text))
+
+
+def _parse(lines) -> CsiTrace:
+    _, header = next(lines, (1, ""))
+    if not header.startswith("#CSI,"):
         raise TraceFormatError("missing '#CSI' header", line=1)
-    parts = lines[0].split(",", 3)
+    parts = header.split(",", 3)
     if len(parts) != 4:
         raise TraceFormatError("header needs m_full, interval_us, and desc fields", line=1)
     if not parts[1].startswith("m_full="):
@@ -160,7 +222,7 @@ def read_trace(src) -> CsiTrace:
     reals = array("d")  # re0, im0, re1, ... of every row, in file order
     last_time: dict[str, int] = {}
     expected = 2 + 2 * m_full
-    for lineno, raw in enumerate(lines[1:], start=2):
+    for lineno, raw in lines:
         line = raw.strip()
         if not line:
             continue

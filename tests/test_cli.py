@@ -331,3 +331,40 @@ def test_usage_errors_exit_with_code_two(argv):
     with pytest.raises(SystemExit) as exc:
         run_cli(*argv)
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "flags, reason",
+    [
+        (("--compare-update", "--no-update"), "--compare-update runs with and without"),
+        (("--compare-update", "--update"), "--compare-update runs with and without"),
+        (("--detector", "mse", "--no-update"), "mse has no update mode"),
+        (("--detector", "mse", "--update"), "mse has no update mode"),
+        (("--detector", "mse", "--oracle-update"), "mse has no update mode"),
+        (("--no-update", "--oracle-update"), "--no-update makes none"),
+    ],
+)
+def test_update_flags_that_change_nothing_are_usage_errors(flags, reason, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("evaluate", *DESK, "--m", "8", *flags)
+    assert exc.value.code == 2
+    assert reason in capsys.readouterr().err
+
+
+def test_update_keys_in_a_config_file_count_as_explicit(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("update = off\n")
+    with pytest.raises(SystemExit) as exc:
+        run_cli("evaluate", *DESK, "--m", "8", "--config", str(cfg), "--compare-update")
+    assert exc.value.code == 2
+    assert "--compare-update runs with and without" in capsys.readouterr().err
+
+
+def test_update_flag_with_a_mixture_detector_in_the_grid_is_accepted(tmp_path):
+    out = tmp_path / "grid.csv"
+    assert (
+        run_cli("evaluate", *DESK, "--m", "8", "--detector", "gmm", "--detector", "mse",
+                "--no-update", "--out", str(out))
+        == 0
+    )
+    assert [r["detector"] for r in read_rows(out.read_text())] == ["gmm-noupdate", "mse"]

@@ -2,6 +2,7 @@
 
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -215,6 +216,112 @@ def test_labels_differing_only_by_a_trailing_nul_stay_apart():
     nul_only = trace_io.read_trace(io.StringIO(header + rows))
     with pytest.raises(ValueError, match="trace has 0 records for link 'AB'"):
         ev.run_experiment_from_trace(nul_only, cfg)
+
+
+def outcome(src):
+    """What reading `src` gives: the trace's contents or the error's line."""
+    try:
+        t = trace_io.read_trace(src)
+    except TraceFormatError as exc:
+        return ("error", exc.line)
+    return (t.m_full, t.sample_interval_us, t.description, t.time_index.tolist(),
+            t.link_labels, t.gains.tobytes())
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+def test_paths_and_streams_read_alike_for_every_row_end(tmp_path, end):
+    buf = io.StringIO()
+    trace_io.write_trace(two_link_trace(), buf)
+    good = buf.getvalue().splitlines()
+    cases = [
+        (good, None),
+        (good[:2] + ["# a comment", ""] + good[2:], None),
+        (good[:3] + ["2,AB,0.5,0.5,0.5,0.5"] + good[3:], 4),  # time goes back
+        (good + ["5,AE,0.5"], 6),  # too few fields
+    ]
+    for lines, error_line in cases:
+        text = end.join(lines) + end
+        path = tmp_path / "trace.csv"
+        path.write_bytes(text.encode("utf-8"))
+        got = [outcome(src) for src in (path, io.StringIO(text), io.BytesIO(path.read_bytes()))]
+        assert got[0] == got[1] == got[2]
+        if error_line is None:
+            assert got[0] == outcome(io.StringIO(buf.getvalue()))
+        else:
+            assert got[0] == ("error", error_line)
+
+
+@pytest.mark.parametrize("brk", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+def test_other_line_breaks_inside_a_row_are_errors_on_its_line(brk):
+    header = "#CSI,m_full=1,interval_us=1.0,desc=\n"
+    for row in (f"2,AB,0.5{brk},0.5", f"2,A{brk}B,0.5,0.5", f"2,AB,0.5,0.5{brk}", brk):
+        text = header + "1,AB,0.5,0.5\n" + row + "\n3,AB,0.5,0.5\n"
+        for src in (io.StringIO(text), io.BytesIO(text.encode("utf-8"))):
+            with pytest.raises(TraceFormatError) as err:
+                trace_io.read_trace(src)
+            assert err.value.line == 3
+
+
+def test_non_utf8_byte_reports_its_line(tmp_path, rng):
+    # rows of 48 subcarriers put the bad byte far past the first read-ahead
+    n = 400
+    trace = CsiTrace(
+        m_full=48, time_index=np.arange(1, n + 1), link_labels=["AB"] * n,
+        gains=rng.standard_normal((n, 48)) + 1j * rng.standard_normal((n, 48)),
+    )
+    path = tmp_path / "trace.csv"
+    trace_io.write_trace(trace, path)
+    lines = path.read_bytes().split(b"\n")
+    for k in (1, 2, 300, n + 1):
+        bad = lines.copy()
+        bad[k - 1] = bad[k - 1][:20] + b"\xff" + bad[k - 1][20:]
+        path.write_bytes(b"\n".join(bad))
+        for src in (path, io.BytesIO(path.read_bytes())):
+            with pytest.raises(TraceFormatError, match="UTF-8") as err:
+                trace_io.read_trace(src)
+            assert err.value.line == k
+
+
+def test_a_bad_last_record_is_found_before_anything_is_written(tmp_path):
+    gains = [[1 + 0j]] * 4
+    bad_time = CsiTrace(
+        m_full=1, time_index=[1, 1, 2, 2], link_labels=["AB", "AE", "AB", "AB"], gains=gains
+    )
+    bad_text = CsiTrace(
+        m_full=1, time_index=[1, 1, 2, 2], link_labels=["AB", "AE", "AB", "A\ud800"],
+        gains=gains,
+    )
+    for trace, reason in ((bad_time, "increasing"), (bad_text, "UTF-8")):
+        path = tmp_path / "trace.csv"
+        with pytest.raises(ValueError, match=reason):
+            trace_io.write_trace(trace, path)
+        assert not path.exists()
+        stream = io.StringIO()
+        with pytest.raises(ValueError, match=reason):
+            trace_io.write_trace(trace, stream)
+        assert stream.getvalue() == ""
+
+
+def test_memory_stays_near_the_size_of_the_gains(tmp_path, rng):
+    n, m_full = 2000, 48
+    trace = CsiTrace(
+        m_full=m_full, time_index=np.repeat(np.arange(1, n // 2 + 1), 2),
+        link_labels=["AB", "AE"] * (n // 2),
+        gains=rng.standard_normal((n, m_full)) + 1j * rng.standard_normal((n, m_full)),
+    )
+    path = tmp_path / "trace.csv"
+    tracemalloc.start()
+    try:
+        trace_io.write_trace(trace, path)
+        write_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        loaded = trace_io.read_trace(path)
+        read_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(loaded.gains, trace.gains)
+    assert write_peak < 0.25 * trace.gains.nbytes
+    assert read_peak < 2 * trace.gains.nbytes
 
 
 @settings(max_examples=200)
