@@ -82,6 +82,8 @@ class ExperimentConfig:
             raise ValueError(
                 f"need 1 <= m_subcarriers <= m_full, got {self.m_subcarriers} / {self.m_full}"
             )
+        if not self.snr_db > -math.inf:
+            raise ValueError(f"snr_db must be above -inf (inf is noiseless), got {self.snr_db}")
         if not 0.0 <= self.attack_intensity <= 1.0:
             raise ValueError("attack_intensity must lie in [0, 1]")
         if self.num_blocks < 2:

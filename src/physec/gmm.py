@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 __all__ = [
     "GmmModel",
@@ -113,11 +112,31 @@ def _weighted_log_densities(
     return _component_log_densities(x, means, variances) + log_w[None, :]
 
 
+def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
+    """Row-wise log(sum(exp(a))) of an (N, K) array.
+
+    The row maximum is shifted out, and the m entries equal to it are taken
+    out of the sum and added back as log(m).  The tests hold every result
+    bit for bit to a reference log-sum-exp with this arithmetic, so
+    reordering these operations would change every score.
+    """
+    a_max = np.max(a, axis=1, keepdims=True)
+    is_max = a == a_max
+    m = np.sum(is_max, axis=1, keepdims=True, dtype=np.float64)
+    # a row of -inf has no finite maximum to shift by: its sum is 0, its
+    # log -inf; a row holding NaN has no tied maximum (m = 0) and stays NaN
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.sum(np.exp(np.where(is_max, -np.inf, a) - a_max), axis=1, keepdims=True)
+        s = np.where(s == 0, s, s / m)
+        out = (np.log1p(s) + np.log(m) + a_max)[:, 0]
+    return np.where(a_max[:, 0] == -np.inf, -np.inf, out)
+
+
 def log_likelihoods(model: GmmModel, features) -> np.ndarray:
     """Mixture log-likelihood of each feature, computed via log-sum-exp."""
     x = as_feature_matrix(features, model.dim)
-    return logsumexp(
-        _weighted_log_densities(x, model.weights, model.means, model.variances), axis=1
+    return _logsumexp_rows(
+        _weighted_log_densities(x, model.weights, model.means, model.variances)
     )
 
 
@@ -166,7 +185,7 @@ def _em(x, weights, means, variances):
     ll_prev = None
     for _ in range(EM_ITERATIONS):
         lw = _weighted_log_densities(x, weights, means, variances)
-        per_sample = logsumexp(lw, axis=1)
+        per_sample = _logsumexp_rows(lw)
         ll = float(per_sample.sum())
         history.append(ll)
         resp = np.exp(lw - per_sample[:, None])
@@ -190,49 +209,31 @@ def _em(x, weights, means, variances):
     return weights, means, variances, history
 
 
-def fit(
-    training,
-    num_components: int,
-    target_fa: float,
-    rng_seed: int,
-    *,
-    init: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
-) -> GmmModel:
+def fit(training, num_components: int, target_fa: float, rng_seed: int) -> GmmModel:
     """Train the mixture on legitimate features and calibrate its threshold.
 
     Initial parameters come from k-means++-style seeding driven by
-    `rng_seed`, or from `init` (weights, means, variances) for warm starts,
-    which draw no random numbers.  The threshold is set on the training
-    scores at `target_fa`.
+    `rng_seed`.  The threshold is set on the training scores at `target_fa`.
     """
     x = as_feature_matrix(training)
-    n = x.shape[0]
     k = num_components
     if k < 1:
         raise ValueError("num_components must be >= 1")
-    if k > n:
-        raise ValueError(f"num_components={k} exceeds training size {n}")
-    if init is None:
-        rng = np.random.default_rng(rng_seed)
-        weights, means, variances = _seed_initial_parameters(x, k, rng)
-    else:
-        weights = np.asarray(init[0], dtype=np.float64).copy()
-        means = np.asarray(init[1], dtype=np.float64).copy()
-        variances = np.asarray(init[2], dtype=np.float64).copy()
-        if weights.size != k or means.shape != (k, x.shape[1]):
-            raise ValueError("warm-start parameters do not match num_components/data shape")
-        # a component may have starved in an earlier refit; give it a sliver of
-        # weight so EM can revive it instead of freezing it at exactly zero
-        weights = np.maximum(weights, 1e-12)
-        weights = weights / weights.sum()
-        variances = np.maximum(variances, MIN_VARIANCE)
+    if k > x.shape[0]:
+        raise ValueError(f"num_components={k} exceeds training size {x.shape[0]}")
+    rng = np.random.default_rng(rng_seed)
+    return _fit_from(x, *_seed_initial_parameters(x, k, rng), target_fa)
+
+
+def _fit_from(x, weights, means, variances, target_fa: float) -> GmmModel:
+    """EM from the given start on `x`, then the threshold at `target_fa`."""
     weights, means, variances, history = _em(x, weights, means, variances)
     model = GmmModel(
         weights,
         means,
         variances,
         threshold=None,
-        trained_on=n,
+        trained_on=x.shape[0],
         em_log_likelihoods=history,
     )
     scores = log_likelihoods(model, x)
@@ -269,6 +270,9 @@ def update_block(model: GmmModel, block, accepted: np.ndarray, target_fa: float)
     k = model.num_components
     if n_accepted < max(k, math.ceil(UPDATE_GUARD_FRACTION * x.shape[0])):
         return model
-    # a warm start draws no random numbers, so its seed is never read
-    init = (model.weights, model.means, model.variances)
-    return fit(x[accepted], k, target_fa, rng_seed=0, init=init)
+    # a component may have starved in an earlier refit; give it a sliver of
+    # weight so EM can revive it instead of freezing it at exactly zero
+    weights = np.maximum(model.weights, 1e-12)
+    weights = weights / weights.sum()
+    variances = np.maximum(model.variances, MIN_VARIANCE)
+    return _fit_from(x[accepted], weights, model.means, variances, target_fa)

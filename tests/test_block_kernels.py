@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from physec import channel as ch
 from physec import evaluation as ev
@@ -242,6 +243,34 @@ def test_block_scores_match_per_row_scores(m):
     scores = gmm.log_likelihoods(model, features)
     per_row = np.array([gmm.log_likelihoods(model, row)[0] for row in features])
     assert np.array_equal(scores, per_row)
+
+
+def test_row_logsumexp_matches_scipy():
+    # the mixture's log-sum-exp is written out in numpy with scipy's own
+    # arithmetic; scipy stays here as the independent reference
+    rng = np.random.default_rng(18)
+    wide = rng.standard_normal((300, 3)) * 10.0 ** rng.uniform(-3, 3, (300, 1))
+    cases = {
+        "tied maxima": np.array(
+            [[1.0, 1.0, -2.0], [-5.0, 0.5, 0.5], [4.0, 4.0, 4.0], [-700.0, -700.0, -700.0]]
+        ),
+        "zero weights": np.array(
+            [[0.3, -np.inf, -1.2], [-np.inf, -np.inf, 2.0], [-np.inf, 5.0, 5.0]]
+        ),
+        "all weights zero": np.full((2, 3), -np.inf),
+        "single column": rng.standard_normal((50, 1)) * 100.0,
+        "wide magnitudes": np.vstack(
+            [wide, 50.0 * rng.standard_normal((100, 3)), rng.standard_normal((100, 3)) - 700.0]
+        ),
+        "mixture with a dead component": gmm._weighted_log_densities(
+            rng.standard_normal((200, 4)),
+            np.array([0.6, 0.4, 0.0]),
+            rng.standard_normal((3, 4)),
+            rng.uniform(0.5, 2.0, (3, 4)),
+        ),
+    }
+    for name, a in cases.items():
+        assert np.array_equal(gmm._logsumexp_rows(a), logsumexp(a, axis=1)), name
 
 
 def test_mse_block_scores_match_a_per_row_walk():

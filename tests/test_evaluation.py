@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -363,6 +364,8 @@ def test_overflowing_prefilter_gains_are_rejected():
         dict(gmm_components=0),
         dict(rng_seed=-1),
         dict(prefilter="mystery-mode"),
+        dict(snr_db=math.nan),
+        dict(snr_db=-math.inf),
     ],
 )
 def test_invalid_configurations_rejected(overrides):

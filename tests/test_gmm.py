@@ -44,9 +44,14 @@ def naive_mixture_log_density(row, weights, means, variances):
 TARGET_FA = 0.01
 
 
-def fit(x, num_components=3, target_fa=TARGET_FA, **kwargs) -> GmmModel:
+def fit(x, num_components=3, target_fa=TARGET_FA) -> GmmModel:
     """`gmm.fit` seeded with 0."""
-    return gmm.fit(x, num_components, target_fa, 0, **kwargs)
+    return gmm.fit(x, num_components, target_fa, 0)
+
+
+def refit_all(model, block, target_fa=TARGET_FA) -> GmmModel:
+    """`gmm.update_block` warm-started from `model`, accepting every sample."""
+    return gmm.update_block(model, block, np.ones(len(block), dtype=bool), target_fa)
 
 
 def single_gaussian_model(mean=0.0, var=1.0, threshold=None) -> GmmModel:
@@ -99,13 +104,14 @@ def test_two_separated_clusters_recovered(rng):
 
 def test_duplicating_samples_changes_nothing_given_same_start(rng):
     x = rng.standard_normal((200, 2))
-    init = (
+    start = GmmModel(
         np.array([0.5, 0.5]),
         np.array([[0.5, 0.0], [-0.5, 0.0]]),
         np.ones((2, 2)),
     )
-    m1 = fit(x, 2, 0.05, init=init)
-    m2 = fit(np.vstack([x, x]), 2, 0.05, init=init)
+    m1 = refit_all(start, x, 0.05)
+    m2 = refit_all(start, np.vstack([x, x]), 0.05)
+    assert (m1.trained_on, m2.trained_on) == (200, 400)
     assert np.allclose(m1.weights, m2.weights, atol=1e-9)
     assert np.allclose(m1.means, m2.means, atol=1e-9)
     assert np.allclose(m1.variances, m2.variances, atol=1e-9)
@@ -142,24 +148,19 @@ def test_fit_input_validation(rng):
         fit([])
     with pytest.raises(ValueError, match="exceeds training size"):
         fit(rng.random((2, 3)), num_components=3)
-    with pytest.raises(ValueError, match="warm-start"):
-        fit(
-            rng.random((10, 2)),
-            num_components=2,
-            init=(np.array([1.0]), np.zeros((1, 2)), np.ones((1, 2))),
-        )
 
 
 def test_warm_start_with_dead_component_survives(rng):
     # a component whose weight starved to exactly zero must not poison
     # subsequent refits
     x = rng.standard_normal((100, 2))
-    init = (
+    start = GmmModel(
         np.array([0.7, 0.3, 0.0]),
         np.array([[0.0, 0.0], [1.0, 1.0], [50.0, 50.0]]),
         np.ones((3, 2)),
     )
-    model = fit(x, init=init)
+    model = refit_all(start, x)
+    assert model.trained_on == 100
     assert abs(model.weights.sum() - 1.0) < 1e-9
     assert np.all(np.isfinite(model.means))
     assert np.all(model.variances >= 1e-8)
@@ -262,9 +263,13 @@ def test_one_dimensional_density_integrates_to_one():
 
 def test_score_is_finite_for_extreme_inputs():
     model = single_gaussian_model(var=1e-8)
-    val = log_likelihood(model, 1e100)
-    assert math.isfinite(val) or val == -math.inf  # never nan
-    assert not math.isnan(val)
+    # at 1e200 the squared distance overflows and every component's
+    # log-density is -inf
+    for value in (1e100, 1e200):
+        with np.errstate(over="ignore"):
+            val = log_likelihood(model, value)
+        assert math.isfinite(val) or val == -math.inf  # never nan
+        assert not math.isnan(val)
 
 
 def test_dimension_mismatch_rejected():
@@ -373,7 +378,7 @@ def test_update_refits_on_accepted_subset(rng):
     updated = gmm.update_block(model, block, accepted, TARGET_FA)
     assert updated is not model
     assert updated.trained_on == int(accepted.sum())
-    refit = fit(block[accepted], init=(model.weights, model.means, model.variances))
+    refit = refit_all(model, block[accepted])
     assert np.array_equal(updated.means, refit.means)
     assert updated.threshold == refit.threshold
 
