@@ -41,9 +41,13 @@ def normalize_magnitude_block(selected: np.ndarray) -> np.ndarray:
     # a column selection is not C-contiguous, and row sums over it can differ
     # in the last bits from the sum over each row on its own
     mags = np.abs(np.ascontiguousarray(selected))
-    totals = mags.sum(axis=1)
+    with np.errstate(over="ignore"):  # an overflowed sum is rejected below
+        totals = mags.sum(axis=1)
     if np.any(totals == 0):
         raise ValueError("all-zero estimate: magnitude normalization is undefined")
+    # dividing by an infinite sum would turn the row into zeros
+    if not np.all(np.isfinite(totals)):
+        raise ValueError("estimate magnitudes do not sum to a finite value")
     return mags / totals[:, None]
 
 

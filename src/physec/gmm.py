@@ -60,6 +60,10 @@ class GmmModel:
             raise ValueError("means must have shape (num_components, dim)")
         if self.variances.shape != self.means.shape:
             raise ValueError("variances must have the same shape as means")
+        # NaN passes every comparison below, so it is ruled out first
+        for name in ("weights", "means", "variances"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite")
         if np.any(self.weights < 0):
             raise ValueError("weights must be non-negative")
         if abs(float(self.weights.sum()) - 1.0) > 1e-9:
@@ -81,6 +85,8 @@ def as_feature_matrix(features, dim: int | None = None) -> np.ndarray:
 
     EM's reductions and matrix products depend on the memory layout, so the
     same values in another layout would train a slightly different model.
+    A NaN or infinite feature is an error: it would otherwise come out as a
+    NaN model or a meaningless threshold.
     """
     x = np.ascontiguousarray(features, dtype=np.float64)
     if x.ndim == 1:
@@ -91,25 +97,42 @@ def as_feature_matrix(features, dim: int | None = None) -> np.ndarray:
         raise ValueError("empty feature collection")
     if dim is not None and x.shape[1] != dim:
         raise ValueError(f"expected feature dimension {dim}, got {x.shape[1]}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("features must be finite")
     return x
 
 
 def _component_log_densities(
-    x: np.ndarray, means: np.ndarray, variances: np.ndarray
+    x: np.ndarray, means: np.ndarray, variances: np.ndarray, work: np.ndarray
 ) -> np.ndarray:
-    """Per-sample, per-component diagonal Gaussian log-densities, shape (N, K)."""
-    diff = x[:, None, :] - means[None, :, :]
-    quad = np.sum(diff * diff / variances[None, :, :], axis=2)
+    """Per-sample, per-component diagonal Gaussian log-densities, shape (N, K).
+
+    `work` is an (N, D) scratch buffer that is overwritten.  Component by
+    component it holds (x - mean)**2 / variance, the same operations in the
+    same order as the (N, K, D) broadcast form, and each row sum runs over
+    the same contiguous D values, so the result is bit for bit the same
+    without allocating anything larger than (N, K).
+    """
+    quad = np.empty((x.shape[0], means.shape[0]))
+    for j in range(means.shape[0]):
+        np.subtract(x, means[j], out=work)
+        np.multiply(work, work, out=work)
+        np.divide(work, variances[j], out=work)
+        np.add.reduce(work, axis=1, out=quad[:, j])
     log_norm = np.sum(np.log(variances), axis=1) + means.shape[1] * _LOG_2PI
     return -0.5 * (quad + log_norm[None, :])
 
 
 def _weighted_log_densities(
-    x: np.ndarray, weights: np.ndarray, means: np.ndarray, variances: np.ndarray
+    x: np.ndarray,
+    weights: np.ndarray,
+    means: np.ndarray,
+    variances: np.ndarray,
+    work: np.ndarray,
 ) -> np.ndarray:
     with np.errstate(divide="ignore"):  # zero weights contribute -inf, which is correct
         log_w = np.log(weights)
-    return _component_log_densities(x, means, variances) + log_w[None, :]
+    return _component_log_densities(x, means, variances, work) + log_w[None, :]
 
 
 def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
@@ -136,7 +159,9 @@ def log_likelihoods(model: GmmModel, features) -> np.ndarray:
     """Mixture log-likelihood of each feature, computed via log-sum-exp."""
     x = as_feature_matrix(features, model.dim)
     return _logsumexp_rows(
-        _weighted_log_densities(x, model.weights, model.means, model.variances)
+        _weighted_log_densities(
+            x, model.weights, model.means, model.variances, np.empty_like(x)
+        )
     )
 
 
@@ -183,8 +208,9 @@ def _em(x, weights, means, variances):
     n = x.shape[0]
     history = []
     ll_prev = None
+    work = np.empty_like(x)  # the E- and M-steps' only (N, D) array
     for _ in range(EM_ITERATIONS):
-        lw = _weighted_log_densities(x, weights, means, variances)
+        lw = _weighted_log_densities(x, weights, means, variances, work)
         per_sample = _logsumexp_rows(lw)
         ll = float(per_sample.sum())
         history.append(ll)
@@ -198,8 +224,9 @@ def _em(x, weights, means, variances):
         new_var = np.empty_like(variances)
         for j in range(weights.size):
             if nk[j] > 0:
-                d = x - means[j]
-                new_var[j] = resp[:, j] @ (d * d) / nk[j]
+                np.subtract(x, means[j], out=work)
+                np.multiply(work, work, out=work)
+                new_var[j] = resp[:, j] @ work / nk[j]
             else:
                 new_var[j] = variances[j]
         variances = np.maximum(new_var, MIN_VARIANCE)

@@ -6,6 +6,7 @@ written-out per-message reference, or the same kernel called on single rows.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -245,6 +246,69 @@ def test_block_scores_match_per_row_scores(m):
     assert np.array_equal(scores, per_row)
 
 
+def broadcast_log_densities(x, means, variances):
+    """Per-component Gaussian log-densities written out over an (N, K, D) broadcast."""
+    diff = x[:, None, :] - means[None, :, :]
+    quad = np.sum(diff * diff / variances[None, :, :], axis=2)
+    log_norm = np.sum(np.log(variances), axis=1) + means.shape[1] * math.log(2.0 * math.pi)
+    return -0.5 * (quad + log_norm[None, :])
+
+
+@pytest.mark.parametrize("n, k, d", [(1, 1, 1), (50, 3, 7), (1000, 3, 16), (300, 5, 48)])
+def test_component_log_densities_match_the_broadcast_formula(n, k, d):
+    rng = np.random.default_rng(19)
+    x = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-3, 3, (n, 1))
+    means = rng.standard_normal((k, d))
+    variances = 10.0 ** rng.uniform(-8, 1, (k, d))
+    # rows at 1e200 square to inf, and their densities to -inf
+    for rows in (x, np.vstack([x, np.full((2, d), 1e200), np.full((1, d), -1e200)])):
+        with np.errstate(over="ignore"):
+            expected = broadcast_log_densities(rows, means, variances)
+            got = gmm._component_log_densities(rows, means, variances, np.empty_like(rows))
+        assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("n, k, d", [(50, 3, 7), (1000, 3, 16)])
+def test_one_em_iteration_matches_a_written_out_step(n, k, d, monkeypatch):
+    rng = np.random.default_rng(20)
+    x = rng.standard_normal((n, d))
+    weights = rng.dirichlet(np.ones(k))
+    means = rng.standard_normal((k, d))
+    variances = rng.uniform(0.5, 2.0, (k, d))
+    lw = broadcast_log_densities(x, means, variances) + np.log(weights)[None, :]
+    per_sample = logsumexp(lw, axis=1)
+    resp = np.exp(lw - per_sample[:, None])
+    nk = resp.sum(axis=0)
+    expected_means = (resp.T @ x) / nk[:, None]
+    expected_variances = np.empty_like(variances)
+    for j in range(k):
+        diff = x - expected_means[j]
+        expected_variances[j] = resp[:, j] @ (diff * diff) / nk[j]
+
+    monkeypatch.setattr(gmm, "EM_ITERATIONS", 1)
+    new_weights, new_means, new_variances, history = gmm._em(x, weights, means, variances)
+    assert np.array_equal(new_weights, nk / n)
+    assert np.array_equal(new_means, expected_means)
+    assert np.array_equal(new_variances, np.maximum(expected_variances, gmm.MIN_VARIANCE))
+    assert history == [float(per_sample.sum())]
+
+
+def test_em_allocates_nothing_the_size_of_an_n_k_d_array():
+    # the E- and M-steps share one (N, D) scratch buffer; the broadcast form
+    # built three (N, K, D) temporaries per E-step
+    n, k, d = 2000, 3, 16
+    rng = np.random.default_rng(21)
+    x = rng.standard_normal((n, d))
+    start = (np.full(k, 1.0 / k), rng.standard_normal((k, d)), np.ones((k, d)))
+    tracemalloc.start()
+    try:
+        gmm._em(x, *start)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * k * d * 8
+
+
 def test_row_logsumexp_matches_scipy():
     # the mixture's log-sum-exp is written out in numpy with scipy's own
     # arithmetic; scipy stays here as the independent reference
@@ -267,6 +331,7 @@ def test_row_logsumexp_matches_scipy():
             np.array([0.6, 0.4, 0.0]),
             rng.standard_normal((3, 4)),
             rng.uniform(0.5, 2.0, (3, 4)),
+            np.empty((200, 4)),
         ),
     }
     for name, a in cases.items():

@@ -275,6 +275,22 @@ def test_traces_with_non_finite_gains_are_usage_errors(tmp_path, bad):
     assert exc.value.code == 2
 
 
+def test_a_trace_row_whose_magnitudes_overflow_is_a_usage_error(tmp_path, capsys):
+    # every gain is finite, but the row's magnitudes sum to inf: normalized,
+    # it used to become an all-zero feature that was scored like any other
+    trace = tmp_path / "trace.csv"
+    assert run_cli("simulate", *DESK, "--out", str(trace)) == 0
+    lines = trace.read_text().splitlines()
+    cells = lines[3].split(",")
+    lines[3] = ",".join(cells[:2] + ["1e308"] * (len(cells) - 2))
+    trace.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        run_cli("evaluate", *DESK, "--m", "8", "--trace", str(trace))
+    assert exc.value.code == 2
+    assert "do not sum to a finite value" in capsys.readouterr().err
+
+
 def test_trace_time_index_outside_int64_is_a_usage_error(tmp_path, capsys):
     # magnitude features never read time, but the index must still fit int64
     trace = tmp_path / "trace.csv"

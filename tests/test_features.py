@@ -82,6 +82,15 @@ def test_all_zero_estimate_rejected():
         normalize([0j, 0j])
 
 
+def test_estimate_whose_magnitudes_do_not_sum_to_a_finite_value_rejected():
+    # every gain is finite, but 48 magnitudes of 1.4e308 sum to inf, and
+    # divided by it the row used to come out as all zeros
+    with pytest.raises(ValueError, match="do not sum to a finite value"):
+        normalize([1e308 + 1e308j] * 48)
+    with pytest.raises(ValueError, match="do not sum to a finite value"):
+        normalize([1.0 + 0j, complex(math.nan, 0.0)])
+
+
 def complex_gains(**float_options):
     part = st.floats(min_value=-100.0, max_value=100.0, **float_options)
     return st.lists(st.tuples(part, part), min_size=1, max_size=32).filter(

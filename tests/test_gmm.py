@@ -152,18 +152,20 @@ def test_fit_input_validation(rng):
 
 def test_warm_start_with_dead_component_survives(rng):
     # a component whose weight starved to exactly zero must not poison
-    # subsequent refits
-    x = rng.standard_normal((100, 2))
+    # subsequent refits, and must win back the cluster it sits on: without
+    # its sliver of weight its responsibilities stay exactly zero
+    x = np.vstack([rng.standard_normal((100, 2)), 20.0 + 0.1 * rng.standard_normal((50, 2))])
     start = GmmModel(
         np.array([0.7, 0.3, 0.0]),
-        np.array([[0.0, 0.0], [1.0, 1.0], [50.0, 50.0]]),
-        np.ones((3, 2)),
+        np.array([[0.0, 0.0], [1.0, 1.0], [20.0, 20.0]]),
+        np.array([np.ones(2), np.ones(2), np.full(2, 0.01)]),
     )
     model = refit_all(start, x)
-    assert model.trained_on == 100
+    assert model.trained_on == 150
     assert abs(model.weights.sum() - 1.0) < 1e-9
     assert np.all(np.isfinite(model.means))
     assert np.all(model.variances >= 1e-8)
+    assert model.weights[2] > 0.2
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +197,7 @@ def test_responsibilities_are_a_distribution(rng, monkeypatch):
     weights = np.array([0.2, 0.5, 0.3])
     means = rng.standard_normal((3, 3))
     variances = rng.uniform(0.5, 2.0, (3, 3))
-    lw = gmm._weighted_log_densities(x, weights, means, variances)
+    lw = gmm._weighted_log_densities(x, weights, means, variances, np.empty_like(x))
     resp = np.exp(lw - logsumexp(lw, axis=1)[:, None])
     assert resp.shape == (64, 3)
     assert np.all(resp >= 0)
@@ -448,6 +450,23 @@ def test_as_feature_matrix_shapes(rng):
         gmm.as_feature_matrix(np.zeros((4, 3)), dim=2)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_features_are_rejected(rng, bad):
+    # one NaN used to train a model of NaN weights with a NaN threshold, and
+    # an inf failed inside the seeding with a message about probabilities
+    x = rng.standard_normal((200, 4))
+    model = fit(x)
+    x[17, 2] = bad
+    with pytest.raises(ValueError, match="features must be finite"):
+        gmm.as_feature_matrix(x)
+    with pytest.raises(ValueError, match="features must be finite"):
+        fit(x)
+    with pytest.raises(ValueError, match="features must be finite"):
+        refit_all(model, x)
+    with pytest.raises(ValueError, match="features must be finite"):
+        gmm.log_likelihoods(model, x)
+
+
 def test_detector_config_validation(rng):
     x = rng.standard_normal((20, 2))
     with pytest.raises(ValueError, match="num_components"):
@@ -465,3 +484,14 @@ def test_model_invariant_validation():
         GmmModel(np.array([1.0]), np.zeros((1, 1)), np.full((1, 1), 1e-12))
     with pytest.raises(ValueError, match="shape"):
         GmmModel(np.array([1.0]), np.zeros((2, 1)), np.ones((2, 1)))
+
+
+@pytest.mark.parametrize("name", ["weights", "means", "variances"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_model_rejects_non_finite_parameters(name, bad):
+    # NaN slips past the sign, sum and floor checks, since every comparison
+    # with it is False
+    params = dict(weights=np.array([0.5, 0.5]), means=np.zeros((2, 3)), variances=np.ones((2, 3)))
+    params[name][-1] = bad
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        GmmModel(**params)

@@ -109,6 +109,18 @@ def test_calibration_false_alarm_never_exceeds_target(n, d, target, seed):
     assert np.mean(scores > s.threshold) <= target + 1e-12
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_features_are_rejected(bad):
+    # a NaN used to drop out of the quantile and leave a finite threshold
+    x = np.random.default_rng(3).standard_normal((200, 4))
+    s = mse.fit_mse(x, 0.05)
+    x[17, 2] = bad
+    with pytest.raises(ValueError, match="features must be finite"):
+        mse.fit_mse(x, 0.05)
+    with pytest.raises(ValueError, match="features must be finite"):
+        mse.score_block(s, x)
+
+
 def test_state_validation():
     with pytest.raises(ValueError):
         mse.MseDetectorState(reference=np.empty(0))
