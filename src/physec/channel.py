@@ -136,53 +136,83 @@ def sample_initial_channel(process: ChannelProcess, m_full: int) -> np.ndarray:
     return np.fft.fft(process._draw_taps(1)[0], n=m_full)
 
 
-def evolve_block(gains: np.ndarray, process: ChannelProcess, count: int) -> np.ndarray:
-    """Gains after each of `count` successive one-interval evolutions.
+def evolve_block(gains: np.ndarray, processes, count: int) -> np.ndarray:
+    """Gains of L links after each of `count` successive one-interval evolutions.
 
     Per tap the update is h_new = rho * h_old + sqrt(1 - rho^2) * innovation
     with rho = exp(-1 / coherence_samples) and the innovation drawn from
     the tap's stationary distribution.  The DFT is linear, so the same
     combination is applied directly to the frequency-domain gains using a
     freshly drawn innovation channel; the stationary distribution is
-    preserved exactly.  `gains` has shape (m_full,); the result has shape
-    (count, m_full) and row k is the state k + 1 evolutions after `gains`.
+    preserved exactly.  `gains` has shape (L, m_full), row l evolving under
+    `processes[l]`; all L processes share one step correlation and one tap
+    count.  The result has shape (count, L, m_full) and [k, l] is link l
+    k + 1 evolutions after `gains[l]`.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    m_full = gains.shape[-1]
-    _check_m_full(process, m_full)
-    rho = process.step_correlation()
-    innovation = np.sqrt(1.0 - rho * rho) * np.fft.fft(
-        process._draw_taps(count), n=m_full, axis=1
-    )
-    out = np.empty((count, m_full), dtype=np.complex128)
-    current = gains
-    # the recursion is sequential; everything else above is one array op
-    for k in range(count):
-        current = out[k] = rho * current + innovation[k]
+    gains = np.ascontiguousarray(gains, dtype=np.complex128)
+    if gains.ndim != 2 or not len(gains) or len(processes) != len(gains):
+        raise ValueError(
+            f"need one process per row of (L, m_full) gains, got {len(processes)} "
+            f"for shape {gains.shape}"
+        )
+    m_full = gains.shape[1]
+    first = processes[0]
+    _check_m_full(first, m_full)
+    rho = first.step_correlation()
+    for process in processes[1:]:
+        if process.step_correlation() != rho or process.num_taps != first.num_taps:
+            raise ValueError("linked processes must share coherence_samples and num_taps")
+    taps = np.empty((count, len(processes), first.num_taps), dtype=np.complex128)
+    for link, process in enumerate(processes):
+        taps[:, link] = process._draw_taps(count)
+    out = np.fft.fft(taps, n=m_full, axis=2)
+    out *= np.sqrt(1.0 - rho * rho)
+    # rho is real, so the recursion runs on the real and imaginary parts of
+    # every link at once; it is sequential, everything else is one array op
+    rows = out.view(np.float64).reshape(count, -1)
+    scratch = np.empty(rows.shape[1])
+    prev = gains.view(np.float64).reshape(-1)
+    for row in rows:
+        np.multiply(prev, rho, out=scratch)
+        row += scratch
+        prev = row
     return out
 
 
-def estimate_block(truth: np.ndarray, noise: NoiseModel) -> np.ndarray:
-    """Noisy estimates of a (count, m_full) block of true gains.
+def estimate_block(truth: np.ndarray, noises) -> np.ndarray:
+    """Add estimation noise to a (count, L, m_full) block of true gains, in place.
 
-    Adds i.i.d. CN(0, noise_variance) per entry; row k takes the same draws
-    as the k-th of `count` successive single-estimate draws.
+    Link l gets i.i.d. CN(0, noise_variance) from `noises[l]`; row k takes
+    the same draws as the k-th of `count` successive single-estimate draws.
+    Returns `truth`, which now holds the estimates.
     """
-    count, m_full = truth.shape
-    std = np.sqrt(noise.noise_variance / 2.0)
-    z = noise._rng.standard_normal((count, 2, m_full))
-    return truth + (z[:, 0] + 1j * z[:, 1]) * std
+    count, links, m_full = truth.shape
+    if len(noises) != links:
+        raise ValueError(f"need one noise model per link, got {len(noises)} for {links}")
+    scratch = np.empty((count, 2, m_full))
+    for link, noise in enumerate(noises):
+        noise._rng.standard_normal(out=scratch)
+        scratch *= np.sqrt(noise.noise_variance / 2.0)
+        real, imag = truth[:, link].real, truth[:, link].imag
+        real += scratch[:, 0]
+        imag += scratch[:, 1]
+    return truth
 
 
 def prefilter_block(gains: np.ndarray, prefilter: Prefilter) -> np.ndarray:
-    """Gains (last axis = subcarriers) seen through a transmit prefilter."""
+    """Pass gains (last axis = subcarriers) through a transmit prefilter, in place.
+
+    Returns `gains`, which now holds the filtered gains.
+    """
     if prefilter.coefficients.size != gains.shape[-1]:
         raise ValueError(
             f"prefilter length {prefilter.coefficients.size} does not match "
             f"m_full={gains.shape[-1]}"
         )
-    return gains * prefilter.coefficients
+    gains *= prefilter.coefficients
+    return gains
 
 
 def perfect_imitation_prefilter(target: np.ndarray, actual: np.ndarray) -> Prefilter:

@@ -302,16 +302,18 @@ def cmd_simulate(args, parser) -> int:
     gains = np.empty((requested_blocks, n, 2, config.m_full), dtype=np.complex128)
     for block, (bob, eve) in zip(gains, ev.simulated_estimate_blocks(config)):
         block[:, 0], block[:, 1] = bob, eve
-    trace = trace_io.CsiTrace(
-        m_full=config.m_full,
-        sample_interval_us=s.get("interval_us", trace_io.DEFAULT_INTERVAL_US),
-        description=s.get("desc", "simulated"),
-        time_index=np.repeat(np.arange(1, total + 1), 2),
-        link_labels=[ev.BOB_LINK, ev.EVE_LINK] * total,
-        gains=gains.reshape(2 * total, config.m_full),
-    )
     try:
+        trace = trace_io.CsiTrace(
+            m_full=config.m_full,
+            sample_interval_us=s.get("interval_us", trace_io.DEFAULT_INTERVAL_US),
+            description=s.get("desc", "simulated"),
+            time_index=np.repeat(np.arange(1, total + 1), 2),
+            link_labels=[ev.BOB_LINK, ev.EVE_LINK] * total,
+            gains=gains.reshape(2 * total, config.m_full),
+        )
         trace_io.write_trace(trace, args.out)
+    except ValueError as exc:
+        parser.error(str(exc))
     except OSError as exc:
         parser.error(f"cannot write trace: {exc}")
     print(

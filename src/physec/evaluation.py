@@ -159,39 +159,36 @@ def _derived_seeds(seed: int) -> list[int]:
 def simulated_estimate_blocks(config: ExperimentConfig):
     """Infinite stream of (bob, eve) estimate blocks, one message per row.
 
-    Each block is a pair of (block_size, m_full) complex arrays.  Both links
-    evolve every message so their time bases stay aligned; the attacker's
-    channel passes through the configured prefilter before estimation.
+    Each block is a pair of (block_size, m_full) complex views of one
+    (block_size, 2, m_full) array, link 0 Bob's and link 1 Eve's.  Both
+    links evolve every message so their time bases stay aligned; the
+    attacker's channel passes through the configured prefilter before
+    estimation.
     """
     seeds = _derived_seeds(config.rng_seed)
     pdp = ch.exponential_tap_powers(config.num_taps)
-    bob_proc = ch.ChannelProcess(config.num_taps, pdp, config.coherence_samples, seeds[0])
-    eve_proc = ch.ChannelProcess(config.num_taps, pdp, config.coherence_samples, seeds[1])
+    processes = [
+        ch.ChannelProcess(config.num_taps, pdp, config.coherence_samples, seed)
+        for seed in seeds[:2]
+    ]
     noise_var = ch.snr_db_to_noise_variance(config.snr_db)
-    bob_noise = ch.NoiseModel(noise_var, seeds[2])
-    eve_noise = ch.NoiseModel(noise_var, seeds[3])
-    b = ch.sample_initial_channel(bob_proc, config.m_full)
-    e = ch.sample_initial_channel(eve_proc, config.m_full)
+    noises = [ch.NoiseModel(noise_var, seed) for seed in seeds[2:4]]
+    state = np.stack([ch.sample_initial_channel(p, config.m_full) for p in processes])
     prefilter = config.prefilter
     if isinstance(prefilter, str):
-        prefilter = ch.perfect_imitation_prefilter(b, e)
-
-    def link_block(gains, process, noise, prefilter=None):
-        """Next block of estimates of one link, and its last true gains."""
-        truth = ch.evolve_block(gains, process, config.block_size)
-        last = truth[-1].copy()
-        if prefilter is not None:
-            truth = ch.prefilter_block(truth, prefilter)
-        return _finite(ch.estimate_block(truth, noise)), last
+        prefilter = ch.perfect_imitation_prefilter(state[0], state[1])
 
     def next_block():
-        nonlocal b, e
-        bob_block, b = link_block(b, bob_proc, bob_noise)
-        eve_block, e = link_block(e, eve_proc, eve_noise, prefilter)
-        return bob_block, eve_block
+        nonlocal state
+        truth = ch.evolve_block(state, processes, config.block_size)
+        state = truth[-1].copy()
+        if prefilter is not None:
+            ch.prefilter_block(truth[:, 1], prefilter)
+        est = _finite(ch.estimate_block(truth, noises))
+        return est[:, 0], est[:, 1]
 
     # unlike a suspended generator, a returned call holds no block while the
-    # caller works on it, which keeps peak memory near one block per link
+    # caller works on it, which keeps peak memory near one block
     return iter(next_block, None)
 
 

@@ -20,6 +20,7 @@ memory stays near the size of the gains array.
 from __future__ import annotations
 
 import io
+import math
 from array import array
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
@@ -61,8 +62,9 @@ class CsiTrace:
     def __post_init__(self):
         if self.m_full < 1:
             raise ValueError("m_full must be >= 1")
-        if not self.sample_interval_us > 0:
-            raise ValueError("sample_interval_us must be positive")
+        # the reader's rule: a header that could not be read back is refused
+        if not 0 < self.sample_interval_us < math.inf:
+            raise ValueError("sample_interval_us must be a finite positive real")
         try:
             self.time_index = np.asarray(self.time_index, dtype=np.int64)
         except OverflowError as exc:

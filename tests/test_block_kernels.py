@@ -66,11 +66,12 @@ def test_block_evolution_matches_repeated_single_steps(coherence, rows_per_call)
     assert np.array_equal(ch.sample_initial_channel(chunk_proc, M_FULL), start)
     assert np.array_equal(ch.sample_initial_channel(ref_proc, M_FULL), start)
 
-    block = ch.evolve_block(start, block_proc, BLOCK)
+    block = ch.evolve_block(start[None], [block_proc], BLOCK)[:, 0]
     assert block.shape == (BLOCK, M_FULL)
     chunks, last = [], start
     for first in range(0, BLOCK, rows_per_call):
-        chunks.append(ch.evolve_block(last, chunk_proc, min(rows_per_call, BLOCK - first)))
+        rows = min(rows_per_call, BLOCK - first)
+        chunks.append(ch.evolve_block(last[None], [chunk_proc], rows)[:, 0])
         last = chunks[-1][-1]
     assert np.array_equal(block, np.concatenate(chunks))
     ref = start
@@ -79,8 +80,8 @@ def test_block_evolution_matches_repeated_single_steps(coherence, rows_per_call)
         assert np.array_equal(block[k], ref)
     # the streams stay aligned after the block
     assert np.array_equal(
-        ch.evolve_block(block[-1], block_proc, 1)[0],
-        ch.evolve_block(last, chunk_proc, 1)[0],
+        ch.evolve_block(block[-1][None], [block_proc], 1)[0],
+        ch.evolve_block(last[None], [chunk_proc], 1)[0],
     )
 
 
@@ -88,9 +89,9 @@ def test_block_evolution_validation():
     proc = fresh_process()
     gains = ch.sample_initial_channel(proc, M_FULL)
     with pytest.raises(ValueError, match="count"):
-        ch.evolve_block(gains, proc, 0)
+        ch.evolve_block(gains[None], [proc], 0)
     with pytest.raises(ValueError, match="m_full"):
-        ch.evolve_block(gains[: TAPS - 1], proc, 4)
+        ch.evolve_block(gains[None, : TAPS - 1], [proc], 4)
 
 
 @pytest.mark.parametrize("variance", [0.0, 0.01, 0.3])
@@ -99,10 +100,11 @@ def test_block_estimation_matches_repeated_single_estimates(variance):
     block_noise, single_noise, ref_noise = (
         ch.NoiseModel(variance, rng_seed=8) for _ in range(3)
     )
-    block = ch.estimate_block(truth, block_noise)
+    block = ch.estimate_block(truth[:, None].copy(), [block_noise])[:, 0]
     std = np.sqrt(variance / 2.0)
     for k in range(BLOCK):
-        assert np.array_equal(block[k], ch.estimate_block(truth[k : k + 1], single_noise)[0])
+        single = ch.estimate_block(truth[k : k + 1, None].copy(), [single_noise])[0, 0]
+        assert np.array_equal(block[k], single)
         eps = (
             ref_noise._rng.standard_normal(M_FULL) + 1j * ref_noise._rng.standard_normal(M_FULL)
         ) * std
@@ -113,12 +115,93 @@ def test_block_prefilter_matches_single_prefilter():
     gains = random_estimates(9)
     coefficients = random_estimates(10, rows=1)[0]
     prefilter = ch.Prefilter(coefficients)
-    block = ch.prefilter_block(gains, prefilter)
+    block = ch.prefilter_block(gains.copy(), prefilter)
     for k in range(BLOCK):
-        assert np.array_equal(block[k], ch.prefilter_block(gains[k], prefilter))
+        assert np.array_equal(block[k], ch.prefilter_block(gains[k].copy(), prefilter))
         assert np.array_equal(block[k], gains[k] * coefficients)
     with pytest.raises(ValueError, match="does not match"):
         ch.prefilter_block(gains[:, :-1], prefilter)
+
+
+def bits(a):
+    """The float64 words of a complex array, so equality is bit for bit."""
+    return np.ascontiguousarray(a).view(np.float64).view(np.uint64)
+
+
+@pytest.mark.parametrize("coherence", [math.inf, 1e6, 50.0, 2.0])
+def test_links_evolved_together_match_each_link_alone(coherence):
+    joint = [fresh_process(seed=s, coherence=coherence) for s in (5, 6)]
+    alone = [fresh_process(seed=s, coherence=coherence) for s in (5, 6)]
+    start = np.stack([ch.sample_initial_channel(p, M_FULL) for p in joint])
+    for p, gains in zip(alone, start):
+        assert np.array_equal(bits(ch.sample_initial_channel(p, M_FULL)), bits(gains))
+    state = start
+    # the second block starts from the last row of the first
+    for _ in range(2):
+        block = ch.evolve_block(state, joint, BLOCK)
+        assert block.shape == (BLOCK, 2, M_FULL)
+        for link, p in enumerate(alone):
+            single = ch.evolve_block(state[link][None], [p], BLOCK)
+            assert np.array_equal(bits(block[:, link]), bits(single[:, 0]))
+        state = block[-1].copy()
+
+
+def test_joint_evolution_validation():
+    two = np.stack([ch.sample_initial_channel(fresh_process(seed=s), M_FULL) for s in (1, 2)])
+    fast = fresh_process(seed=3, coherence=50.0)
+    short = ch.ChannelProcess(4, ch.exponential_tap_powers(4), math.inf, 4)
+    with pytest.raises(ValueError, match="coherence_samples"):
+        ch.evolve_block(two, [fresh_process(seed=1), fast], 4)
+    with pytest.raises(ValueError, match="num_taps"):
+        ch.evolve_block(two, [fresh_process(seed=1), short], 4)
+    with pytest.raises(ValueError, match="one process per row"):
+        ch.evolve_block(two, [fresh_process(seed=1)], 4)
+    with pytest.raises(ValueError, match="one process per row"):
+        ch.evolve_block(two, [fresh_process(seed=s) for s in (1, 2, 3)], 4)
+    with pytest.raises(ValueError, match="count"):
+        ch.evolve_block(two, [fresh_process(seed=s) for s in (1, 2)], 0)
+
+
+def test_estimate_block_writes_into_its_input():
+    truth = np.stack([random_estimates(13), random_estimates(14)], axis=1)
+    kept = truth.copy()
+    noises = [ch.NoiseModel(0.1, rng_seed=s) for s in (15, 16)]
+    est = ch.estimate_block(truth, noises)
+    assert est is truth
+    # each link gets the draws it would get estimated alone
+    for link, seed in enumerate((15, 16)):
+        single = ch.estimate_block(kept[:, link][:, None].copy(), [ch.NoiseModel(0.1, seed)])
+        assert np.array_equal(bits(est[:, link]), bits(single[:, 0]))
+    with pytest.raises(ValueError, match="one noise model per link"):
+        ch.estimate_block(kept, noises[:1])
+
+
+def test_imitation_prefilter_leaves_bob_untouched():
+    cfg = desk_config(block_size=100, coherence_samples=100.0)
+    plain = ev.simulated_estimate_blocks(cfg)
+    imitated = ev.simulated_estimate_blocks(
+        desk_config(block_size=100, coherence_samples=100.0, prefilter=ev.PERFECT_IMITATION)
+    )
+    for _ in range(3):
+        (bob, eve), (bob_imitated, eve_imitated) = next(plain), next(imitated)
+        assert np.array_equal(bits(bob_imitated), bits(bob))
+        assert not np.array_equal(eve_imitated, eve)
+
+
+@pytest.mark.parametrize("prefilter", [None, ev.PERFECT_IMITATION])
+def test_a_simulated_block_allocates_under_two_blocks_of_both_links(prefilter):
+    # one (block_size, 2, m_full) complex array holds both links' estimates;
+    # evolving and estimating it may not cost two such arrays at once
+    cfg = desk_config(block_size=1000, prefilter=prefilter)
+    blocks = ev.simulated_estimate_blocks(cfg)
+    next(blocks)
+    tracemalloc.start()
+    try:
+        next(blocks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * cfg.block_size * 2 * cfg.m_full * 16
 
 
 def reference_pairs(config):
@@ -136,12 +219,12 @@ def reference_pairs(config):
     if isinstance(prefilter, str):
         prefilter = ch.perfect_imitation_prefilter(b, e)
     while True:
-        b = ch.evolve_block(b, bob_proc, 1)[0]
-        e = ch.evolve_block(e, eve_proc, 1)[0]
-        effective = ch.prefilter_block(e, prefilter) if prefilter is not None else e
+        b = ch.evolve_block(b[None], [bob_proc], 1)[0, 0]
+        e = ch.evolve_block(e[None], [eve_proc], 1)[0, 0]
+        effective = ch.prefilter_block(e.copy(), prefilter) if prefilter is not None else e
         yield (
-            ch.estimate_block(b[None, :], bob_noise)[0],
-            ch.estimate_block(effective[None, :], eve_noise)[0],
+            ch.estimate_block(b[None, None].copy(), [bob_noise])[0, 0],
+            ch.estimate_block(effective[None, None].copy(), [eve_noise])[0, 0],
         )
 
 

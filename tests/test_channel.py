@@ -86,7 +86,7 @@ def test_power_preserved_after_many_evolution_steps():
     proc = fresh_process(seed=12, coherence=2.0)
     powers = []
     for _ in range(1500):
-        c = ch.evolve_block(ch.sample_initial_channel(proc, M_FULL), proc, 10)[-1]
+        c = ch.evolve_block(ch.sample_initial_channel(proc, M_FULL)[None], [proc], 10)[-1, 0]
         powers.append(np.mean(np.abs(c) ** 2))
     assert np.mean(powers) == pytest.approx(1.0, abs=0.06)
 
@@ -101,7 +101,7 @@ def test_evolution_correlation_matches_coherence():
     den = 0.0
     for _ in range(3000):
         c0 = ch.sample_initial_channel(proc, M_FULL)
-        c1 = ch.evolve_block(c0, proc, 10)[-1]
+        c1 = ch.evolve_block(c0[None], [proc], 10)[-1, 0]
         num += float(np.sum((c1 * np.conj(c0)).real))
         den += float(np.sum(np.abs(c0) ** 2))
     assert num / den == pytest.approx(math.exp(-1.0), abs=0.03)
@@ -139,16 +139,16 @@ def test_same_seed_reproduces_the_same_link():
     c1 = ch.sample_initial_channel(p1, M_FULL)
     c2 = ch.sample_initial_channel(p2, M_FULL)
     assert np.array_equal(c1, c2)
-    e1 = ch.evolve_block(c1, p1, 3)
-    e2 = ch.evolve_block(c2, p2, 3)
+    e1 = ch.evolve_block(c1[None], [p1], 3)
+    e2 = ch.evolve_block(c2[None], [p2], 3)
     assert np.array_equal(e1, e2)
 
 
 def test_static_channel_never_changes():
     proc = fresh_process(seed=7, coherence=math.inf)
     c0 = ch.sample_initial_channel(proc, M_FULL)
-    c1 = ch.evolve_block(c0, proc, 1)[0]
-    c2 = ch.evolve_block(c1, proc, 1000)[-1]
+    c1 = ch.evolve_block(c0[None], [proc], 1)[0, 0]
+    c2 = ch.evolve_block(c1[None], [proc], 1000)[-1, 0]
     assert np.array_equal(c0, c1)
     assert np.array_equal(c0, c2)
 
@@ -162,13 +162,13 @@ def test_evolution_advances_time_and_keeps_identity():
     c0 = ch.sample_initial_channel(proc, M_FULL)
     assert np.array_equal(ch.sample_initial_channel(twin, M_FULL), c0)
     kept = c0.copy()
-    block = ch.evolve_block(c0, proc, 3)
+    block = ch.evolve_block(c0[None], [proc], 3)[:, 0]
     assert block.shape == (3, M_FULL)
     assert np.array_equal(c0, kept)
     assert not np.array_equal(block[0], c0)
     assert not np.array_equal(block[1], block[0])
     assert not np.array_equal(block[2], block[1])
-    assert np.array_equal(ch.evolve_block(c0, twin, 3), block)
+    assert np.array_equal(ch.evolve_block(c0[None], [twin], 3)[:, 0], block)
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +184,7 @@ def test_estimation_noise_statistics():
     proc = fresh_process(seed=41)
     noise = ch.NoiseModel(variance, rng_seed=42)
     truth = ch.sample_initial_channel(proc, M_FULL)
-    eps = (ch.estimate_block(np.tile(truth, (4000, 1)), noise) - truth).ravel()
+    eps = (ch.estimate_block(np.tile(truth, (4000, 1, 1)), [noise]) - truth).ravel()
     assert np.mean(eps.real) == pytest.approx(0.0, abs=0.005)
     assert np.mean(eps.imag) == pytest.approx(0.0, abs=0.005)
     assert np.mean(np.abs(eps) ** 2) == pytest.approx(variance, abs=0.005)
@@ -194,8 +194,8 @@ def test_zero_noise_estimate_is_exact():
     proc = fresh_process(seed=43)
     noise = ch.NoiseModel(0.0, rng_seed=44)
     truth = ch.sample_initial_channel(proc, M_FULL)
-    est = ch.estimate_block(truth[None, :], noise)
-    assert np.array_equal(est[0], truth)
+    est = ch.estimate_block(truth[None, None, :].copy(), [noise])
+    assert np.array_equal(est[0, 0], truth)
 
 
 # ---------------------------------------------------------------------------
@@ -266,9 +266,9 @@ def test_realization_validation():
     assert c.dtype == np.complex128
     assert np.all(np.isfinite(c))
     with pytest.raises(ValueError, match="m_full"):
-        ch.evolve_block(np.empty(0, dtype=np.complex128), proc, 1)
+        ch.evolve_block(np.empty((1, 0), dtype=np.complex128), [proc], 1)
     with pytest.raises(ValueError, match="m_full"):
-        ch.evolve_block(c[: TAPS - 1], proc, 1)
+        ch.evolve_block(c[None, : TAPS - 1], [proc], 1)
 
 
 def test_noise_model_validation():

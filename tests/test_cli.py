@@ -220,6 +220,26 @@ def test_simulate_writes_the_pinned_csv_bytes(tmp_path):
     )
 
 
+@pytest.mark.parametrize(
+    "option, message",
+    [
+        (("--interval-us", "inf"), "interval"),
+        (("--interval-us", "nan"), "interval"),
+        (("--interval-us", "-1"), "interval"),
+        (("--desc", "two\nlines"), "newline"),
+    ],
+    ids=["interval-inf", "interval-nan", "interval-negative", "desc-newline"],
+)
+def test_simulate_refuses_a_header_the_reader_would_reject(tmp_path, capsys, option, message):
+    out = tmp_path / "trace.csv"
+    argv = ("--blocks", "1", "--block-size", "7", "--m-full", "16", "--taps", "4")
+    with pytest.raises(SystemExit) as exc:
+        run_cli("simulate", *argv, *option, "--out", str(out))
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_replaying_a_simulated_trace_matches_the_direct_run(tmp_path):
     trace = tmp_path / "trace.csv"
     direct = tmp_path / "direct.csv"

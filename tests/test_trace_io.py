@@ -192,6 +192,10 @@ def test_trace_validation():
         CsiTrace(m_full=0)
     with pytest.raises(ValueError):
         CsiTrace(m_full=1, sample_interval_us=0.0)
+    # the reader refuses these headers, so the trace may not hold them
+    for interval in (math.inf, math.nan, -1.0):
+        with pytest.raises(ValueError, match="finite positive"):
+            CsiTrace(m_full=1, sample_interval_us=interval)
     with pytest.raises(ValueError, match="m_full"):
         CsiTrace(m_full=2, time_index=[1], link_labels=["AB"], gains=[[1 + 0j]])
     with pytest.raises(ValueError, match="m_full"):
