@@ -148,6 +148,11 @@ def evolve_block(gains: np.ndarray, processes, count: int) -> np.ndarray:
     `processes[l]`; all L processes share one step correlation and one tap
     count.  The result has shape (count, L, m_full) and [k, l] is link l
     k + 1 evolutions after `gains[l]`.
+
+    A static channel (rho exactly 1) scales every innovation to +-0, and
+    prev * 1 + (+-0) is prev for any non-zero prev, so gains without a zero
+    real or imaginary part are repeated without drawing taps.  Only the tap
+    draws read a process's generator, so skipping them changes no output.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -164,6 +169,9 @@ def evolve_block(gains: np.ndarray, processes, count: int) -> np.ndarray:
     for process in processes[1:]:
         if process.step_correlation() != rho or process.num_taps != first.num_taps:
             raise ValueError("linked processes must share coherence_samples and num_taps")
+    # a zero part could turn into -0 or +0, so it takes the written-out path
+    if rho == 1.0 and np.all(gains.view(np.float64)):
+        return np.repeat(gains[None], count, axis=0)
     taps = np.empty((count, len(processes), first.num_taps), dtype=np.complex128)
     for link, process in enumerate(processes):
         taps[:, link] = process._draw_taps(count)

@@ -245,6 +245,13 @@ def _configs(s: Settings, parser, trace=None, compare_update=False) -> list:
     updating."""
     kwargs = _experiment_kwargs(s)
     if trace is not None:
+        # a recording fixes the channel, so an option that only shapes the
+        # simulated one would change nothing (--snr still labels the rows)
+        for key in ("coherence", "taps"):
+            if s.get(key) is not None:
+                parser.error(f"--{key} shapes the simulated channel; a trace replay has none")
+        if kwargs.get("m_full", trace.m_full) != trace.m_full:
+            parser.error(f"--m-full {kwargs['m_full']} differs from the trace's m_full={trace.m_full}")
         kwargs["m_full"] = trace.m_full
     detectors = [{"detector": DetectorKind(name)} for name in s.get("detector", [])] or [{}]
     m_values = [{"m_subcarriers": m} for m in s.get("m", [])] or [{}]

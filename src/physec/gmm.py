@@ -135,24 +135,43 @@ def _weighted_log_densities(
     return _component_log_densities(x, means, variances, work) + log_w[None, :]
 
 
+# numpy's sum adds fewer than this many values one after another, left to
+# right, and splits longer runs into partial sums; only below it does a
+# running sum over the columns add a row's terms in the same order.
+_SEQUENTIAL_SUM_LIMIT = 8
+
+
 def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
     """Row-wise log(sum(exp(a))) of an (N, K) array.
 
     The row maximum is shifted out, and the m entries equal to it are taken
     out of the sum and added back as log(m).  The tests hold every result
     bit for bit to a reference log-sum-exp with this arithmetic, so
-    reordering these operations would change every score.
+    reordering these operations would change every score.  A mixture has
+    few components, so for K below _SEQUENTIAL_SUM_LIMIT the row reductions
+    run as K whole-column operations instead of N reductions K wide.
     """
-    a_max = np.max(a, axis=1, keepdims=True)
-    is_max = a == a_max
-    m = np.sum(is_max, axis=1, keepdims=True, dtype=np.float64)
     # a row of -inf has no finite maximum to shift by: its sum is 0, its
     # log -inf; a row holding NaN has no tied maximum (m = 0) and stays NaN
     with np.errstate(divide="ignore", invalid="ignore"):
-        s = np.sum(np.exp(np.where(is_max, -np.inf, a) - a_max), axis=1, keepdims=True)
+        if a.shape[1] < _SEQUENTIAL_SUM_LIMIT:
+            a_max = a[:, 0].copy()
+            for column in a.T[1:]:
+                np.maximum(a_max, column, out=a_max)
+            m = np.zeros(a.shape[0])
+            s = np.zeros(a.shape[0])
+            for column in a.T:
+                is_max = column == a_max
+                m += is_max
+                s += np.exp(np.where(is_max, -np.inf, column) - a_max)
+        else:
+            a_max = np.max(a, axis=1)
+            is_max = a == a_max[:, None]
+            m = np.sum(is_max, axis=1, dtype=np.float64)
+            s = np.sum(np.exp(np.where(is_max, -np.inf, a) - a_max[:, None]), axis=1)
         s = np.where(s == 0, s, s / m)
-        out = (np.log1p(s) + np.log(m) + a_max)[:, 0]
-    return np.where(a_max[:, 0] == -np.inf, -np.inf, out)
+        out = np.log1p(s) + np.log(m) + a_max
+    return np.where(a_max == -np.inf, -np.inf, out)
 
 
 def log_likelihoods(model: GmmModel, features) -> np.ndarray:

@@ -7,9 +7,10 @@ Format:
 
 One row per recorded estimate.  Numbers are written in the shortest decimal
 form that parses back to the identical float (Python repr); negative zero is
-canonicalized to positive zero on write.  Time indices must be strictly
-increasing per link label.  Lines after the header starting with '#' are
-skipped on read.
+canonicalized to positive zero on write.  A numeric field that holds '_'
+or a non-ASCII character is an error on read, though Python's int() and
+float() would take it.  Time indices must be strictly increasing per link
+label.  Lines after the header starting with '#' are skipped on read.
 
 The file is UTF-8.  Rows end at \n (as written), \r\n or \r; any other
 character `str.splitlines` breaks at (\v, \f, \x1c-\x1e, \x85, \u2028,
@@ -85,6 +86,13 @@ def _breaks_line(text: str) -> bool:
     r"""Whether `str.splitlines` would break the text: besides \n and \r it
     breaks at \v, \f, \x1c-\x1e, \x85, \u2028 and \u2029."""
     return text.splitlines() not in ([text], [])
+
+
+def _plain_number(text: str) -> bool:
+    """Whether a numeric field could have been written by `write_trace`:
+    int() and float() also take '_' digit separators and non-ASCII digits
+    and spaces, which the format never holds."""
+    return text.isascii() and "_" not in text
 
 
 def write_trace(trace: CsiTrace, dest) -> None:
@@ -207,9 +215,14 @@ def _parse(lines) -> CsiTrace:
         raise TraceFormatError("third header field must be interval_us=<real>", line=1)
     if not parts[3].startswith("desc="):
         raise TraceFormatError("fourth header field must be desc=<text>", line=1)
+    m_text = parts[1][len("m_full="):]
+    interval_text = parts[2][len("interval_us="):]
+    for text in (m_text, interval_text):
+        if not _plain_number(text):
+            raise TraceFormatError(f"bad header value {text!r}: not a plain number", line=1)
     try:
-        m_full = int(parts[1][len("m_full="):])
-        interval = float(parts[2][len("interval_us="):])
+        m_full = int(m_text)
+        interval = float(interval_text)
     except ValueError as exc:
         raise TraceFormatError(f"bad header value: {exc}", line=1) from exc
     desc = parts[3][len("desc="):]
@@ -236,6 +249,8 @@ def _parse(lines) -> CsiTrace:
                 f"expected {expected} fields, got {len(cells)}", line=lineno
             )
         try:
+            if not _plain_number(cells[0]):
+                raise ValueError  # refused like any other bad index
             t = int(cells[0])
             times.append(t)  # array("q") refuses what int64 cannot hold
         except (ValueError, OverflowError) as exc:
@@ -243,6 +258,9 @@ def _parse(lines) -> CsiTrace:
                 f"time index {cells[0]!r} is not an int64", line=lineno
             ) from exc
         label = cells[1]
+        # the gains are everything after the label's comma
+        if not _plain_number(line[len(cells[0]) + len(label) + 2 :]):
+            raise TraceFormatError("bad gain value: not a plain number", line=lineno)
         try:
             reals.extend(map(float, cells[2:]))
         except ValueError as exc:

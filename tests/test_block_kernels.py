@@ -51,7 +51,11 @@ def reference_evolve(gains, process):
     re = process._rng.standard_normal(process.num_taps)
     im = process._rng.standard_normal(process.num_taps)
     innovation = np.fft.fft((re + 1j * im) * std, n=gains.size)
-    return rho * gains + np.sqrt(1.0 - rho * rho) * innovation
+    # rho is real and scales each part on its own; a complex product would
+    # also add rho's zero imaginary part times the other part, which can
+    # flip the sign of a zero part
+    scaled = (rho * gains.view(np.float64)).view(np.complex128)
+    return scaled + np.sqrt(1.0 - rho * rho) * innovation
 
 
 @pytest.mark.parametrize("coherence", [math.inf, 50.0, 2.0])
@@ -146,7 +150,32 @@ def test_links_evolved_together_match_each_link_alone(coherence):
         state = block[-1].copy()
 
 
+def test_static_evolution_repeats_nonzero_gains_and_steps_zero_parts():
+    # rho = 1: non-zero gains are repeated without drawing taps, but a +0.0
+    # real or -0.0 imaginary part takes the written-out step, whose +-0
+    # innovation decides the sign of the zero
+    proc, ref_proc = fresh_process(seed=5), fresh_process(seed=5)
+    start = ch.sample_initial_channel(proc, M_FULL)
+    assert np.array_equal(bits(ch.sample_initial_channel(ref_proc, M_FULL)), bits(start))
+    drawn = proc._rng.bit_generator.state
+    static = ch.evolve_block(start[None], [proc], BLOCK)[:, 0]
+    assert proc._rng.bit_generator.state == drawn
+    assert np.array_equal(bits(static), bits(np.repeat(start[None], BLOCK, axis=0)))
+
+    start[3] = complex(0.0, start[3].imag)
+    start[7] = complex(start[7].real, -0.0)
+    block = ch.evolve_block(start[None], [proc], BLOCK)[:, 0]
+    ref = start
+    for k in range(BLOCK):
+        ref = reference_evolve(ref, ref_proc)
+        assert np.array_equal(bits(block[k]), bits(ref))
+    # the zeros did change sign, so a repeat would have been wrong
+    assert not np.array_equal(bits(block), bits(np.repeat(start[None], BLOCK, axis=0)))
+
+
 def test_joint_evolution_validation():
+    # every process here is static (coherence inf), where evolve_block would
+    # otherwise repeat its input: the checks run first
     two = np.stack([ch.sample_initial_channel(fresh_process(seed=s), M_FULL) for s in (1, 2)])
     fast = fresh_process(seed=3, coherence=50.0)
     short = ch.ChannelProcess(4, ch.exponential_tap_powers(4), math.inf, 4)
@@ -392,33 +421,57 @@ def test_em_allocates_nothing_the_size_of_an_n_k_d_array():
     assert peak < n * k * d * 8
 
 
-def test_row_logsumexp_matches_scipy():
-    # the mixture's log-sum-exp is written out in numpy with scipy's own
-    # arithmetic; scipy stays here as the independent reference
-    rng = np.random.default_rng(18)
-    wide = rng.standard_normal((300, 3)) * 10.0 ** rng.uniform(-3, 3, (300, 1))
-    cases = {
-        "tied maxima": np.array(
-            [[1.0, 1.0, -2.0], [-5.0, 0.5, 0.5], [4.0, 4.0, 4.0], [-700.0, -700.0, -700.0]]
-        ),
-        "zero weights": np.array(
-            [[0.3, -np.inf, -1.2], [-np.inf, -np.inf, 2.0], [-np.inf, 5.0, 5.0]]
-        ),
-        "all weights zero": np.full((2, 3), -np.inf),
-        "single column": rng.standard_normal((50, 1)) * 100.0,
+def logsumexp_cases(k: int) -> dict:
+    """Named (N, k) arrays for the log-sum-exp comparison."""
+    rng = np.random.default_rng(18 + k)
+    wide = rng.standard_normal((300, k)) * 10.0 ** rng.uniform(-3, 3, (300, 1))
+    ties = rng.standard_normal((6, k))
+    ties[0, 0] = ties[0].max() + 1.0  # a lone maximum in the first column
+    ties[1, -1] = ties[1].max() + 1.0  # and in the last
+    ties[2, 0] = ties[2, -1] = ties[2].max() + 1.0  # tied in the first and last
+    ties[3] = 4.0  # every entry ties
+    ties[4] = -700.0
+    ties[5] = -0.0
+    dead = rng.standard_normal(k)
+    dead[::2] = -np.inf  # zero-weight components, the first among them
+    nan_row = rng.standard_normal((1, k))
+    nan_row[0, -1] = np.nan
+    live = max(k - 1, 1)  # every component but the last, if there are two
+    weights = np.zeros(k)
+    weights[:live] = 1.0 / live
+    return {
+        "tied maxima": ties,
+        "zero weights": np.vstack([dead, np.roll(dead, 1), np.full(k, -np.inf)]),
+        "all weights zero": np.full((2, k), -np.inf),
+        "a NaN row": np.vstack([nan_row, rng.standard_normal((2, k))]),
         "wide magnitudes": np.vstack(
-            [wide, 50.0 * rng.standard_normal((100, 3)), rng.standard_normal((100, 3)) - 700.0]
+            [wide, 50.0 * rng.standard_normal((100, k)), rng.standard_normal((100, k)) - 700.0]
         ),
         "mixture with a dead component": gmm._weighted_log_densities(
             rng.standard_normal((200, 4)),
-            np.array([0.6, 0.4, 0.0]),
-            rng.standard_normal((3, 4)),
-            rng.uniform(0.5, 2.0, (3, 4)),
+            weights,
+            rng.standard_normal((k, 4)),
+            rng.uniform(0.5, 2.0, (k, 4)),
             np.empty((200, 4)),
         ),
     }
-    for name, a in cases.items():
-        assert np.array_equal(gmm._logsumexp_rows(a), logsumexp(a, axis=1)), name
+
+
+def test_row_logsumexp_matches_scipy():
+    # the mixture's log-sum-exp is written out in numpy with scipy's own
+    # arithmetic; scipy stays here as the independent reference.  Below 8
+    # components it runs column by column, from 8 on as row reductions, so
+    # both sides of that limit are checked.
+    for k in (1, 3, 7, 8, 9):
+        cases = logsumexp_cases(k)
+        for name, a in cases.items():
+            # exp underflowing to 0 is expected; any other floating-point
+            # warning would be new
+            with np.errstate(all="raise", under="ignore"):
+                got = gmm._logsumexp_rows(a)
+            assert np.array_equal(got, logsumexp(a, axis=1), equal_nan=True), (k, name)
+        assert np.isnan(gmm._logsumexp_rows(cases["a NaN row"])[0])
+        assert np.all(gmm._logsumexp_rows(cases["all weights zero"]) == -np.inf)
 
 
 def test_mse_block_scores_match_a_per_row_walk():

@@ -404,3 +404,51 @@ def test_update_flag_with_a_mixture_detector_in_the_grid_is_accepted(tmp_path):
         == 0
     )
     assert [r["detector"] for r in read_rows(out.read_text())] == ["gmm-noupdate", "mse"]
+
+
+@pytest.fixture(scope="module")
+def desk_trace(tmp_path_factory):
+    trace = tmp_path_factory.mktemp("replay") / "trace.csv"
+    assert run_cli("simulate", *DESK, "--out", str(trace)) == 0
+    return trace
+
+
+@pytest.mark.parametrize("command", ["evaluate", "roc"])
+@pytest.mark.parametrize(
+    "flag, value, reason",
+    [
+        ("--coherence", "5", "--coherence shapes the simulated channel"),
+        ("--taps", "2", "--taps shapes the simulated channel"),
+        ("--m-full", "20", "--m-full 20 differs from the trace's m_full=48"),
+    ],
+    ids=["coherence", "taps", "m_full"],
+)
+def test_simulation_options_with_a_trace_are_usage_errors(
+    desk_trace, tmp_path, capsys, command, flag, value, reason
+):
+    # a replay takes its channel from the recording: these would change nothing
+    out = str(tmp_path / "out.csv")
+    replay = (command, *DESK, "--m", "8", "--trace", str(desk_trace), "--out", out)
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*replay, flag, value)
+    assert exc.value.code == 2
+    assert reason in capsys.readouterr().err
+
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{flag[2:].replace('-', '_')} = {value}\n")
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*replay, "--config", str(cfg))
+    assert exc.value.code == 2
+    assert reason in capsys.readouterr().err
+
+
+def test_a_trace_replay_accepts_its_own_m_full_and_an_snr_label(desk_trace, tmp_path):
+    plain, labelled = tmp_path / "plain.csv", tmp_path / "labelled.csv"
+    replay = ("evaluate", *DESK, "--m", "8", "--trace", str(desk_trace))
+    assert run_cli(*replay, "--out", str(plain)) == 0
+    assert run_cli(*replay, "--m-full", "48", "--snr", "5", "--out", str(labelled)) == 0
+    (row,), (labelled_row,) = read_rows(plain.read_text()), read_rows(labelled.read_text())
+    # --snr only labels the row: the recorded estimates already hold their noise
+    assert labelled_row.pop("snr_db") == "5.0"
+    row.pop("snr_db")
+    assert labelled_row == row

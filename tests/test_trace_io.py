@@ -93,6 +93,23 @@ def test_description_may_contain_commas():
     assert loaded.description == "office, day 2, desk by the window"
 
 
+def test_labels_and_descriptions_stay_free_text():
+    # only numeric fields refuse '_' and non-ASCII characters
+    trace = CsiTrace(
+        m_full=1,
+        description="büro_2 \uff12",
+        time_index=[1, 1],
+        link_labels=["A_B", "\u00c6\uff12"],
+        gains=[[1 + 1j], [2 - 1j]],
+    )
+    buf = io.StringIO()
+    trace_io.write_trace(trace, buf)
+    loaded = trace_io.read_trace(io.StringIO(buf.getvalue()))
+    assert loaded.description == trace.description
+    assert loaded.link_labels == trace.link_labels
+    assert np.array_equal(loaded.gains, trace.gains)
+
+
 def test_comments_and_blank_lines_are_skipped():
     text = (
         "#CSI,m_full=1,interval_us=1.0,desc=x\n"
@@ -116,6 +133,11 @@ def test_header_errors_carry_line_one():
         "#CSI,m_full=0,interval_us=1.0,desc=\n",
         "#CSI,interval_us=1.0,m_full=2,desc=\n",
         f"#CSI,m_full={2**60},interval_us=1.0,desc=\n",  # too wide for any array
+        # int() and float() take these; the writer never writes them
+        "#CSI,m_full=1_0,interval_us=1.0,desc=\n",
+        "#CSI,m_full=2,interval_us=1_0.0,desc=\n",
+        "#CSI,m_full=\uff12,interval_us=1.0,desc=\n",  # fullwidth digit two
+        "#CSI,m_full=2,interval_us=\u0661.5,desc=\n",  # Arabic-Indic digit one
     ):
         with pytest.raises(TraceFormatError) as err:
             trace_io.read_trace(io.StringIO(text))
@@ -130,6 +152,14 @@ def test_data_errors_carry_their_line_number():
         (header + "1,AB,0.5,0.5\n2,AB,zz,0.5\n", 3),  # bad gain value
         (header + "1,AB,0.5,0.5\n9223372036854775808,AB,0.5,0.5\n", 3),  # 2**63
         (header + "1,AB,0.5,0.5\n-9223372036854775809,AE,0.5,0.5\n", 3),  # -2**63 - 1
+        # digit separators and non-ASCII digits or spaces that int() and
+        # float() would take
+        (header + "1,AB,0.5,0.5\n1_0,AB,0.5,0.5\n", 3),
+        (header + "1,AB,0.5,0.5\n2,AB,0.1_5,0.5\n", 3),
+        (header + "1,AB,0.5,0.5\n2,AB,0.5,2_0\n", 3),
+        (header + "1,AB,0.5,0.5\n\uff12,AB,0.5,0.5\n", 3),
+        (header + "1,AB,0.5,0.5\n2,AB,\uff12,0.5\n", 3),
+        (header + "1,AB,0.5,0.5\n2,AB,0.5,\u20030.5\n", 3),  # em space
     ]
     for text, lineno in cases:
         with pytest.raises(TraceFormatError) as err:
