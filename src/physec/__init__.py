@@ -7,12 +7,9 @@ baseline is included for comparison).
 """
 
 from .channel import (
-    ChannelProcess,
-    NoiseModel,
-    Prefilter,
     exponential_tap_powers,
     perfect_imitation_prefilter,
-    sample_initial_channel,
+    sample_initial_channels,
     snr_db_to_noise_variance,
 )
 from .evaluation import (

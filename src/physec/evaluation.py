@@ -69,7 +69,7 @@ class ExperimentConfig:
     detector: DetectorKind = DetectorKind.GMM
     update_enabled: bool = True
     feature_kind: ft.FeatureKind = ft.FeatureKind.NORMALIZED_MAGNITUDE
-    prefilter: ch.Prefilter | str | None = None
+    prefilter: str | None = None
     rng_seed: int = 0
     target_fa: float = 0.01
     m_full: int = 48
@@ -82,8 +82,12 @@ class ExperimentConfig:
             raise ValueError(
                 f"need 1 <= m_subcarriers <= m_full, got {self.m_subcarriers} / {self.m_full}"
             )
-        if not self.snr_db > -math.inf:
-            raise ValueError(f"snr_db must be above -inf (inf is noiseless), got {self.snr_db}")
+        try:
+            noise_var = ch.snr_db_to_noise_variance(self.snr_db)
+        except OverflowError:
+            noise_var = math.inf
+        if not math.isfinite(noise_var):
+            raise ValueError(f"snr_db={self.snr_db}: noise variance not finite (inf is noiseless)")
         if not 0.0 <= self.attack_intensity <= 1.0:
             raise ValueError("attack_intensity must lie in [0, 1]")
         if self.num_blocks < 2:
@@ -100,8 +104,10 @@ class ExperimentConfig:
             raise ValueError("gmm_components must be >= 1")
         if self.rng_seed < 0:
             raise ValueError("rng_seed must be non-negative")
-        if isinstance(self.prefilter, str) and self.prefilter != PERFECT_IMITATION:
-            raise ValueError(f"unknown prefilter sentinel {self.prefilter!r}")
+        if self.prefilter is not None and not (
+            isinstance(self.prefilter, str) and self.prefilter == PERFECT_IMITATION
+        ):
+            raise ValueError(f"unknown prefilter {self.prefilter!r}, use {PERFECT_IMITATION!r}")
 
 
 class Counts(NamedTuple):
@@ -161,30 +167,28 @@ def simulated_estimate_blocks(config: ExperimentConfig):
 
     Each block is a pair of (block_size, m_full) complex views of one
     (block_size, 2, m_full) array, link 0 Bob's and link 1 Eve's.  Both
-    links evolve every message so their time bases stay aligned; the
-    attacker's channel passes through the configured prefilter before
-    estimation.
+    links evolve every message so their time bases stay aligned; with
+    PERFECT_IMITATION the attacker's channel passes through the imitation
+    prefilter before estimation.
     """
     seeds = _derived_seeds(config.rng_seed)
+    rngs = [np.random.default_rng(seed) for seed in seeds[:4]]
+    channel_rngs, noise_rngs = rngs[:2], rngs[2:]
     pdp = ch.exponential_tap_powers(config.num_taps)
-    processes = [
-        ch.ChannelProcess(config.num_taps, pdp, config.coherence_samples, seed)
-        for seed in seeds[:2]
-    ]
+    rho = ch.step_correlation(config.coherence_samples)
     noise_var = ch.snr_db_to_noise_variance(config.snr_db)
-    noises = [ch.NoiseModel(noise_var, seed) for seed in seeds[2:4]]
-    state = np.stack([ch.sample_initial_channel(p, config.m_full) for p in processes])
-    prefilter = config.prefilter
-    if isinstance(prefilter, str):
-        prefilter = ch.perfect_imitation_prefilter(state[0], state[1])
+    state = ch.sample_initial_channels(channel_rngs, pdp, config.m_full)
+    coefficients = None
+    if config.prefilter is not None:
+        coefficients = ch.perfect_imitation_prefilter(state[0], state[1])
 
     def next_block():
         nonlocal state
-        truth = ch.evolve_block(state, processes, config.block_size)
+        truth = ch.evolve_block(state, channel_rngs, pdp, rho, config.block_size)
         state = truth[-1].copy()
-        if prefilter is not None:
-            ch.prefilter_block(truth[:, 1], prefilter)
-        est = _finite(ch.estimate_block(truth, noises))
+        if coefficients is not None:
+            truth[:, 1] *= coefficients
+        est = _finite(ch.estimate_block(truth, noise_rngs, noise_var))
         return est[:, 0], est[:, 1]
 
     # unlike a suspended generator, a returned call holds no block while the
@@ -198,17 +202,13 @@ def _finite(gains: np.ndarray) -> np.ndarray:
     return gains
 
 
-def _run_on_blocks(config: ExperimentConfig, blocks, m_full: int, times=None) -> TrialResult:
+def _run_on_blocks(config: ExperimentConfig, blocks, times=None) -> TrialResult:
     """Run the configured detector over (bob, eve) estimate blocks.
 
     `times`, when given, is the (bob, eve) pair of per-message time-index
     arrays of a recording; delta features require the chosen estimates to
     move strictly forward in time.
     """
-    if config.m_subcarriers > m_full:
-        raise ValueError(
-            f"m_subcarriers={config.m_subcarriers} exceeds available m_full={m_full}"
-        )
     seeds = _derived_seeds(config.rng_seed)
     attack_rng = np.random.default_rng(seeds[4])
     m = config.m_subcarriers
@@ -309,18 +309,20 @@ def _run_on_blocks(config: ExperimentConfig, blocks, m_full: int, times=None) ->
 
 def run_experiment(config: ExperimentConfig) -> TrialResult:
     """Simulate both links and run the configured detector over the stream."""
-    return _run_on_blocks(config, simulated_estimate_blocks(config), config.m_full)
+    return _run_on_blocks(config, simulated_estimate_blocks(config))
 
 
 def run_experiment_from_trace(trace, config: ExperimentConfig) -> TrialResult:
     """Replay a recorded trace instead of simulating.
 
-    The trace must carry both links, labelled BOB_LINK and EVE_LINK, at
-    every message slot.  Prefilters are a transmit-side construct and cannot
-    be applied to recordings.
+    The trace must be `config.m_full` wide and carry both links, labelled
+    BOB_LINK and EVE_LINK, at every message slot.  Prefilters are a
+    transmit-side construct and cannot be applied to recordings.
     """
     if config.prefilter is not None:
         raise ValueError("prefilters require the simulator; traces are already recorded")
+    if config.m_full != trace.m_full:
+        raise ValueError(f"config m_full={config.m_full} differs from the trace's {trace.m_full}")
     rows = {BOB_LINK: [], EVE_LINK: []}
     for row, link in enumerate(trace.link_labels):
         if link in rows:
@@ -338,7 +340,7 @@ def run_experiment_from_trace(trace, config: ExperimentConfig) -> TrialResult:
     (bob, bob_t), (eve, eve_t) = links[BOB_LINK], links[EVE_LINK]
     n = config.block_size
     blocks = ((bob[k : k + n], eve[k : k + n]) for k in range(0, total, n))
-    return _run_on_blocks(config, blocks, trace.m_full, times=(bob_t, eve_t))
+    return _run_on_blocks(config, blocks, times=(bob_t, eve_t))
 
 
 def compute_roc(bob_scores, eve_scores) -> RocCurve:

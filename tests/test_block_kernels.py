@@ -23,15 +23,12 @@ from conftest import desk_config
 M_FULL = 48
 TAPS = 8
 BLOCK = 200
+PDP = ch.exponential_tap_powers(TAPS)
 
 
-def fresh_process(seed=0, coherence=math.inf):
-    return ch.ChannelProcess(
-        num_taps=TAPS,
-        tap_powers=ch.exponential_tap_powers(TAPS),
-        coherence_samples=coherence,
-        rng_seed=seed,
-    )
+def initial(rng):
+    """One link's stationary gains, drawn from `rng`."""
+    return ch.sample_initial_channels([rng], PDP, M_FULL)[0]
 
 
 def random_estimates(seed, rows=BLOCK, m_full=M_FULL):
@@ -44,12 +41,11 @@ def random_estimates(seed, rows=BLOCK, m_full=M_FULL):
 # ---------------------------------------------------------------------------
 
 
-def reference_evolve(gains, process):
+def reference_evolve(gains, rng, rho):
     """One evolution step written out per message, as a single draw."""
-    rho = process.step_correlation()
-    std = np.sqrt(process.tap_powers / 2.0)
-    re = process._rng.standard_normal(process.num_taps)
-    im = process._rng.standard_normal(process.num_taps)
+    std = np.sqrt(PDP / 2.0)
+    re = rng.standard_normal(TAPS)
+    im = rng.standard_normal(TAPS)
     innovation = np.fft.fft((re + 1j * im) * std, n=gains.size)
     # rho is real and scales each part on its own; a complex product would
     # also add rho's zero imaginary part times the other part, which can
@@ -63,68 +59,63 @@ def reference_evolve(gains, process):
 def test_block_evolution_matches_repeated_single_steps(coherence, rows_per_call):
     # one call for the whole block gives the same rows as a stream of calls
     # of `rows_per_call` rows each, and as the per-message reference
-    block_proc, chunk_proc, ref_proc = (
-        fresh_process(seed=5, coherence=coherence) for _ in range(3)
-    )
-    start = ch.sample_initial_channel(block_proc, M_FULL)
-    assert np.array_equal(ch.sample_initial_channel(chunk_proc, M_FULL), start)
-    assert np.array_equal(ch.sample_initial_channel(ref_proc, M_FULL), start)
+    rho = ch.step_correlation(coherence)
+    block_rng, chunk_rng, ref_rng = (np.random.default_rng(5) for _ in range(3))
+    start = initial(block_rng)
+    assert np.array_equal(initial(chunk_rng), start)
+    assert np.array_equal(initial(ref_rng), start)
 
-    block = ch.evolve_block(start[None], [block_proc], BLOCK)[:, 0]
+    block = ch.evolve_block(start[None], [block_rng], PDP, rho, BLOCK)[:, 0]
     assert block.shape == (BLOCK, M_FULL)
     chunks, last = [], start
     for first in range(0, BLOCK, rows_per_call):
         rows = min(rows_per_call, BLOCK - first)
-        chunks.append(ch.evolve_block(last[None], [chunk_proc], rows)[:, 0])
+        chunks.append(ch.evolve_block(last[None], [chunk_rng], PDP, rho, rows)[:, 0])
         last = chunks[-1][-1]
     assert np.array_equal(block, np.concatenate(chunks))
     ref = start
     for k in range(BLOCK):
-        ref = reference_evolve(ref, ref_proc)
+        ref = reference_evolve(ref, ref_rng, rho)
         assert np.array_equal(block[k], ref)
     # the streams stay aligned after the block
     assert np.array_equal(
-        ch.evolve_block(block[-1][None], [block_proc], 1)[0],
-        ch.evolve_block(last[None], [chunk_proc], 1)[0],
+        ch.evolve_block(block[-1][None], [block_rng], PDP, rho, 1)[0],
+        ch.evolve_block(last[None], [chunk_rng], PDP, rho, 1)[0],
     )
 
 
 def test_block_evolution_validation():
-    proc = fresh_process()
-    gains = ch.sample_initial_channel(proc, M_FULL)
+    rng = np.random.default_rng(0)
+    gains = initial(rng)
     with pytest.raises(ValueError, match="count"):
-        ch.evolve_block(gains[None], [proc], 0)
+        ch.evolve_block(gains[None], [rng], PDP, 1.0, 0)
     with pytest.raises(ValueError, match="m_full"):
-        ch.evolve_block(gains[None, : TAPS - 1], [proc], 4)
+        ch.evolve_block(gains[None, : TAPS - 1], [rng], PDP, 1.0, 4)
 
 
 @pytest.mark.parametrize("variance", [0.0, 0.01, 0.3])
 def test_block_estimation_matches_repeated_single_estimates(variance):
     truth = random_estimates(7)
-    block_noise, single_noise, ref_noise = (
-        ch.NoiseModel(variance, rng_seed=8) for _ in range(3)
-    )
-    block = ch.estimate_block(truth[:, None].copy(), [block_noise])[:, 0]
+    block_rng, single_rng, ref_rng = (np.random.default_rng(8) for _ in range(3))
+    block = ch.estimate_block(truth[:, None].copy(), [block_rng], variance)[:, 0]
     std = np.sqrt(variance / 2.0)
     for k in range(BLOCK):
-        single = ch.estimate_block(truth[k : k + 1, None].copy(), [single_noise])[0, 0]
+        single = ch.estimate_block(truth[k : k + 1, None].copy(), [single_rng], variance)[0, 0]
         assert np.array_equal(block[k], single)
-        eps = (
-            ref_noise._rng.standard_normal(M_FULL) + 1j * ref_noise._rng.standard_normal(M_FULL)
-        ) * std
+        eps = (ref_rng.standard_normal(M_FULL) + 1j * ref_rng.standard_normal(M_FULL)) * std
         assert np.array_equal(block[k], truth[k] + eps)
 
 
 def test_block_prefilter_matches_single_prefilter():
-    gains = random_estimates(9)
-    coefficients = random_estimates(10, rows=1)[0]
-    prefilter = ch.Prefilter(coefficients)
-    block = ch.prefilter_block(gains.copy(), prefilter)
+    # the attacker's link is filtered in place as the strided view [:, 1] of
+    # a (count, 2, m_full) block; each row must get what it gets alone
+    truth = np.stack([random_estimates(9), random_estimates(11)], axis=1)
+    coefficients = ch.perfect_imitation_prefilter(random_estimates(10, rows=1)[0], truth[0, 1])
+    rows = truth[:, 1].copy()
+    truth[:, 1] *= coefficients
     for k in range(BLOCK):
-        assert np.array_equal(block[k], ch.prefilter_block(gains[k].copy(), prefilter))
-        assert np.array_equal(block[k], gains[k] * coefficients)
-    with pytest.raises(ValueError, match="does not match"):
-        ch.prefilter_block(gains[:, :-1], prefilter)
+        assert np.array_equal(truth[k, 1], rows[k] * coefficients)
+    assert np.array_equal(truth[:, 0], random_estimates(9))
 
 
 def bits(a):
@@ -134,18 +125,19 @@ def bits(a):
 
 @pytest.mark.parametrize("coherence", [math.inf, 1e6, 50.0, 2.0])
 def test_links_evolved_together_match_each_link_alone(coherence):
-    joint = [fresh_process(seed=s, coherence=coherence) for s in (5, 6)]
-    alone = [fresh_process(seed=s, coherence=coherence) for s in (5, 6)]
-    start = np.stack([ch.sample_initial_channel(p, M_FULL) for p in joint])
-    for p, gains in zip(alone, start):
-        assert np.array_equal(bits(ch.sample_initial_channel(p, M_FULL)), bits(gains))
+    rho = ch.step_correlation(coherence)
+    joint = [np.random.default_rng(s) for s in (5, 6)]
+    alone = [np.random.default_rng(s) for s in (5, 6)]
+    start = ch.sample_initial_channels(joint, PDP, M_FULL)
+    for rng, gains in zip(alone, start):
+        assert np.array_equal(bits(initial(rng)), bits(gains))
     state = start
     # the second block starts from the last row of the first
     for _ in range(2):
-        block = ch.evolve_block(state, joint, BLOCK)
+        block = ch.evolve_block(state, joint, PDP, rho, BLOCK)
         assert block.shape == (BLOCK, 2, M_FULL)
-        for link, p in enumerate(alone):
-            single = ch.evolve_block(state[link][None], [p], BLOCK)
+        for link, rng in enumerate(alone):
+            single = ch.evolve_block(state[link][None], [rng], PDP, rho, BLOCK)
             assert np.array_equal(bits(block[:, link]), bits(single[:, 0]))
         state = block[-1].copy()
 
@@ -154,55 +146,58 @@ def test_static_evolution_repeats_nonzero_gains_and_steps_zero_parts():
     # rho = 1: non-zero gains are repeated without drawing taps, but a +0.0
     # real or -0.0 imaginary part takes the written-out step, whose +-0
     # innovation decides the sign of the zero
-    proc, ref_proc = fresh_process(seed=5), fresh_process(seed=5)
-    start = ch.sample_initial_channel(proc, M_FULL)
-    assert np.array_equal(bits(ch.sample_initial_channel(ref_proc, M_FULL)), bits(start))
-    drawn = proc._rng.bit_generator.state
-    static = ch.evolve_block(start[None], [proc], BLOCK)[:, 0]
-    assert proc._rng.bit_generator.state == drawn
+    rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+    start = initial(rng)
+    assert np.array_equal(bits(initial(ref_rng)), bits(start))
+    drawn = rng.bit_generator.state
+    static = ch.evolve_block(start[None], [rng], PDP, 1.0, BLOCK)[:, 0]
+    assert rng.bit_generator.state == drawn
     assert np.array_equal(bits(static), bits(np.repeat(start[None], BLOCK, axis=0)))
 
     start[3] = complex(0.0, start[3].imag)
     start[7] = complex(start[7].real, -0.0)
-    block = ch.evolve_block(start[None], [proc], BLOCK)[:, 0]
+    block = ch.evolve_block(start[None], [rng], PDP, 1.0, BLOCK)[:, 0]
     ref = start
     for k in range(BLOCK):
-        ref = reference_evolve(ref, ref_proc)
+        ref = reference_evolve(ref, ref_rng, 1.0)
         assert np.array_equal(bits(block[k]), bits(ref))
     # the zeros did change sign, so a repeat would have been wrong
     assert not np.array_equal(bits(block), bits(np.repeat(start[None], BLOCK, axis=0)))
 
 
 def test_joint_evolution_validation():
-    # every process here is static (coherence inf), where evolve_block would
-    # otherwise repeat its input: the checks run first
-    two = np.stack([ch.sample_initial_channel(fresh_process(seed=s), M_FULL) for s in (1, 2)])
-    fast = fresh_process(seed=3, coherence=50.0)
-    short = ch.ChannelProcess(4, ch.exponential_tap_powers(4), math.inf, 4)
-    with pytest.raises(ValueError, match="coherence_samples"):
-        ch.evolve_block(two, [fresh_process(seed=1), fast], 4)
-    with pytest.raises(ValueError, match="num_taps"):
-        ch.evolve_block(two, [fresh_process(seed=1), short], 4)
-    with pytest.raises(ValueError, match="one process per row"):
-        ch.evolve_block(two, [fresh_process(seed=1)], 4)
-    with pytest.raises(ValueError, match="one process per row"):
-        ch.evolve_block(two, [fresh_process(seed=s) for s in (1, 2, 3)], 4)
+    # rho = 1 (static), where evolve_block would otherwise repeat its input:
+    # the checks run first
+    rngs = [np.random.default_rng(s) for s in (1, 2)]
+    two = ch.sample_initial_channels(rngs, PDP, M_FULL)
     with pytest.raises(ValueError, match="count"):
-        ch.evolve_block(two, [fresh_process(seed=s) for s in (1, 2)], 0)
+        ch.evolve_block(two, rngs, PDP, 1.0, 0)
+    with pytest.raises(ValueError, match="shape"):
+        ch.evolve_block(two[0], rngs, PDP, 1.0, 4)
+    with pytest.raises(ValueError, match="shape"):
+        ch.evolve_block(two[:0], rngs, PDP, 1.0, 4)
+    with pytest.raises(ValueError, match="m_full"):
+        ch.evolve_block(two[:, : TAPS - 1], rngs, PDP, 1.0, 4)
+    # a generator short or over fails instead of leaving a row undrawn
+    for wrong in (rngs[:1], rngs + rngs[:1]):
+        with pytest.raises(ValueError):
+            ch.evolve_block(two, wrong, PDP, 0.5, 4)
 
 
 def test_estimate_block_writes_into_its_input():
     truth = np.stack([random_estimates(13), random_estimates(14)], axis=1)
     kept = truth.copy()
-    noises = [ch.NoiseModel(0.1, rng_seed=s) for s in (15, 16)]
-    est = ch.estimate_block(truth, noises)
+    rngs = [np.random.default_rng(s) for s in (15, 16)]
+    est = ch.estimate_block(truth, rngs, 0.1)
     assert est is truth
     # each link gets the draws it would get estimated alone
     for link, seed in enumerate((15, 16)):
-        single = ch.estimate_block(kept[:, link][:, None].copy(), [ch.NoiseModel(0.1, seed)])
+        single = ch.estimate_block(
+            kept[:, link][:, None].copy(), [np.random.default_rng(seed)], 0.1
+        )
         assert np.array_equal(bits(est[:, link]), bits(single[:, 0]))
-    with pytest.raises(ValueError, match="one noise model per link"):
-        ch.estimate_block(kept, noises[:1])
+    with pytest.raises(ValueError, match="one generator per link"):
+        ch.estimate_block(kept, rngs[:1], 0.1)
 
 
 def test_imitation_prefilter_leaves_bob_untouched():
@@ -236,24 +231,22 @@ def test_a_simulated_block_allocates_under_two_blocks_of_both_links(prefilter):
 def reference_pairs(config):
     """The estimate stream built one message at a time from single-row calls."""
     seeds = ev._derived_seeds(config.rng_seed)
+    bob_rng, eve_rng, bob_noise, eve_noise = (np.random.default_rng(s) for s in seeds[:4])
     pdp = ch.exponential_tap_powers(config.num_taps)
-    bob_proc = ch.ChannelProcess(config.num_taps, pdp, config.coherence_samples, seeds[0])
-    eve_proc = ch.ChannelProcess(config.num_taps, pdp, config.coherence_samples, seeds[1])
+    rho = ch.step_correlation(config.coherence_samples)
     noise_var = ch.snr_db_to_noise_variance(config.snr_db)
-    bob_noise = ch.NoiseModel(noise_var, seeds[2])
-    eve_noise = ch.NoiseModel(noise_var, seeds[3])
-    b = ch.sample_initial_channel(bob_proc, config.m_full)
-    e = ch.sample_initial_channel(eve_proc, config.m_full)
-    prefilter = config.prefilter
-    if isinstance(prefilter, str):
-        prefilter = ch.perfect_imitation_prefilter(b, e)
+    (b,) = ch.sample_initial_channels([bob_rng], pdp, config.m_full)
+    (e,) = ch.sample_initial_channels([eve_rng], pdp, config.m_full)
+    coefficients = None
+    if config.prefilter is not None:
+        coefficients = ch.perfect_imitation_prefilter(b, e)
     while True:
-        b = ch.evolve_block(b[None], [bob_proc], 1)[0, 0]
-        e = ch.evolve_block(e[None], [eve_proc], 1)[0, 0]
-        effective = ch.prefilter_block(e.copy(), prefilter) if prefilter is not None else e
+        b = ch.evolve_block(b[None], [bob_rng], pdp, rho, 1)[0, 0]
+        e = ch.evolve_block(e[None], [eve_rng], pdp, rho, 1)[0, 0]
+        effective = e if coefficients is None else e * coefficients
         yield (
-            ch.estimate_block(b[None, None].copy(), [bob_noise])[0, 0],
-            ch.estimate_block(effective[None, None].copy(), [eve_noise])[0, 0],
+            ch.estimate_block(b[None, None].copy(), [bob_noise], noise_var)[0, 0],
+            ch.estimate_block(effective[None, None].copy(), [eve_noise], noise_var)[0, 0],
         )
 
 

@@ -361,6 +361,9 @@ def test_sweep_compare_update_emits_paired_rows(tmp_path):
         ("evaluate", "--preset", "desk", "--m", "999"),  # exceeds m_full
         ("sweep", "--preset", "desk", "--m", "4"),  # folded into evaluate
         ("evaluate", "--preset", "full", "--m", "4"),  # the defaults are full scale
+        # noise variance 10^308.3 is not a finite float
+        ("evaluate", "--preset", "desk", "--m", "8", "--snr", "-3083"),
+        ("simulate", "--preset", "desk", "--snr", "-3083", "--out", "t.csv"),
     ],
 )
 def test_usage_errors_exit_with_code_two(argv):

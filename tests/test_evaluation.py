@@ -208,15 +208,6 @@ def test_perfect_imitation_collapses_detection_to_chance_desk_scale():
     assert abs(r.p_d - r.p_fa) <= 0.10
 
 
-def test_explicit_prefilter_object_is_applied():
-    from physec.channel import Prefilter
-
-    identity = Prefilter(np.ones(48, dtype=np.complex128))
-    base = ev.run_experiment(desk_config())
-    filtered = ev.run_experiment(desk_config(prefilter=identity))
-    assert base.counts == filtered.counts  # identity filter changes nothing
-
-
 # ---------------------------------------------------------------------------
 # trace replay
 # ---------------------------------------------------------------------------
@@ -264,6 +255,13 @@ def test_replay_rejects_short_traces_and_prefilters():
         ev.run_experiment_from_trace(
             trace, dataclasses.replace(cfg, prefilter=ev.PERFECT_IMITATION)
         )
+
+
+def test_replay_rejects_a_config_of_another_width():
+    trace = build_trace_for(desk_config())
+    narrow = desk_config(m_full=16, num_taps=4)
+    with pytest.raises(ValueError, match="m_full=16"):
+        ev.run_experiment_from_trace(trace, narrow)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -320,26 +318,20 @@ def test_replayed_delta_features_need_forward_time_indices():
 def test_short_estimate_streams_are_reported():
     cfg = desk_config()
     with pytest.raises(ValueError, match="exhausted"):
-        ev._run_on_blocks(cfg, iter([]), cfg.m_full)
+        ev._run_on_blocks(cfg, iter([]))
     blocks = ev.simulated_estimate_blocks(dataclasses.replace(cfg, block_size=cfg.block_size - 1))
     with pytest.raises(ValueError, match="exhausted"):
-        ev._run_on_blocks(cfg, blocks, cfg.m_full)
+        ev._run_on_blocks(cfg, blocks)
 
 
-def test_prefilter_of_the_wrong_length_is_rejected():
-    from physec.channel import Prefilter
-
-    with pytest.raises(ValueError, match="does not match"):
-        ev.run_experiment(desk_config(prefilter=Prefilter(np.ones(47, dtype=np.complex128))))
-
-
-def test_overflowing_prefilter_gains_are_rejected():
-    from physec.channel import Prefilter
-
+def test_overflowing_prefilter_gains_are_rejected(monkeypatch):
     # finite coefficients, but the filtered gains overflow to inf
+    monkeypatch.setattr(
+        ev.ch, "perfect_imitation_prefilter", lambda target, actual: np.full(48, 1.7e308 + 0j)
+    )
     with np.errstate(over="ignore"):
         with pytest.raises(ValueError, match="finite"):
-            ev.run_experiment(desk_config(prefilter=Prefilter(np.full(48, 1.7e308 + 0j))))
+            ev.run_experiment(desk_config(prefilter=ev.PERFECT_IMITATION))
 
 
 # ---------------------------------------------------------------------------
@@ -364,8 +356,10 @@ def test_overflowing_prefilter_gains_are_rejected():
         dict(gmm_components=0),
         dict(rng_seed=-1),
         dict(prefilter="mystery-mode"),
+        dict(prefilter=np.ones(48, dtype=np.complex128)),  # only the sentinel
         dict(snr_db=math.nan),
         dict(snr_db=-math.inf),
+        dict(snr_db=-4000.0),
     ],
 )
 def test_invalid_configurations_rejected(overrides):
