@@ -34,11 +34,6 @@ RESULT_COLUMNS = [
     "seed",
 ]
 
-_FEATURES = {
-    "magnitude": FeatureKind.NORMALIZED_MAGNITUDE,
-    "delta": FeatureKind.DELTA,
-}
-
 # Small-scale override for quick runs, keyed by option name.
 DESK_PRESET = {"blocks": 10, "block_size": 200}
 
@@ -62,10 +57,15 @@ def _bool(text: str) -> bool:
     raise argparse.ArgumentTypeError(f"not a boolean: {text!r}")
 
 
+def _names(kind) -> list[str]:
+    """The names an enum's members are spelled by on the command line."""
+    return [member.value for member in kind]
+
+
 def _detector_list(text: str) -> list[str]:
     names = [tok.strip() for tok in text.split(",") if tok.strip()]
     for name in names:
-        if name not in {"gmm", "mse"}:
+        if name not in _names(DetectorKind):
             raise argparse.ArgumentTypeError(f"unknown detector {name!r}")
     if not names:
         raise argparse.ArgumentTypeError("empty detector list")
@@ -74,10 +74,10 @@ def _detector_list(text: str) -> list[str]:
 
 def _feature_kind(text: str) -> FeatureKind:
     try:
-        return _FEATURES[text.strip().lower()]
-    except KeyError:
+        return FeatureKind(text.strip().lower())
+    except ValueError:
         raise argparse.ArgumentTypeError(
-            f"unknown feature {text!r} (choose from {sorted(_FEATURES)})"
+            f"unknown feature {text!r} (choose from {sorted(_names(FeatureKind))})"
         )
 
 
@@ -382,12 +382,12 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
 
 def _add_eval_options(sub: argparse.ArgumentParser) -> None:
     _add_common(sub)
-    sub.add_argument("--detector", action="append", choices=["gmm", "mse"],
+    sub.add_argument("--detector", action="append", choices=_names(DetectorKind),
                      help=f"detector to run, repeatable (default {ExperimentConfig.detector.value})")
     sub.add_argument("--m", type=_int_list, help=f"comma-separated subcarrier counts, e.g. 4,16 {_default('m_subcarriers')}")
     sub.add_argument("--fa", type=float, help=f"target false-alarm rate {_default('target_fa')}")
-    feature = {kind: name for name, kind in _FEATURES.items()}[ExperimentConfig.feature_kind]
-    sub.add_argument("--feature", type=_feature_kind, help=f"magnitude or delta (default {feature})")
+    sub.add_argument("--feature", type=_feature_kind,
+                     help=f"{' or '.join(_names(FeatureKind))} (default {ExperimentConfig.feature_kind.value})")
     sub.add_argument("--components", type=int, help=f"mixture components {_default('gmm_components')}")
     sub.add_argument("--update", action=argparse.BooleanOptionalAction, default=None,
                      help=f"block-wise model updating (default {'on' if ExperimentConfig.update_enabled else 'off'})")

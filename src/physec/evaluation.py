@@ -202,66 +202,77 @@ def _finite(gains: np.ndarray) -> np.ndarray:
     return gains
 
 
+def _choose_rows(blocks, from_eve: np.ndarray) -> np.ndarray:
+    """The next block's estimates, each message's row from the link `from_eve` picks."""
+    bob, eve = next(blocks, ((), ()))
+    if len(bob) < from_eve.size or len(eve) < from_eve.size:
+        raise ValueError("estimate stream exhausted before the experiment finished")
+    return np.where(from_eve[:, None], eve, bob)
+
+
+def _messages(config: ExperimentConfig, blocks, times=None):
+    """Per-seed message stream: (rows, from_eve, chosen_times) of every block.
+
+    Block 0 is legitimate only; `chosen_times` holds each message's time
+    index when replaying `times`, else None.  Only the seed, the attack
+    intensity and the block shape are read: every config of a seed shares it.
+    """
+    attack_rng = np.random.default_rng(_derived_seeds(config.rng_seed)[4])
+    n = config.block_size
+    for b in range(config.num_blocks):
+        from_eve = attack_rng.random(n) < config.attack_intensity if b else np.zeros(n, bool)
+        chosen_times = None
+        if times is not None:
+            bob_t, eve_t = (t[b * n : (b + 1) * n] for t in times)
+            chosen_times = np.where(from_eve, eve_t, bob_t)
+        # not bound to a name: a suspended generator keeps its locals alive
+        yield _choose_rows(blocks, from_eve), from_eve, chosen_times
+
+
+def _features(config: ExperimentConfig, messages):
+    """Per-config feature stage: (features, from_eve) of every message block.
+
+    Delta features carry the last selected row into the next block and need
+    strictly increasing time indices on a recording; magnitudes read no time.
+    """
+    previous = previous_time = None
+    for rows, from_eve, times in messages:
+        selected = ft.select_block(rows, config.m_subcarriers)
+        del rows  # hold no full-width block while suspended
+        if config.feature_kind is ft.FeatureKind.DELTA:
+            if times is not None:
+                if previous_time is not None:
+                    times = np.concatenate([[previous_time], times])
+                # neighbours are compared, not subtracted: a difference can overflow
+                if np.any(times[1:] <= times[:-1]):
+                    raise ValueError("current estimate must be strictly later than previous")
+                previous_time = times[-1]
+            # the first training message has no predecessor and gives no feature
+            features = ft.delta_feature_block(selected, previous)
+            previous = selected[-1].copy()
+        else:
+            features = ft.normalize_magnitude_block(selected)
+        del selected
+        yield features, from_eve
+
+
 def _run_on_blocks(config: ExperimentConfig, blocks, times=None) -> TrialResult:
     """Run the configured detector over (bob, eve) estimate blocks.
 
     `times`, when given, is the (bob, eve) pair of per-message time-index
-    arrays of a recording; delta features require the chosen estimates to
-    move strictly forward in time.
+    arrays of a recording.  Counts and rates are sums over the BlockTraces.
     """
-    seeds = _derived_seeds(config.rng_seed)
-    attack_rng = np.random.default_rng(seeds[4])
-    m = config.m_subcarriers
-    n = config.block_size
-    use_delta = config.feature_kind is ft.FeatureKind.DELTA
-
-    previous = previous_time = None
-
-    def next_features(b: int, from_eve: np.ndarray) -> np.ndarray:
-        """Features of block b, each message taken from the link `from_eve` picks."""
-        nonlocal previous, previous_time
-        try:
-            bob_block, eve_block = next(blocks)
-        except StopIteration:
-            bob_block = eve_block = ()
-        if len(bob_block) < n or len(eve_block) < n:
-            raise ValueError("estimate stream exhausted before the experiment finished")
-        selected = ft.select_block(np.where(from_eve[:, None], eve_block, bob_block), m)
-        if not use_delta:
-            return ft.normalize_magnitude_block(selected)
-        if times is not None:
-            bob_t, eve_t = (t[b * n : (b + 1) * n] for t in times)
-            chosen = np.where(from_eve, eve_t, bob_t)
-            if previous_time is not None:
-                chosen = np.concatenate([[previous_time], chosen])
-            # neighbours are compared, not subtracted: a difference can overflow
-            if np.any(chosen[1:] <= chosen[:-1]):
-                raise ValueError("current estimate must be strictly later than previous")
-            previous_time = chosen[-1]
-        # the first training message has no predecessor and gives no feature
-        features = ft.delta_feature_block(selected, previous)
-        previous = selected[-1].copy()
-        return features
-
-    # -- training block: legitimate traffic only ------------------------------
-    train_features = next_features(0, np.zeros(n, dtype=bool))
-
+    stream = _features(config, _messages(config, blocks, times))
+    training, _ = next(stream)
     use_gmm = config.detector is DetectorKind.GMM
     if use_gmm:
-        model = gmm.fit(train_features, config.gmm_components, config.target_fa, seeds[5])
-        state = None
+        seed = _derived_seeds(config.rng_seed)[5]
+        model = gmm.fit(training, config.gmm_components, config.target_fa, seed)
     else:
-        model = None
-        state = mse.fit_mse(train_features, config.target_fa)
+        state = mse.fit_mse(training, config.target_fa)
 
-    # -- test blocks -----------------------------------------------------------
-    detects = alarms = misses = accepts = 0
-    bob_scores: list[np.ndarray] = []
-    eve_scores: list[np.ndarray] = []
-    block_traces: list[BlockTrace] = []
-    for b in range(1, config.num_blocks):
-        from_eve = attack_rng.random(n) < config.attack_intensity
-        features = next_features(b, from_eve)
+    records, bob_scores, eve_scores = [], [], []
+    for b, (features, from_eve) in enumerate(stream, start=1):
         if use_gmm:
             # the model only changes at block boundaries: score the block at once
             scores = gmm.log_likelihoods(model, features)
@@ -270,12 +281,6 @@ def _run_on_blocks(config: ExperimentConfig, blocks, times=None) -> TrialResult:
             distances, is_bob = mse.score_block(state, features)
             scores = -distances
         from_bob = ~from_eve
-        blk_alarms = int(np.sum(from_bob & ~is_bob))
-        blk_detects = int(np.sum(from_eve & ~is_bob))
-        alarms += blk_alarms
-        detects += blk_detects
-        accepts += int(np.sum(from_bob & is_bob))
-        misses += int(np.sum(from_eve & is_bob))
         bob_scores.append(scores[from_bob])
         eve_scores.append(scores[from_eve])
         updated = False
@@ -284,24 +289,23 @@ def _run_on_blocks(config: ExperimentConfig, blocks, times=None) -> TrialResult:
             new_model = gmm.update_block(model, features, accepted, config.target_fa)
             updated = new_model is not model
             model = new_model
-        block_traces.append(
-            BlockTrace(
-                b, int(from_bob.sum()), int(from_eve.sum()), blk_alarms, blk_detects, updated
-            )
+        rejected = ~is_bob
+        alarms, detects = int(np.sum(from_bob & rejected)), int(np.sum(from_eve & rejected))
+        records.append(
+            BlockTrace(b, int(from_bob.sum()), int(from_eve.sum()), alarms, detects, updated)
         )
 
-    counts = Counts(detects, alarms, misses, accepts)
-    eve_total = detects + misses
-    bob_total = alarms + accepts
+    bob_total, eve_total, alarms, detects = (
+        sum(getattr(record, name) for record in records)
+        for name in ("bob_messages", "eve_messages", "false_alarms", "detections")
+    )
     p_d = detects / eve_total if eve_total else None
-    p_fa = alarms / bob_total if bob_total else None
-    p_md = None if p_d is None else 1.0 - p_d
     return TrialResult(
-        counts=counts,
+        counts=Counts(detects, alarms, eve_total - detects, bob_total - alarms),
         p_d=p_d,
-        p_fa=p_fa,
-        p_md=p_md,
-        blocks=block_traces,
+        p_fa=alarms / bob_total if bob_total else None,
+        p_md=None if p_d is None else 1.0 - p_d,
+        blocks=records,
         bob_scores=np.concatenate(bob_scores),
         eve_scores=np.concatenate(eve_scores),
     )
@@ -323,21 +327,15 @@ def run_experiment_from_trace(trace, config: ExperimentConfig) -> TrialResult:
         raise ValueError("prefilters require the simulator; traces are already recorded")
     if config.m_full != trace.m_full:
         raise ValueError(f"config m_full={config.m_full} differs from the trace's {trace.m_full}")
-    rows = {BOB_LINK: [], EVE_LINK: []}
-    for row, link in enumerate(trace.link_labels):
-        if link in rows:
-            rows[link].append(row)
-    links = {
-        label: (_finite(trace.gains[index]), trace.time_index[index])
-        for label, index in rows.items()
-    }
+    links = {}
+    for label in (BOB_LINK, EVE_LINK):
+        index = [row for row, link in enumerate(trace.link_labels) if link == label]
+        links[label] = _finite(trace.gains[index]), trace.time_index[index]
     total = config.num_blocks * config.block_size
     for label, (gains, _) in links.items():
         if len(gains) < total:
-            raise ValueError(
-                f"trace has {len(gains)} records for link {label!r}, need {total}"
-            )
-    (bob, bob_t), (eve, eve_t) = links[BOB_LINK], links[EVE_LINK]
+            raise ValueError(f"trace has {len(gains)} records for link {label!r}, need {total}")
+    (bob, bob_t), (eve, eve_t) = links.values()
     n = config.block_size
     blocks = ((bob[k : k + n], eve[k : k + n]) for k in range(0, total, n))
     return _run_on_blocks(config, blocks, times=(bob_t, eve_t))

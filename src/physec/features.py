@@ -16,7 +16,7 @@ __all__ = [
 
 
 class FeatureKind(Enum):
-    NORMALIZED_MAGNITUDE = "normalized-magnitude"
+    NORMALIZED_MAGNITUDE = "magnitude"
     DELTA = "delta"
 
 

@@ -191,19 +191,23 @@ def _seed_initial_parameters(x, k, rng):
     """
     n = x.shape[0]
     centers = [x[rng.integers(n)]]
-    for _ in range(1, k):
-        d2 = np.min(
-            [np.sum((x - c) ** 2, axis=1) for c in centers], axis=0
-        )
-        total = d2.sum()
-        if total > 0:
-            idx = rng.choice(n, p=d2 / total)
-        else:
-            idx = rng.integers(n)
-        centers.append(x[idx])
+    # each center's squared distances, computed once, serve the seeding and
+    # the hard assignment; later totals only shrink, so one check suffices
+    with np.errstate(over="ignore"):
+        distances = [np.sum((x - centers[0]) ** 2, axis=1)]
+        if not np.isfinite(distances[0].sum()):
+            raise ValueError("squared distances between features overflow")
+        for _ in range(1, k):
+            d2 = np.min(distances, axis=0)
+            total = d2.sum()
+            if total > 0:
+                idx = rng.choice(n, p=d2 / total)
+            else:
+                idx = rng.integers(n)
+            centers.append(x[idx])
+            distances.append(np.sum((x - x[idx]) ** 2, axis=1))
     centers = np.array(centers)
-    dist = np.sum((x[:, None, :] - centers[None, :, :]) ** 2, axis=2)
-    assign = np.argmin(dist, axis=1)
+    assign = np.argmin(distances, axis=0)
     counts = np.bincount(assign, minlength=k)
     global_var = np.maximum(x.var(axis=0), MIN_VARIANCE)
     means = centers.copy()

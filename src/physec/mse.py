@@ -28,6 +28,12 @@ class MseDetectorState:
             raise ValueError("reference must be a non-empty 1-D vector")
 
 
+def _check_finite(scores: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(scores)):
+        raise ValueError("squared differences between features overflow")
+    return scores
+
+
 def score_block(state: MseDetectorState, features) -> tuple[np.ndarray, np.ndarray]:
     """Score a block of features in order; returns (scores, accepted).
 
@@ -44,13 +50,15 @@ def score_block(state: MseDetectorState, features) -> tuple[np.ndarray, np.ndarr
     threshold = state.threshold
     reference = state.reference
     m = x.shape[1]
-    for i, row in enumerate(x):
-        d = row - reference
-        # np.mean's own arithmetic, without its per-call overhead
-        scores[i] = score = float(np.add.reduce(d * d)) / m
-        accepted[i] = ok = score <= threshold
-        if ok:
-            reference = row
+    with np.errstate(over="ignore"):  # checked once for the whole block below
+        for i, row in enumerate(x):
+            d = row - reference
+            # np.mean's own arithmetic, without its per-call overhead
+            scores[i] = score = float(np.add.reduce(d * d)) / m
+            accepted[i] = ok = score <= threshold
+            if ok:
+                reference = row
+    _check_finite(scores)
     state.reference = reference.copy()
     return scores, accepted
 
@@ -67,6 +75,7 @@ def fit_mse(training, target_fa: float) -> MseDetectorState:
     x = as_feature_matrix(training)
     if x.shape[0] < 2:
         raise ValueError("need at least two training features")
-    scores = np.mean(np.diff(x, axis=0) ** 2, axis=1)
+    with np.errstate(over="ignore"):
+        scores = _check_finite(np.mean(np.diff(x, axis=0) ** 2, axis=1))
     threshold = -lower_tail_threshold(-scores, target_fa)
     return MseDetectorState(reference=x[-1].copy(), threshold=threshold)

@@ -7,10 +7,13 @@ Format:
 
 One row per recorded estimate.  Numbers are written in the shortest decimal
 form that parses back to the identical float (Python repr); negative zero is
-canonicalized to positive zero on write.  A numeric field that holds '_'
-or a non-ASCII character is an error on read, though Python's int() and
-float() would take it.  Time indices must be strictly increasing per link
-label.  Lines after the header starting with '#' are skipped on read.
+canonicalized to positive zero on write.  On read a numeric field must be
+spelled as the writer spells numbers: one holding '_', a non-ASCII
+character, a space or tab, a '+' that is not an exponent sign, or a special
+value other than lowercase inf, -inf and nan is an error, though Python's
+int() and float() would take it; a plain decimal such as 0.50 is read.
+Time indices must be strictly increasing per link label.  Lines after the
+header that are blank or start with '#' are skipped on read.
 
 The file is UTF-8.  Rows end at \n (as written), \r\n or \r; any other
 character `str.splitlines` breaks at (\v, \f, \x1c-\x1e, \x85, \u2028,
@@ -88,11 +91,25 @@ def _breaks_line(text: str) -> bool:
     return text.splitlines() not in ([text], [])
 
 
+_SPECIAL_VALUES = ("inf", "-inf", "nan")
+
+
 def _plain_number(text: str) -> bool:
-    """Whether a numeric field could have been written by `write_trace`:
-    int() and float() also take '_' digit separators and non-ASCII digits
-    and spaces, which the format never holds."""
-    return text.isascii() and "_" not in text
+    """Whether a numeric field, or a comma-joined run of them, is spelled as
+    `write_trace` spells numbers.  int() and float() also take '_' digit
+    separators, non-ASCII digits, padding whitespace, a '+' sign and special
+    values such as 'Infinity' or '-nan'; a plain decimal such as '0.50' is
+    fine.  Substring tests keep the common case cheap."""
+    if not text.isascii() or "_" in text or " " in text or "\t" in text:
+        return False
+    # the writer's only '+' is an exponent sign, as in 1e+300
+    if "+" in text and text.count("+") != text.count("e+") + text.count("E+"):
+        return False
+    if "n" in text or "N" in text:  # every spelling of inf and nan holds one
+        return all(
+            cell in _SPECIAL_VALUES for cell in text.split(",") if "n" in cell or "N" in cell
+        )
+    return True
 
 
 def write_trace(trace: CsiTrace, dest) -> None:
@@ -237,12 +254,11 @@ def _parse(lines) -> CsiTrace:
     reals = array("d")  # re0, im0, re1, ... of every row, in file order
     last_time: dict[str, int] = {}
     expected = 2 + 2 * m_full
-    for lineno, raw in lines:
-        line = raw.strip()
-        if not line:
+    for lineno, line in lines:
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
             continue
-        if line.startswith("#"):
-            continue
+        # padding is not stripped from the fields: the numeric ones refuse it
         cells = line.split(",")
         if len(cells) != expected:
             raise TraceFormatError(

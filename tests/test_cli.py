@@ -221,6 +221,39 @@ def test_simulate_writes_the_pinned_csv_bytes(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "argv, size, digest",
+    [
+        (
+            ("evaluate", "--detector", "gmm", "--detector", "mse", "--m", "4,8",
+             "--compare-update"),
+            376,
+            "122b755007a100921669fd174763092d3eeeb6d80790e174d1c3fd28a96ee6a2",
+        ),
+        (
+            ("evaluate", "--detector", "gmm", "--detector", "mse", "--m", "4,8",
+             "--compare-update", "--feature", "delta"),
+            549,
+            "80aac8eaa2bed300937bd1a2a0dde348e5f239f4b6bfe7691dd3927af231ee68",
+        ),
+        (
+            ("roc", "--m", "8"),
+            20419,
+            "d0e3d92564761bb1cbf1232875622a75f5a4d2aac8ebee02b4c2b17c2ff4bb37",
+        ),
+    ],
+    ids=["evaluate-grid", "evaluate-grid-delta", "roc"],
+)
+def test_evaluate_and_roc_write_the_pinned_bytes(tmp_path, argv, size, digest):
+    # recorded before the trial loop was split into stream, feature and
+    # detector stages; any change to a score or a rate moves these bytes
+    out = tmp_path / "out.csv"
+    assert run_cli(*argv, *DESK, "--out", str(out)) == 0
+    data = out.read_bytes()
+    assert len(data) == size
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
     "option, message",
     [
         (("--interval-us", "inf"), "interval"),
@@ -370,6 +403,17 @@ def test_usage_errors_exit_with_code_two(argv):
     with pytest.raises(SystemExit) as exc:
         run_cli(*argv)
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("detector", ["mse", "gmm"])
+def test_delta_features_whose_squares_overflow_are_usage_errors(detector, capsys):
+    # noise variance near 1e307: the delta magnitudes are finite, their
+    # squares are not, and used to come out as rates of 0.0 or a numpy error
+    with pytest.raises(SystemExit) as exc:
+        run_cli("evaluate", "--preset", "desk", "--m", "8", "--snr", "-3079",
+                "--feature", "delta", "--detector", detector)
+    assert exc.value.code == 2
+    assert "overflow" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

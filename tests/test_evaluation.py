@@ -32,6 +32,31 @@ def test_counts_conserve_message_totals():
         assert b.bob_messages + b.eve_messages == cfg.block_size
         assert 0 <= b.false_alarms <= b.bob_messages
         assert 0 <= b.detections <= b.eve_messages
+    # the block records are the tally the trial's counts are summed from
+    c = r.counts
+    assert sum(b.false_alarms for b in r.blocks) == c.false_alarms
+    assert sum(b.detections for b in r.blocks) == c.true_detects
+    assert sum(b.bob_messages for b in r.blocks) == c.false_alarms + c.correct_accepts
+    assert sum(b.eve_messages for b in r.blocks) == c.true_detects + c.misses
+    assert sum(b.bob_messages for b in r.blocks) == len(r.bob_scores)
+
+
+def test_every_config_of_a_seed_sees_one_message_stream():
+    from physec.features import FeatureKind
+
+    def stream(cfg):
+        return list(ev._messages(cfg, ev.simulated_estimate_blocks(cfg)))
+
+    base = stream(desk_config())
+    for other in (
+        desk_config(m_subcarriers=4, detector=DetectorKind.MSE),
+        desk_config(feature_kind=FeatureKind.DELTA, update_enabled=False, target_fa=0.05),
+    ):
+        for (rows, from_eve, times), (rows2, from_eve2, times2) in zip(base, stream(other)):
+            assert np.array_equal(rows, rows2) and np.array_equal(from_eve, from_eve2)
+            assert times is None and times2 is None
+    assert len(base) == desk_config().num_blocks
+    assert not base[0][1].any()  # the training block is legitimate only
 
 
 def test_misdetection_is_exactly_one_minus_detection():

@@ -467,6 +467,15 @@ def test_non_finite_features_are_rejected(rng, bad):
         gmm.log_likelihoods(model, x)
 
 
+@pytest.mark.parametrize("k", [1, 3])
+def test_features_whose_squared_distances_overflow_are_rejected(rng, k):
+    # finite features 1e200 apart used to seed with NaN probabilities
+    x = rng.standard_normal((200, 4))
+    x[17, 2] = 1e200
+    with pytest.raises(ValueError, match="overflow"):
+        fit(x, num_components=k)
+
+
 def test_detector_config_validation(rng):
     x = rng.standard_normal((20, 2))
     with pytest.raises(ValueError, match="num_components"):

@@ -121,6 +121,19 @@ def test_non_finite_features_are_rejected(bad):
         mse.score_block(s, x)
 
 
+def test_scores_whose_squares_overflow_are_rejected():
+    # finite features 1e200 apart: their squared difference is inf
+    x = np.random.default_rng(3).standard_normal((200, 4))
+    s = mse.fit_mse(x, 0.05)
+    reference = s.reference.copy()
+    x[17, 2] = 1e200
+    with pytest.raises(ValueError, match="overflow"):
+        mse.fit_mse(x, 0.05)
+    with pytest.raises(ValueError, match="overflow"):
+        mse.score_block(s, x)
+    assert np.array_equal(s.reference, reference)  # a refused block moves nothing
+
+
 def test_state_validation():
     with pytest.raises(ValueError):
         mse.MseDetectorState(reference=np.empty(0))

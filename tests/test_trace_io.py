@@ -123,6 +123,22 @@ def test_comments_and_blank_lines_are_skipped():
     assert loaded.gains[0, 0] == 0.5 + 0.25j
 
 
+def test_the_writers_spellings_and_plain_decimals_are_read():
+    text = (
+        "#CSI,m_full=2,interval_us=1e+3,desc=\n"
+        "1,AB,0.50,-inf,nan,1e+300\n"
+        "2,AB,inf,-0.5,1E+5,2.5e-7\n"
+        "   \n"
+        "  # an indented comment\n"
+    )
+    loaded = trace_io.read_trace(io.StringIO(text))
+    assert loaded.sample_interval_us == 1000.0
+    assert loaded.time_index.tolist() == [1, 2]
+    assert loaded.gains[0, 0] == complex(0.5, -math.inf)
+    assert math.isnan(loaded.gains[0, 1].real) and loaded.gains[0, 1].imag == 1e300
+    assert loaded.gains[1].tolist() == [complex(math.inf, -0.5), complex(1e5, 2.5e-7)]
+
+
 def test_header_errors_carry_line_one():
     for text in (
         "",
@@ -138,6 +154,12 @@ def test_header_errors_carry_line_one():
         "#CSI,m_full=2,interval_us=1_0.0,desc=\n",
         "#CSI,m_full=\uff12,interval_us=1.0,desc=\n",  # fullwidth digit two
         "#CSI,m_full=2,interval_us=\u0661.5,desc=\n",  # Arabic-Indic digit one
+        "#CSI,m_full= +1 ,interval_us= 1e0 ,desc=\n +7 ,AB, +0.5 ,Infinity\n",
+        "#CSI,m_full=+2,interval_us=1.0,desc=\n",
+        "#CSI,m_full= 2,interval_us=1.0,desc=\n",
+        "#CSI,m_full=2,interval_us=\t1.0,desc=\n",
+        "#CSI,m_full=2,interval_us=+1.0,desc=\n",
+        "#CSI,m_full=2,interval_us=1.0 ,desc=\n",
     ):
         with pytest.raises(TraceFormatError) as err:
             trace_io.read_trace(io.StringIO(text))
@@ -160,6 +182,24 @@ def test_data_errors_carry_their_line_number():
         (header + "1,AB,0.5,0.5\n\uff12,AB,0.5,0.5\n", 3),
         (header + "1,AB,0.5,0.5\n2,AB,\uff12,0.5\n", 3),
         (header + "1,AB,0.5,0.5\n2,AB,0.5,\u20030.5\n", 3),  # em space
+        # padding, a '+' sign and special values spelled other than the
+        # writer's inf, -inf and nan, which int() and float() also take
+        ("#CSI,m_full=1,interval_us=1e0,desc=\n +7 ,AB, +0.5 ,Infinity\n", 2),
+        (header + "1,AB,0.5,0.5\n 2,AB,0.5,0.5\n", 3),
+        (header + "1,AB,0.5,0.5\n2 ,AB,0.5,0.5\n", 3),
+        (header + "1,AB,0.5,0.5\n+2,AB,0.5,0.5\n", 3),
+        (header + "1,AB,0.5,0.5\n2,AB,0.5, 0.5\n", 3),
+        (header + "1,AB,0.5,0.5\n2,AB,0.5,0.5 \n", 3),
+        (header + "1,AB,0.5,0.5\n2,AB,0.5,\t0.5\n", 3),
+        (header + "1,AB,0.5,0.5\n2,AB,+0.5,0.5\n", 3),
+        (header + "1,AB,0.5,0.5\n2,AB,0.5,1e5+\n", 3),
+        (header + "1,AB,0.5,0.5\n2,AB,+inf,0.5\n", 3),
+        (header + "1,AB,0.5,0.5\n2,AB,0.5,Infinity\n", 3),
+        (header + "1,AB,0.5,0.5\n2,AB,0.5,infinity\n", 3),
+        (header + "1,AB,0.5,0.5\n2,AB,INF,0.5\n", 3),
+        (header + "1,AB,0.5,0.5\n2,AB,-Inf,0.5\n", 3),
+        (header + "1,AB,0.5,0.5\n2,AB,NaN,0.5\n", 3),
+        (header + "1,AB,0.5,0.5\n2,AB,-nan,0.5\n", 3),
     ]
     for text, lineno in cases:
         with pytest.raises(TraceFormatError) as err:
