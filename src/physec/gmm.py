@@ -70,6 +70,10 @@ class GmmModel:
             raise ValueError("weights must sum to 1")
         if np.any(self.variances < MIN_VARIANCE):
             raise ValueError("variances must not fall below the variance floor")
+        # None means not calibrated yet and +-inf accepts or rejects everything,
+        # but NaN would reject every sample without a word
+        if self.threshold is not None and math.isnan(self.threshold):
+            raise ValueError("threshold must not be NaN")
 
     @property
     def num_components(self) -> int:
@@ -174,14 +178,25 @@ def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
     return np.where(a_max == -np.inf, -np.inf, out)
 
 
+_OVERFLOW = "squared distances between features overflow"
+
+
 def log_likelihoods(model: GmmModel, features) -> np.ndarray:
-    """Mixture log-likelihood of each feature, computed via log-sum-exp."""
+    """Mixture log-likelihood of each feature, computed via log-sum-exp.
+
+    A feature's score is -inf only when its scaled squared distance to every
+    component overflows; such a block is refused, not scored.
+    """
     x = as_feature_matrix(features, model.dim)
-    return _logsumexp_rows(
-        _weighted_log_densities(
-            x, model.weights, model.means, model.variances, np.empty_like(x)
+    with np.errstate(over="ignore"):  # checked once for the whole block below
+        scores = _logsumexp_rows(
+            _weighted_log_densities(
+                x, model.weights, model.means, model.variances, np.empty_like(x)
+            )
         )
-    )
+    if not np.all(np.isfinite(scores)):
+        raise ValueError(_OVERFLOW)
+    return scores
 
 
 def _seed_initial_parameters(x, k, rng):
@@ -196,7 +211,7 @@ def _seed_initial_parameters(x, k, rng):
     with np.errstate(over="ignore"):
         distances = [np.sum((x - centers[0]) ** 2, axis=1)]
         if not np.isfinite(distances[0].sum()):
-            raise ValueError("squared distances between features overflow")
+            raise ValueError(_OVERFLOW)
         for _ in range(1, k):
             d2 = np.min(distances, axis=0)
             total = d2.sum()
@@ -226,36 +241,41 @@ def _em(x, weights, means, variances):
     """Run EM to convergence; returns parameters and the log-likelihood history.
 
     The history is non-decreasing: flooring the variances is the constrained
-    M-step maximizer, so the usual EM guarantee is preserved.
+    M-step maximizer, so the usual EM guarantee is preserved.  A sample whose
+    scaled squared distance to every component overflows makes the total
+    log-likelihood -inf, and the fit is refused.
     """
     n = x.shape[0]
     history = []
     ll_prev = None
     work = np.empty_like(x)  # the E- and M-steps' only (N, D) array
-    for _ in range(EM_ITERATIONS):
-        lw = _weighted_log_densities(x, weights, means, variances, work)
-        per_sample = _logsumexp_rows(lw)
-        ll = float(per_sample.sum())
-        history.append(ll)
-        resp = np.exp(lw - per_sample[:, None])
-        nk = resp.sum(axis=0)
-        weights = nk / n
-        safe_nk = np.where(nk > 0, nk, 1.0)
-        means = np.where(
-            nk[:, None] > 0, (resp.T @ x) / safe_nk[:, None], means
-        )
-        new_var = np.empty_like(variances)
-        for j in range(weights.size):
-            if nk[j] > 0:
-                np.subtract(x, means[j], out=work)
-                np.multiply(work, work, out=work)
-                new_var[j] = resp[:, j] @ work / nk[j]
-            else:
-                new_var[j] = variances[j]
-        variances = np.maximum(new_var, MIN_VARIANCE)
-        if ll_prev is not None and abs(ll - ll_prev) <= EM_TOLERANCE * abs(ll_prev):
-            break
-        ll_prev = ll
+    with np.errstate(over="ignore"):  # checked once per iteration, on the total
+        for _ in range(EM_ITERATIONS):
+            lw = _weighted_log_densities(x, weights, means, variances, work)
+            per_sample = _logsumexp_rows(lw)
+            ll = float(per_sample.sum())
+            if not math.isfinite(ll):
+                raise ValueError(_OVERFLOW)
+            history.append(ll)
+            resp = np.exp(lw - per_sample[:, None])
+            nk = resp.sum(axis=0)
+            weights = nk / n
+            safe_nk = np.where(nk > 0, nk, 1.0)
+            means = np.where(
+                nk[:, None] > 0, (resp.T @ x) / safe_nk[:, None], means
+            )
+            new_var = np.empty_like(variances)
+            for j in range(weights.size):
+                if nk[j] > 0:
+                    np.subtract(x, means[j], out=work)
+                    np.multiply(work, work, out=work)
+                    new_var[j] = resp[:, j] @ work / nk[j]
+                else:
+                    new_var[j] = variances[j]
+            variances = np.maximum(new_var, MIN_VARIANCE)
+            if ll_prev is not None and abs(ll - ll_prev) <= EM_TOLERANCE * abs(ll_prev):
+                break
+            ll_prev = ll
     return weights, means, variances, history
 
 

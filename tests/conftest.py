@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from physec import gmm
 from physec.evaluation import ExperimentConfig
 
 
@@ -23,3 +24,28 @@ def desk_config(**overrides) -> ExperimentConfig:
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+def per_row_mse_score_block(state, features):
+    """`mse.score_block` written out row by row: the reference for its tables.
+
+    One numpy reduction per row against the current reference, which every
+    accepted row replaces; the block is refused, and the reference left as it
+    was, when a chosen score overflowed.
+    """
+    if state.threshold is None:
+        raise ValueError("detector has no calibrated threshold")
+    x = gmm.as_feature_matrix(features, state.reference.size)
+    reference = state.reference
+    scores, accepted = [], []
+    with np.errstate(over="ignore"):
+        for row in x:
+            d = row - reference
+            scores.append(float(np.mean(d * d)))
+            accepted.append(scores[-1] <= state.threshold)
+            if accepted[-1]:
+                reference = row
+    if not np.all(np.isfinite(scores)):
+        raise ValueError("squared differences between features overflow")
+    state.reference = reference.copy()
+    return np.array(scores), np.array(accepted, dtype=bool)

@@ -10,6 +10,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from physec import channel as ch
@@ -18,7 +20,7 @@ from physec import features as ft
 from physec import gmm
 from physec import mse
 
-from conftest import desk_config
+from conftest import desk_config, per_row_mse_score_block
 
 M_FULL = 48
 TAPS = 8
@@ -119,7 +121,7 @@ def test_block_prefilter_matches_single_prefilter():
 
 
 def bits(a):
-    """The float64 words of a complex array, so equality is bit for bit."""
+    """The float64 words of a real or complex array, so equality is bit for bit."""
     return np.ascontiguousarray(a).view(np.float64).view(np.uint64)
 
 
@@ -467,26 +469,126 @@ def test_row_logsumexp_matches_scipy():
         assert np.all(gmm._logsumexp_rows(cases["all weights zero"]) == -np.inf)
 
 
+def assert_walks_agree(state, block):
+    """`mse.score_block` against the per-row walk from a copy of `state`."""
+    reference = mse.MseDetectorState(state.reference.copy(), state.threshold)
+    expected_scores, expected_accepted = per_row_mse_score_block(reference, block)
+    scores, accepted = mse.score_block(state, block)
+    assert np.array_equal(bits(scores), bits(expected_scores))
+    assert np.array_equal(accepted, expected_accepted)
+    assert np.array_equal(bits(state.reference), bits(reference.reference))
+    return accepted
+
+
 def test_mse_block_scores_match_a_per_row_walk():
     features = ft.normalize_magnitude_block(ft.select_block(random_estimates(17, rows=1000), 8))
     state = mse.fit_mse(features[:400], target_fa=0.05)
     block = features[400:]
-    start = state.reference.copy()
     # the first row's score lands exactly on the threshold, so it is accepted
-    state.threshold = float(np.mean((block[0] - start) ** 2))
-
-    reference = start
-    expected_scores, expected_accepted = [], []
-    for row in block:
-        d = row - reference
-        score = float(np.mean(d * d))
-        expected_scores.append(score)
-        expected_accepted.append(score <= state.threshold)
-        if score <= state.threshold:
-            reference = row.copy()
-
-    scores, accepted = mse.score_block(state, block)
-    assert np.array_equal(scores, expected_scores)
-    assert np.array_equal(accepted, expected_accepted)
-    assert np.array_equal(state.reference, reference)
+    state.threshold = float(np.mean((block[0] - state.reference) ** 2))
+    accepted = assert_walks_agree(state, block)
     assert accepted[0] and not accepted.all()
+
+
+L = mse._LAGS
+# accepted (a) and rejected (r) rows; the first fallback pass covers L rows
+# past the lag tables and each further pass doubles what was covered
+WALKS = {
+    "no acceptance": "r" * 40,
+    "first row rejected": "raarraa",
+    "a rejection run longer than the lags": "a" + "r" * (L + 1) + "a" + "r" * (L + 2) + "aa",
+    "a rejection run longer than the first window": "a" + "r" * (2 * L + 2) + "ar" * L + "a",
+    "long rejection runs": "r" * 3 + "a" + "r" * 100 + "a" + "r" * (4 * L + 1) + "a",
+    "every row accepted": "a" * 40,
+    "one accepted row": "a",
+    "one rejected row": "r",
+}
+
+
+def walk_block(pattern: str, m: int, seed: int = 0) -> np.ndarray:
+    """Rows near the zero reference where `pattern` says a, far from it where r.
+
+    Every accepted row differs from every other, so a score taken against
+    the wrong reference row has other bits.
+    """
+    rng = np.random.default_rng(seed)
+    far = np.array([5.0 if c == "r" else 0.0 for c in pattern])
+    return far[:, None] + 0.01 * rng.standard_normal((len(pattern), m))
+
+
+@pytest.mark.parametrize("m", [1, 7, 8, 9, 16, 48])
+@pytest.mark.parametrize("walk", WALKS)
+def test_mse_lag_tables_match_a_per_row_walk(walk, m):
+    pattern = WALKS[walk]
+    state = mse.MseDetectorState(np.zeros(m), threshold=0.01)
+    accepted = assert_walks_agree(state, walk_block(pattern, m))
+    assert "".join("a" if ok else "r" for ok in accepted) == pattern
+    if "a" not in pattern:
+        assert np.array_equal(state.reference, np.zeros(m))
+
+
+@given(
+    n=st.integers(min_value=1, max_value=80),
+    m=st.sampled_from([1, 7, 8, 9, 16]),
+    accept_rate=st.sampled_from([0.0, 0.2, 0.5, 0.9, 1.0]),
+    seed=st.integers(min_value=0, max_value=2**31),
+    cuts=st.lists(st.integers(min_value=1, max_value=79), max_size=6),
+)
+@settings(max_examples=60, deadline=None)
+def test_mse_one_call_equals_calls_over_chunks(n, m, accept_rate, seed, cuts):
+    rng = np.random.default_rng(seed)
+    pattern = "".join("a" if u < accept_rate else "r" for u in rng.random(n))
+    block = walk_block(pattern, m, seed)
+    whole = mse.MseDetectorState(np.zeros(m), threshold=0.01)
+    chunked = mse.MseDetectorState(np.zeros(m), threshold=0.01)
+    scores, accepted = mse.score_block(whole, block)
+    chunks = [chunk for chunk in np.split(block, sorted(set(cuts))) if len(chunk)]
+    parts = [mse.score_block(chunked, chunk) for chunk in chunks]
+    assert np.array_equal(bits(scores), bits(np.concatenate([p[0] for p in parts])))
+    assert np.array_equal(accepted, np.concatenate([p[1] for p in parts]))
+    assert np.array_equal(bits(whole.reference), bits(chunked.reference))
+
+
+@pytest.mark.parametrize("m", [4, 48])
+@pytest.mark.parametrize("attack_intensity", [0.5, 1.0])
+@pytest.mark.parametrize("coherence", [math.inf, 1e3])
+@pytest.mark.parametrize("feature_kind", list(ft.FeatureKind))
+def test_mse_runs_match_the_per_row_walk_end_to_end(
+    feature_kind, coherence, attack_intensity, m, monkeypatch
+):
+    config = desk_config(
+        detector=ev.DetectorKind.MSE,
+        feature_kind=feature_kind,
+        coherence_samples=coherence,
+        attack_intensity=attack_intensity,
+        m_subcarriers=m,
+    )
+    result = ev.run_experiment(config)
+    monkeypatch.setattr(mse, "score_block", per_row_mse_score_block)
+    expected = ev.run_experiment(config)
+    assert result.counts == expected.counts
+    assert (result.p_d, result.p_fa, result.p_md) == (expected.p_d, expected.p_fa, expected.p_md)
+    assert result.blocks == expected.blocks
+    assert np.array_equal(bits(result.bob_scores), bits(expected.bob_scores))
+    assert np.array_equal(bits(result.eve_scores), bits(expected.eve_scores))
+
+
+def test_row_sums_of_a_matrix_add_like_one_dimensional_sums():
+    # Both detectors score a block with np.add.reduce(axis=1) and rely on it
+    # adding each row of a C-contiguous matrix exactly as np.add.reduce adds
+    # that row alone; gmm's column-wise log-sum-exp relies on rows narrower
+    # than _SEQUENTIAL_SUM_LIMIT being added left to right.  The widths cross
+    # numpy's 8-wide unrolling and its 128-element pairwise split.
+    rng = np.random.default_rng(23)
+    for m in range(1, 131):
+        x = rng.standard_normal((40, m)) * 10.0 ** rng.integers(-8, 9, (40, m))
+        sums = np.add.reduce(x, axis=1)
+        assert np.array_equal(bits(sums), bits([np.add.reduce(row) for row in x])), m
+        if m < gmm._SEQUENTIAL_SUM_LIMIT:
+            running = np.zeros(x.shape[0])
+            for column in x.T:
+                running += column
+            assert np.array_equal(bits(sums), bits(running)), m
+        if m >= 3:  # the data tells addition orders apart
+            rotated = np.add.reduce(np.roll(x, 1, axis=1), axis=1)
+            assert not np.array_equal(bits(sums), bits(rotated)), m

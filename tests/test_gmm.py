@@ -265,13 +265,11 @@ def test_one_dimensional_density_integrates_to_one():
 
 def test_score_is_finite_for_extreme_inputs():
     model = single_gaussian_model(var=1e-8)
+    assert math.isfinite(log_likelihood(model, 1e100))
     # at 1e200 the squared distance overflows and every component's
-    # log-density is -inf
-    for value in (1e100, 1e200):
-        with np.errstate(over="ignore"):
-            val = log_likelihood(model, value)
-        assert math.isfinite(val) or val == -math.inf  # never nan
-        assert not math.isnan(val)
+    # log-density would be -inf: the feature is refused, not scored
+    with pytest.raises(ValueError, match="overflow"):
+        log_likelihood(model, 1e200)
 
 
 def test_dimension_mismatch_rejected():
@@ -476,6 +474,26 @@ def test_features_whose_squared_distances_overflow_are_rejected(rng, k):
         fit(x, num_components=k)
 
 
+def test_scores_whose_squared_distances_overflow_are_rejected():
+    # a finite feature 1e200 from every mean used to score -inf, a rejection,
+    # and to fail a refit with "weights must be finite"
+    x = np.random.default_rng(0).standard_normal((200, 4))
+    model = fit(x, num_components=3, target_fa=0.05)
+    block = x.copy()
+    block[5, 1] = 1e200
+    with pytest.raises(ValueError, match="overflow"):
+        gmm.log_likelihoods(model, block)
+    with pytest.raises(ValueError, match="overflow"):
+        refit_all(model, block, target_fa=0.05)
+    # these two score finitely, but the refit's variance of their component
+    # overflows, and the next E-step refuses the block
+    block = x.copy()
+    block[5, 1], block[6, 1] = 1e154, -1e154
+    assert np.all(np.isfinite(gmm.log_likelihoods(model, block)))
+    with pytest.raises(ValueError, match="overflow"):
+        refit_all(model, block, target_fa=0.05)
+
+
 def test_detector_config_validation(rng):
     x = rng.standard_normal((20, 2))
     with pytest.raises(ValueError, match="num_components"):
@@ -493,6 +511,13 @@ def test_model_invariant_validation():
         GmmModel(np.array([1.0]), np.zeros((1, 1)), np.full((1, 1), 1e-12))
     with pytest.raises(ValueError, match="shape"):
         GmmModel(np.array([1.0]), np.zeros((2, 1)), np.ones((2, 1)))
+
+
+def test_model_threshold_may_be_unset_or_infinite_but_not_nan():
+    for threshold in (None, np.inf, -np.inf, -3.0):
+        assert single_gaussian_model(threshold=threshold).threshold == threshold
+    with pytest.raises(ValueError, match="NaN"):
+        single_gaussian_model(threshold=np.nan)
 
 
 @pytest.mark.parametrize("name", ["weights", "means", "variances"])

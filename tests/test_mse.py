@@ -139,3 +139,18 @@ def test_state_validation():
         mse.MseDetectorState(reference=np.empty(0))
     with pytest.raises(ValueError):
         mse.MseDetectorState(reference=np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_state_refuses_a_non_finite_reference(bad):
+    # it used to be reported as squared differences that overflow
+    with pytest.raises(ValueError, match="reference must be finite"):
+        state([0.1, bad, 0.1], threshold=1.0)
+
+
+def test_state_threshold_may_be_unset_or_infinite_but_not_nan():
+    # a NaN threshold used to reject every feature without a word
+    for threshold in (None, np.inf, -np.inf, 0.5):
+        assert state([0.1] * 3, threshold).threshold == threshold
+    with pytest.raises(ValueError, match="NaN"):
+        state([0.1] * 3, threshold=np.nan)
