@@ -198,15 +198,24 @@ def _result_row(config: ExperimentConfig, result) -> dict:
     }
 
 
-def _write_rows(rows: list, out: str | None) -> None:
+def _write_file(parser, path: str, what: str, write) -> None:
+    """Open `path` for writing and hand it to `write`; an OSError (say, a
+    missing directory) is a usage error that names the path."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            write(fh)
+    except OSError as exc:
+        parser.error(f"cannot write {what}: {exc}")
+
+
+def _write_rows(parser, rows: list, out: str | None) -> None:
     def emit(fh):
         writer = csv.DictWriter(fh, fieldnames=RESULT_COLUMNS, lineterminator="\n")
         writer.writeheader()
         writer.writerows(rows)
 
     if out:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            emit(fh)
+        _write_file(parser, out, "results", emit)
     else:
         emit(sys.stdout)
 
@@ -220,11 +229,13 @@ def _print_table(rows: list) -> None:
         print("  ".join(str(r[c]).ljust(widths[c]) for c in RESULT_COLUMNS), file=sys.stderr)
 
 
-def _write_roc(curve: ev.RocCurve, out: str) -> None:
-    with open(out, "w", encoding="utf-8", newline="") as fh:
+def _write_roc(parser, curve: ev.RocCurve, out: str) -> None:
+    def emit(fh):
         fh.write("p_fa,p_d\n")
         for fa, pd in zip(curve.p_fa, curve.p_d):
             fh.write(f"{repr(float(fa))},{repr(float(pd))}\n")
+
+    _write_file(parser, out, "ROC curve", emit)
 
 
 def _read_trace(parser, path):
@@ -337,7 +348,7 @@ def cmd_evaluate(args, parser) -> int:
     results = _run(parser, configs, trace)
     rows = [_result_row(config, result) for config, result in zip(configs, results)]
     _print_table(rows)
-    _write_rows(rows, args.out)
+    _write_rows(parser, rows, args.out)
     return 0
 
 
@@ -354,7 +365,7 @@ def cmd_roc(args, parser) -> int:
         curve = ev.compute_roc(result.bob_scores, result.eve_scores)
     except ValueError as exc:
         parser.error(str(exc))
-    _write_roc(curve, args.out)
+    _write_roc(parser, curve, args.out)
     print(f"wrote {curve.p_fa.size} operating points to {args.out}", file=sys.stderr)
     return 0
 

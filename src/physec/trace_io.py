@@ -23,10 +23,9 @@ memory stays near the size of the gains array.
 
 from __future__ import annotations
 
-import io
 import math
+import os
 from array import array
-from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,11 +111,11 @@ def _plain_number(text: str) -> bool:
     return True
 
 
-def write_trace(trace: CsiTrace, dest) -> None:
-    """Write a trace to a path or text stream; output is byte-deterministic.
+def write_trace(trace: CsiTrace, path: str | os.PathLike) -> None:
+    """Write a trace to the file at `path`; output is byte-deterministic.
 
-    Every record is checked before the destination is opened, so a bad one
-    leaves no partial file; rows are then formatted and written one at a time.
+    Every record is checked before the file is opened, so a bad one leaves
+    no partial file; rows are then formatted and written one at a time.
     """
     if _breaks_line(trace.description):
         raise ValueError("description must not contain newlines or other line breaks")
@@ -139,11 +138,7 @@ def write_trace(trace: CsiTrace, dest) -> None:
                 f"{label} goes {prev} -> {t}"
             )
         last_time[label] = t
-    if hasattr(dest, "write"):
-        target = nullcontext(dest)
-    else:
-        target = open(dest, "w", encoding="utf-8", newline="")
-    with target as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(
             f"#CSI,m_full={trace.m_full},interval_us={float(trace.sample_interval_us)!r},"
             f"desc={trace.description}\n"
@@ -155,67 +150,35 @@ def write_trace(trace: CsiTrace, dest) -> None:
             fh.write(f"{t},{label}," + ",".join([repr(v + 0.0) for v in row.tolist()]) + "\n")
 
 
-@contextmanager
-def _open_text(src):
-    """The source as a text stream.  Paths and binary streams are decoded with
-    universal newlines, and bytes that are not UTF-8 are kept as lone
-    surrogates so `_lines` can name the line they are on."""
-    if isinstance(src, io.TextIOBase):
-        yield src
-    elif hasattr(src, "read"):
-        text = io.TextIOWrapper(src, encoding="utf-8", errors="surrogateescape")
-        try:
-            yield text
-        finally:
-            text.detach()  # leave the caller's stream open
-    else:
-        with open(src, encoding="utf-8", errors="surrogateescape") as text:
-            yield text
-
-
 def _lines(text):
-    r"""(line number, line) of each row of a text stream, one at a time.
+    r"""(line number, line) of each row of a text-mode file, one at a time.
 
-    Rows end at \n, \r\n or \r, whichever newline mode the stream has; any
-    other line-break character or non-UTF-8 text raises TraceFormatError.
+    Universal newlines end rows at \n, \r\n or \r; any other line-break
+    character, or a byte that is not UTF-8 (decoded to a lone surrogate),
+    raises TraceFormatError.
     """
-    lineno = 0
-    after_cr = False
-    try:
-        for piece in text:
-            if after_cr and piece.startswith("\n"):
-                piece = piece[1:]  # a \r\n the stream split after its \r
-            after_cr = piece.endswith("\r")
-            if "\r" in piece:
-                piece = piece.replace("\r\n", "\n").replace("\r", "\n")
-            rows = piece.split("\n")
-            if rows[-1] == "":
-                rows.pop()  # nothing after the final row end
-            for line in rows:
-                lineno += 1
-                if not line.isascii():
-                    try:
-                        line.encode("utf-8")
-                    except UnicodeEncodeError as exc:
-                        raise TraceFormatError(
-                            f"not valid UTF-8 at column {exc.start + 1}", line=lineno
-                        ) from None
-                if _breaks_line(line):
-                    raise TraceFormatError("line break character inside a row", line=lineno)
-                yield lineno, line
-    except UnicodeDecodeError as exc:
-        # a caller's strictly decoding stream decodes ahead: the bad byte is on
-        # the next line or a later one
-        raise TraceFormatError(f"not valid UTF-8: {exc}", line=lineno + 1) from exc
+    for lineno, line in enumerate(text, start=1):
+        line = line.removesuffix("\n")
+        if not line.isascii():
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise TraceFormatError(
+                    f"not valid UTF-8 at column {exc.start + 1}", line=lineno
+                ) from None
+        if _breaks_line(line):
+            raise TraceFormatError("line break character inside a row", line=lineno)
+        yield lineno, line
 
 
-def read_trace(src) -> CsiTrace:
-    """Parse a trace from a path, a text stream or a binary stream, row by row.
+def read_trace(path: str | os.PathLike) -> CsiTrace:
+    """Parse the trace in the file at `path`, row by row.
 
     Every failure raises TraceFormatError with the offending line number;
-    arbitrary junk input never escapes as another exception type.
+    arbitrary junk input never escapes as another exception type.  Bytes
+    that are not UTF-8 are kept as lone surrogates for `_lines` to report.
     """
-    with _open_text(src) as text:
+    with open(path, encoding="utf-8", errors="surrogateescape") as text:
         return _parse(_lines(text))
 
 

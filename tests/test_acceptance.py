@@ -5,7 +5,6 @@ one-line numeric summary; expensive experiment runs are cached module-wide so
 shared scenarios are simulated once.
 """
 
-import io
 import math
 import time
 
@@ -273,7 +272,7 @@ def test_feature_invariants_hold():
 # ---------------------------------------------------------------------------
 
 
-def test_reproducibility_and_lossless_round_trips():
+def test_reproducibility_and_lossless_round_trips(tmp_path):
     """Reruns of one configuration are bit-identical; trace files round-trip
     losslessly (repr-exact floats); hostile trace bytes raise only the
     documented format error."""
@@ -291,9 +290,9 @@ def test_reproducibility_and_lossless_round_trips():
         link_labels=["AB"] * 3,
         gains=[[g, g * 1j] for g in awkward],
     )
-    sbuf = io.StringIO()
-    trace_io.write_trace(trace, sbuf)
-    back = trace_io.read_trace(io.StringIO(sbuf.getvalue()))
+    path = tmp_path / "trace.csv"
+    trace_io.write_trace(trace, path)
+    back = trace_io.read_trace(path)
     assert back.gains.shape == trace.gains.shape
     for row_in, row_out in zip(trace.gains, back.gains):
         assert np.array_equal(np.where(row_in == 0, 0.0, row_in), row_out)
@@ -306,8 +305,9 @@ def test_reproducibility_and_lossless_round_trips():
         b"#CSI,m_full=2,interval_us=1,desc=x\n2,AB,1,0,1,0\n1,AB,1,0,1,0\n",
     ]
     for blob in hostile:
+        path.write_bytes(blob)
         with pytest.raises(trace_io.TraceFormatError):
-            trace_io.read_trace(io.BytesIO(blob))
+            trace_io.read_trace(path)
     print("[round-trips] rerun bit-identical; trace lossless; hostile bytes rejected")
 
 

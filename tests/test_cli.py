@@ -287,11 +287,7 @@ def test_replaying_a_simulated_trace_matches_the_direct_run(tmp_path):
 
 
 def test_trace_problems_are_usage_errors(tmp_path, capsys):
-    missing = tmp_path / "nope.csv"
-    with pytest.raises(SystemExit) as exc:
-        run_cli("evaluate", *DESK, "--m", "8", "--trace", str(missing))
-    assert exc.value.code == 2
-
+    # a missing trace file is among the file errors below
     malformed = tmp_path / "junk.csv"
     malformed.write_text("this is not a trace\n")
     with pytest.raises(SystemExit) as exc:
@@ -403,6 +399,30 @@ def test_usage_errors_exit_with_code_two(argv):
     with pytest.raises(SystemExit) as exc:
         run_cli(*argv)
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("evaluate", *DESK, "--m", "8", "--trace", "{missing}/trace.csv"), "cannot read trace"),
+        (("evaluate", *DESK, "--m", "8", "--config", "{missing}/run.cfg"),
+         "cannot read config file"),
+        (("simulate", *DESK, "--out", "{missing}/trace.csv"), "cannot write trace"),
+        (("evaluate", *DESK, "--m", "8", "--out", "{missing}/results.csv"),
+         "cannot write results"),
+        (("roc", *DESK, "--m", "8", "--out", "{missing}/roc.csv"), "cannot write ROC curve"),
+    ],
+    ids=["trace", "config", "simulate-out", "evaluate-out", "roc-out"],
+)
+def test_unreadable_and_unwritable_files_are_usage_errors(tmp_path, capsys, argv, message):
+    missing = tmp_path / "missing"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*(arg.format(missing=missing) for arg in argv))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err and str(missing) in err  # the message names the path
+    assert "Traceback" not in err
+    assert not missing.exists()  # nothing was created
 
 
 @pytest.mark.parametrize("detector", ["mse", "gmm"])

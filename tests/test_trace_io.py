@@ -1,7 +1,8 @@
 """Estimate-trace format: lossless round trips, strict parsing, fuzz safety."""
 
-import io
 import math
+import pathlib
+import tempfile
 import tracemalloc
 
 import numpy as np
@@ -39,6 +40,24 @@ def one_row_trace(gains, **kwargs) -> CsiTrace:
     )
 
 
+def as_file(directory, content, name="trace.csv") -> pathlib.Path:
+    """Write text, its row ends kept as given, or bytes to a file in
+    `directory`; return the path."""
+    path = pathlib.Path(directory) / name
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content, encoding="utf-8", newline="")
+    return path
+
+
+def round_trip(tmp_path, trace) -> tuple[str, CsiTrace]:
+    """The text `write_trace` gives for `trace`, and the trace read back."""
+    path = tmp_path / "trace.csv"
+    trace_io.write_trace(trace, path)
+    return path.read_text(encoding="utf-8"), trace_io.read_trace(path)
+
+
 def canonical(gains: np.ndarray) -> np.ndarray:
     """What the format preserves: values with -0.0 mapped to +0.0."""
     re = np.where(gains.real == 0.0, 0.0, gains.real)
@@ -60,40 +79,27 @@ def test_round_trip_is_lossless(tmp_path):
     assert loaded.link_labels == trace.link_labels
     assert loaded.gains.shape == trace.gains.shape
     assert np.array_equal(loaded.gains, canonical(trace.gains))
-
-
-def test_round_trip_through_streams():
-    trace = two_link_trace()
-    buf = io.StringIO()
-    trace_io.write_trace(trace, buf)
-    loaded = trace_io.read_trace(io.StringIO(buf.getvalue()))
-    assert len(loaded.link_labels) == 4
-    rewritten = io.StringIO()
+    rewritten = tmp_path / "rewritten.csv"
     trace_io.write_trace(loaded, rewritten)
-    assert rewritten.getvalue() == buf.getvalue()  # write is byte-deterministic
+    assert rewritten.read_bytes() == path.read_bytes()  # write is byte-deterministic
 
 
-def test_negative_zero_is_canonicalized():
-    trace = one_row_trace([-0.0 - 0.0j])
-    buf = io.StringIO()
-    trace_io.write_trace(trace, buf)
-    assert "-0.0" not in buf.getvalue()
-    loaded = trace_io.read_trace(io.StringIO(buf.getvalue()))
+def test_negative_zero_is_canonicalized(tmp_path):
+    text, loaded = round_trip(tmp_path, one_row_trace([-0.0 - 0.0j]))
+    assert "-0.0" not in text
     gain = loaded.gains[0, 0]
     assert gain == 0
     assert not np.signbit(gain.real)
     assert not np.signbit(gain.imag)
 
 
-def test_description_may_contain_commas():
+def test_description_may_contain_commas(tmp_path):
     trace = one_row_trace([1 + 1j], description="office, day 2, desk by the window")
-    buf = io.StringIO()
-    trace_io.write_trace(trace, buf)
-    loaded = trace_io.read_trace(io.StringIO(buf.getvalue()))
+    _, loaded = round_trip(tmp_path, trace)
     assert loaded.description == "office, day 2, desk by the window"
 
 
-def test_labels_and_descriptions_stay_free_text():
+def test_labels_and_descriptions_stay_free_text(tmp_path):
     # only numeric fields refuse '_' and non-ASCII characters
     trace = CsiTrace(
         m_full=1,
@@ -102,15 +108,13 @@ def test_labels_and_descriptions_stay_free_text():
         link_labels=["A_B", "\u00c6\uff12"],
         gains=[[1 + 1j], [2 - 1j]],
     )
-    buf = io.StringIO()
-    trace_io.write_trace(trace, buf)
-    loaded = trace_io.read_trace(io.StringIO(buf.getvalue()))
+    _, loaded = round_trip(tmp_path, trace)
     assert loaded.description == trace.description
     assert loaded.link_labels == trace.link_labels
     assert np.array_equal(loaded.gains, trace.gains)
 
 
-def test_comments_and_blank_lines_are_skipped():
+def test_comments_and_blank_lines_are_skipped(tmp_path):
     text = (
         "#CSI,m_full=1,interval_us=1.0,desc=x\n"
         "\n"
@@ -118,12 +122,12 @@ def test_comments_and_blank_lines_are_skipped():
         "1,AB,0.5,0.25\n"
         "\n"
     )
-    loaded = trace_io.read_trace(io.StringIO(text))
+    loaded = trace_io.read_trace(as_file(tmp_path, text))
     assert len(loaded.link_labels) == 1
     assert loaded.gains[0, 0] == 0.5 + 0.25j
 
 
-def test_the_writers_spellings_and_plain_decimals_are_read():
+def test_the_writers_spellings_and_plain_decimals_are_read(tmp_path):
     text = (
         "#CSI,m_full=2,interval_us=1e+3,desc=\n"
         "1,AB,0.50,-inf,nan,1e+300\n"
@@ -131,7 +135,7 @@ def test_the_writers_spellings_and_plain_decimals_are_read():
         "   \n"
         "  # an indented comment\n"
     )
-    loaded = trace_io.read_trace(io.StringIO(text))
+    loaded = trace_io.read_trace(as_file(tmp_path, text))
     assert loaded.sample_interval_us == 1000.0
     assert loaded.time_index.tolist() == [1, 2]
     assert loaded.gains[0, 0] == complex(0.5, -math.inf)
@@ -139,7 +143,7 @@ def test_the_writers_spellings_and_plain_decimals_are_read():
     assert loaded.gains[1].tolist() == [complex(math.inf, -0.5), complex(1e5, 2.5e-7)]
 
 
-def test_header_errors_carry_line_one():
+def test_header_errors_carry_line_one(tmp_path):
     for text in (
         "",
         "not a header\n",
@@ -162,11 +166,11 @@ def test_header_errors_carry_line_one():
         "#CSI,m_full=2,interval_us=1.0 ,desc=\n",
     ):
         with pytest.raises(TraceFormatError) as err:
-            trace_io.read_trace(io.StringIO(text))
+            trace_io.read_trace(as_file(tmp_path, text))
         assert err.value.line == 1
 
 
-def test_data_errors_carry_their_line_number():
+def test_data_errors_carry_their_line_number(tmp_path):
     header = "#CSI,m_full=1,interval_us=1.0,desc=\n"
     cases = [
         (header + "1,AB,0.5\n", 2),  # wrong field count
@@ -203,18 +207,18 @@ def test_data_errors_carry_their_line_number():
     ]
     for text, lineno in cases:
         with pytest.raises(TraceFormatError) as err:
-            trace_io.read_trace(io.StringIO(text))
+            trace_io.read_trace(as_file(tmp_path, text))
         assert err.value.line == lineno
 
 
-def test_time_must_increase_per_link_on_read():
+def test_time_must_increase_per_link_on_read(tmp_path):
     text = (
         "#CSI,m_full=1,interval_us=1.0,desc=\n"
         "2,AB,0.5,0.5\n"
         "2,AB,0.6,0.6\n"
     )
     with pytest.raises(TraceFormatError, match="not increasing"):
-        trace_io.read_trace(io.StringIO(text))
+        trace_io.read_trace(as_file(tmp_path, text))
     interleaved = (
         "#CSI,m_full=1,interval_us=1.0,desc=\n"
         "1,AB,0.5,0.5\n"
@@ -222,39 +226,39 @@ def test_time_must_increase_per_link_on_read():
         "2,AB,0.6,0.6\n"
         "2,AE,0.6,0.6\n"
     )
-    loaded = trace_io.read_trace(io.StringIO(interleaved))  # per-link rule only
+    loaded = trace_io.read_trace(as_file(tmp_path, interleaved))  # per-link rule only
     assert len(loaded.link_labels) == 4
 
 
-def test_write_rejects_bad_records():
+def test_write_rejects_bad_records(tmp_path):
+    path = tmp_path / "trace.csv"
     gains = [[1 + 0j, 2 + 0j]] * 2
     trace = CsiTrace(m_full=2, time_index=[2, 1], link_labels=["AB", "AB"], gains=gains)
     with pytest.raises(ValueError, match="increasing"):
-        trace_io.write_trace(trace, io.StringIO())
+        trace_io.write_trace(trace, path)
 
     label = CsiTrace(m_full=1, time_index=[1], link_labels=["A,B"], gains=[[1 + 0j]])
     with pytest.raises(ValueError, match="delimiter"):
-        trace_io.write_trace(label, io.StringIO())
+        trace_io.write_trace(label, path)
 
     newline = CsiTrace(m_full=1, description="two\nlines")
     with pytest.raises(ValueError, match="newline"):
-        trace_io.write_trace(newline, io.StringIO())
+        trace_io.write_trace(newline, path)
 
     # every line break the reader's str.splitlines honours, not just \n and \r
     for brk in ("\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"):
         label = CsiTrace(m_full=1, time_index=[1], link_labels=[f"A{brk}B"], gains=[[1 + 0j]])
         with pytest.raises(ValueError, match="delimiter"):
-            trace_io.write_trace(label, io.StringIO())
+            trace_io.write_trace(label, path)
         description = CsiTrace(m_full=1, description=f"x{brk}y")
         with pytest.raises(ValueError, match="newline"):
-            trace_io.write_trace(description, io.StringIO())
+            trace_io.write_trace(description, path)
+    assert not path.exists()
 
 
 def test_non_utf8_bytes_rejected_cleanly(tmp_path):
-    path = tmp_path / "junk.bin"
-    path.write_bytes(b"\xff\xfe\x00\x01#CSI")
     with pytest.raises(TraceFormatError, match="UTF-8"):
-        trace_io.read_trace(path)
+        trace_io.read_trace(as_file(tmp_path, b"\xff\xfe\x00\x01#CSI"))
 
 
 def test_trace_validation():
@@ -280,22 +284,22 @@ def test_trace_validation():
     assert empty.gains.shape == (0, 3) and empty.time_index.shape == (0,)
 
 
-def test_labels_differing_only_by_a_trailing_nul_stay_apart():
+def test_labels_differing_only_by_a_trailing_nul_stay_apart(tmp_path):
     header = "#CSI,m_full=1,interval_us=1.0,desc=\n"
-    loaded = trace_io.read_trace(io.StringIO(header + "1,AB,0.5,0.5\n1,AB\x00,0.5,0.5\n"))
+    loaded = trace_io.read_trace(as_file(tmp_path, header + "1,AB,0.5,0.5\n1,AB\x00,0.5,0.5\n"))
     assert loaded.link_labels == ["AB", "AB\x00"]
     # enough rows for both links, but the legitimate one is labelled "AB\x00"
     cfg = desk_config(num_blocks=2, block_size=2, m_full=1, m_subcarriers=1, num_taps=1)
     rows = "".join(f"{t},AB\x00,0.5,0.5\n{t},AE,0.25,0.5\n" for t in range(1, 5))
-    nul_only = trace_io.read_trace(io.StringIO(header + rows))
+    nul_only = trace_io.read_trace(as_file(tmp_path, header + rows))
     with pytest.raises(ValueError, match="trace has 0 records for link 'AB'"):
         ev.run_experiment_from_trace(nul_only, cfg)
 
 
-def outcome(src):
-    """What reading `src` gives: the trace's contents or the error's line."""
+def outcome(path):
+    """What reading `path` gives: the trace's contents or the error's line."""
     try:
-        t = trace_io.read_trace(src)
+        t = trace_io.read_trace(path)
     except TraceFormatError as exc:
         return ("error", exc.line)
     return (t.m_full, t.sample_interval_us, t.description, t.time_index.tolist(),
@@ -303,10 +307,10 @@ def outcome(src):
 
 
 @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
-def test_paths_and_streams_read_alike_for_every_row_end(tmp_path, end):
-    buf = io.StringIO()
-    trace_io.write_trace(two_link_trace(), buf)
-    good = buf.getvalue().splitlines()
+def test_every_row_end_reads_alike(tmp_path, end):
+    written = tmp_path / "written.csv"
+    trace_io.write_trace(two_link_trace(), written)
+    good = written.read_text(encoding="utf-8").splitlines()
     cases = [
         (good, None),
         (good[:2] + ["# a comment", ""] + good[2:], None),
@@ -314,26 +318,21 @@ def test_paths_and_streams_read_alike_for_every_row_end(tmp_path, end):
         (good + ["5,AE,0.5"], 6),  # too few fields
     ]
     for lines, error_line in cases:
-        text = end.join(lines) + end
-        path = tmp_path / "trace.csv"
-        path.write_bytes(text.encode("utf-8"))
-        got = [outcome(src) for src in (path, io.StringIO(text), io.BytesIO(path.read_bytes()))]
-        assert got[0] == got[1] == got[2]
+        got = outcome(as_file(tmp_path, end.join(lines) + end))
         if error_line is None:
-            assert got[0] == outcome(io.StringIO(buf.getvalue()))
+            assert got == outcome(written)
         else:
-            assert got[0] == ("error", error_line)
+            assert got == ("error", error_line)
 
 
 @pytest.mark.parametrize("brk", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
-def test_other_line_breaks_inside_a_row_are_errors_on_its_line(brk):
+def test_other_line_breaks_inside_a_row_are_errors_on_its_line(tmp_path, brk):
     header = "#CSI,m_full=1,interval_us=1.0,desc=\n"
     for row in (f"2,AB,0.5{brk},0.5", f"2,A{brk}B,0.5,0.5", f"2,AB,0.5,0.5{brk}", brk):
         text = header + "1,AB,0.5,0.5\n" + row + "\n3,AB,0.5,0.5\n"
-        for src in (io.StringIO(text), io.BytesIO(text.encode("utf-8"))):
-            with pytest.raises(TraceFormatError) as err:
-                trace_io.read_trace(src)
-            assert err.value.line == 3
+        with pytest.raises(TraceFormatError) as err:
+            trace_io.read_trace(as_file(tmp_path, text))
+        assert err.value.line == 3
 
 
 def test_non_utf8_byte_reports_its_line(tmp_path, rng):
@@ -349,11 +348,9 @@ def test_non_utf8_byte_reports_its_line(tmp_path, rng):
     for k in (1, 2, 300, n + 1):
         bad = lines.copy()
         bad[k - 1] = bad[k - 1][:20] + b"\xff" + bad[k - 1][20:]
-        path.write_bytes(b"\n".join(bad))
-        for src in (path, io.BytesIO(path.read_bytes())):
-            with pytest.raises(TraceFormatError, match="UTF-8") as err:
-                trace_io.read_trace(src)
-            assert err.value.line == k
+        with pytest.raises(TraceFormatError, match="UTF-8") as err:
+            trace_io.read_trace(as_file(tmp_path, b"\n".join(bad)))
+        assert err.value.line == k
 
 
 def test_a_bad_last_record_is_found_before_anything_is_written(tmp_path):
@@ -370,10 +367,6 @@ def test_a_bad_last_record_is_found_before_anything_is_written(tmp_path):
         with pytest.raises(ValueError, match=reason):
             trace_io.write_trace(trace, path)
         assert not path.exists()
-        stream = io.StringIO()
-        with pytest.raises(ValueError, match=reason):
-            trace_io.write_trace(trace, stream)
-        assert stream.getvalue() == ""
 
 
 def test_memory_stays_near_the_size_of_the_gains(tmp_path, rng):
@@ -398,22 +391,29 @@ def test_memory_stays_near_the_size_of_the_gains(tmp_path, rng):
     assert read_peak < 2 * trace.gains.nbytes
 
 
+def reads_cleanly(content):
+    """Read `content` from a file; a TraceFormatError is the only way to fail.
+
+    The fuzz tests make their own directory: hypothesis refuses a
+    function-scoped fixture such as tmp_path, which is not reset between
+    examples."""
+    with tempfile.TemporaryDirectory() as directory:
+        try:
+            trace_io.read_trace(as_file(directory, content))
+        except TraceFormatError:
+            pass
+
+
 @settings(max_examples=200)
 @given(text=st.text(max_size=400))
 def test_fuzzed_text_never_raises_anything_else(text):
-    try:
-        trace_io.read_trace(io.StringIO(text))
-    except TraceFormatError:
-        pass
+    reads_cleanly(text)
 
 
 @settings(max_examples=200)
 @given(blob=st.binary(max_size=400))
 def test_fuzzed_bytes_never_raise_anything_else(blob):
-    try:
-        trace_io.read_trace(io.BytesIO(blob))
-    except TraceFormatError:
-        pass
+    reads_cleanly(blob)
 
 
 @settings(max_examples=60)
@@ -422,8 +422,4 @@ def test_fuzzed_bytes_never_raise_anything_else(blob):
     lines=st.lists(st.text(alphabet="0123456789,.ABe-+ \t", max_size=40), max_size=6),
 )
 def test_fuzzed_structured_lines_never_raise_anything_else(prefix, lines):
-    text = prefix + "\n".join(lines)
-    try:
-        trace_io.read_trace(io.StringIO(text))
-    except TraceFormatError:
-        pass
+    reads_cleanly(prefix + "\n".join(lines))
