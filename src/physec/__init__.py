@@ -21,11 +21,11 @@ from .evaluation import (
     compute_roc,
     detection_at_fa,
     run_experiment,
-    run_experiment_from_trace,
+    run_grid,
 )
 from .features import FeatureKind, subcarrier_indices
 from .gmm import GmmModel, fit, log_likelihoods, update_block
 from .mse import MseDetectorState, fit_mse, score_block
-from .trace_io import CsiTrace, TraceFormatError, read_trace, write_trace
+from .trace_io import TraceFormatError, TraceHeader, TraceReader, write_trace
 
 __version__ = "0.1.0"

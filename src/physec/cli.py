@@ -10,6 +10,7 @@ its default is the one ExperimentConfig declares.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import os
 import sys
@@ -238,12 +239,13 @@ def _write_roc(parser, curve: ev.RocCurve, out: str) -> None:
     _write_file(parser, out, "ROC curve", emit)
 
 
-def _read_trace(parser, path):
-    """The recorded trace at `path`, or None when no trace was given."""
+def _open_trace(parser, path):
+    """The trace at `path`, open with its header read; a null context when
+    no trace was given."""
     if not path:
-        return None
+        return contextlib.nullcontext()
     try:
-        return trace_io.read_trace(path)
+        return trace_io.TraceReader(path)
     except OSError as exc:
         parser.error(f"cannot read trace: {exc}")
     except trace_io.TraceFormatError as exc:
@@ -261,9 +263,10 @@ def _configs(s: Settings, parser, trace=None, compare_update=False) -> list:
         for key in ("coherence", "taps"):
             if s.get(key) is not None:
                 parser.error(f"--{key} shapes the simulated channel; a trace replay has none")
-        if kwargs.get("m_full", trace.m_full) != trace.m_full:
-            parser.error(f"--m-full {kwargs['m_full']} differs from the trace's m_full={trace.m_full}")
-        kwargs["m_full"] = trace.m_full
+        m_full = trace.header.m_full
+        if kwargs.get("m_full", m_full) != m_full:
+            parser.error(f"--m-full {kwargs['m_full']} differs from the trace's m_full={m_full}")
+        kwargs["m_full"] = m_full
     detectors = [{"detector": DetectorKind(name)} for name in s.get("detector", [])] or [{}]
     m_values = [{"m_subcarriers": m} for m in s.get("m", [])] or [{}]
     configs = []
@@ -290,11 +293,14 @@ def _configs(s: Settings, parser, trace=None, compare_update=False) -> list:
 
 
 def _run(parser, configs, trace) -> list:
-    """The TrialResult of each config, simulated or replayed from `trace`."""
+    """The TrialResult of each config, all from one pass over the message
+    stream, simulated or replayed from `trace`."""
     try:
-        if trace is None:
-            return [ev.run_experiment(config) for config in configs]
-        return [ev.run_experiment_from_trace(trace, config) for config in configs]
+        return ev.run_grid(configs, trace)
+    except trace_io.TraceFormatError as exc:
+        parser.error(f"bad trace file: {exc}")
+    except OSError as exc:
+        parser.error(f"cannot read trace: {exc}")
     except ValueError as exc:
         parser.error(str(exc))
 
@@ -316,36 +322,35 @@ def cmd_simulate(args, parser) -> int:
         parser.error(str(exc))
     n = config.block_size
     total = requested_blocks * n
-    # file order: both links' estimates for slot 1, then slot 2, ...
-    gains = np.empty((requested_blocks, n, 2, config.m_full), dtype=np.complex128)
-    for block, (bob, eve) in zip(gains, ev.simulated_estimate_blocks(config)):
-        block[:, 0], block[:, 1] = bob, eve
+    labels = [ev.BOB_LINK, ev.EVE_LINK] * n
+
+    def blocks():
+        streams = ev.simulated_estimate_blocks(config)
+        for b in range(requested_blocks):
+            # file order: both links' estimates for slot 1, then slot 2, ...
+            gains = np.stack(next(streams), axis=1).reshape(2 * n, config.m_full)
+            yield np.repeat(np.arange(b * n + 1, (b + 1) * n + 1), 2), labels, gains
+
     try:
-        trace = trace_io.CsiTrace(
+        header = trace_io.TraceHeader(
             m_full=config.m_full,
             sample_interval_us=s.get("interval_us", trace_io.DEFAULT_INTERVAL_US),
             description=s.get("desc", "simulated"),
-            time_index=np.repeat(np.arange(1, total + 1), 2),
-            link_labels=[ev.BOB_LINK, ev.EVE_LINK] * total,
-            gains=gains.reshape(2 * total, config.m_full),
         )
-        trace_io.write_trace(trace, args.out)
+        trace_io.write_trace(header, args.out, blocks())
     except ValueError as exc:
         parser.error(str(exc))
     except OSError as exc:
         parser.error(f"cannot write trace: {exc}")
-    print(
-        f"wrote {len(trace.link_labels)} records ({total} per link) to {args.out}",
-        file=sys.stderr,
-    )
+    print(f"wrote {2 * total} records ({total} per link) to {args.out}", file=sys.stderr)
     return 0
 
 
 def cmd_evaluate(args, parser) -> int:
     s = Settings(args, parser)
-    trace = _read_trace(parser, args.trace)
-    configs = _configs(s, parser, trace, args.compare_update)
-    results = _run(parser, configs, trace)
+    with _open_trace(parser, args.trace) as trace:
+        configs = _configs(s, parser, trace, args.compare_update)
+        results = _run(parser, configs, trace)
     rows = [_result_row(config, result) for config, result in zip(configs, results)]
     _print_table(rows)
     _write_rows(parser, rows, args.out)
@@ -354,13 +359,13 @@ def cmd_evaluate(args, parser) -> int:
 
 def cmd_roc(args, parser) -> int:
     s = Settings(args, parser)
-    trace = _read_trace(parser, args.trace)
-    configs = _configs(s, parser, trace)
-    if len(configs) != 1:
-        parser.error("roc needs exactly one detector and one m value")
-    if not args.out:
-        parser.error("roc requires --out")
-    (result,) = _run(parser, configs, trace)
+    with _open_trace(parser, args.trace) as trace:
+        configs = _configs(s, parser, trace)
+        if len(configs) != 1:
+            parser.error("roc needs exactly one detector and one m value")
+        if not args.out:
+            parser.error("roc requires --out")
+        (result,) = _run(parser, configs, trace)
     try:
         curve = ev.compute_roc(result.bob_scores, result.eve_scores)
     except ValueError as exc:

@@ -31,8 +31,8 @@ __all__ = [
     "BlockTrace",
     "TrialResult",
     "RocCurve",
+    "run_grid",
     "run_experiment",
-    "run_experiment_from_trace",
     "simulated_estimate_blocks",
     "compute_roc",
     "detection_at_fa",
@@ -202,143 +202,197 @@ def _finite(gains: np.ndarray) -> np.ndarray:
     return gains
 
 
-def _choose_rows(blocks, from_eve: np.ndarray) -> np.ndarray:
-    """The next block's estimates, each message's row from the link `from_eve` picks."""
-    bob, eve = next(blocks, ((), ()))
-    if len(bob) < from_eve.size or len(eve) < from_eve.size:
-        raise ValueError("estimate stream exhausted before the experiment finished")
-    return np.where(from_eve[:, None], eve, bob)
+def _untimed(links) -> tuple:
+    """A simulated (bob, eve) block with the time indices a replayed one has: none."""
+    return links, None
 
 
-def _messages(config: ExperimentConfig, blocks, times=None):
-    """Per-seed message stream: (rows, from_eve, chosen_times) of every block.
+def _choose_rows(block, from_eve: np.ndarray) -> tuple:
+    """(rows, from_eve, times) of one message block: each message's estimate
+    and, on a recording, its time index, from the link `from_eve` picks."""
+    (bob, eve), times = block
+    if times is not None:
+        times = np.where(from_eve, times[1], times[0])
+    return np.where(from_eve[:, None], eve, bob), from_eve, times
 
-    Block 0 is legitimate only; `chosen_times` holds each message's time
-    index when replaying `times`, else None.  Only the seed, the attack
-    intensity and the block shape are read: every config of a seed shares it.
+
+def _messages(config: ExperimentConfig, blocks):
+    """Per-seed message stream: (rows, from_eve, times) of every block.
+
+    `blocks` yields ((bob, eve), times) pairs, `times` being the (bob, eve)
+    time indices of a recording or None.  Block 0 is legitimate only.  Only
+    the seed, the attack intensity and the block shape are read.
     """
     attack_rng = np.random.default_rng(_derived_seeds(config.rng_seed)[4])
     n = config.block_size
     for b in range(config.num_blocks):
         from_eve = attack_rng.random(n) < config.attack_intensity if b else np.zeros(n, bool)
-        chosen_times = None
-        if times is not None:
-            bob_t, eve_t = (t[b * n : (b + 1) * n] for t in times)
-            chosen_times = np.where(from_eve, eve_t, bob_t)
         # not bound to a name: a suspended generator keeps its locals alive
-        yield _choose_rows(blocks, from_eve), from_eve, chosen_times
+        yield _choose_rows(next(blocks), from_eve)
 
 
-def _features(config: ExperimentConfig, messages):
-    """Per-config feature stage: (features, from_eve) of every message block.
+class _Trial:
+    """One config's feature stage and detector pass, stepped a block at a time.
 
-    Delta features carry the last selected row into the next block and need
-    strictly increasing time indices on a recording; magnitudes read no time.
+    The first block fits the detector; every later one is scored, tallied in
+    one BlockTrace and, with updating, refits the mixture model.  Counts and
+    rates are sums over the BlockTraces.
     """
-    previous = previous_time = None
-    for rows, from_eve, times in messages:
-        selected = ft.select_block(rows, config.m_subcarriers)
-        del rows  # hold no full-width block while suspended
-        if config.feature_kind is ft.FeatureKind.DELTA:
-            if times is not None:
-                if previous_time is not None:
-                    times = np.concatenate([[previous_time], times])
-                # neighbours are compared, not subtracted: a difference can overflow
-                if np.any(times[1:] <= times[:-1]):
-                    raise ValueError("current estimate must be strictly later than previous")
-                previous_time = times[-1]
-            # the first training message has no predecessor and gives no feature
-            features = ft.delta_feature_block(selected, previous)
-            previous = selected[-1].copy()
-        else:
-            features = ft.normalize_magnitude_block(selected)
-        del selected
-        yield features, from_eve
 
+    def __init__(self, config: ExperimentConfig):
+        self.config = config
+        self.detector = None
+        self.previous = self.previous_time = None  # delta features' carry-over
+        self.records = []
+        # one array per run, not one per block: a grid holds every trial's
+        # scores at once, and thousands of small arrays held that long
+        # fragment the heap
+        tests = (config.num_blocks - 1) * config.block_size
+        self.scores = np.empty(tests)
+        self.from_eve = np.empty(tests, dtype=bool)
 
-def _run_on_blocks(config: ExperimentConfig, blocks, times=None) -> TrialResult:
-    """Run the configured detector over (bob, eve) estimate blocks.
+    def _features(self, rows: np.ndarray, times) -> np.ndarray:
+        """Delta features carry the last selected row into the next block and
+        need strictly increasing time indices on a recording; magnitudes read
+        no time."""
+        selected = ft.select_block(rows, self.config.m_subcarriers)
+        if self.config.feature_kind is not ft.FeatureKind.DELTA:
+            return ft.normalize_magnitude_block(selected)
+        if times is not None:
+            if self.previous_time is not None:
+                times = np.concatenate([[self.previous_time], times])
+            # neighbours are compared, not subtracted: a difference can overflow
+            if np.any(times[1:] <= times[:-1]):
+                raise ValueError("current estimate must be strictly later than previous")
+            self.previous_time = times[-1]
+        # the first training message has no predecessor and gives no feature
+        features = ft.delta_feature_block(selected, self.previous)
+        self.previous = selected[-1].copy()
+        return features
 
-    `times`, when given, is the (bob, eve) pair of per-message time-index
-    arrays of a recording.  Counts and rates are sums over the BlockTraces.
-    """
-    stream = _features(config, _messages(config, blocks, times))
-    training, _ = next(stream)
-    use_gmm = config.detector is DetectorKind.GMM
-    if use_gmm:
-        seed = _derived_seeds(config.rng_seed)[5]
-        model = gmm.fit(training, config.gmm_components, config.target_fa, seed)
-    else:
-        state = mse.fit_mse(training, config.target_fa)
-
-    records, bob_scores, eve_scores = [], [], []
-    for b, (features, from_eve) in enumerate(stream, start=1):
+    def step(self, rows: np.ndarray, from_eve: np.ndarray, times) -> None:
+        config = self.config
+        features = self._features(rows, times)
+        use_gmm = config.detector is DetectorKind.GMM
+        if self.detector is None:
+            if use_gmm:
+                seed = _derived_seeds(config.rng_seed)[5]
+                self.detector = gmm.fit(features, config.gmm_components, config.target_fa, seed)
+            else:
+                self.detector = mse.fit_mse(features, config.target_fa)
+            return
         if use_gmm:
             # the model only changes at block boundaries: score the block at once
-            scores = gmm.log_likelihoods(model, features)
-            is_bob = scores >= model.threshold
+            scores = gmm.log_likelihoods(self.detector, features)
+            is_bob = scores >= self.detector.threshold
         else:
-            distances, is_bob = mse.score_block(state, features)
+            distances, is_bob = mse.score_block(self.detector, features)
             scores = -distances
+        k = len(self.records) * from_eve.size
+        self.scores[k : k + from_eve.size] = scores
+        self.from_eve[k : k + from_eve.size] = from_eve
         from_bob = ~from_eve
-        bob_scores.append(scores[from_bob])
-        eve_scores.append(scores[from_eve])
         updated = False
         if use_gmm and config.update_enabled:
             accepted = from_bob if config.oracle_update else is_bob
-            new_model = gmm.update_block(model, features, accepted, config.target_fa)
-            updated = new_model is not model
-            model = new_model
+            model = gmm.update_block(self.detector, features, accepted, config.target_fa)
+            updated = model is not self.detector
+            self.detector = model
         rejected = ~is_bob
         alarms, detects = int(np.sum(from_bob & rejected)), int(np.sum(from_eve & rejected))
-        records.append(
-            BlockTrace(b, int(from_bob.sum()), int(from_eve.sum()), alarms, detects, updated)
+        self.records.append(
+            BlockTrace(
+                len(self.records) + 1, int(from_bob.sum()), int(from_eve.sum()),
+                alarms, detects, updated,
+            )
         )
 
-    bob_total, eve_total, alarms, detects = (
-        sum(getattr(record, name) for record in records)
-        for name in ("bob_messages", "eve_messages", "false_alarms", "detections")
-    )
-    p_d = detects / eve_total if eve_total else None
-    return TrialResult(
-        counts=Counts(detects, alarms, eve_total - detects, bob_total - alarms),
-        p_d=p_d,
-        p_fa=alarms / bob_total if bob_total else None,
-        p_md=None if p_d is None else 1.0 - p_d,
-        blocks=records,
-        bob_scores=np.concatenate(bob_scores),
-        eve_scores=np.concatenate(eve_scores),
-    )
+    def result(self) -> TrialResult:
+        records = self.records
+        bob_total, eve_total, alarms, detects = (
+            sum(getattr(record, name) for record in records)
+            for name in ("bob_messages", "eve_messages", "false_alarms", "detections")
+        )
+        p_d = detects / eve_total if eve_total else None
+        return TrialResult(
+            counts=Counts(detects, alarms, eve_total - detects, bob_total - alarms),
+            p_d=p_d,
+            p_fa=alarms / bob_total if bob_total else None,
+            p_md=None if p_d is None else 1.0 - p_d,
+            blocks=records,
+            bob_scores=self.scores[~self.from_eve],
+            eve_scores=self.scores[self.from_eve],
+        )
+
+
+# What the message stream and simulated_estimate_blocks read: the configs of
+# a grid must agree on these to share one stream.
+_STREAM_FIELDS = (
+    "rng_seed", "attack_intensity", "num_blocks", "block_size",
+    "m_full", "snr_db", "coherence_samples", "num_taps", "prefilter",
+)
+
+
+def _step_all(trials: list, blocks) -> None:
+    for rows, from_eve, times in _messages(trials[0].config, blocks):
+        for trial in trials:
+            trial.step(rows, from_eve, times)
+        del rows  # hold no block while the next one is drawn
+
+
+def _replay(trials: list, trace) -> None:
+    config = trials[0].config
+    if config.prefilter is not None:
+        raise ValueError("prefilters require the simulator; traces are already recorded")
+    if config.m_full != trace.header.m_full:
+        raise ValueError(
+            f"config m_full={config.m_full} differs from the trace's {trace.header.m_full}"
+        )
+    blocks = trace.blocks((BOB_LINK, EVE_LINK), config.block_size, config.num_blocks)
+    try:
+        _step_all(trials, blocks)
+    except ValueError:
+        # a fault anywhere in the trace is reported before one in the run
+        for _ in blocks:
+            pass
+        raise
+    for _ in blocks:  # the rows after the last block are checked too
+        pass
+
+
+def run_grid(configs: list, trace=None) -> list:
+    """The TrialResult of each config, all run over one message stream.
+
+    The stream is simulated, or replayed from `trace`, an open
+    trace_io.TraceReader whose links are labelled BOB_LINK and EVE_LINK
+    and are `m_full` wide.  Each block is drawn once and handed to every
+    config's feature stage and detector before the next is drawn, so one
+    block is alive at a time.  The configs must agree on what the stream
+    reads (_STREAM_FIELDS).  Prefilters are a transmit-side construct and
+    cannot be applied to recordings.  A replay reads the whole file, and a
+    fault anywhere in the trace is reported before one in the run.
+    """
+    if not configs:
+        raise ValueError("a grid needs at least one config")
+    first = configs[0]
+    mixed = [f for f in _STREAM_FIELDS if any(getattr(c, f) != getattr(first, f) for c in configs)]
+    if mixed:
+        raise ValueError(f"the configs of a grid must share one message stream; {mixed} differ")
+    trials = [_Trial(config) for config in configs]
+    if trace is None:
+        _step_all(trials, map(_untimed, simulated_estimate_blocks(first)))
+    else:
+        _replay(trials, trace)
+    results = []
+    while trials:  # let each trial's scores go once its result holds them
+        results.append(trials.pop(0).result())
+    return results
 
 
 def run_experiment(config: ExperimentConfig) -> TrialResult:
     """Simulate both links and run the configured detector over the stream."""
-    return _run_on_blocks(config, simulated_estimate_blocks(config))
-
-
-def run_experiment_from_trace(trace, config: ExperimentConfig) -> TrialResult:
-    """Replay a recorded trace instead of simulating.
-
-    The trace must be `config.m_full` wide and carry both links, labelled
-    BOB_LINK and EVE_LINK, at every message slot.  Prefilters are a
-    transmit-side construct and cannot be applied to recordings.
-    """
-    if config.prefilter is not None:
-        raise ValueError("prefilters require the simulator; traces are already recorded")
-    if config.m_full != trace.m_full:
-        raise ValueError(f"config m_full={config.m_full} differs from the trace's {trace.m_full}")
-    links = {}
-    for label in (BOB_LINK, EVE_LINK):
-        index = [row for row, link in enumerate(trace.link_labels) if link == label]
-        links[label] = _finite(trace.gains[index]), trace.time_index[index]
-    total = config.num_blocks * config.block_size
-    for label, (gains, _) in links.items():
-        if len(gains) < total:
-            raise ValueError(f"trace has {len(gains)} records for link {label!r}, need {total}")
-    (bob, bob_t), (eve, eve_t) = links.values()
-    n = config.block_size
-    blocks = ((bob[k : k + n], eve[k : k + n]) for k in range(0, total, n))
-    return _run_on_blocks(config, blocks, times=(bob_t, eve_t))
+    (result,) = run_grid([config])
+    return result
 
 
 def compute_roc(bob_scores, eve_scores) -> RocCurve:

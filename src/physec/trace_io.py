@@ -16,23 +16,34 @@ Time indices must be strictly increasing per link label.  Lines after the
 header that are blank or start with '#' are skipped on read.
 
 The file is UTF-8.  Rows end at \n (as written), \r\n or \r; any other
-character `str.splitlines` breaks at (\v, \f, \x1c-\x1e, \x85, \u2028,
-\u2029) is an error inside a row.  Both directions work one row at a time, so
-memory stays near the size of the gains array.
+character `str.splitlines` breaks at (\v, \f, \x1c-\x1e, \x85,
+\u2028, \u2029) is an error inside a row.
+
+Both directions work one block of rows at a time, so memory stays near one
+block whatever the length of the trace.  `write_trace` formats each block
+it is given into a temporary file beside the destination, which replaces
+the destination once the last block is written.  `TraceReader` reads the
+header on opening; its `blocks` parses each row straight into its link's
+current block and hands out one block of every requested link at a time,
+so a file that interleaves the links holds one block of each.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from array import array
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["TraceFormatError", "CsiTrace", "read_trace", "write_trace"]
+__all__ = ["TraceFormatError", "TraceHeader", "TraceReader", "write_trace"]
 
 DEFAULT_INTERVAL_US = 998.4
+
+# the widest row numpy can hold as complex128
+_MAX_M_FULL = np.iinfo(np.intp).max // 16
+_INT64 = np.iinfo(np.int64)
 
 
 class TraceFormatError(ValueError):
@@ -45,49 +56,46 @@ class TraceFormatError(ValueError):
         super().__init__(message)
 
 
-@dataclass
-class CsiTrace:
-    """A recorded trace as parallel arrays, one row per estimate in file order.
+# every character `str.splitlines` breaks at
+_LINE_BREAKS = "\n\v\f\r\x1c\x1d\x1e\x85\u2028\u2029"
 
-    `time_index` is an (n,) int64 array, `link_labels` a sequence of n
-    Python strings (kept as `str`: a numpy string array drops trailing NULs
-    and would merge distinct labels), and `gains` an (n, m_full) complex128
-    array.
+
+def _breaks_line(text: str) -> bool:
+    """Whether `str.splitlines` would break the text.
+
+    One substring test per character: each is a memchr-speed scan, and a
+    non-ASCII character is not searched for at all in an ASCII row.
+    """
+    return any(brk in text for brk in _LINE_BREAKS)
+
+
+def _check_utf8(text: str) -> None:
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise ValueError(f"{text!r} cannot be written as UTF-8: {exc}") from exc
+
+
+@dataclass(frozen=True)
+class TraceHeader:
+    """The header line of a trace.
+
+    A header the reader would refuse is refused here, so every header that
+    exists can be written and read back.
     """
 
     m_full: int
     sample_interval_us: float = DEFAULT_INTERVAL_US
     description: str = ""
-    time_index: np.ndarray = ()
-    link_labels: list = ()
-    gains: np.ndarray = None
 
     def __post_init__(self):
-        if self.m_full < 1:
-            raise ValueError("m_full must be >= 1")
-        # the reader's rule: a header that could not be read back is refused
+        if not 1 <= self.m_full <= _MAX_M_FULL:
+            raise ValueError("m_full must be >= 1 and fit in an array")
         if not 0 < self.sample_interval_us < math.inf:
-            raise ValueError("sample_interval_us must be a finite positive real")
-        try:
-            self.time_index = np.asarray(self.time_index, dtype=np.int64)
-        except OverflowError as exc:
-            raise ValueError(f"time index outside int64: {exc}") from exc
-        if self.gains is None:
-            self.gains = np.empty((0, self.m_full), dtype=np.complex128)
-        self.gains = np.asarray(self.gains, dtype=np.complex128)
-        n = len(self.link_labels)
-        if self.time_index.shape != (n,) or self.gains.shape != (n, self.m_full):
-            raise ValueError(
-                f"{n} link labels need time_index of shape ({n},) and gains of shape "
-                f"(n, m_full) = ({n}, {self.m_full}); got {self.time_index.shape} "
-                f"and {self.gains.shape}"
-            )
-
-
-def _breaks_line(text: str) -> bool:
-    r"""Whether `str.splitlines` would break the text: besides \n and \r it
-    breaks at \v, \f, \x1c-\x1e, \x85, \u2028 and \u2029."""
-    return text.splitlines() not in ([text], [])
+            raise ValueError("interval_us must be a finite positive real")
+        if _breaks_line(self.description):
+            raise ValueError("description must not contain newlines or other line breaks")
+        _check_utf8(self.description)
 
 
 _SPECIAL_VALUES = ("inf", "-inf", "nan")
@@ -111,43 +119,85 @@ def _plain_number(text: str) -> bool:
     return True
 
 
-def write_trace(trace: CsiTrace, path: str | os.PathLike) -> None:
-    """Write a trace to the file at `path`; output is byte-deterministic.
+def _format_row(t: int, label: str, values: list) -> str:
+    # adding 0.0 canonicalizes -0.0
+    return f"{t},{label}," + ",".join([repr(v + 0.0) for v in values]) + "\n"
 
-    Every record is checked before the file is opened, so a bad one leaves
-    no partial file; rows are then formatted and written one at a time.
+
+def _checked_block(block, m_full: int, last_time: dict):
+    """(time indices, labels, float rows) of a block of records, each checked.
+
+    `last_time` maps each link label seen so far to its last time index.
     """
-    if _breaks_line(trace.description):
-        raise ValueError("description must not contain newlines or other line breaks")
-    labels = dict.fromkeys(trace.link_labels)
-    for label in labels:
-        if "," in label or _breaks_line(label):
-            raise ValueError(f"link label {label!r} contains a delimiter or line break")
-    for text in (trace.description, *labels):
-        try:
-            text.encode("utf-8")
-        except UnicodeEncodeError as exc:
-            raise ValueError(f"{text!r} cannot be written as UTF-8: {exc}") from exc
-    times = trace.time_index.tolist()
-    last_time: dict[str, int] = {}
-    for t, label in zip(times, trace.link_labels):
+    times, labels, gains = block
+    labels = list(labels)
+    n = len(labels)
+    try:
+        times = np.asarray(times, dtype=np.int64)
+    except OverflowError as exc:
+        raise ValueError(f"time index outside int64: {exc}") from exc
+    gains = np.asarray(gains, dtype=np.complex128)
+    if times.shape != (n,) or gains.shape != (n, m_full):
+        raise ValueError(
+            f"{n} link labels need time_index of shape ({n},) and gains of shape "
+            f"(n, m_full) = ({n}, {m_full}); got {times.shape} and {gains.shape}"
+        )
+    times = times.tolist()
+    for t, label in zip(times, labels):
         prev = last_time.get(label)
-        if prev is not None and t <= prev:
+        if prev is None:
+            if "," in label or _breaks_line(label):
+                raise ValueError(f"link label {label!r} contains a delimiter or line break")
+            _check_utf8(label)
+        elif t <= prev:
             raise ValueError(
                 f"time indices must be strictly increasing per link; "
                 f"{label} goes {prev} -> {t}"
             )
         last_time[label] = t
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(
-            f"#CSI,m_full={trace.m_full},interval_us={float(trace.sample_interval_us)!r},"
-            f"desc={trace.description}\n"
-        )
-        # one row at a time: Python floats for the whole array would outweigh the text
-        floats = np.ascontiguousarray(trace.gains).view(np.float64)
-        for t, label, row in zip(times, trace.link_labels, floats):
-            # adding 0.0 canonicalizes -0.0
-            fh.write(f"{t},{label}," + ",".join([repr(v + 0.0) for v in row.tolist()]) + "\n")
+    return times, labels, np.ascontiguousarray(gains).view(np.float64)
+
+
+def _create_beside(path) -> tuple[str, int]:
+    """(name, descriptor) of a new file in `path`'s directory, created with
+    the permissions open() gives a new file: 0o666 less the umask."""
+    directory, name = os.path.split(os.fspath(path))
+    while True:
+        temp = os.path.join(directory, f".{name}.{os.urandom(4).hex()}.tmp")
+        try:
+            return temp, os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        except FileExistsError:
+            continue
+
+
+def write_trace(header: TraceHeader, path: str | os.PathLike, blocks) -> None:
+    """Write a trace to the file at `path`, one block of rows at a time.
+
+    Each block is a (time_index, link_labels, gains) triple of n records in
+    file order: n int64 time indices, n link labels and an (n, m_full)
+    complex array.  A block's records are all checked before any is
+    written.  The rows go to a temporary file beside `path` that replaces
+    it only after the last block, so a refused record leaves no file and
+    an existing `path` as it was.  Output is byte-deterministic.
+    """
+    temp, fd = _create_beside(path)
+    try:
+        with open(fd, "w", encoding="utf-8", newline="") as fh:
+            fh.write(
+                f"#CSI,m_full={header.m_full},"
+                f"interval_us={float(header.sample_interval_us)!r},"
+                f"desc={header.description}\n"
+            )
+            last_time: dict[str, int] = {}
+            for block in blocks:
+                times, labels, floats = _checked_block(block, header.m_full, last_time)
+                # one row at a time: Python floats for a whole block outweigh its text
+                for t, label, row in zip(times, labels, floats):
+                    fh.write(_format_row(t, label, row.tolist()))
+        os.replace(temp, path)
+    except BaseException:
+        os.unlink(temp)
+        raise
 
 
 def _lines(text):
@@ -171,19 +221,7 @@ def _lines(text):
         yield lineno, line
 
 
-def read_trace(path: str | os.PathLike) -> CsiTrace:
-    """Parse the trace in the file at `path`, row by row.
-
-    Every failure raises TraceFormatError with the offending line number;
-    arbitrary junk input never escapes as another exception type.  Bytes
-    that are not UTF-8 are kept as lone surrogates for `_lines` to report.
-    """
-    with open(path, encoding="utf-8", errors="surrogateescape") as text:
-        return _parse(_lines(text))
-
-
-def _parse(lines) -> CsiTrace:
-    _, header = next(lines, (1, ""))
+def _parse_header(header: str) -> TraceHeader:
     if not header.startswith("#CSI,"):
         raise TraceFormatError("missing '#CSI' header", line=1)
     parts = header.split(",", 3)
@@ -201,64 +239,149 @@ def _parse(lines) -> CsiTrace:
         if not _plain_number(text):
             raise TraceFormatError(f"bad header value {text!r}: not a plain number", line=1)
     try:
-        m_full = int(m_text)
-        interval = float(interval_text)
+        m_full, interval = int(m_text), float(interval_text)
     except ValueError as exc:
         raise TraceFormatError(f"bad header value: {exc}", line=1) from exc
-    desc = parts[3][len("desc="):]
-    # the upper bound is the widest row numpy can hold as complex128
-    if not 1 <= m_full <= np.iinfo(np.intp).max // 16:
-        raise TraceFormatError("m_full must be >= 1 and fit in an array", line=1)
-    if not interval > 0 or not np.isfinite(interval):
-        raise TraceFormatError("interval_us must be a positive real", line=1)
+    try:
+        return TraceHeader(m_full, interval, parts[3][len("desc="):])
+    except ValueError as exc:
+        raise TraceFormatError(str(exc), line=1) from exc
 
-    times = array("q")
-    labels: list[str] = []
-    reals = array("d")  # re0, im0, re1, ... of every row, in file order
-    last_time: dict[str, int] = {}
-    expected = 2 + 2 * m_full
-    for lineno, line in lines:
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        # padding is not stripped from the fields: the numeric ones refuse it
-        cells = line.split(",")
-        if len(cells) != expected:
-            raise TraceFormatError(
-                f"expected {expected} fields, got {len(cells)}", line=lineno
-            )
+
+def _parse_row(line: str, lineno: int, fields: int, last_time: dict):
+    """(time index, label, gain values) of one row, or None for a blank or
+    comment line.  `last_time` maps each link label to its last time index."""
+    stripped = line.strip()
+    if not stripped or stripped.startswith("#"):
+        return None
+    # padding is not stripped from the fields: the numeric ones refuse it
+    cells = line.split(",")
+    if len(cells) != fields:
+        raise TraceFormatError(f"expected {fields} fields, got {len(cells)}", line=lineno)
+    try:
+        if not _plain_number(cells[0]):
+            raise ValueError  # refused like any other bad index
+        t = int(cells[0])
+        if not _INT64.min <= t <= _INT64.max:
+            raise ValueError
+    except ValueError as exc:
+        raise TraceFormatError(f"time index {cells[0]!r} is not an int64", line=lineno) from exc
+    label = cells[1]
+    # the gains are everything after the label's comma
+    if not _plain_number(line[len(cells[0]) + len(label) + 2 :]):
+        raise TraceFormatError("bad gain value: not a plain number", line=lineno)
+    try:
+        values = list(map(float, cells[2:]))
+    except ValueError as exc:
+        raise TraceFormatError(f"bad gain value: {exc}", line=lineno) from exc
+    prev = last_time.get(label)
+    if prev is not None and t <= prev:
+        raise TraceFormatError(
+            f"time index {t} not increasing for link {label!r} (previous {prev})", line=lineno
+        )
+    last_time[label] = t
+    return t, label, values
+
+
+class _LinkRows:
+    """One requested link's rows, gathered into blocks of `shape` (n, m_full)."""
+
+    def __init__(self, shape: tuple, wanted: int):
+        self.shape = shape
+        self.wanted = wanted  # blocks to hand out; later rows are only checked
+        self.records = 0
+        self.finite = True
+        self.ready = deque()
+        self._new_block()
+
+    def _new_block(self):
+        self.gains = np.empty(self.shape, dtype=np.complex128)
+        self.reals = self.gains.view(np.float64)
+        self.times = np.empty(self.shape[0], dtype=np.int64)
+
+    def add(self, t: int, values: list) -> bool:
+        """Store one row; whether it completed a block."""
+        k = self.records % self.shape[0]
+        self.reals[k] = values
+        self.times[k] = t
+        self.records += 1
+        if k + 1 < self.shape[0]:
+            return False
+        self.finite = self.finite and bool(np.isfinite(self.gains).all())
+        if self.records // self.shape[0] <= self.wanted:
+            self.ready.append((self.gains, self.times))
+            self._new_block()
+        return True
+
+    def finish(self):
+        """Check the rows of the last, incomplete block."""
+        partial = self.gains[: self.records % self.shape[0]]
+        self.finite = self.finite and bool(np.isfinite(partial).all())
+
+
+def _pop_block(links) -> tuple:
+    """(gains, times) of the next block, one entry per link."""
+    gains, times = zip(*(link.ready.popleft() for link in links))
+    return gains, times
+
+
+class TraceReader:
+    """A trace file opened for reading, with its header read.
+
+    Use it as a context manager, which closes the file; `blocks` parses
+    the rows.  Bytes that are not UTF-8 are kept as lone surrogates for
+    `_lines` to report.
+    """
+
+    def __init__(self, path: str | os.PathLike):
+        self._file = open(path, encoding="utf-8", errors="surrogateescape")
         try:
-            if not _plain_number(cells[0]):
-                raise ValueError  # refused like any other bad index
-            t = int(cells[0])
-            times.append(t)  # array("q") refuses what int64 cannot hold
-        except (ValueError, OverflowError) as exc:
-            raise TraceFormatError(
-                f"time index {cells[0]!r} is not an int64", line=lineno
-            ) from exc
-        label = cells[1]
-        # the gains are everything after the label's comma
-        if not _plain_number(line[len(cells[0]) + len(label) + 2 :]):
-            raise TraceFormatError("bad gain value: not a plain number", line=lineno)
-        try:
-            reals.extend(map(float, cells[2:]))
-        except ValueError as exc:
-            raise TraceFormatError(f"bad gain value: {exc}", line=lineno) from exc
-        prev = last_time.get(label)
-        if prev is not None and t <= prev:
-            raise TraceFormatError(
-                f"time index {t} not increasing for link {label!r} (previous {prev})",
-                line=lineno,
-            )
-        last_time[label] = t
-        labels.append(label)
-    return CsiTrace(
-        m_full=m_full,
-        sample_interval_us=interval,
-        description=desc,
-        time_index=np.frombuffer(times, dtype=np.int64),
-        link_labels=labels,
-        gains=np.frombuffer(reals, dtype=np.float64)
-        .reshape(-1, 2 * m_full)
-        .view(np.complex128),
-    )
+            self._lines = _lines(self._file)
+            self.header = _parse_header(next(self._lines, (1, ""))[1])
+        except BaseException:
+            self._file.close()
+            raise
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._file.close()
+
+    def blocks(self, labels, block_size: int, count: int):
+        """Yield `count` blocks of the links `labels`, reading to the end of the file.
+
+        Each block is a (gains, times) pair of tuples with one entry per
+        label: a (block_size, m_full) complex128 array and a (block_size,)
+        int64 array of that link's next rows in file order.  A link's rows
+        wait until every link has a block.  Rows of other links, and rows
+        past the last block, are parsed and checked, then dropped.  A
+        format fault raises TraceFormatError at its line; once the file
+        has been read, a non-finite gain in a row of `labels`, or a link
+        with fewer than count * block_size rows, raises ValueError.  The
+        rows are read on from the header, so a reader serves one call.
+        """
+        fields = 2 + 2 * self.header.m_full
+        links = {label: _LinkRows((block_size, self.header.m_full), count) for label in labels}
+        last_time: dict[str, int] = {}
+        handed_out = 0
+        for lineno, line in self._lines:
+            row = _parse_row(line, lineno, fields, last_time)
+            link = None if row is None else links.get(row[1])
+            if (
+                link is not None
+                and link.add(row[0], row[2])
+                and handed_out < count
+                and all(other.ready and other.finite for other in links.values())
+            ):
+                handed_out += 1
+                # not bound to a name: a suspended generator keeps its locals alive
+                yield _pop_block(links.values())
+        for link in links.values():
+            link.finish()
+        if not all(link.finite for link in links.values()):
+            raise ValueError("gains must be finite")
+        need = count * block_size
+        for label, link in links.items():
+            if link.records < need:
+                raise ValueError(f"trace has {link.records} records for link {label!r}, need {need}")

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from physec import gmm
+from physec import gmm, trace_io
 from physec.evaluation import ExperimentConfig
 
 
@@ -19,6 +19,23 @@ def desk_config(**overrides) -> ExperimentConfig:
     )
     kwargs.update(overrides)
     return ExperimentConfig(**kwargs)
+
+
+def write_records(path, m_full, time_index, link_labels, gains, **header):
+    """Write a trace of one block of records, in file order, to `path`;
+    `header` holds TraceHeader's other fields."""
+    header = trace_io.TraceHeader(m_full, **header)
+    trace_io.write_trace(header, path, [(time_index, link_labels, gains)])
+
+
+def read_links(path, labels, block_size, count=1):
+    """(header, gains, times) of a trace file: per label, the gains and the
+    time indices of its first `count` blocks, concatenated."""
+    with trace_io.TraceReader(path) as reader:
+        blocks = list(reader.blocks(labels, block_size, count))
+        header = reader.header
+    gains, times = ([np.concatenate(parts) for parts in zip(*side)] for side in zip(*blocks))
+    return header, gains, times
 
 
 @pytest.fixture

@@ -7,6 +7,7 @@ checks see the same code paths the installed console script uses.
 import csv
 import hashlib
 import io
+import tracemalloc
 
 import pytest
 
@@ -99,7 +100,10 @@ def test_desk_preset_sets_only_the_block_shape(monkeypatch, capsys):
         seen.append(config)
         return ev.TrialResult(counts=ev.Counts(0, 0, 0, 0), p_d=None, p_fa=None, p_md=None)
 
-    monkeypatch.setattr(ev, "run_experiment", run)
+    def run_grid(configs, trace=None):
+        return [run(config) for config in configs]
+
+    monkeypatch.setattr(ev, "run_grid", run_grid)
     assert run_cli("evaluate", "--preset", "desk") == 0
     assert seen == [ev.ExperimentConfig(num_blocks=10, block_size=200)]
 
@@ -296,9 +300,12 @@ def test_trace_problems_are_usage_errors(tmp_path, capsys):
 
     short = tmp_path / "short.csv"
     assert run_cli("simulate", *DESK, "--blocks", "2", "--out", str(short)) == 0
+    capsys.readouterr()
     with pytest.raises(SystemExit) as exc:
         run_cli("evaluate", *DESK, "--m", "8", "--trace", str(short))
     assert exc.value.code == 2
+    # the count is the whole file's
+    assert "trace has 400 records for link 'AB', need 2000" in capsys.readouterr().err
 
     # a recording cannot be re-filtered to imitate the legitimate link
     full = tmp_path / "full.csv"
@@ -351,6 +358,74 @@ def test_trace_time_index_outside_int64_is_a_usage_error(tmp_path, capsys):
         run_cli("evaluate", *DESK, "--m", "8", "--trace", str(trace))
     assert exc.value.code == 2
     assert "bad trace file" in capsys.readouterr().err
+
+
+def edit_cell(row: str, column: int, value: str) -> str:
+    cells = row.split(",")
+    cells[column] = value
+    return ",".join(cells)
+
+
+@pytest.mark.parametrize(
+    "line, edit, message",
+    [
+        (4799, lambda row: edit_cell(row, 6, "zz"),
+         "bad trace file: line 4799: bad gain value: could not convert string to float: 'zz'"),
+        (4798, lambda row: edit_cell(row, 4, "nan"), "error: gains must be finite"),
+        (4799, lambda row: edit_cell(row, 4, "inf"), "error: gains must be finite"),
+        (4800, lambda row: edit_cell(row, 0, "3"),
+         "bad trace file: line 4800: time index 3 not increasing for link 'AB' (previous 2399)"),
+    ],
+    ids=["malformed-field", "nan-bob", "inf-eve", "time-goes-back"],
+)
+def test_faults_after_the_rows_a_run_needs_are_usage_errors(tmp_path, capsys, line, edit, message):
+    # 12 blocks on file; the run reads 10 (lines 2-4001), and the file is read to its end
+    trace = tmp_path / "trace.csv"
+    assert run_cli("simulate", *DESK, "--blocks", "12", "--out", str(trace)) == 0
+    lines = trace.read_text().splitlines()
+    assert len(lines) == 4801
+    lines[line - 1] = edit(lines[line - 1])
+    trace.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        run_cli("evaluate", *DESK, "--m", "8", "--trace", str(trace))
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def traced_peak(*argv) -> int:
+    """Peak bytes that tracemalloc sees while `physec argv` runs."""
+    tracemalloc.start()
+    try:
+        assert run_cli(*argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_memory_stays_per_block(tmp_path):
+    # simulate and a trace replay hold one block at a time, so their peak
+    # does not grow with the number of blocks.  Code that holds the whole
+    # trace grows with it: such a writer peaked 2.7x and such a replay 3.7x
+    # higher at 16 blocks than at 4.  What does grow per block is small: 16
+    # bytes of scores per message and one BlockTrace per block, 0.1 MB at 16
+    # blocks against a peak above 1 MB.  1.5x leaves room for that and for
+    # allocator noise, and fails any copy of the whole trace.
+    shape = ("--block-size", "250", "--seed", "0")
+    warm_up = tmp_path / "warm-up.csv"
+    assert run_cli("simulate", "--blocks", "1", *shape, "--out", str(warm_up)) == 0
+    peaks = {}
+    for blocks in (4, 16):
+        trace = tmp_path / f"trace-{blocks}.csv"
+        peaks["simulate", blocks] = traced_peak(
+            "simulate", "--blocks", str(blocks), *shape, "--out", str(trace)
+        )
+        peaks["replay", blocks] = traced_peak(
+            "evaluate", "--blocks", str(blocks), *shape, "--detector", "mse", "--m", "16",
+            "--trace", str(trace), "--out", str(tmp_path / "results.csv"),
+        )
+    for command in ("simulate", "replay"):
+        assert peaks[command, 16] <= 1.5 * peaks[command, 4], peaks
 
 
 # ---------------------------------------------------------------------------

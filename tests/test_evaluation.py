@@ -12,7 +12,7 @@ from physec import evaluation as ev
 from physec import trace_io
 from physec.evaluation import DetectorKind
 
-from conftest import desk_config
+from conftest import desk_config, write_records
 
 
 # ---------------------------------------------------------------------------
@@ -45,7 +45,7 @@ def test_every_config_of_a_seed_sees_one_message_stream():
     from physec.features import FeatureKind
 
     def stream(cfg):
-        return list(ev._messages(cfg, ev.simulated_estimate_blocks(cfg)))
+        return list(ev._messages(cfg, map(ev._untimed, ev.simulated_estimate_blocks(cfg))))
 
     base = stream(desk_config())
     for other in (
@@ -238,8 +238,9 @@ def test_perfect_imitation_collapses_detection_to_chance_desk_scale():
 # ---------------------------------------------------------------------------
 
 
-def build_trace_for(cfg, eve_time_offset=0) -> trace_io.CsiTrace:
-    """Both links of `cfg`'s simulation, interleaved as `physec simulate` writes them."""
+def records_for(cfg, eve_time_offset=0) -> tuple:
+    """(time_index, link_labels, gains) of both links of `cfg`'s simulation,
+    interleaved as `physec simulate` writes them."""
     blocks = ev.simulated_estimate_blocks(cfg)
     rows = []
     for _ in range(cfg.num_blocks):
@@ -248,105 +249,212 @@ def build_trace_for(cfg, eve_time_offset=0) -> trace_io.CsiTrace:
         rows.append(np.stack([bob_block, eve_block], axis=1))
     total = cfg.num_blocks * cfg.block_size
     slots = np.arange(1, total + 1)
-    return trace_io.CsiTrace(
-        m_full=cfg.m_full,
-        description="replay test",
-        time_index=np.stack([slots, slots + eve_time_offset], axis=1).reshape(-1),
-        link_labels=[ev.BOB_LINK, ev.EVE_LINK] * total,
-        gains=np.concatenate(rows).reshape(2 * total, cfg.m_full),
+    return (
+        np.stack([slots, slots + eve_time_offset], axis=1).reshape(-1),
+        [ev.BOB_LINK, ev.EVE_LINK] * total,
+        np.concatenate(rows).reshape(2 * total, cfg.m_full),
     )
+
+
+def replay(path, *configs) -> list:
+    with trace_io.TraceReader(path) as trace:
+        return ev.run_grid(list(configs), trace)
+
+
+def replay_records(tmp_path, records, *configs) -> list:
+    path = tmp_path / "trace.csv"
+    write_records(path, configs[0].m_full, *records)
+    return replay(path, *configs)
+
+
+def assert_same_trial(result, expected):
+    assert result.counts == expected.counts
+    assert np.array_equal(result.bob_scores, expected.bob_scores)
+    assert np.array_equal(result.eve_scores, expected.eve_scores)
 
 
 def test_replaying_a_recorded_trace_reproduces_the_simulation(tmp_path):
     cfg = desk_config()
-    direct = ev.run_experiment(cfg)
-
-    trace = build_trace_for(cfg)
-    path = tmp_path / "trace.csv"
-    trace_io.write_trace(trace, path)
-    replayed = ev.run_experiment_from_trace(trace_io.read_trace(path), cfg)
-
-    assert replayed.counts == direct.counts
-    assert np.array_equal(replayed.bob_scores, direct.bob_scores)
-    assert np.array_equal(replayed.eve_scores, direct.eve_scores)
+    (replayed,) = replay_records(tmp_path, records_for(cfg), cfg)
+    assert_same_trial(replayed, ev.run_experiment(cfg))
 
 
-def test_replay_rejects_short_traces_and_prefilters():
+def test_a_replay_reads_the_links_in_any_order_beside_other_links(tmp_path):
+    # all of the legitimate link's rows first, then the attacker's, each
+    # followed by a row of a third link whose gains no replay reads
+    cfg = desk_config(num_blocks=3)
+    times, labels, gains = records_for(cfg)
+    bob, eve = slice(0, None, 2), slice(1, None, 2)
+    total = times.size // 2
+    third = np.full((total, cfg.m_full), np.nan)
+    records = (
+        np.concatenate([times[bob], np.repeat(times[eve], 2)]),
+        [ev.BOB_LINK] * total + [ev.EVE_LINK, "XY"] * total,
+        np.concatenate([gains[bob], np.stack([gains[eve], third], axis=1).reshape(-1, cfg.m_full)]),
+    )
+    (replayed,) = replay_records(tmp_path, records, cfg)
+    assert_same_trial(replayed, ev.run_experiment(cfg))
+
+
+def test_replay_rejects_short_traces_and_prefilters(tmp_path):
     cfg = desk_config()
-    trace = build_trace_for(dataclasses.replace(cfg, num_blocks=2))
-    with pytest.raises(ValueError, match="need"):
-        ev.run_experiment_from_trace(trace, cfg)
+    records = records_for(dataclasses.replace(cfg, num_blocks=2))
+    # the count is the whole file's
+    with pytest.raises(ValueError, match="trace has 400 records for link 'AB', need 2000"):
+        replay_records(tmp_path, records, cfg)
     with pytest.raises(ValueError, match="prefilter"):
-        ev.run_experiment_from_trace(
-            trace, dataclasses.replace(cfg, prefilter=ev.PERFECT_IMITATION)
-        )
+        replay_records(tmp_path, records, dataclasses.replace(cfg, prefilter=ev.PERFECT_IMITATION))
 
 
-def test_replay_rejects_a_config_of_another_width():
-    trace = build_trace_for(desk_config())
-    narrow = desk_config(m_full=16, num_taps=4)
+def test_replay_rejects_a_config_of_another_width(tmp_path):
+    path = tmp_path / "trace.csv"
+    write_records(path, 48, *records_for(desk_config()))
     with pytest.raises(ValueError, match="m_full=16"):
-        ev.run_experiment_from_trace(trace, narrow)
+        replay(path, desk_config(m_full=16, num_taps=4))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_replay_rejects_non_finite_gains(tmp_path, bad):
     cfg = desk_config()
-    trace = build_trace_for(cfg)
-    trace.gains[2 * cfg.block_size + 1, 5] = complex(bad, 0.0)
-    path = tmp_path / "trace.csv"
-    trace_io.write_trace(trace, path)
+    times, labels, gains = records_for(cfg)
+    gains[2 * cfg.block_size + 1, 5] = complex(bad, 0.0)
     with pytest.raises(ValueError, match="finite"):
-        ev.run_experiment_from_trace(trace_io.read_trace(path), cfg)
+        replay_records(tmp_path, (times, labels, gains), cfg)
 
 
-def test_replay_rejects_all_zero_selected_estimates():
+def test_replay_rejects_all_zero_selected_estimates(tmp_path):
     cfg = desk_config()
-    trace = build_trace_for(cfg)
+    times, labels, gains = records_for(cfg)
     # both links of the first test message
-    trace.gains[2 * cfg.block_size : 2 * cfg.block_size + 2] = 0.0
+    gains[2 * cfg.block_size : 2 * cfg.block_size + 2] = 0.0
     with pytest.raises(ValueError, match="all-zero"):
-        ev.run_experiment_from_trace(trace, cfg)
+        replay_records(tmp_path, (times, labels, gains), cfg)
 
 
-def test_replay_rejects_records_of_the_wrong_width():
+def test_replay_rejects_records_of_the_wrong_width(tmp_path):
     cfg = desk_config()
-    trace = build_trace_for(cfg)
-    # the trace itself refuses rows narrower than its m_full, so none reach replay
+    times, labels, gains = records_for(cfg)
+    # the writer refuses rows narrower than the header's m_full, so none reach replay
     with pytest.raises(ValueError, match="m_full"):
-        dataclasses.replace(trace, gains=trace.gains[:, :-1])
+        replay_records(tmp_path, (times, labels, gains[:, :-1]), cfg)
 
 
-def test_replayed_delta_features_need_forward_time_indices():
+def test_replayed_delta_features_need_forward_time_indices(tmp_path):
     from physec.features import FeatureKind
 
     cfg = desk_config(feature_kind=FeatureKind.DELTA)
     # the attacker link's clock runs far ahead: going back to the legitimate
     # link after an attacker message steps back in time
-    skewed = build_trace_for(cfg, eve_time_offset=10**6)
+    skewed = records_for(cfg, eve_time_offset=10**6)
     with pytest.raises(ValueError, match="later"):
-        ev.run_experiment_from_trace(skewed, cfg)
+        replay_records(tmp_path, skewed, cfg)
     # magnitude features do not look at time indices
-    ev.run_experiment_from_trace(skewed, desk_config())
+    replay_records(tmp_path, skewed, desk_config())
     # strictly increasing indices that jump across almost the whole int64
     # range: their difference overflows, yet they move forward in time
-    trace = build_trace_for(cfg)
+    _, labels, gains = records_for(cfg)
     slots = np.arange(cfg.num_blocks * cfg.block_size, dtype=np.int64)
     half = slots.size // 2
     jumping = np.where(slots < half, -(2**63) + slots, 2**63 - 1 - slots.size + slots)
     assert np.all(jumping[1:] > jumping[:-1])
-    trace.time_index = np.repeat(jumping, 2)
-    replayed = ev.run_experiment_from_trace(trace, cfg)
+    (replayed,) = replay_records(tmp_path, (np.repeat(jumping, 2), labels, gains), cfg)
     assert replayed.counts == ev.run_experiment(cfg).counts
 
 
-def test_short_estimate_streams_are_reported():
+def test_a_fault_in_the_trace_outranks_one_in_the_run(tmp_path):
+    # the run's fault comes first in the file, as the all-zero message of
+    # block 2; the trace's, a NaN gain or a malformed row, comes last
     cfg = desk_config()
-    with pytest.raises(ValueError, match="exhausted"):
-        ev._run_on_blocks(cfg, iter([]))
-    blocks = ev.simulated_estimate_blocks(dataclasses.replace(cfg, block_size=cfg.block_size - 1))
-    with pytest.raises(ValueError, match="exhausted"):
-        ev._run_on_blocks(cfg, blocks)
+    times, labels, gains = records_for(cfg)
+    gains[2 * cfg.block_size : 2 * cfg.block_size + 2] = 0.0
+    gains[-1, 0] = np.nan
+    with pytest.raises(ValueError, match="gains must be finite"):
+        replay_records(tmp_path, (times, labels, gains), cfg)
+    path = tmp_path / "trace.csv"
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("not,a,row\n")
+    with pytest.raises(trace_io.TraceFormatError, match="line 4002: expected 98 fields"):
+        replay(path, cfg)
+    # a NaN gain outranks too few rows, as reading the whole file first did
+    times, labels, gains = records_for(dataclasses.replace(cfg, num_blocks=2))
+    gains[5, 0] = np.nan
+    with pytest.raises(ValueError, match="gains must be finite"):
+        replay_records(tmp_path, (times, labels, gains), cfg)
+
+
+def test_a_grid_must_share_one_message_stream():
+    for other in (
+        desk_config(rng_seed=1), desk_config(attack_intensity=0.25), desk_config(num_blocks=3),
+        desk_config(snr_db=5.0), desk_config(coherence_samples=1e5),
+    ):
+        with pytest.raises(ValueError, match="share one message stream"):
+            ev.run_grid([desk_config(), other])
+    with pytest.raises(ValueError, match="at least one"):
+        ev.run_grid([])
+
+
+def captured_grid(monkeypatch, argv) -> list:
+    """(config, result) of every row of `physec evaluate argv`."""
+    monkeypatch.delenv("PHYSEC_SEED", raising=False)
+    seen = []
+
+    def run_grid(configs, trace=None):
+        results = real(configs, trace)
+        seen.extend(zip(configs, results))
+        return results
+
+    real = ev.run_grid
+    monkeypatch.setattr(ev, "run_grid", run_grid)
+    assert cli.main(["evaluate", "--preset", "desk", "--seed", "0", *argv]) == 0
+    monkeypatch.setattr(ev, "run_grid", real)
+    return seen
+
+
+GRIDS = {
+    "magnitude": ("--detector", "gmm", "--detector", "mse", "--m", "4,16", "--compare-update"),
+    "delta": ("--detector", "gmm", "--detector", "mse", "--m", "4,16", "--compare-update",
+              "--feature", "delta"),
+}
+
+
+@pytest.mark.parametrize("grid", GRIDS.values(), ids=GRIDS.keys())
+def test_every_grid_row_is_its_solo_run(tmp_path, monkeypatch, capsys, grid):
+    trace = tmp_path / "trace.csv"
+    assert cli.main(["simulate", "--preset", "desk", "--seed", "0", "--out", str(trace)]) == 0
+    simulated = captured_grid(monkeypatch, grid)
+    replayed = captured_grid(monkeypatch, (*grid, "--trace", str(trace)))
+    assert len(simulated) == len(replayed) == 6
+    for (config, result), (replay_config, replay_result) in zip(simulated, replayed):
+        assert replay_config == config
+        solo = ev.run_experiment(config)
+        assert_same_trial(result, solo)
+        assert_same_trial(replay_result, solo)
+        (solo_replay,) = replay(trace, config)
+        assert_same_trial(replay_result, solo_replay)
+
+
+def test_a_replayed_grid_opens_and_parses_its_trace_once(tmp_path, monkeypatch):
+    trace = tmp_path / "trace.csv"
+    assert cli.main(["simulate", "--preset", "desk", "--seed", "0", "--out", str(trace)]) == 0
+    with open(trace, "a", encoding="utf-8") as fh:
+        fh.write("# a comment after the rows\n")
+    opened, parsed = [], []
+
+    def counting_open(path, *args, **kwargs):
+        opened.append(path)
+        return open(path, *args, **kwargs)
+
+    def counting_parse(*args):
+        parsed.append(args[1])
+        return parse_row(*args)
+
+    parse_row = trace_io._parse_row
+    monkeypatch.setattr(trace_io, "open", counting_open, raising=False)
+    monkeypatch.setattr(trace_io, "_parse_row", counting_parse)
+    captured_grid(monkeypatch, (*GRIDS["magnitude"], "--trace", str(trace)))
+    assert opened == [str(trace)]
+    lines = len(trace.read_text(encoding="utf-8").splitlines())
+    assert parsed == list(range(2, lines + 1))  # every line after the header, once
 
 
 def test_overflowing_prefilter_gains_are_rejected(monkeypatch):
