@@ -300,6 +300,8 @@ def _run(parser, configs, trace) -> list:
     except trace_io.TraceFormatError as exc:
         parser.error(f"bad trace file: {exc}")
     except OSError as exc:
+        if trace is None:
+            raise
         parser.error(f"cannot read trace: {exc}")
     except ValueError as exc:
         parser.error(str(exc))

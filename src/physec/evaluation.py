@@ -170,6 +170,9 @@ def simulated_estimate_blocks(config: ExperimentConfig):
     links evolve every message so their time bases stay aligned; with
     PERFECT_IMITATION the attacker's channel passes through the imitation
     prefilter before estimation.
+
+    A grid shares one stream among configs that agree on _STREAM_FIELDS:
+    a config field read here must be listed there.
     """
     seeds = _derived_seeds(config.rng_seed)
     rngs = [np.random.default_rng(seed) for seed in seeds[:4]]
@@ -202,11 +205,6 @@ def _finite(gains: np.ndarray) -> np.ndarray:
     return gains
 
 
-def _untimed(links) -> tuple:
-    """A simulated (bob, eve) block with the time indices a replayed one has: none."""
-    return links, None
-
-
 def _choose_rows(block, from_eve: np.ndarray) -> tuple:
     """(rows, from_eve, times) of one message block: each message's estimate
     and, on a recording, its time index, from the link `from_eve` picks."""
@@ -221,7 +219,8 @@ def _messages(config: ExperimentConfig, blocks):
 
     `blocks` yields ((bob, eve), times) pairs, `times` being the (bob, eve)
     time indices of a recording or None.  Block 0 is legitimate only.  Only
-    the seed, the attack intensity and the block shape are read.
+    the seed, the attack intensity and the block shape are read; a field
+    read here must be listed in _STREAM_FIELDS.
     """
     attack_rng = np.random.default_rng(_derived_seeds(config.rng_seed)[4])
     n = config.block_size
@@ -349,15 +348,17 @@ def _replay(trials: list, trace) -> None:
             f"config m_full={config.m_full} differs from the trace's {trace.header.m_full}"
         )
     blocks = trace.blocks((BOB_LINK, EVE_LINK), config.block_size, config.num_blocks)
+    fault = None
     try:
         _step_all(trials, blocks)
-    except ValueError:
-        # a fault anywhere in the trace is reported before one in the run
-        for _ in blocks:
-            pass
-        raise
-    for _ in blocks:  # the rows after the last block are checked too
+    except ValueError as exc:
+        fault = exc
+    # the rows after the last block are checked too, and a fault anywhere
+    # in the trace is reported before one in the run
+    for _ in blocks:
         pass
+    if fault is not None:
+        raise fault
 
 
 def run_grid(configs: list, trace=None) -> list:
@@ -380,7 +381,7 @@ def run_grid(configs: list, trace=None) -> list:
         raise ValueError(f"the configs of a grid must share one message stream; {mixed} differ")
     trials = [_Trial(config) for config in configs]
     if trace is None:
-        _step_all(trials, map(_untimed, simulated_estimate_blocks(first)))
+        _step_all(trials, ((links, None) for links in simulated_estimate_blocks(first)))
     else:
         _replay(trials, trace)
     results = []

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 import os
+import stat
 from collections import deque
 from dataclasses import dataclass
 
@@ -178,8 +179,16 @@ def write_trace(header: TraceHeader, path: str | os.PathLike, blocks) -> None:
     complex array.  A block's records are all checked before any is
     written.  The rows go to a temporary file beside `path` that replaces
     it only after the last block, so a refused record leaves no file and
-    an existing `path` as it was.  Output is byte-deterministic.
+    an existing `path` as it was.  An existing `path` that is not a
+    regular file, such as a device or a FIFO, is refused rather than
+    replaced.  Output is byte-deterministic.
     """
+    try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        raise ValueError(f"{os.fspath(path)} exists and is not a regular file")
     temp, fd = _create_beside(path)
     try:
         with open(fd, "w", encoding="utf-8", newline="") as fh:
@@ -292,16 +301,17 @@ class _LinkRows:
         self.records = 0
         self.finite = True
         self.ready = deque()
-        self._new_block()
-
-    def _new_block(self):
-        self.gains = np.empty(self.shape, dtype=np.complex128)
-        self.reals = self.gains.view(np.float64)
-        self.times = np.empty(self.shape[0], dtype=np.int64)
+        # made on the block's first row: a link holds no empty block while
+        # the one it handed out is in use, nor after its last row
+        self.gains = None
 
     def add(self, t: int, values: list) -> bool:
         """Store one row; whether it completed a block."""
         k = self.records % self.shape[0]
+        if self.gains is None:
+            self.gains = np.empty(self.shape, dtype=np.complex128)
+            self.reals = self.gains.view(np.float64)
+            self.times = np.empty(self.shape[0], dtype=np.int64)
         self.reals[k] = values
         self.times[k] = t
         self.records += 1
@@ -310,19 +320,14 @@ class _LinkRows:
         self.finite = self.finite and bool(np.isfinite(self.gains).all())
         if self.records // self.shape[0] <= self.wanted:
             self.ready.append((self.gains, self.times))
-            self._new_block()
+            self.gains = None
         return True
 
     def finish(self):
         """Check the rows of the last, incomplete block."""
-        partial = self.gains[: self.records % self.shape[0]]
-        self.finite = self.finite and bool(np.isfinite(partial).all())
-
-
-def _pop_block(links) -> tuple:
-    """(gains, times) of the next block, one entry per link."""
-    gains, times = zip(*(link.ready.popleft() for link in links))
-    return gains, times
+        if self.gains is not None:
+            partial = self.gains[: self.records % self.shape[0]]
+            self.finite = self.finite and bool(np.isfinite(partial).all())
 
 
 class TraceReader:
@@ -376,7 +381,7 @@ class TraceReader:
             ):
                 handed_out += 1
                 # not bound to a name: a suspended generator keeps its locals alive
-                yield _pop_block(links.values())
+                yield tuple(zip(*(other.ready.popleft() for other in links.values())))
         for link in links.values():
             link.finish()
         if not all(link.finite for link in links.values()):
@@ -384,4 +389,6 @@ class TraceReader:
         need = count * block_size
         for label, link in links.items():
             if link.records < need:
-                raise ValueError(f"trace has {link.records} records for link {label!r}, need {need}")
+                raise ValueError(
+                    f"trace has {link.records} records for link {label!r}, need {need}"
+                )

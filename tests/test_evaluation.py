@@ -45,7 +45,8 @@ def test_every_config_of_a_seed_sees_one_message_stream():
     from physec.features import FeatureKind
 
     def stream(cfg):
-        return list(ev._messages(cfg, map(ev._untimed, ev.simulated_estimate_blocks(cfg))))
+        blocks = ((links, None) for links in ev.simulated_estimate_blocks(cfg))
+        return list(ev._messages(cfg, blocks))
 
     base = stream(desk_config())
     for other in (

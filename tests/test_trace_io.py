@@ -6,6 +6,7 @@ import pathlib
 import stat
 import sys
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -388,6 +389,41 @@ def test_writes_are_atomic(tmp_path):
     assert path.read_bytes() == fresh.read_bytes()
     assert path.read_bytes().startswith(b"#CSI,m_full=1,")
     assert stat.S_IMODE(fresh.stat().st_mode) == 0o666 & ~0o027
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_a_destination_that_is_not_a_regular_file_is_refused(tmp_path):
+    # os.replace would swap a device or FIFO out for a regular file
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    with pytest.raises(ValueError, match="not a regular file"):
+        write_records(fifo, 1, [1], ["AB"], [[1 + 0j]])
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    assert os.listdir(tmp_path) == ["pipe"]
+
+
+def test_memory_stays_near_the_size_of_the_gains(tmp_path, rng):
+    # The writer formats one row at a time and the reader fills one block
+    # per link, so neither holds the whole trace as Python floats (about
+    # 24 bytes per float against the array's 8) or as text.
+    n, m_full = 2000, 48
+    labels = ["AB", "AE"] * (n // 2)
+    gains = rng.standard_normal((n, m_full)) + 1j * rng.standard_normal((n, m_full))
+    path = tmp_path / "trace.csv"
+    tracemalloc.start()
+    try:
+        write_records(path, m_full, np.repeat(np.arange(1, n // 2 + 1), 2), labels, gains)
+        write_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        with trace_io.TraceReader(path) as reader:
+            (blocks,) = reader.blocks(("AB", "AE"), n // 2, 1)
+        read_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    (ab, ae), _ = blocks
+    assert np.array_equal(ab, gains[0::2]) and np.array_equal(ae, gains[1::2])
+    assert write_peak < 0.25 * gains.nbytes
+    assert read_peak < 2 * gains.nbytes
 
 
 def reads_cleanly(content):
