@@ -120,53 +120,40 @@ _OPTIONS = {
 }
 
 
-class Settings:
-    """Layered option lookup: CLI flag, then config file, then preset, then default."""
-
-    def __init__(self, args, parser):
-        self.args = args
-        self.parser = parser
-        self.preset = DESK_PRESET if getattr(args, "preset", None) == "desk" else {}
-        self.file = {}
-        path = getattr(args, "config", None)
-        if path:
+def _settings(args, parser) -> dict:
+    """Every option's value by name: the preset's, overridden by the config
+    file's, overridden by the flags set."""
+    settings = dict(DESK_PRESET) if getattr(args, "preset", None) == "desk" else {}
+    path = getattr(args, "config", None)
+    if path:
+        try:
+            raw = read_config_file(path)
+        except OSError as exc:
+            parser.error(f"cannot read config file: {exc}")
+        except ValueError as exc:
+            parser.error(f"bad config file: {exc}")
+        for key, text in raw.items():
+            if key not in _OPTIONS:
+                parser.error(f"unknown config file key {key!r}")
             try:
-                raw = read_config_file(path)
-            except OSError as exc:
-                parser.error(f"cannot read config file: {exc}")
-            except ValueError as exc:
-                parser.error(f"bad config file: {exc}")
-            for key, text in raw.items():
-                if key not in _OPTIONS:
-                    parser.error(f"unknown config file key {key!r}")
-                try:
-                    self.file[key] = _OPTIONS[key][0](text)
-                except argparse.ArgumentTypeError as exc:
-                    parser.error(f"config file key {key!r}: {exc}")
-                except ValueError as exc:
-                    parser.error(f"config file key {key!r}: {exc}")
-
-    def get(self, key, default=None):
-        value = getattr(self.args, key, None)
-        if value is not None:
-            return value
-        return self.file.get(key, self.preset.get(key, default))
-
-    def seed(self) -> int | None:
-        env = os.environ.get("PHYSEC_SEED")
-        if env is not None:
-            try:
-                return int(env)
-            except ValueError:
-                self.parser.error(f"PHYSEC_SEED must be an integer, got {env!r}")
-        return self.get("seed")
+                settings[key] = _OPTIONS[key][0](text)
+            except (argparse.ArgumentTypeError, ValueError) as exc:
+                parser.error(f"config file key {key!r}: {exc}")
+    settings.update((key, value) for key, value in vars(args).items() if value is not None)
+    return settings
 
 
-def _experiment_kwargs(s: Settings) -> dict:
+def _experiment_kwargs(settings: dict, parser) -> dict:
     """The ExperimentConfig fields that some option set, and only those."""
-    kwargs = {field: s.get(key) for key, (_, field) in _OPTIONS.items() if field}
-    kwargs["rng_seed"] = s.seed()
-    if s.get("imitate"):
+    kwargs = {field: settings.get(key) for key, (_, field) in _OPTIONS.items() if field}
+    kwargs["rng_seed"] = settings.get("seed")
+    env = os.environ.get("PHYSEC_SEED")
+    if env is not None:
+        try:
+            kwargs["rng_seed"] = int(env)
+        except ValueError:
+            parser.error(f"PHYSEC_SEED must be an integer, got {env!r}")
+    if settings.get("imitate"):
         kwargs["prefilter"] = ev.PERFECT_IMITATION
     return {field: value for field, value in kwargs.items() if value is not None}
 
@@ -252,23 +239,24 @@ def _open_trace(parser, path):
         parser.error(f"bad trace file: {exc}")
 
 
-def _configs(s: Settings, parser, trace=None, compare_update=False) -> list:
+def _configs(settings: dict, parser, trace) -> list:
     """One ExperimentConfig per result row, in row order: detector, then M,
-    then, with `compare_update`, the mixture detector with and without
+    then, with --compare-update, the mixture detector with and without
     updating."""
-    kwargs = _experiment_kwargs(s)
+    kwargs = _experiment_kwargs(settings, parser)
+    compare_update = settings.get("compare_update")
     if trace is not None:
         # a recording fixes the channel, so an option that only shapes the
         # simulated one would change nothing (--snr still labels the rows)
         for key in ("coherence", "taps"):
-            if s.get(key) is not None:
+            if settings.get(key) is not None:
                 parser.error(f"--{key} shapes the simulated channel; a trace replay has none")
         m_full = trace.header.m_full
         if kwargs.get("m_full", m_full) != m_full:
             parser.error(f"--m-full {kwargs['m_full']} differs from the trace's m_full={m_full}")
         kwargs["m_full"] = m_full
-    detectors = [{"detector": DetectorKind(name)} for name in s.get("detector", [])] or [{}]
-    m_values = [{"m_subcarriers": m} for m in s.get("m", [])] or [{}]
+    detectors = [{"detector": DetectorKind(name)} for name in settings.get("detector", [])] or [{}]
+    m_values = [{"m_subcarriers": m} for m in settings.get("m", [])] or [{}]
     configs = []
     try:
         for detector in detectors:
@@ -285,7 +273,7 @@ def _configs(s: Settings, parser, trace=None, compare_update=False) -> list:
         parser.error("--compare-update runs with and without updating; drop --update/--no-update")
     if "oracle_update" in kwargs and kwargs.get("update_enabled") is False:
         parser.error("--oracle-update picks what an update refits on; --no-update makes none")
-    if kwargs.keys() & {"update_enabled", "oracle_update"} and all(
+    if (compare_update or kwargs.keys() & {"update_enabled", "oracle_update"}) and all(
         config.detector is DetectorKind.MSE for config in configs
     ):
         parser.error("update options apply to the mixture detector; mse has no update mode")
@@ -308,8 +296,8 @@ def _run(parser, configs, trace) -> list:
 
 
 def cmd_simulate(args, parser) -> int:
-    s = Settings(args, parser)
-    kwargs = _experiment_kwargs(s)
+    settings = _settings(args, parser)
+    kwargs = _experiment_kwargs(settings, parser)
     requested_blocks = kwargs.pop("num_blocks", ExperimentConfig.num_blocks)
     if requested_blocks < 1:
         parser.error("--blocks must be >= 1")
@@ -336,8 +324,8 @@ def cmd_simulate(args, parser) -> int:
     try:
         header = trace_io.TraceHeader(
             m_full=config.m_full,
-            sample_interval_us=s.get("interval_us", trace_io.DEFAULT_INTERVAL_US),
-            description=s.get("desc", "simulated"),
+            sample_interval_us=settings.get("interval_us", trace_io.DEFAULT_INTERVAL_US),
+            description=settings.get("desc", "simulated"),
         )
         trace_io.write_trace(header, args.out, blocks())
     except ValueError as exc:
@@ -349,9 +337,9 @@ def cmd_simulate(args, parser) -> int:
 
 
 def cmd_evaluate(args, parser) -> int:
-    s = Settings(args, parser)
+    settings = _settings(args, parser)
     with _open_trace(parser, args.trace) as trace:
-        configs = _configs(s, parser, trace, args.compare_update)
+        configs = _configs(settings, parser, trace)
         results = _run(parser, configs, trace)
     rows = [_result_row(config, result) for config, result in zip(configs, results)]
     _print_table(rows)
@@ -360,9 +348,9 @@ def cmd_evaluate(args, parser) -> int:
 
 
 def cmd_roc(args, parser) -> int:
-    s = Settings(args, parser)
+    settings = _settings(args, parser)
     with _open_trace(parser, args.trace) as trace:
-        configs = _configs(s, parser, trace)
+        configs = _configs(settings, parser, trace)
         if len(configs) != 1:
             parser.error("roc needs exactly one detector and one m value")
         if not args.out:
@@ -405,7 +393,9 @@ def _add_eval_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--m", type=_int_list, help=f"comma-separated subcarrier counts, e.g. 4,16 {_default('m_subcarriers')}")
     sub.add_argument("--fa", type=float, help=f"target false-alarm rate {_default('target_fa')}")
     sub.add_argument("--feature", type=_feature_kind,
-                     help=f"{' or '.join(_names(FeatureKind))} (default {ExperimentConfig.feature_kind.value})")
+                     help=f"{' or '.join(_names(FeatureKind))} (default {ExperimentConfig.feature_kind.value}); "
+                          "delta flags a legitimate message that follows an attacker's, so its "
+                          "realized false-alarm rate tracks the attack intensity (0.51-0.53 at 0.5)")
     sub.add_argument("--components", type=int, help=f"mixture components {_default('gmm_components')}")
     sub.add_argument("--update", action=argparse.BooleanOptionalAction, default=None,
                      help=f"block-wise model updating (default {'on' if ExperimentConfig.update_enabled else 'off'})")

@@ -10,6 +10,7 @@ detector refits itself on its own accepted samples at every block boundary.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple
@@ -78,6 +79,11 @@ class ExperimentConfig:
     oracle_update: bool = False
 
     def __post_init__(self):
+        for name in ("m_subcarriers", "num_blocks", "block_size", "m_full", "num_taps",
+                     "gmm_components", "rng_seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not 1 <= self.m_subcarriers <= self.m_full:
             raise ValueError(
                 f"need 1 <= m_subcarriers <= m_full, got {self.m_subcarriers} / {self.m_full}"
@@ -205,31 +211,6 @@ def _finite(gains: np.ndarray) -> np.ndarray:
     return gains
 
 
-def _choose_rows(block, from_eve: np.ndarray) -> tuple:
-    """(rows, from_eve, times) of one message block: each message's estimate
-    and, on a recording, its time index, from the link `from_eve` picks."""
-    (bob, eve), times = block
-    if times is not None:
-        times = np.where(from_eve, times[1], times[0])
-    return np.where(from_eve[:, None], eve, bob), from_eve, times
-
-
-def _messages(config: ExperimentConfig, blocks):
-    """Per-seed message stream: (rows, from_eve, times) of every block.
-
-    `blocks` yields ((bob, eve), times) pairs, `times` being the (bob, eve)
-    time indices of a recording or None.  Block 0 is legitimate only.  Only
-    the seed, the attack intensity and the block shape are read; a field
-    read here must be listed in _STREAM_FIELDS.
-    """
-    attack_rng = np.random.default_rng(_derived_seeds(config.rng_seed)[4])
-    n = config.block_size
-    for b in range(config.num_blocks):
-        from_eve = attack_rng.random(n) < config.attack_intensity if b else np.zeros(n, bool)
-        # not bound to a name: a suspended generator keeps its locals alive
-        yield _choose_rows(next(blocks), from_eve)
-
-
 class _Trial:
     """One config's feature stage and detector pass, stepped a block at a time.
 
@@ -324,41 +305,12 @@ class _Trial:
         )
 
 
-# What the message stream and simulated_estimate_blocks read: the configs of
-# a grid must agree on these to share one stream.
+# What run_grid's block loop and simulated_estimate_blocks read: the configs
+# of a grid must agree on these to share one stream.
 _STREAM_FIELDS = (
     "rng_seed", "attack_intensity", "num_blocks", "block_size",
     "m_full", "snr_db", "coherence_samples", "num_taps", "prefilter",
 )
-
-
-def _step_all(trials: list, blocks) -> None:
-    for rows, from_eve, times in _messages(trials[0].config, blocks):
-        for trial in trials:
-            trial.step(rows, from_eve, times)
-        del rows  # hold no block while the next one is drawn
-
-
-def _replay(trials: list, trace) -> None:
-    config = trials[0].config
-    if config.prefilter is not None:
-        raise ValueError("prefilters require the simulator; traces are already recorded")
-    if config.m_full != trace.header.m_full:
-        raise ValueError(
-            f"config m_full={config.m_full} differs from the trace's {trace.header.m_full}"
-        )
-    blocks = trace.blocks((BOB_LINK, EVE_LINK), config.block_size, config.num_blocks)
-    fault = None
-    try:
-        _step_all(trials, blocks)
-    except ValueError as exc:
-        fault = exc
-    # the rows after the last block are checked too, and a fault anywhere
-    # in the trace is reported before one in the run
-    for _ in blocks:
-        pass
-    if fault is not None:
-        raise fault
 
 
 def run_grid(configs: list, trace=None) -> list:
@@ -368,10 +320,11 @@ def run_grid(configs: list, trace=None) -> list:
     trace_io.TraceReader whose links are labelled BOB_LINK and EVE_LINK
     and are `m_full` wide.  Each block is drawn once and handed to every
     config's feature stage and detector before the next is drawn, so one
-    block is alive at a time.  The configs must agree on what the stream
-    reads (_STREAM_FIELDS).  Prefilters are a transmit-side construct and
-    cannot be applied to recordings.  A replay reads the whole file, and a
-    fault anywhere in the trace is reported before one in the run.
+    block is alive at a time.  Block 0 is legitimate only.  The configs
+    must agree on what the stream reads (_STREAM_FIELDS).  Prefilters are
+    a transmit-side construct and cannot be applied to recordings.  A
+    replay reads the whole file, and a fault anywhere in the trace is
+    reported before one in the run.
     """
     if not configs:
         raise ValueError("a grid needs at least one config")
@@ -379,11 +332,42 @@ def run_grid(configs: list, trace=None) -> list:
     mixed = [f for f in _STREAM_FIELDS if any(getattr(c, f) != getattr(first, f) for c in configs)]
     if mixed:
         raise ValueError(f"the configs of a grid must share one message stream; {mixed} differ")
-    trials = [_Trial(config) for config in configs]
     if trace is None:
-        _step_all(trials, ((links, None) for links in simulated_estimate_blocks(first)))
+        blocks = simulated_estimate_blocks(first)
     else:
-        _replay(trials, trace)
+        if first.prefilter is not None:
+            raise ValueError("prefilters require the simulator; traces are already recorded")
+        if first.m_full != trace.header.m_full:
+            raise ValueError(
+                f"config m_full={first.m_full} differs from the trace's {trace.header.m_full}"
+            )
+        blocks = trace.blocks((BOB_LINK, EVE_LINK), first.block_size, first.num_blocks)
+    trials = [_Trial(config) for config in configs]
+    attack_rng = np.random.default_rng(_derived_seeds(first.rng_seed)[4])
+    n = first.block_size
+    fault = None
+    try:
+        for b in range(first.num_blocks):
+            from_eve = attack_rng.random(n) < first.attack_intensity if b else np.zeros(n, bool)
+            links, times = (next(blocks), None) if trace is None else next(blocks)
+            if times is not None:
+                times = np.where(from_eve, times[1], times[0])
+            rows = np.where(from_eve[:, None], links[1], links[0])
+            del links  # hold no block while the trials step
+            for trial in trials:
+                trial.step(rows, from_eve, times)
+            del rows  # nor while the next one is drawn
+    except ValueError as exc:
+        if trace is None:
+            raise
+        fault = exc
+    if trace is not None:
+        # the rows after the last block are checked too, and a fault anywhere
+        # in the trace is reported before one in the run
+        for _ in blocks:
+            pass
+    if fault is not None:
+        raise fault
     results = []
     while trials:  # let each trial's scores go once its result holds them
         results.append(trials.pop(0).result())

@@ -31,6 +31,7 @@ so a file that interleaves the links holds one block of each.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import stat
 from collections import deque
@@ -90,6 +91,9 @@ class TraceHeader:
     description: str = ""
 
     def __post_init__(self):
+        # a bool or a float would be written as True or 2.0
+        if isinstance(self.m_full, bool) or not isinstance(self.m_full, numbers.Integral):
+            raise ValueError(f"m_full must be an integer, got {self.m_full!r}")
         if not 1 <= self.m_full <= _MAX_M_FULL:
             raise ValueError("m_full must be >= 1 and fit in an array")
         if not 0 < self.sample_interval_us < math.inf:

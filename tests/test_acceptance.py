@@ -317,3 +317,49 @@ def test_detection_improves_with_snr():
     print("[snr-monotone] " + ", ".join(f"{s}dB: p_md={p:.5f}" for s, p in rates))
     mds = [p for _, p in rates]
     assert all(later <= earlier for earlier, later in zip(mds, mds[1:]))
+
+
+# ---------------------------------------------------------------------------
+# 10. a frozen detector realizes its false-alarm target
+# ---------------------------------------------------------------------------
+
+
+def test_frozen_mixture_detector_realizes_its_false_alarm_target():
+    """Frozen mixture detector (gmm-noupdate), 20 blocks x 1000 messages,
+    20 dB, static channel, 50% attack traffic, 1% target, seeds 0-3: at M=8
+    and at M=16 the false-alarm rate pooled over the seeds lies within
+    0.0062 of the target.
+
+    The bound: the threshold is the 11th smallest of the 1000 training
+    scores, so for a fresh legitimate score from the same distribution a
+    seed's true false-alarm rate F(s_(11)) is Beta(11, 990), with mean
+    0.0110 and standard deviation 0.0033.  The mean over four independent
+    seeds has standard deviation 0.0017; counting about 38 000 legitimate
+    test messages adds binomial noise of 0.0005, for 0.0017 in all.  The
+    bound is the Beta mean's offset from the target plus three of those:
+    0.0010 + 3 x 0.0017.  (The calibration scores come from the data the
+    model was fit to, which this treats as fresh draws.)
+
+    Updating is left out: decision-directed refits overshoot the target,
+    realizing 0.075-0.103 on these seeds at M=8, and the fix changes the
+    outputs (ROADMAP item 7)."""
+    a, b = 11, 990
+    mean = a / (a + b)
+    seed_var = a * b / ((a + b) ** 2 * (a + b + 1))
+    pooled = {8: [0, 0], 16: [0, 0]}  # false alarms, legitimate messages
+    for seed in range(4):
+        configs = [
+            ExperimentConfig(m_subcarriers=m, num_blocks=20, block_size=1000,
+                             update_enabled=False, rng_seed=seed)
+            for m in pooled
+        ]
+        for config, result in zip(configs, ev.run_grid(configs)):
+            counts = result.counts
+            pooled[config.m_subcarriers][0] += counts.false_alarms
+            pooled[config.m_subcarriers][1] += counts.false_alarms + counts.correct_accepts
+    for m, (alarms, legitimate) in pooled.items():
+        sd = math.sqrt(seed_var / 4 + mean * (1 - mean) / legitimate)
+        bound = mean - 0.01 + 3 * sd
+        print(f"[fa-calibration] M={m}: pooled p_fa={alarms / legitimate:.4f}, "
+              f"|p_fa - 0.01| <= {bound:.4f}")
+        assert abs(alarms / legitimate - 0.01) <= bound

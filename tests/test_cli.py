@@ -519,6 +519,7 @@ def test_delta_features_whose_squares_overflow_are_usage_errors(detector, capsys
         (("--detector", "mse", "--no-update"), "mse has no update mode"),
         (("--detector", "mse", "--update"), "mse has no update mode"),
         (("--detector", "mse", "--oracle-update"), "mse has no update mode"),
+        (("--detector", "mse", "--compare-update"), "mse has no update mode"),
         (("--no-update", "--oracle-update"), "--no-update makes none"),
     ],
 )

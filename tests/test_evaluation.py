@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,12 +42,23 @@ def test_counts_conserve_message_totals():
     assert sum(b.bob_messages for b in r.blocks) == len(r.bob_scores)
 
 
-def test_every_config_of_a_seed_sees_one_message_stream():
+def test_every_config_of_a_seed_sees_one_message_stream(monkeypatch):
     from physec.features import FeatureKind
 
+    received = []
+    step = ev._Trial.step
+
+    def spy(trial, rows, from_eve, times):
+        received.append((rows, from_eve, times))
+        step(trial, rows, from_eve, times)
+
+    monkeypatch.setattr(ev._Trial, "step", spy)
+
     def stream(cfg):
-        blocks = ((links, None) for links in ev.simulated_estimate_blocks(cfg))
-        return list(ev._messages(cfg, blocks))
+        """What the trial of a solo run of `cfg` is handed, block by block."""
+        received.clear()
+        ev.run_experiment(cfg)
+        return list(received)
 
     base = stream(desk_config())
     for other in (
@@ -58,6 +70,27 @@ def test_every_config_of_a_seed_sees_one_message_stream():
             assert times is None and times2 is None
     assert len(base) == desk_config().num_blocks
     assert not base[0][1].any()  # the training block is legitimate only
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [dict(), dict(detector=DetectorKind.MSE, coherence_samples=1e6)],
+    ids=["gmm", "mse-drift"],
+)
+def test_a_run_holds_no_block_while_its_trials_step(overrides):
+    # A warm run peaks at 1.7 (block_size, 2, m_full) blocks, while a block
+    # is drawn.  Holding the drawn block while the trials step adds one
+    # block (2.66x), and holding the rows picked from it, half a block,
+    # while the next block is drawn adds half of one (2.20x).
+    cfg = desk_config(m_subcarriers=16, num_blocks=4, block_size=1000, **overrides)
+    ev.run_experiment(cfg)  # warm: first-call allocations are not the run's
+    tracemalloc.start()
+    try:
+        ev.run_experiment(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.2 * cfg.block_size * 2 * cfg.m_full * 16
 
 
 def test_misdetection_is_exactly_one_minus_detection():
@@ -499,6 +532,19 @@ def test_overflowing_prefilter_gains_are_rejected(monkeypatch):
 def test_invalid_configurations_rejected(overrides):
     with pytest.raises(ValueError):
         desk_config(**overrides)
+
+
+@pytest.mark.parametrize(
+    "field",
+    ["m_subcarriers", "num_blocks", "block_size", "m_full", "num_taps", "gmm_components", "rng_seed"],
+)
+def test_count_fields_take_integers_only(field):
+    value = getattr(desk_config(), field)
+    assert getattr(desk_config(**{field: np.int64(value)}), field) == value
+    # a float used to fail deep in numpy, with an IndexError or a TypeError
+    for bad in (value + 0.5, float(value), True):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            desk_config(**{field: bad})
 
 
 def test_update_variants_reported_in_block_traces():

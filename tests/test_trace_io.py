@@ -252,6 +252,20 @@ def test_non_utf8_bytes_rejected_cleanly(tmp_path):
         trace_io.TraceReader(as_file(tmp_path, b"\xff\xfe\x00\x01#CSI"))
 
 
+@pytest.mark.parametrize("m_full", [2.0, True, np.float64(2.0), np.bool_(True), "2"])
+def test_a_header_refuses_an_m_full_that_is_not_an_integer(m_full):
+    # written as 2.0 or True, it would make a header the reader refuses
+    with pytest.raises(ValueError, match="m_full must be an integer"):
+        TraceHeader(m_full)
+
+
+@pytest.mark.parametrize("m_full", [np.int64(2), np.uint16(2)])
+def test_a_header_takes_numpy_integers(tmp_path, m_full):
+    path = tmp_path / "trace.csv"
+    write_records(path, m_full, [1], ["AB"], [[1 + 0j, 2 + 0j]])
+    assert read_links(path, ["AB"], 1)[0] == TraceHeader(2)
+
+
 def test_trace_validation(tmp_path):
     with pytest.raises(ValueError):
         TraceHeader(0)
