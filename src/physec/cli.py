@@ -85,7 +85,7 @@ def _feature_kind(text: str) -> FeatureKind:
 def read_config_file(path: str) -> dict:
     """Flat key=value file; '#' comments and blank lines are ignored."""
     values = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -226,17 +226,22 @@ def _write_roc(parser, curve: ev.RocCurve, out: str) -> None:
     _write_file(parser, out, "ROC curve", emit)
 
 
-def _open_trace(parser, path):
-    """The trace at `path`, open with its header read; a null context when
-    no trace was given."""
-    if not path:
-        return contextlib.nullcontext()
+@contextlib.contextmanager
+def _usage_errors(parser, trace_path=None):
+    """Open the trace at `trace_path` for the with block (None when there is
+    none), and report what the trace or the run refuses as a usage error.
+    An OSError is the trace's only on a replay."""
     try:
-        return trace_io.TraceReader(path)
-    except OSError as exc:
-        parser.error(f"cannot read trace: {exc}")
+        with (trace_io.TraceReader(trace_path) if trace_path else contextlib.nullcontext()) as trace:
+            yield trace
     except trace_io.TraceFormatError as exc:
         parser.error(f"bad trace file: {exc}")
+    except OSError as exc:
+        if not trace_path:
+            raise
+        parser.error(f"cannot read trace: {exc}")
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 def _configs(settings: dict, parser, trace) -> list:
@@ -254,20 +259,18 @@ def _configs(settings: dict, parser, trace) -> list:
         m_full = trace.header.m_full
         if kwargs.get("m_full", m_full) != m_full:
             parser.error(f"--m-full {kwargs['m_full']} differs from the trace's m_full={m_full}")
-        kwargs["m_full"] = m_full
+        # a replay draws no taps: any count the recording's width admits will do
+        kwargs.update(m_full=m_full, num_taps=min(ExperimentConfig.num_taps, m_full))
     detectors = [{"detector": DetectorKind(name)} for name in settings.get("detector", [])] or [{}]
     m_values = [{"m_subcarriers": m} for m in settings.get("m", [])] or [{}]
     configs = []
-    try:
-        for detector in detectors:
-            for m in m_values:
-                config = ExperimentConfig(**kwargs, **detector, **m)
-                if compare_update and config.detector is DetectorKind.GMM:
-                    configs += [replace(config, update_enabled=u) for u in (True, False)]
-                else:
-                    configs.append(config)
-    except ValueError as exc:
-        parser.error(str(exc))
+    for detector in detectors:
+        for m in m_values:
+            config = ExperimentConfig(**kwargs, **detector, **m)
+            if compare_update and config.detector is DetectorKind.GMM:
+                configs += [replace(config, update_enabled=u) for u in (True, False)]
+            else:
+                configs.append(config)
     # an explicit flag that would change nothing is a usage error
     if compare_update and "update_enabled" in kwargs:
         parser.error("--compare-update runs with and without updating; drop --update/--no-update")
@@ -280,67 +283,48 @@ def _configs(settings: dict, parser, trace) -> list:
     return configs
 
 
-def _run(parser, configs, trace) -> list:
-    """The TrialResult of each config, all from one pass over the message
-    stream, simulated or replayed from `trace`."""
-    try:
-        return ev.run_grid(configs, trace)
-    except trace_io.TraceFormatError as exc:
-        parser.error(f"bad trace file: {exc}")
-    except OSError as exc:
-        if trace is None:
-            raise
-        parser.error(f"cannot read trace: {exc}")
-    except ValueError as exc:
-        parser.error(str(exc))
-
-
 def cmd_simulate(args, parser) -> int:
     settings = _settings(args, parser)
     kwargs = _experiment_kwargs(settings, parser)
     requested_blocks = kwargs.pop("num_blocks", ExperimentConfig.num_blocks)
     if requested_blocks < 1:
         parser.error("--blocks must be >= 1")
-    try:
+    with _usage_errors(parser):
         # the generator only needs channel/seed parameters; keep the config valid
         config = ExperimentConfig(
             m_subcarriers=kwargs.get("m_full", ExperimentConfig.m_full),
             num_blocks=max(requested_blocks, 2),
             **kwargs,
         )
-    except ValueError as exc:
-        parser.error(str(exc))
-    n = config.block_size
-    total = requested_blocks * n
-    labels = [ev.BOB_LINK, ev.EVE_LINK] * n
+        n = config.block_size
+        labels = [ev.BOB_LINK, ev.EVE_LINK] * n
 
-    def blocks():
-        streams = ev.simulated_estimate_blocks(config)
-        for b in range(requested_blocks):
-            # file order: both links' estimates for slot 1, then slot 2, ...
-            gains = np.stack(next(streams), axis=1).reshape(2 * n, config.m_full)
-            yield np.repeat(np.arange(b * n + 1, (b + 1) * n + 1), 2), labels, gains
+        def blocks():
+            streams = ev.simulated_estimate_blocks(config)
+            for b in range(requested_blocks):
+                # file order: both links' estimates for slot 1, then slot 2, ...
+                gains = np.stack(next(streams), axis=1).reshape(2 * n, config.m_full)
+                yield np.repeat(np.arange(b * n + 1, (b + 1) * n + 1), 2), labels, gains
 
-    try:
         header = trace_io.TraceHeader(
             m_full=config.m_full,
             sample_interval_us=settings.get("interval_us", trace_io.DEFAULT_INTERVAL_US),
             description=settings.get("desc", "simulated"),
         )
-        trace_io.write_trace(header, args.out, blocks())
-    except ValueError as exc:
-        parser.error(str(exc))
-    except OSError as exc:
-        parser.error(f"cannot write trace: {exc}")
+        try:
+            trace_io.write_trace(header, args.out, blocks())
+        except OSError as exc:
+            parser.error(f"cannot write trace: {exc}")
+    total = requested_blocks * n
     print(f"wrote {2 * total} records ({total} per link) to {args.out}", file=sys.stderr)
     return 0
 
 
 def cmd_evaluate(args, parser) -> int:
     settings = _settings(args, parser)
-    with _open_trace(parser, args.trace) as trace:
+    with _usage_errors(parser, args.trace) as trace:
         configs = _configs(settings, parser, trace)
-        results = _run(parser, configs, trace)
+        results = ev.run_grid(configs, trace)
     rows = [_result_row(config, result) for config, result in zip(configs, results)]
     _print_table(rows)
     _write_rows(parser, rows, args.out)
@@ -349,17 +333,14 @@ def cmd_evaluate(args, parser) -> int:
 
 def cmd_roc(args, parser) -> int:
     settings = _settings(args, parser)
-    with _open_trace(parser, args.trace) as trace:
+    with _usage_errors(parser, args.trace) as trace:
         configs = _configs(settings, parser, trace)
         if len(configs) != 1:
             parser.error("roc needs exactly one detector and one m value")
         if not args.out:
             parser.error("roc requires --out")
-        (result,) = _run(parser, configs, trace)
-    try:
+        (result,) = ev.run_grid(configs, trace)
         curve = ev.compute_roc(result.bob_scores, result.eve_scores)
-    except ValueError as exc:
-        parser.error(str(exc))
     _write_roc(parser, curve, args.out)
     print(f"wrote {curve.p_fa.size} operating points to {args.out}", file=sys.stderr)
     return 0

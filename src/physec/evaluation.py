@@ -222,7 +222,7 @@ class _Trial:
     def __init__(self, config: ExperimentConfig):
         self.config = config
         self.detector = None
-        self.previous = self.previous_time = None  # delta features' carry-over
+        self.previous = None  # delta features' carry-over
         self.records = []
         # one array per run, not one per block: a grid holds every trial's
         # scores at once, and thousands of small arrays held that long
@@ -231,28 +231,19 @@ class _Trial:
         self.scores = np.empty(tests)
         self.from_eve = np.empty(tests, dtype=bool)
 
-    def _features(self, rows: np.ndarray, times) -> np.ndarray:
-        """Delta features carry the last selected row into the next block and
-        need strictly increasing time indices on a recording; magnitudes read
-        no time."""
+    def _features(self, rows: np.ndarray) -> np.ndarray:
+        """Delta features carry the last selected row into the next block."""
         selected = ft.select_block(rows, self.config.m_subcarriers)
         if self.config.feature_kind is not ft.FeatureKind.DELTA:
             return ft.normalize_magnitude_block(selected)
-        if times is not None:
-            if self.previous_time is not None:
-                times = np.concatenate([[self.previous_time], times])
-            # neighbours are compared, not subtracted: a difference can overflow
-            if np.any(times[1:] <= times[:-1]):
-                raise ValueError("current estimate must be strictly later than previous")
-            self.previous_time = times[-1]
         # the first training message has no predecessor and gives no feature
         features = ft.delta_feature_block(selected, self.previous)
         self.previous = selected[-1].copy()
         return features
 
-    def step(self, rows: np.ndarray, from_eve: np.ndarray, times) -> None:
+    def step(self, rows: np.ndarray, from_eve: np.ndarray) -> None:
         config = self.config
-        features = self._features(rows, times)
+        features = self._features(rows)
         use_gmm = config.detector is DetectorKind.GMM
         if self.detector is None:
             if use_gmm:
@@ -324,7 +315,8 @@ def run_grid(configs: list, trace=None) -> list:
     must agree on what the stream reads (_STREAM_FIELDS).  Prefilters are
     a transmit-side construct and cannot be applied to recordings.  A
     replay reads the whole file, and a fault anywhere in the trace is
-    reported before one in the run.
+    reported before one in the run.  When a config uses delta features, the
+    replayed messages' time indices must increase strictly, block to block.
     """
     if not configs:
         raise ValueError("a grid needs at least one config")
@@ -342,6 +334,9 @@ def run_grid(configs: list, trace=None) -> list:
                 f"config m_full={first.m_full} differs from the trace's {trace.header.m_full}"
             )
         blocks = trace.blocks((BOB_LINK, EVE_LINK), first.block_size, first.num_blocks)
+    # only delta features read the order of the messages
+    timed = trace is not None and any(c.feature_kind is ft.FeatureKind.DELTA for c in configs)
+    last_time = np.empty(0, dtype=np.int64)  # the last replayed message's, once there is one
     trials = [_Trial(config) for config in configs]
     attack_rng = np.random.default_rng(_derived_seeds(first.rng_seed)[4])
     n = first.block_size
@@ -350,12 +345,16 @@ def run_grid(configs: list, trace=None) -> list:
         for b in range(first.num_blocks):
             from_eve = attack_rng.random(n) < first.attack_intensity if b else np.zeros(n, bool)
             links, times = (next(blocks), None) if trace is None else next(blocks)
-            if times is not None:
-                times = np.where(from_eve, times[1], times[0])
+            if timed:
+                times = np.concatenate([last_time, np.where(from_eve, times[1], times[0])])
+                # neighbours are compared, not subtracted: a difference can overflow
+                if np.any(times[1:] <= times[:-1]):
+                    raise ValueError("current estimate must be strictly later than previous")
+                last_time = times[-1:]
             rows = np.where(from_eve[:, None], links[1], links[0])
             del links  # hold no block while the trials step
             for trial in trials:
-                trial.step(rows, from_eve, times)
+                trial.step(rows, from_eve)
             del rows  # nor while the next one is drawn
     except ValueError as exc:
         if trace is None:
@@ -393,6 +392,8 @@ def compute_roc(bob_scores, eve_scores) -> RocCurve:
     eve = np.sort(np.asarray(eve_scores, dtype=np.float64))
     if bob.size == 0 or eve.size == 0:
         raise ValueError("both score collections must be non-empty")
+    if np.isnan(bob[-1]) or np.isnan(eve[-1]):  # NaN sorts last
+        raise ValueError("scores must not be NaN")
     thresholds = np.unique(np.concatenate([bob, eve]))
     fa = np.searchsorted(bob, thresholds, side="left") / bob.size
     pd = np.searchsorted(eve, thresholds, side="left") / eve.size
@@ -412,6 +413,8 @@ def detection_at_fa(result: TrialResult, fa: float) -> float:
     """
     if result.bob_scores.size == 0 or result.eve_scores.size == 0:
         raise ValueError("trial must contain scores from both sources")
+    if np.isnan(result.eve_scores).any():
+        raise ValueError("scores must not be NaN")
     thr = gmm.lower_tail_threshold(result.bob_scores, fa)
     return float(np.mean(result.eve_scores < thr))
 

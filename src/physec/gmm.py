@@ -316,6 +316,8 @@ def lower_tail_threshold(scores, target_fa: float) -> float:
     s = np.sort(np.asarray(scores, dtype=np.float64))
     if s.size == 0:
         raise ValueError("cannot calibrate a threshold on an empty score list")
+    if np.isnan(s[-1]):  # NaN sorts last
+        raise ValueError("scores must not be NaN")
     if not 0.0 < target_fa < 1.0:
         raise ValueError("target_fa must lie in (0, 1)")
     j = min(int(math.floor(target_fa * s.size)), s.size - 1)

@@ -373,17 +373,15 @@ class TraceReader:
         fields = 2 + 2 * self.header.m_full
         links = {label: _LinkRows((block_size, self.header.m_full), count) for label in labels}
         last_time: dict[str, int] = {}
-        handed_out = 0
         for lineno, line in self._lines:
             row = _parse_row(line, lineno, fields, last_time)
             link = None if row is None else links.get(row[1])
+            # a link readies at most `count` blocks, so at most `count` go out
             if (
                 link is not None
                 and link.add(row[0], row[2])
-                and handed_out < count
                 and all(other.ready and other.finite for other in links.values())
             ):
-                handed_out += 1
                 # not bound to a name: a suspended generator keeps its locals alive
                 yield tuple(zip(*(other.ready.popleft() for other in links.values())))
         for link in links.values():

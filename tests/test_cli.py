@@ -154,6 +154,13 @@ def test_read_config_file_parses_flat_key_value_lines(tmp_path):
     assert values == {"block_size": "64", "detector": "gmm,mse"}
 
 
+def test_a_config_file_saved_with_a_byte_order_mark_is_read(tmp_path):
+    # the mark used to become part of the first key: "unknown config file key '\ufeffsnr'"
+    cfg = tmp_path / "bom.cfg"
+    cfg.write_text("snr = 5\nm = 8\n", encoding="utf-8-sig")
+    assert read_config_file(str(cfg)) == {"snr": "5", "m": "8"}
+
+
 @pytest.mark.parametrize(
     "content",
     ["mystery_key=1\n", "snr=not-a-float\n", "just some words\n", "detector=foo\n"],
@@ -583,6 +590,25 @@ def test_simulation_options_with_a_trace_are_usage_errors(
         run_cli(*replay, "--config", str(cfg))
     assert exc.value.code == 2
     assert reason in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["evaluate", "roc"])
+def test_a_recording_narrower_than_the_default_tap_count_replays(tmp_path, capsys, command):
+    # a replay draws no taps, so the simulator's default of 8 must not
+    # refuse a recording of 4 subcarriers
+    shape = ("--seed", "0", "--blocks", "3", "--block-size", "20")
+    trace = tmp_path / "trace.csv"
+    assert run_cli("simulate", *shape, "--m-full", "4", "--taps", "2", "--out", str(trace)) == 0
+    direct, replayed = tmp_path / "direct.csv", tmp_path / "replayed.csv"
+    run = (command, *shape, "--m", "2")
+    assert run_cli(*run, "--m-full", "4", "--taps", "2", "--out", str(direct)) == 0
+    assert run_cli(*run, "--trace", str(trace), "--out", str(replayed)) == 0
+    assert direct.read_bytes() == replayed.read_bytes()
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*run, "--taps", "2", "--trace", str(trace), "--out", str(replayed))
+    assert exc.value.code == 2
+    assert "--taps shapes the simulated channel" in capsys.readouterr().err
 
 
 def test_a_trace_replay_accepts_its_own_m_full_and_an_snr_label(desk_trace, tmp_path):

@@ -12,6 +12,7 @@ from physec import cli
 from physec import evaluation as ev
 from physec import trace_io
 from physec.evaluation import DetectorKind
+from physec.features import FeatureKind
 
 from conftest import desk_config, write_records
 
@@ -42,34 +43,59 @@ def test_counts_conserve_message_totals():
     assert sum(b.bob_messages for b in r.blocks) == len(r.bob_scores)
 
 
-def test_every_config_of_a_seed_sees_one_message_stream(monkeypatch):
-    from physec.features import FeatureKind
-
+def solo_stream(monkeypatch, cfg) -> list:
+    """The (rows, from_eve) the trial of a solo run of `cfg` is handed, block by block."""
     received = []
     step = ev._Trial.step
 
-    def spy(trial, rows, from_eve, times):
-        received.append((rows, from_eve, times))
-        step(trial, rows, from_eve, times)
+    def spy(trial, rows, from_eve):
+        received.append((rows, from_eve))
+        step(trial, rows, from_eve)
 
-    monkeypatch.setattr(ev._Trial, "step", spy)
-
-    def stream(cfg):
-        """What the trial of a solo run of `cfg` is handed, block by block."""
-        received.clear()
+    with monkeypatch.context() as patched:
+        patched.setattr(ev._Trial, "step", spy)
         ev.run_experiment(cfg)
-        return list(received)
+    return received
 
-    base = stream(desk_config())
+
+def test_every_config_of_a_seed_sees_one_message_stream(monkeypatch):
+    base = solo_stream(monkeypatch, desk_config())
     for other in (
         desk_config(m_subcarriers=4, detector=DetectorKind.MSE),
         desk_config(feature_kind=FeatureKind.DELTA, update_enabled=False, target_fa=0.05),
     ):
-        for (rows, from_eve, times), (rows2, from_eve2, times2) in zip(base, stream(other)):
+        for (rows, from_eve), (rows2, from_eve2) in zip(base, solo_stream(monkeypatch, other)):
             assert np.array_equal(rows, rows2) and np.array_equal(from_eve, from_eve2)
-            assert times is None and times2 is None
     assert len(base) == desk_config().num_blocks
     assert not base[0][1].any()  # the training block is legitimate only
+
+
+# a valid value other than desk_config's, for every ExperimentConfig field
+OTHER_VALUES = {
+    "m_subcarriers": 4, "snr_db": 5.0, "attack_intensity": 0.25, "num_blocks": 3,
+    "block_size": 100, "coherence_samples": 1e5, "detector": DetectorKind.MSE,
+    "update_enabled": False, "feature_kind": FeatureKind.DELTA,
+    "prefilter": ev.PERFECT_IMITATION, "rng_seed": 1, "target_fa": 0.05, "m_full": 32,
+    "num_taps": 4, "gmm_components": 2, "oracle_update": True,
+}
+
+
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(ev.ExperimentConfig)])
+def test_only_the_fields_a_stream_reads_split_a_grid(monkeypatch, field):
+    # a field the stream reads must be in _STREAM_FIELDS, or a grid that
+    # mixes it would hand some config another config's messages
+    base = desk_config()
+    other = dataclasses.replace(base, **{field: OTHER_VALUES[field]})
+    assert getattr(other, field) != getattr(base, field)
+    if field in ev._STREAM_FIELDS:
+        with pytest.raises(ValueError, match="share one message stream"):
+            ev.run_grid([base, other])
+        return
+    expected = solo_stream(monkeypatch, base)
+    received = solo_stream(monkeypatch, other)
+    assert len(received) == len(expected)
+    for (rows, from_eve), (rows2, from_eve2) in zip(expected, received):
+        assert np.array_equal(rows, rows2) and np.array_equal(from_eve, from_eve2)
 
 
 @pytest.mark.parametrize(
@@ -184,6 +210,39 @@ def test_roc_rejects_empty_inputs():
         ev.compute_roc(np.empty(0), np.arange(3.0))
     with pytest.raises(ValueError):
         ev.compute_roc(np.arange(3.0), np.empty(0))
+
+
+NAN_SCORES = {
+    "bob": ([0.0, math.nan, 1.0], [0.5, 2.0]),
+    "eve": ([0.0, 1.0], [0.5, math.nan]),
+    "only-nan": ([math.nan], [math.nan]),
+}
+
+
+@pytest.mark.parametrize("bob, eve", NAN_SCORES.values(), ids=NAN_SCORES.keys())
+def test_a_nan_score_is_refused(bob, eve):
+    # NaN compares false both ways: it would be counted on neither side of
+    # any threshold, and the rates would come out as numbers
+    with pytest.raises(ValueError, match="NaN"):
+        ev.compute_roc(bob, eve)
+    result = ev.TrialResult(
+        counts=ev.Counts(0, 0, 0, 0), p_d=None, p_fa=None, p_md=None,
+        bob_scores=np.array(bob), eve_scores=np.array(eve),
+    )
+    with pytest.raises(ValueError, match="NaN"):
+        ev.detection_at_fa(result, 0.5)
+
+
+def test_infinite_scores_are_scores():
+    bob, eve = np.array([-math.inf, 1.0, math.inf, 2.0]), np.array([-math.inf, 0.0])
+    curve = ev.compute_roc(bob, eve)
+    assert curve.p_fa.tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
+    assert curve.p_d.tolist() == [0.0, 1.0, 1.0, 1.0, 1.0]
+    result = ev.TrialResult(
+        counts=ev.Counts(0, 0, 0, 0), p_d=None, p_fa=None, p_md=None,
+        bob_scores=bob, eve_scores=eve,
+    )
+    assert ev.detection_at_fa(result, 0.5) == 1.0  # threshold 2.0
 
 
 def test_detection_at_matched_false_alarm_hand_example():

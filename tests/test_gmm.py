@@ -312,6 +312,20 @@ def test_threshold_validation():
             gmm.lower_tail_threshold(np.arange(5.0), bad)
 
 
+@pytest.mark.parametrize(
+    "scores", [[1.0, math.nan], [math.nan], [math.nan, -math.inf, 2.0]],
+    ids=["after", "alone", "before"],
+)
+def test_threshold_refuses_a_nan_score(scores):
+    with pytest.raises(ValueError, match="NaN"):
+        gmm.lower_tail_threshold(scores, 0.5)
+
+
+def test_threshold_takes_infinite_scores():
+    assert gmm.lower_tail_threshold([math.inf, 1.0, -math.inf], 0.5) == 1.0
+    assert gmm.lower_tail_threshold([math.inf, -math.inf], 0.01) == -math.inf
+
+
 @given(
     scores=st.lists(
         st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=200
