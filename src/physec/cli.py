@@ -15,6 +15,7 @@ import csv
 import os
 import sys
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 
@@ -399,25 +400,26 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"estimation interval in microseconds (default {trace_io.DEFAULT_INTERVAL_US:g})")
     p_sim.add_argument("--desc", help="trace description text")
     p_sim.add_argument("--out", required=True, help="trace CSV path")
-    p_sim.set_defaults(func=cmd_simulate)
+    p_sim.set_defaults(func=partial(cmd_simulate, parser=p_sim))
 
     p_eval = subs.add_parser("evaluate", help="run a grid of detectors and M values, report rates")
     _add_eval_options(p_eval)
     p_eval.add_argument("--compare-update", dest="compare_update", action="store_true",
                         help="emit an update and a no-update row per mixture-detector run")
-    p_eval.set_defaults(func=cmd_evaluate)
+    p_eval.set_defaults(func=partial(cmd_evaluate, parser=p_eval))
 
     p_roc = subs.add_parser("roc", help="run one detector and write its ROC curve")
     _add_eval_options(p_roc)
-    p_roc.set_defaults(func=cmd_roc)
+    p_roc.set_defaults(func=partial(cmd_roc, parser=p_roc))
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args, parser)
+    args = build_parser().parse_args(argv)
+    # each command reports usage errors through its own parser, whose usage
+    # line shows that command's options
+    return args.func(args)
 
 
 if __name__ == "__main__":

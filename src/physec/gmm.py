@@ -106,6 +106,30 @@ def as_feature_matrix(features, dim: int | None = None) -> np.ndarray:
     return x
 
 
+def _squared_distances(x: np.ndarray, mean: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """(x - mean)**2 written into the (N, D) buffer `work`, which is returned."""
+    np.subtract(x, mean, out=work)
+    return np.multiply(work, work, out=work)
+
+
+def _scaled_row_sums(squares: np.ndarray, variance: np.ndarray, out: np.ndarray) -> None:
+    """Row sums of squares / variance into `out`; `squares` is overwritten."""
+    np.divide(squares, variance, out=squares)
+    np.add.reduce(squares, axis=1, out=out)
+
+
+def _log_densities(quad: np.ndarray, variances: np.ndarray) -> np.ndarray:
+    """Diagonal Gaussian log-densities from the scaled squared distances `quad`."""
+    log_norm = np.sum(np.log(variances), axis=1) + variances.shape[1] * _LOG_2PI
+    return -0.5 * (quad + log_norm[None, :])
+
+
+def _with_log_weights(log_densities: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    with np.errstate(divide="ignore"):  # zero weights contribute -inf, which is correct
+        log_w = np.log(weights)
+    return log_densities + log_w[None, :]
+
+
 def _component_log_densities(
     x: np.ndarray, means: np.ndarray, variances: np.ndarray, work: np.ndarray
 ) -> np.ndarray:
@@ -119,12 +143,8 @@ def _component_log_densities(
     """
     quad = np.empty((x.shape[0], means.shape[0]))
     for j in range(means.shape[0]):
-        np.subtract(x, means[j], out=work)
-        np.multiply(work, work, out=work)
-        np.divide(work, variances[j], out=work)
-        np.add.reduce(work, axis=1, out=quad[:, j])
-    log_norm = np.sum(np.log(variances), axis=1) + means.shape[1] * _LOG_2PI
-    return -0.5 * (quad + log_norm[None, :])
+        _scaled_row_sums(_squared_distances(x, means[j], work), variances[j], quad[:, j])
+    return _log_densities(quad, variances)
 
 
 def _weighted_log_densities(
@@ -134,9 +154,7 @@ def _weighted_log_densities(
     variances: np.ndarray,
     work: np.ndarray,
 ) -> np.ndarray:
-    with np.errstate(divide="ignore"):  # zero weights contribute -inf, which is correct
-        log_w = np.log(weights)
-    return _component_log_densities(x, means, variances, work) + log_w[None, :]
+    return _with_log_weights(_component_log_densities(x, means, variances, work), weights)
 
 
 # numpy's sum adds fewer than this many values one after another, left to
@@ -181,6 +199,14 @@ def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
 _OVERFLOW = "squared distances between features overflow"
 
 
+def _mixture_scores(weighted_log_densities: np.ndarray) -> np.ndarray:
+    """Each row's mixture log-likelihood; a non-finite one refuses the block."""
+    scores = _logsumexp_rows(weighted_log_densities)
+    if not np.all(np.isfinite(scores)):
+        raise ValueError(_OVERFLOW)
+    return scores
+
+
 def log_likelihoods(model: GmmModel, features) -> np.ndarray:
     """Mixture log-likelihood of each feature, computed via log-sum-exp.
 
@@ -188,15 +214,12 @@ def log_likelihoods(model: GmmModel, features) -> np.ndarray:
     component overflows; such a block is refused, not scored.
     """
     x = as_feature_matrix(features, model.dim)
-    with np.errstate(over="ignore"):  # checked once for the whole block below
-        scores = _logsumexp_rows(
+    with np.errstate(over="ignore"):  # checked once for the whole block, on the scores
+        return _mixture_scores(
             _weighted_log_densities(
                 x, model.weights, model.means, model.variances, np.empty_like(x)
             )
         )
-    if not np.all(np.isfinite(scores)):
-        raise ValueError(_OVERFLOW)
-    return scores
 
 
 def _seed_initial_parameters(x, k, rng):
@@ -238,20 +261,34 @@ def _seed_initial_parameters(x, k, rng):
 
 
 def _em(x, weights, means, variances):
-    """Run EM to convergence; returns parameters and the log-likelihood history.
+    """Run EM to convergence from the given start.
+
+    Returns the parameters, the log-likelihood history, and the weighted
+    log-densities of `x` under the returned parameters, shape (N, K).
+
+    One standalone E-step opens the loop.  After that each M-step also does
+    the next iteration's E-step: component by component, one pass squares
+    x - mean for the new mean, takes the variance from those squares,
+    floors it, divides the squares by it and sums each row.  These are the
+    operations, in the same order, of an M-step followed by a separate
+    E-step, so the result is bit for bit that of the two-pass loop, and the
+    log-densities left over when the loop ends are those of the model it
+    returns.  A component that received no responsibility keeps its mean
+    and its variance, floored like the others.
 
     The history is non-decreasing: flooring the variances is the constrained
     M-step maximizer, so the usual EM guarantee is preserved.  A sample whose
     scaled squared distance to every component overflows makes the total
     log-likelihood -inf, and the fit is refused.
     """
-    n = x.shape[0]
+    n, k = x.shape[0], weights.size
     history = []
     ll_prev = None
     work = np.empty_like(x)  # the E- and M-steps' only (N, D) array
+    quad = np.empty((n, k))
     with np.errstate(over="ignore"):  # checked once per iteration, on the total
+        lw = _weighted_log_densities(x, weights, means, variances, work)
         for _ in range(EM_ITERATIONS):
-            lw = _weighted_log_densities(x, weights, means, variances, work)
             per_sample = _logsumexp_rows(lw)
             ll = float(per_sample.sum())
             if not math.isfinite(ll):
@@ -265,18 +302,17 @@ def _em(x, weights, means, variances):
                 nk[:, None] > 0, (resp.T @ x) / safe_nk[:, None], means
             )
             new_var = np.empty_like(variances)
-            for j in range(weights.size):
-                if nk[j] > 0:
-                    np.subtract(x, means[j], out=work)
-                    np.multiply(work, work, out=work)
-                    new_var[j] = resp[:, j] @ work / nk[j]
-                else:
-                    new_var[j] = variances[j]
-            variances = np.maximum(new_var, MIN_VARIANCE)
+            for j in range(k):
+                squares = _squared_distances(x, means[j], work)
+                new_var[j] = resp[:, j] @ squares / nk[j] if nk[j] > 0 else variances[j]
+                np.maximum(new_var[j], MIN_VARIANCE, out=new_var[j])
+                _scaled_row_sums(squares, new_var[j], quad[:, j])
+            variances = new_var
+            lw = _with_log_weights(_log_densities(quad, variances), weights)
             if ll_prev is not None and abs(ll - ll_prev) <= EM_TOLERANCE * abs(ll_prev):
                 break
             ll_prev = ll
-    return weights, means, variances, history
+    return weights, means, variances, history, lw
 
 
 def fit(training, num_components: int, target_fa: float, rng_seed: int) -> GmmModel:
@@ -296,8 +332,13 @@ def fit(training, num_components: int, target_fa: float, rng_seed: int) -> GmmMo
 
 
 def _fit_from(x, weights, means, variances, target_fa: float) -> GmmModel:
-    """EM from the given start on `x`, then the threshold at `target_fa`."""
-    weights, means, variances, history = _em(x, weights, means, variances)
+    """EM from the given start on `x`, then the threshold at `target_fa`.
+
+    The calibration scores are the log-sum-exp of the weighted log-densities
+    EM leaves for the model it returns, bit for bit what `log_likelihoods`
+    would give for `x`; as there, a non-finite score refuses the fit.
+    """
+    weights, means, variances, history, lw = _em(x, weights, means, variances)
     model = GmmModel(
         weights,
         means,
@@ -306,8 +347,7 @@ def _fit_from(x, weights, means, variances, target_fa: float) -> GmmModel:
         trained_on=x.shape[0],
         em_log_likelihoods=history,
     )
-    scores = log_likelihoods(model, x)
-    model.threshold = lower_tail_threshold(scores, target_fa)
+    model.threshold = lower_tail_threshold(_mixture_scores(lw), target_fa)
     return model
 
 

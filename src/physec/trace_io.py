@@ -193,7 +193,10 @@ def write_trace(header: TraceHeader, path: str | os.PathLike, blocks) -> None:
         mode = None
     if mode is not None and not stat.S_ISREG(mode):
         raise ValueError(f"{os.fspath(path)} exists and is not a regular file")
-    temp, fd = _create_beside(path)
+    try:
+        temp, fd = _create_beside(path)
+    except OSError as exc:  # name the destination, not the temporary file
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc
     try:
         with open(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(

@@ -393,11 +393,94 @@ def test_one_em_iteration_matches_a_written_out_step(n, k, d, monkeypatch):
         expected_variances[j] = resp[:, j] @ (diff * diff) / nk[j]
 
     monkeypatch.setattr(gmm, "EM_ITERATIONS", 1)
-    new_weights, new_means, new_variances, history = gmm._em(x, weights, means, variances)
+    new_weights, new_means, new_variances, history, _ = gmm._em(x, weights, means, variances)
     assert np.array_equal(new_weights, nk / n)
     assert np.array_equal(new_means, expected_means)
     assert np.array_equal(new_variances, np.maximum(expected_variances, gmm.MIN_VARIANCE))
     assert history == [float(per_sample.sum())]
+
+
+def two_pass_em(x, weights, means, variances):
+    """EM with a separate E-step and M-step in every iteration, written out.
+
+    The E-step scores the current parameters over the (N, K, D) broadcast;
+    the M-step then squares x - mean again for each new mean.  gmm._em
+    does both in one pass per component and must agree bit for bit.
+    Returns the parameters, the history and the returned model's weighted
+    log-densities.
+    """
+    n = x.shape[0]
+    history = []
+    ll_prev = None
+
+    def weighted_log_densities():
+        with np.errstate(divide="ignore"):
+            log_w = np.log(weights)
+        return broadcast_log_densities(x, means, variances) + log_w[None, :]
+
+    for _ in range(gmm.EM_ITERATIONS):
+        lw = weighted_log_densities()
+        per_sample = logsumexp(lw, axis=1)
+        ll = float(per_sample.sum())
+        history.append(ll)
+        resp = np.exp(lw - per_sample[:, None])
+        nk = resp.sum(axis=0)
+        weights = nk / n
+        safe_nk = np.where(nk > 0, nk, 1.0)
+        means = np.where(nk[:, None] > 0, (resp.T @ x) / safe_nk[:, None], means)
+        new_var = variances.copy()
+        for j in np.flatnonzero(nk > 0):
+            diff = x - means[j]
+            new_var[j] = resp[:, j] @ (diff * diff) / nk[j]
+        variances = np.maximum(new_var, gmm.MIN_VARIANCE)
+        if ll_prev is not None and abs(ll - ll_prev) <= gmm.EM_TOLERANCE * abs(ll_prev):
+            break
+        ll_prev = ll
+    return weights, means, variances, history, weighted_log_densities()
+
+
+def em_start(n, k, d, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, d)) + rng.integers(0, k, (n, 1))
+    start = (rng.dirichlet(np.ones(k)), x[rng.choice(n, k, replace=False)], rng.uniform(0.5, 2.0, (k, d)))
+    return x, start
+
+
+def dead_component_start():
+    # a component of weight 0 gets no responsibility (nk == 0) in every
+    # iteration, keeps its mean and variance, and is floored like the rest
+    x, (_, means, variances) = em_start(200, 3, 5, 23)
+    variances[2, ::2] = gmm.MIN_VARIANCE / 100
+    return x, (np.array([0.4, 0.6, 0.0]), means, variances)
+
+
+EM_CASES = {
+    "50x1x7": em_start(50, 1, 7, 22),
+    "1000x3x16": em_start(1000, 3, 16, 22),
+    "300x5x48": em_start(300, 5, 48, 22),
+    "dead component": dead_component_start(),
+}
+
+
+@pytest.mark.parametrize("iterations", [gmm.EM_ITERATIONS, 3])
+@pytest.mark.parametrize("case", list(EM_CASES))
+def test_fused_em_matches_the_two_pass_loop(case, iterations, monkeypatch):
+    monkeypatch.setattr(gmm, "EM_ITERATIONS", iterations)
+    x, start = EM_CASES[case]
+    got = gmm._em(x, *start)
+    expected = two_pass_em(x, *start)
+    assert got[3] == expected[3]
+    if iterations == 3:
+        assert len(got[3]) == 3  # stopped by the cap, not by convergence
+    for name, a, b in zip(("weights", "means", "variances", "log-densities"),
+                          got[:3] + got[4:], expected[:3] + expected[4:]):
+        assert np.array_equal(a, b), name
+    if case == "dead component":
+        assert np.array_equal(got[1][2], start[1][2])
+        assert np.all(got[2][2] == np.maximum(start[2][2], gmm.MIN_VARIANCE))
+    fa = 0.05
+    model = gmm._fit_from(x, *start, fa)
+    assert model.threshold == gmm.lower_tail_threshold(gmm.log_likelihoods(model, x), fa)
 
 
 def test_em_allocates_nothing_the_size_of_an_n_k_d_array():

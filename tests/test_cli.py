@@ -498,13 +498,32 @@ def test_usage_errors_exit_with_code_two(argv):
 )
 def test_unreadable_and_unwritable_files_are_usage_errors(tmp_path, capsys, argv, message):
     missing = tmp_path / "missing"
+    (path,) = [arg.format(missing=missing) for arg in argv if "{missing}" in arg]
     with pytest.raises(SystemExit) as exc:
         run_cli(*(arg.format(missing=missing) for arg in argv))
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert message in err and str(missing) in err  # the message names the path
+    # the message names the path given, not a temporary file beside it
+    assert message in err and f"'{path}'" in err
+    assert ".tmp" not in err
     assert "Traceback" not in err
     assert not missing.exists()  # nothing was created
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("evaluate", "--trace", "missing.csv"),
+        ("simulate", *DESK, "--out", "missing/x.csv"),
+        ("roc", *DESK, "--m", "8"),  # roc requires --out
+    ],
+)
+def test_usage_errors_show_the_usage_of_their_command(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith(f"usage: physec {argv[0]} ")
 
 
 @pytest.mark.parametrize("detector", ["mse", "gmm"])

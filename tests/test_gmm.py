@@ -203,7 +203,7 @@ def test_responsibilities_are_a_distribution(rng, monkeypatch):
     assert np.all(resp >= 0)
     assert np.allclose(resp.sum(axis=1), 1.0, atol=1e-12)
     monkeypatch.setattr(gmm, "EM_ITERATIONS", 1)
-    new_weights, _, _, history = gmm._em(x, weights, means, variances)
+    new_weights, _, _, history, _ = gmm._em(x, weights, means, variances)
     assert len(history) == 1
     assert np.allclose(new_weights, resp.mean(axis=0), atol=1e-15)
 
