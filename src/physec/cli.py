@@ -10,12 +10,11 @@ its default is the one ExperimentConfig declares.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import os
 import sys
+from contextlib import nullcontext
 from dataclasses import replace
-from functools import partial
 
 import numpy as np
 
@@ -121,7 +120,7 @@ _OPTIONS = {
 }
 
 
-def _settings(args, parser) -> dict:
+def _settings(args) -> dict:
     """Every option's value by name: the preset's, overridden by the config
     file's, overridden by the flags set."""
     settings = dict(DESK_PRESET) if getattr(args, "preset", None) == "desk" else {}
@@ -130,21 +129,21 @@ def _settings(args, parser) -> dict:
         try:
             raw = read_config_file(path)
         except OSError as exc:
-            parser.error(f"cannot read config file: {exc}")
+            raise ValueError(f"cannot read config file: {exc}")
         except ValueError as exc:
-            parser.error(f"bad config file: {exc}")
+            raise ValueError(f"bad config file: {exc}")
         for key, text in raw.items():
             if key not in _OPTIONS:
-                parser.error(f"unknown config file key {key!r}")
+                raise ValueError(f"unknown config file key {key!r}")
             try:
                 settings[key] = _OPTIONS[key][0](text)
             except (argparse.ArgumentTypeError, ValueError) as exc:
-                parser.error(f"config file key {key!r}: {exc}")
+                raise ValueError(f"config file key {key!r}: {exc}")
     settings.update((key, value) for key, value in vars(args).items() if value is not None)
     return settings
 
 
-def _experiment_kwargs(settings: dict, parser) -> dict:
+def _experiment_kwargs(settings: dict) -> dict:
     """The ExperimentConfig fields that some option set, and only those."""
     kwargs = {field: settings.get(key) for key, (_, field) in _OPTIONS.items() if field}
     kwargs["rng_seed"] = settings.get("seed")
@@ -153,18 +152,14 @@ def _experiment_kwargs(settings: dict, parser) -> dict:
         try:
             kwargs["rng_seed"] = int(env)
         except ValueError:
-            parser.error(f"PHYSEC_SEED must be an integer, got {env!r}")
+            raise ValueError(f"PHYSEC_SEED must be an integer, got {env!r}")
     if settings.get("imitate"):
         kwargs["prefilter"] = ev.PERFECT_IMITATION
     return {field: value for field, value in kwargs.items() if value is not None}
 
 
 def _fmt(value) -> str:
-    if value is None:
-        return "nan"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return "nan" if value is None else repr(value)
 
 
 def _detector_label(config: ExperimentConfig) -> str:
@@ -187,24 +182,24 @@ def _result_row(config: ExperimentConfig, result) -> dict:
     }
 
 
-def _write_file(parser, path: str, what: str, write) -> None:
+def _write_file(path: str, what: str, write) -> None:
     """Open `path` for writing and hand it to `write`; an OSError (say, a
     missing directory) is a usage error that names the path."""
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             write(fh)
     except OSError as exc:
-        parser.error(f"cannot write {what}: {exc}")
+        raise ValueError(f"cannot write {what}: {exc}")
 
 
-def _write_rows(parser, rows: list, out: str | None) -> None:
+def _write_rows(rows: list, out: str | None) -> None:
     def emit(fh):
         writer = csv.DictWriter(fh, fieldnames=RESULT_COLUMNS, lineterminator="\n")
         writer.writeheader()
         writer.writerows(rows)
 
     if out:
-        _write_file(parser, out, "results", emit)
+        _write_file(out, "results", emit)
     else:
         emit(sys.stdout)
 
@@ -218,48 +213,30 @@ def _print_table(rows: list) -> None:
         print("  ".join(str(r[c]).ljust(widths[c]) for c in RESULT_COLUMNS), file=sys.stderr)
 
 
-def _write_roc(parser, curve: ev.RocCurve, out: str) -> None:
+def _write_roc(curve: ev.RocCurve, out: str) -> None:
     def emit(fh):
         fh.write("p_fa,p_d\n")
         for fa, pd in zip(curve.p_fa, curve.p_d):
             fh.write(f"{repr(float(fa))},{repr(float(pd))}\n")
 
-    _write_file(parser, out, "ROC curve", emit)
+    _write_file(out, "ROC curve", emit)
 
 
-@contextlib.contextmanager
-def _usage_errors(parser, trace_path=None):
-    """Open the trace at `trace_path` for the with block (None when there is
-    none), and report what the trace or the run refuses as a usage error.
-    An OSError is the trace's only on a replay."""
-    try:
-        with (trace_io.TraceReader(trace_path) if trace_path else contextlib.nullcontext()) as trace:
-            yield trace
-    except trace_io.TraceFormatError as exc:
-        parser.error(f"bad trace file: {exc}")
-    except OSError as exc:
-        if not trace_path:
-            raise
-        parser.error(f"cannot read trace: {exc}")
-    except ValueError as exc:
-        parser.error(str(exc))
-
-
-def _configs(settings: dict, parser, trace) -> list:
+def _configs(settings: dict, trace) -> list:
     """One ExperimentConfig per result row, in row order: detector, then M,
     then, with --compare-update, the mixture detector with and without
     updating."""
-    kwargs = _experiment_kwargs(settings, parser)
+    kwargs = _experiment_kwargs(settings)
     compare_update = settings.get("compare_update")
     if trace is not None:
         # a recording fixes the channel, so an option that only shapes the
         # simulated one would change nothing (--snr still labels the rows)
         for key in ("coherence", "taps"):
             if settings.get(key) is not None:
-                parser.error(f"--{key} shapes the simulated channel; a trace replay has none")
+                raise ValueError(f"--{key} shapes the simulated channel; a trace replay has none")
         m_full = trace.header.m_full
         if kwargs.get("m_full", m_full) != m_full:
-            parser.error(f"--m-full {kwargs['m_full']} differs from the trace's m_full={m_full}")
+            raise ValueError(f"--m-full {kwargs['m_full']} differs from the trace's m_full={m_full}")
         # a replay draws no taps: any count the recording's width admits will do
         kwargs.update(m_full=m_full, num_taps=min(ExperimentConfig.num_taps, m_full))
     detectors = [{"detector": DetectorKind(name)} for name in settings.get("detector", [])] or [{}]
@@ -274,75 +251,74 @@ def _configs(settings: dict, parser, trace) -> list:
                 configs.append(config)
     # an explicit flag that would change nothing is a usage error
     if compare_update and "update_enabled" in kwargs:
-        parser.error("--compare-update runs with and without updating; drop --update/--no-update")
+        raise ValueError("--compare-update runs with and without updating; drop --update/--no-update")
     if "oracle_update" in kwargs and kwargs.get("update_enabled") is False:
-        parser.error("--oracle-update picks what an update refits on; --no-update makes none")
+        raise ValueError("--oracle-update picks what an update refits on; --no-update makes none")
     if (compare_update or kwargs.keys() & {"update_enabled", "oracle_update"}) and all(
         config.detector is DetectorKind.MSE for config in configs
     ):
-        parser.error("update options apply to the mixture detector; mse has no update mode")
+        raise ValueError("update options apply to the mixture detector; mse has no update mode")
     return configs
 
 
-def cmd_simulate(args, parser) -> int:
-    settings = _settings(args, parser)
-    kwargs = _experiment_kwargs(settings, parser)
+def cmd_simulate(args) -> int:
+    settings = _settings(args)
+    kwargs = _experiment_kwargs(settings)
     requested_blocks = kwargs.pop("num_blocks", ExperimentConfig.num_blocks)
     if requested_blocks < 1:
-        parser.error("--blocks must be >= 1")
-    with _usage_errors(parser):
-        # the generator only needs channel/seed parameters; keep the config valid
-        config = ExperimentConfig(
-            m_subcarriers=kwargs.get("m_full", ExperimentConfig.m_full),
-            num_blocks=max(requested_blocks, 2),
-            **kwargs,
-        )
-        n = config.block_size
-        labels = [ev.BOB_LINK, ev.EVE_LINK] * n
+        raise ValueError("--blocks must be >= 1")
+    # the generator only needs channel/seed parameters; keep the config valid
+    config = ExperimentConfig(
+        m_subcarriers=kwargs.get("m_full", ExperimentConfig.m_full),
+        num_blocks=max(requested_blocks, 2),
+        **kwargs,
+    )
+    n = config.block_size
+    labels = [ev.BOB_LINK, ev.EVE_LINK] * n
 
-        def blocks():
-            streams = ev.simulated_estimate_blocks(config)
-            for b in range(requested_blocks):
-                # file order: both links' estimates for slot 1, then slot 2, ...
-                gains = np.stack(next(streams), axis=1).reshape(2 * n, config.m_full)
-                yield np.repeat(np.arange(b * n + 1, (b + 1) * n + 1), 2), labels, gains
+    def blocks():
+        streams = ev.simulated_estimate_blocks(config)
+        for b in range(requested_blocks):
+            # file order: both links' estimates for slot 1, then slot 2, ...
+            gains = np.stack(next(streams), axis=1).reshape(2 * n, config.m_full)
+            yield np.repeat(np.arange(b * n + 1, (b + 1) * n + 1), 2), labels, gains
 
-        header = trace_io.TraceHeader(
-            m_full=config.m_full,
-            sample_interval_us=settings.get("interval_us", trace_io.DEFAULT_INTERVAL_US),
-            description=settings.get("desc", "simulated"),
-        )
-        try:
-            trace_io.write_trace(header, args.out, blocks())
-        except OSError as exc:
-            parser.error(f"cannot write trace: {exc}")
+    header = trace_io.TraceHeader(
+        m_full=config.m_full,
+        sample_interval_us=settings.get("interval_us", trace_io.DEFAULT_INTERVAL_US),
+        description=settings.get("desc", "simulated"),
+    )
+    try:
+        trace_io.write_trace(header, args.out, blocks())
+    except OSError as exc:
+        raise ValueError(f"cannot write trace: {exc}")
     total = requested_blocks * n
     print(f"wrote {2 * total} records ({total} per link) to {args.out}", file=sys.stderr)
     return 0
 
 
-def cmd_evaluate(args, parser) -> int:
-    settings = _settings(args, parser)
-    with _usage_errors(parser, args.trace) as trace:
-        configs = _configs(settings, parser, trace)
+def cmd_evaluate(args) -> int:
+    settings = _settings(args)
+    with trace_io.TraceReader(args.trace) if args.trace else nullcontext() as trace:
+        configs = _configs(settings, trace)
         results = ev.run_grid(configs, trace)
     rows = [_result_row(config, result) for config, result in zip(configs, results)]
     _print_table(rows)
-    _write_rows(parser, rows, args.out)
+    _write_rows(rows, args.out)
     return 0
 
 
-def cmd_roc(args, parser) -> int:
-    settings = _settings(args, parser)
-    with _usage_errors(parser, args.trace) as trace:
-        configs = _configs(settings, parser, trace)
+def cmd_roc(args) -> int:
+    settings = _settings(args)
+    with trace_io.TraceReader(args.trace) if args.trace else nullcontext() as trace:
+        configs = _configs(settings, trace)
         if len(configs) != 1:
-            parser.error("roc needs exactly one detector and one m value")
+            raise ValueError("roc needs exactly one detector and one m value")
         if not args.out:
-            parser.error("roc requires --out")
+            raise ValueError("roc requires --out")
         (result,) = ev.run_grid(configs, trace)
         curve = ev.compute_roc(result.bob_scores, result.eve_scores)
-    _write_roc(parser, curve, args.out)
+    _write_roc(curve, args.out)
     print(f"wrote {curve.p_fa.size} operating points to {args.out}", file=sys.stderr)
     return 0
 
@@ -400,26 +376,40 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"estimation interval in microseconds (default {trace_io.DEFAULT_INTERVAL_US:g})")
     p_sim.add_argument("--desc", help="trace description text")
     p_sim.add_argument("--out", required=True, help="trace CSV path")
-    p_sim.set_defaults(func=partial(cmd_simulate, parser=p_sim))
+    p_sim.set_defaults(func=cmd_simulate, parser=p_sim)
 
     p_eval = subs.add_parser("evaluate", help="run a grid of detectors and M values, report rates")
     _add_eval_options(p_eval)
     p_eval.add_argument("--compare-update", dest="compare_update", action="store_true",
                         help="emit an update and a no-update row per mixture-detector run")
-    p_eval.set_defaults(func=partial(cmd_evaluate, parser=p_eval))
+    p_eval.set_defaults(func=cmd_evaluate, parser=p_eval)
 
     p_roc = subs.add_parser("roc", help="run one detector and write its ROC curve")
     _add_eval_options(p_roc)
-    p_roc.set_defaults(func=partial(cmd_roc, parser=p_roc))
+    p_roc.set_defaults(func=cmd_roc, parser=p_roc)
 
     return parser
 
 
 def main(argv=None) -> int:
+    """Run the command that `argv` names and return its exit code.
+
+    What the command refuses is a usage error (exit 2), reported through the
+    command's own parser, whose usage line shows that command's options: a
+    malformed trace, an unreadable trace on a replay, and any ValueError,
+    by its message.  Any other OSError is not the user's and propagates.
+    """
     args = build_parser().parse_args(argv)
-    # each command reports usage errors through its own parser, whose usage
-    # line shows that command's options
-    return args.func(args)
+    try:
+        return args.func(args)
+    except trace_io.TraceFormatError as exc:
+        args.parser.error(f"bad trace file: {exc}")
+    except OSError as exc:
+        if not getattr(args, "trace", None):
+            raise
+        args.parser.error(f"cannot read trace: {exc}")
+    except ValueError as exc:
+        args.parser.error(str(exc))
 
 
 if __name__ == "__main__":

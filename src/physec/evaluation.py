@@ -197,18 +197,14 @@ def simulated_estimate_blocks(config: ExperimentConfig):
         state = truth[-1].copy()
         if coefficients is not None:
             truth[:, 1] *= coefficients
-        est = _finite(ch.estimate_block(truth, noise_rngs, noise_var))
+        est = ch.estimate_block(truth, noise_rngs, noise_var)
+        if not np.all(np.isfinite(est)):
+            raise ValueError("gains must be finite")
         return est[:, 0], est[:, 1]
 
     # unlike a suspended generator, a returned call holds no block while the
     # caller works on it, which keeps peak memory near one block
     return iter(next_block, None)
-
-
-def _finite(gains: np.ndarray) -> np.ndarray:
-    if not np.all(np.isfinite(gains)):
-        raise ValueError("gains must be finite")
-    return gains
 
 
 class _Trial:

@@ -118,22 +118,23 @@ def _scaled_row_sums(squares: np.ndarray, variance: np.ndarray, out: np.ndarray)
     np.add.reduce(squares, axis=1, out=out)
 
 
-def _log_densities(quad: np.ndarray, variances: np.ndarray) -> np.ndarray:
-    """Diagonal Gaussian log-densities from the scaled squared distances `quad`."""
+def _log_densities(quad: np.ndarray, weights: np.ndarray, variances: np.ndarray) -> np.ndarray:
+    """Weighted diagonal Gaussian log-densities log w_j + log N(x; mean_j,
+    variance_j), shape (N, K), from the scaled squared distances `quad`."""
     log_norm = np.sum(np.log(variances), axis=1) + variances.shape[1] * _LOG_2PI
-    return -0.5 * (quad + log_norm[None, :])
-
-
-def _with_log_weights(log_densities: np.ndarray, weights: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore"):  # zero weights contribute -inf, which is correct
         log_w = np.log(weights)
-    return log_densities + log_w[None, :]
+    return -0.5 * (quad + log_norm[None, :]) + log_w[None, :]
 
 
-def _component_log_densities(
-    x: np.ndarray, means: np.ndarray, variances: np.ndarray, work: np.ndarray
+def _weighted_log_densities(
+    x: np.ndarray,
+    weights: np.ndarray,
+    means: np.ndarray,
+    variances: np.ndarray,
+    work: np.ndarray,
 ) -> np.ndarray:
-    """Per-sample, per-component diagonal Gaussian log-densities, shape (N, K).
+    """Per-sample, per-component weighted log-densities, shape (N, K).
 
     `work` is an (N, D) scratch buffer that is overwritten.  Component by
     component it holds (x - mean)**2 / variance, the same operations in the
@@ -144,17 +145,7 @@ def _component_log_densities(
     quad = np.empty((x.shape[0], means.shape[0]))
     for j in range(means.shape[0]):
         _scaled_row_sums(_squared_distances(x, means[j], work), variances[j], quad[:, j])
-    return _log_densities(quad, variances)
-
-
-def _weighted_log_densities(
-    x: np.ndarray,
-    weights: np.ndarray,
-    means: np.ndarray,
-    variances: np.ndarray,
-    work: np.ndarray,
-) -> np.ndarray:
-    return _with_log_weights(_component_log_densities(x, means, variances, work), weights)
+    return _log_densities(quad, weights, variances)
 
 
 # numpy's sum adds fewer than this many values one after another, left to
@@ -308,7 +299,7 @@ def _em(x, weights, means, variances):
                 np.maximum(new_var[j], MIN_VARIANCE, out=new_var[j])
                 _scaled_row_sums(squares, new_var[j], quad[:, j])
             variances = new_var
-            lw = _with_log_weights(_log_densities(quad, variances), weights)
+            lw = _log_densities(quad, weights, variances)
             if ll_prev is not None and abs(ll - ll_prev) <= EM_TOLERANCE * abs(ll_prev):
                 break
             ll_prev = ll

@@ -62,32 +62,30 @@ def score_block(state: MseDetectorState, features) -> tuple[np.ndarray, np.ndarr
     Each score is the mean squared difference between a feature and the
     current reference.  A feature is accepted when its score stays at or
     below the threshold, and then becomes the reference for the next one.
-    The rows are walked in order, but the walk looks each score up in
-    whole-block tables computed ahead: every row against the incoming
-    reference and against each of the _LAGS rows before it.  When the last
-    accepted row is further back, the reference holds until the next
-    acceptance, so the following rows are scored against it in passes whose
-    width doubles while the rejections go on.
+    The incoming reference is stacked on top of the block as row 0 of
+    `refs`, so every reference is a row of `refs`.  The rows are walked in
+    order, but the walk looks each score up in whole-block tables computed
+    ahead: every row against each of the _LAGS rows before it.  When the
+    reference is further back, it holds until the next acceptance, so the
+    following rows are scored against it in passes whose width doubles while
+    the rejections go on.
     """
     if state.threshold is None:
         raise ValueError("detector has no calibrated threshold")
-    x = as_feature_matrix(features, state.reference.size)
-    n = x.shape[0]
+    refs = np.vstack([state.reference, as_feature_matrix(features, state.reference.size)])
+    n = refs.shape[0]
     # the walk compares Python floats, which is faster than numpy scalars; a
     # memoryview hands out a table's entries as floats one at a time
     threshold = float(state.threshold)
     scores = []
     with np.errstate(over="ignore"):  # only the chosen scores are checked, below
-        incoming = memoryview(_mean_squares(x - state.reference))
         # lagged[k][j]: row j + k against row j
         lagged = [None] + [
-            memoryview(_mean_squares(x[k:] - x[:-k])) for k in range(1, min(_LAGS, n - 1) + 1)
+            memoryview(_mean_squares(refs[k:] - refs[:-k])) for k in range(1, min(_LAGS, n - 1) + 1)
         ]
-        last = -1  # the last accepted row, -1 while the incoming reference holds
-        for i in range(n):
-            if last < 0:
-                score = incoming[i]
-            elif i - last <= _LAGS:
+        last = 0  # the reference's row
+        for i in range(1, n):
+            if i - last <= _LAGS:
                 score = lagged[i - last][last]
             else:
                 # rows past the tables: ahead[k] is row last + _LAGS + 1 + k
@@ -95,13 +93,13 @@ def score_block(state: MseDetectorState, features) -> tuple[np.ndarray, np.ndarr
                 if k == 0:
                     ahead = []
                 if k == len(ahead):
-                    ahead += _mean_squares(x[i : i + max(k, _LAGS)] - x[last]).tolist()
+                    ahead += _mean_squares(refs[i : i + max(k, _LAGS)] - refs[last]).tolist()
                 score = ahead[k]
             scores.append(score)
             if score <= threshold:
                 last = i
     scores = _check_finite(np.array(scores))
-    state.reference = (x[last] if last >= 0 else state.reference).copy()
+    state.reference = refs[last].copy()
     return scores, scores <= threshold
 
 

@@ -341,12 +341,12 @@ class TraceReader:
     """A trace file opened for reading, with its header read.
 
     Use it as a context manager, which closes the file; `blocks` parses
-    the rows.  Bytes that are not UTF-8 are kept as lone surrogates for
-    `_lines` to report.
+    the rows.  A leading byte-order mark is skipped, and bytes that are not
+    UTF-8 are kept as lone surrogates for `_lines` to report.
     """
 
     def __init__(self, path: str | os.PathLike):
-        self._file = open(path, encoding="utf-8", errors="surrogateescape")
+        self._file = open(path, encoding="utf-8-sig", errors="surrogateescape")
         try:
             self._lines = _lines(self._file)
             self.header = _parse_header(next(self._lines, (1, ""))[1])

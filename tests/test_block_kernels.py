@@ -367,11 +367,12 @@ def test_component_log_densities_match_the_broadcast_formula(n, k, d):
     x = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-3, 3, (n, 1))
     means = rng.standard_normal((k, d))
     variances = 10.0 ** rng.uniform(-8, 1, (k, d))
+    weights = rng.dirichlet(np.ones(k))
     # rows at 1e200 square to inf, and their densities to -inf
     for rows in (x, np.vstack([x, np.full((2, d), 1e200), np.full((1, d), -1e200)])):
         with np.errstate(over="ignore"):
-            expected = broadcast_log_densities(rows, means, variances)
-            got = gmm._component_log_densities(rows, means, variances, np.empty_like(rows))
+            expected = broadcast_log_densities(rows, means, variances) + np.log(weights)[None, :]
+            got = gmm._weighted_log_densities(rows, weights, means, variances, np.empty_like(rows))
         assert np.array_equal(got, expected)
 
 

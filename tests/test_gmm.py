@@ -5,6 +5,7 @@ file (closed-form single-Gaussian fit, naive density summation via
 scipy.stats) rather than from the code under test.
 """
 
+import csv
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from scipy.special import logsumexp
 from scipy.stats import norm
 
 from physec import gmm
+from physec.cli import main
 from physec.gmm import GmmModel
 
 
@@ -525,6 +527,41 @@ def test_model_invariant_validation():
         GmmModel(np.array([1.0]), np.zeros((1, 1)), np.full((1, 1), 1e-12))
     with pytest.raises(ValueError, match="shape"):
         GmmModel(np.array([1.0]), np.zeros((2, 1)), np.ones((2, 1)))
+
+
+@pytest.mark.parametrize(
+    "weights, variances, message",
+    [
+        (np.array([[1.0]]), np.ones((1, 1)), "weights must be a non-empty 1-D vector"),
+        (np.array([1.0]), np.ones((1, 2)), "variances must have the same shape as means"),
+    ],
+    ids=["2-D weights", "variances unlike means"],
+)
+def test_model_refuses_misshapen_parameters(weights, variances, message):
+    with pytest.raises(ValueError, match=message):
+        GmmModel(weights, np.zeros((1, 1)), variances)
+
+
+def test_identical_training_rows_give_a_finite_model_that_accepts_them(rng):
+    # what a noiseless static channel gives: every k-means++ distance is 0,
+    # so the seeding draws its later centers uniformly
+    x = np.tile(rng.random(16), (200, 1))
+    model = fit(x)
+    for name in ("weights", "means", "variances"):
+        assert np.all(np.isfinite(getattr(model, name)))
+    assert math.isfinite(model.threshold)
+    assert np.all(gmm.log_likelihoods(model, x) >= model.threshold)
+
+
+def test_a_noiseless_static_channel_gives_finite_rates(tmp_path, monkeypatch):
+    # every legitimate feature is the same, so EM trains on identical rows
+    monkeypatch.delenv("PHYSEC_SEED", raising=False)
+    out = tmp_path / "results.csv"
+    assert main(["evaluate", "--preset", "desk", "--snr", "inf", "--out", str(out)]) == 0
+    with open(out, newline="") as fh:
+        (row,) = csv.DictReader(fh)
+    for column in ("realized_fa", "p_d", "p_md"):
+        assert 0.0 <= float(row[column]) <= 1.0
 
 
 def test_model_threshold_may_be_unset_or_infinite_but_not_nan():

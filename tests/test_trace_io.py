@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from physec import evaluation as ev
 from physec import trace_io
+from physec.cli import main
 from physec.trace_io import TraceFormatError, TraceHeader
 
 from conftest import desk_config, read_links, write_records
@@ -153,6 +154,34 @@ def test_header_errors_carry_line_one(tmp_path):
         with pytest.raises(TraceFormatError) as err:
             trace_io.TraceReader(as_file(tmp_path, text))
         assert err.value.line == 1
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("#CSI,m_full=2,desc=x,interval_us=1.0\n", "third header field must be interval_us=<real>"),
+        ("#CSI,m_full=2,interval_us=1.0,note=x\n", "fourth header field must be desc=<text>"),
+    ],
+    ids=["third", "fourth"],
+)
+def test_header_fields_out_of_order_are_named(tmp_path, text, message):
+    with pytest.raises(TraceFormatError, match=message) as err:
+        trace_io.TraceReader(as_file(tmp_path, text))
+    assert err.value.line == 1
+
+
+def test_a_trace_saved_with_a_byte_order_mark_replays(tmp_path, monkeypatch):
+    monkeypatch.delenv("PHYSEC_SEED", raising=False)
+    desk = ["--preset", "desk", "--seed", "0"]
+    trace = tmp_path / "trace.csv"
+    assert main(["simulate", *desk, "--out", str(trace)]) == 0
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + trace.read_bytes())
+    results = []
+    for path in (trace, bom):
+        results.append(tmp_path / f"{path.stem}-results.csv")
+        assert main(["evaluate", *desk, "--m", "8", "--trace", str(path), "--out", str(results[-1])]) == 0
+    assert results[0].read_bytes() == results[1].read_bytes()
 
 
 def test_data_errors_carry_their_line_number(tmp_path):
