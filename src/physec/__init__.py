@@ -26,6 +26,6 @@ from .evaluation import (
 from .features import FeatureKind, subcarrier_indices
 from .gmm import GmmModel, fit, log_likelihoods, update_block
 from .mse import MseDetectorState, fit_mse, score_block
-from .trace_io import TraceFormatError, TraceHeader, TraceReader, write_trace
+from .trace_io import TraceFormatError, TraceHeader, TraceReadError, TraceReader, write_trace
 
 __version__ = "0.1.0"

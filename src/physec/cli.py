@@ -396,18 +396,26 @@ def main(argv=None) -> int:
 
     What the command refuses is a usage error (exit 2), reported through the
     command's own parser, whose usage line shows that command's options: a
-    malformed trace, an unreadable trace on a replay, and any ValueError,
-    by its message.  Any other OSError is not the user's and propagates.
+    malformed trace, a trace that cannot be read, and any ValueError, by
+    its message.  A reader of the output that goes away ends the command
+    quietly (exit 1); any other OSError is not the user's and propagates.
     """
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
     except trace_io.TraceFormatError as exc:
         args.parser.error(f"bad trace file: {exc}")
-    except OSError as exc:
-        if not getattr(args, "trace", None):
-            raise
+    except trace_io.TraceReadError as exc:
         args.parser.error(f"cannot read trace: {exc}")
+    except BrokenPipeError:
+        # as the `signal` documentation advises for SIGPIPE: point stdout at
+        # devnull, so that the flush at exit does not fail a second time
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except ValueError as exc:
         args.parser.error(str(exc))
 

@@ -211,8 +211,8 @@ class _Trial:
     """One config's feature stage and detector pass, stepped a block at a time.
 
     The first block fits the detector; every later one is scored, tallied in
-    one BlockTrace and, with updating, refits the mixture model.  Counts and
-    rates are sums over the BlockTraces.
+    one BlockTrace and, with updating, refits the mixture model when another
+    block follows.  Counts and rates are sums over the BlockTraces.
     """
 
     def __init__(self, config: ExperimentConfig):
@@ -260,7 +260,8 @@ class _Trial:
         self.from_eve[k : k + from_eve.size] = from_eve
         from_bob = ~from_eve
         updated = False
-        if use_gmm and config.update_enabled:
+        # a refit after the last block would give a model nothing scores
+        if use_gmm and config.update_enabled and len(self.records) + 2 < config.num_blocks:
             accepted = from_bob if config.oracle_update else is_bob
             model = gmm.update_block(self.detector, features, accepted, config.target_fa)
             updated = model is not self.detector

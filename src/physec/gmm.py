@@ -120,11 +120,11 @@ def _scaled_row_sums(squares: np.ndarray, variance: np.ndarray, out: np.ndarray)
 
 def _log_densities(quad: np.ndarray, weights: np.ndarray, variances: np.ndarray) -> np.ndarray:
     """Weighted diagonal Gaussian log-densities log w_j + log N(x; mean_j,
-    variance_j), shape (N, K), from the scaled squared distances `quad`."""
+    variance_j), shape (K, N), from the scaled squared distances `quad`."""
     log_norm = np.sum(np.log(variances), axis=1) + variances.shape[1] * _LOG_2PI
     with np.errstate(divide="ignore"):  # zero weights contribute -inf, which is correct
         log_w = np.log(weights)
-    return -0.5 * (quad + log_norm[None, :]) + log_w[None, :]
+    return -0.5 * (quad + log_norm[:, None]) + log_w[:, None]
 
 
 def _weighted_log_densities(
@@ -134,17 +134,17 @@ def _weighted_log_densities(
     variances: np.ndarray,
     work: np.ndarray,
 ) -> np.ndarray:
-    """Per-sample, per-component weighted log-densities, shape (N, K).
+    """Per-component, per-sample weighted log-densities, shape (K, N).
 
     `work` is an (N, D) scratch buffer that is overwritten.  Component by
     component it holds (x - mean)**2 / variance, the same operations in the
     same order as the (N, K, D) broadcast form, and each row sum runs over
     the same contiguous D values, so the result is bit for bit the same
-    without allocating anything larger than (N, K).
+    without allocating anything larger than (K, N).
     """
-    quad = np.empty((x.shape[0], means.shape[0]))
+    quad = np.empty((means.shape[0], x.shape[0]))
     for j in range(means.shape[0]):
-        _scaled_row_sums(_squared_distances(x, means[j], work), variances[j], quad[:, j])
+        _scaled_row_sums(_squared_distances(x, means[j], work), variances[j], quad[j])
     return _log_densities(quad, weights, variances)
 
 
@@ -155,35 +155,31 @@ _SEQUENTIAL_SUM_LIMIT = 8
 
 
 def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
-    """Row-wise log(sum(exp(a))) of an (N, K) array.
+    """Per-sample log(sum(exp(a))) over the K rows of a (K, N) array.
 
-    The row maximum is shifted out, and the m entries equal to it are taken
-    out of the sum and added back as log(m).  The tests hold every result
-    bit for bit to a reference log-sum-exp with this arithmetic, so
-    reordering these operations would change every score.  A mixture has
-    few components, so for K below _SEQUENTIAL_SUM_LIMIT the row reductions
-    run as K whole-column operations instead of N reductions K wide.
+    A sample's maximum is shifted out, and the m entries equal to it are
+    taken out of the sum and added back as log(m).  The tests hold every
+    result bit for bit to a reference log-sum-exp of the (N, K) transpose
+    with this arithmetic, so reordering these operations would change every
+    score.  Below _SEQUENTIAL_SUM_LIMIT components the sum adds whole rows,
+    one after another, which is the order of a sum over each sample's K
+    terms; from it on, the terms are summed pairwise over an (N, K) copy.
     """
-    # a row of -inf has no finite maximum to shift by: its sum is 0, its
-    # log -inf; a row holding NaN has no tied maximum (m = 0) and stays NaN
+    # a sample of -inf has no finite maximum to shift by: its sum is 0, its
+    # log -inf; a sample holding NaN has no tied maximum (m = 0), stays NaN
     with np.errstate(divide="ignore", invalid="ignore"):
-        if a.shape[1] < _SEQUENTIAL_SUM_LIMIT:
-            a_max = a[:, 0].copy()
-            for column in a.T[1:]:
-                np.maximum(a_max, column, out=a_max)
-            m = np.zeros(a.shape[0])
-            s = np.zeros(a.shape[0])
-            for column in a.T:
-                is_max = column == a_max
-                m += is_max
-                s += np.exp(np.where(is_max, -np.inf, column) - a_max)
+        a_max = np.maximum.reduce(a, axis=0)
+        is_max = a == a_max
+        m = np.add.reduce(is_max, axis=0, dtype=np.float64)
+        terms = np.exp(np.where(is_max, -np.inf, a) - a_max)
+        if a.shape[0] < _SEQUENTIAL_SUM_LIMIT:
+            s = np.add.reduce(terms, axis=0)
         else:
-            a_max = np.max(a, axis=1)
-            is_max = a == a_max[:, None]
-            m = np.sum(is_max, axis=1, dtype=np.float64)
-            s = np.sum(np.exp(np.where(is_max, -np.inf, a) - a_max[:, None]), axis=1)
-        s = np.where(s == 0, s, s / m)
-        out = np.log1p(s) + np.log(m) + a_max
+            s = np.add.reduce(terms.T.copy(), axis=1)
+        if np.all(m == 1):  # s / 1 and log(1) are exact no-ops
+            out = np.log1p(s) + a_max
+        else:
+            out = np.log1p(np.where(s == 0, s, s / m)) + np.log(m) + a_max
     return np.where(a_max == -np.inf, -np.inf, out)
 
 
@@ -255,7 +251,7 @@ def _em(x, weights, means, variances):
     """Run EM to convergence from the given start.
 
     Returns the parameters, the log-likelihood history, and the weighted
-    log-densities of `x` under the returned parameters, shape (N, K).
+    log-densities of `x` under the returned parameters, shape (K, N).
 
     One standalone E-step opens the loop.  After that each M-step also does
     the next iteration's E-step: component by component, one pass squares
@@ -276,7 +272,7 @@ def _em(x, weights, means, variances):
     history = []
     ll_prev = None
     work = np.empty_like(x)  # the E- and M-steps' only (N, D) array
-    quad = np.empty((n, k))
+    quad = np.empty((k, n))
     with np.errstate(over="ignore"):  # checked once per iteration, on the total
         lw = _weighted_log_densities(x, weights, means, variances, work)
         for _ in range(EM_ITERATIONS):
@@ -285,7 +281,9 @@ def _em(x, weights, means, variances):
             if not math.isfinite(ll):
                 raise ValueError(_OVERFLOW)
             history.append(ll)
-            resp = np.exp(lw - per_sample[:, None])
+            # (N, K) in C order: nk and the variances' matrix-vector
+            # products read it, and their bits depend on its layout
+            resp = np.exp(lw - per_sample).T.copy()
             nk = resp.sum(axis=0)
             weights = nk / n
             safe_nk = np.where(nk > 0, nk, 1.0)
@@ -297,7 +295,7 @@ def _em(x, weights, means, variances):
                 squares = _squared_distances(x, means[j], work)
                 new_var[j] = resp[:, j] @ squares / nk[j] if nk[j] > 0 else variances[j]
                 np.maximum(new_var[j], MIN_VARIANCE, out=new_var[j])
-                _scaled_row_sums(squares, new_var[j], quad[:, j])
+                _scaled_row_sums(squares, new_var[j], quad[j])
             variances = new_var
             lw = _log_densities(quad, weights, variances)
             if ll_prev is not None and abs(ll - ll_prev) <= EM_TOLERANCE * abs(ll_prev):

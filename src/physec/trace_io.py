@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["TraceFormatError", "TraceHeader", "TraceReader", "write_trace"]
+__all__ = ["TraceFormatError", "TraceHeader", "TraceReadError", "TraceReader", "write_trace"]
 
 DEFAULT_INTERVAL_US = 998.4
 
@@ -56,6 +56,10 @@ class TraceFormatError(ValueError):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
+
+
+class TraceReadError(OSError):
+    """The trace file could not be opened or read; names the file."""
 
 
 # every character `str.splitlines` breaks at
@@ -221,20 +225,24 @@ def _lines(text):
 
     Universal newlines end rows at \n, \r\n or \r; any other line-break
     character, or a byte that is not UTF-8 (decoded to a lone surrogate),
-    raises TraceFormatError.
+    raises TraceFormatError.  A fault reading the file raises
+    TraceReadError.
     """
-    for lineno, line in enumerate(text, start=1):
-        line = line.removesuffix("\n")
-        if not line.isascii():
-            try:
-                line.encode("utf-8")
-            except UnicodeEncodeError as exc:
-                raise TraceFormatError(
-                    f"not valid UTF-8 at column {exc.start + 1}", line=lineno
-                ) from None
-        if _breaks_line(line):
-            raise TraceFormatError("line break character inside a row", line=lineno)
-        yield lineno, line
+    try:
+        for lineno, line in enumerate(text, start=1):
+            line = line.removesuffix("\n")
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError as exc:
+                    raise TraceFormatError(
+                        f"not valid UTF-8 at column {exc.start + 1}", line=lineno
+                    ) from None
+            if _breaks_line(line):
+                raise TraceFormatError("line break character inside a row", line=lineno)
+            yield lineno, line
+    except OSError as exc:  # only a read: a row's faults are TraceFormatErrors
+        raise TraceReadError(exc.errno, exc.strerror, text.name) from exc
 
 
 def _parse_header(header: str) -> TraceHeader:
@@ -342,11 +350,15 @@ class TraceReader:
 
     Use it as a context manager, which closes the file; `blocks` parses
     the rows.  A leading byte-order mark is skipped, and bytes that are not
-    UTF-8 are kept as lone surrogates for `_lines` to report.
+    UTF-8 are kept as lone surrogates for `_lines` to report.  A file that
+    cannot be opened or read raises TraceReadError, here or in `blocks`.
     """
 
     def __init__(self, path: str | os.PathLike):
-        self._file = open(path, encoding="utf-8-sig", errors="surrogateescape")
+        try:
+            self._file = open(path, encoding="utf-8-sig", errors="surrogateescape")
+        except OSError as exc:
+            raise TraceReadError(exc.errno, exc.strerror, os.fspath(path)) from exc
         try:
             self._lines = _lines(self._file)
             self.header = _parse_header(next(self._lines, (1, ""))[1])

@@ -361,7 +361,9 @@ def broadcast_log_densities(x, means, variances):
     return -0.5 * (quad + log_norm[None, :])
 
 
-@pytest.mark.parametrize("n, k, d", [(1, 1, 1), (50, 3, 7), (1000, 3, 16), (300, 5, 48)])
+@pytest.mark.parametrize(
+    "n, k, d", [(1, 1, 1), (50, 3, 7), (1000, 3, 16), (300, 5, 48), (200, 8, 4), (300, 10, 16)]
+)
 def test_component_log_densities_match_the_broadcast_formula(n, k, d):
     rng = np.random.default_rng(19)
     x = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-3, 3, (n, 1))
@@ -373,7 +375,7 @@ def test_component_log_densities_match_the_broadcast_formula(n, k, d):
         with np.errstate(over="ignore"):
             expected = broadcast_log_densities(rows, means, variances) + np.log(weights)[None, :]
             got = gmm._weighted_log_densities(rows, weights, means, variances, np.empty_like(rows))
-        assert np.array_equal(got, expected)
+        assert np.array_equal(got, expected.T)  # component-major
 
 
 @pytest.mark.parametrize("n, k, d", [(50, 3, 7), (1000, 3, 16)])
@@ -408,7 +410,7 @@ def two_pass_em(x, weights, means, variances):
     the M-step then squares x - mean again for each new mean.  gmm._em
     does both in one pass per component and must agree bit for bit.
     Returns the parameters, the history and the returned model's weighted
-    log-densities.
+    log-densities, sample-major: (N, K).
     """
     n = x.shape[0]
     history = []
@@ -459,6 +461,9 @@ EM_CASES = {
     "50x1x7": em_start(50, 1, 7, 22),
     "1000x3x16": em_start(1000, 3, 16, 22),
     "300x5x48": em_start(300, 5, 48, 22),
+    # from 8 components on, the log-sum-exp sums each sample's terms pairwise
+    "200x8x4": em_start(200, 8, 4, 22),
+    "300x10x16": em_start(300, 10, 16, 22),
     "dead component": dead_component_start(),
 }
 
@@ -474,7 +479,7 @@ def test_fused_em_matches_the_two_pass_loop(case, iterations, monkeypatch):
     if iterations == 3:
         assert len(got[3]) == 3  # stopped by the cap, not by convergence
     for name, a, b in zip(("weights", "means", "variances", "log-densities"),
-                          got[:3] + got[4:], expected[:3] + expected[4:]):
+                          got[:3] + got[4:], expected[:3] + (expected[4].T,)):
         assert np.array_equal(a, b), name
     if case == "dead component":
         assert np.array_equal(got[1][2], start[1][2])
@@ -501,7 +506,8 @@ def test_em_allocates_nothing_the_size_of_an_n_k_d_array():
 
 
 def logsumexp_cases(k: int) -> dict:
-    """Named (N, k) arrays for the log-sum-exp comparison."""
+    """Named C-order (N, k) arrays for the log-sum-exp comparison, one
+    sample a row; scipy's sum over a row depends on that layout."""
     rng = np.random.default_rng(18 + k)
     wide = rng.standard_normal((300, k)) * 10.0 ** rng.uniform(-3, 3, (300, 1))
     ties = rng.standard_normal((6, k))
@@ -532,25 +538,25 @@ def logsumexp_cases(k: int) -> dict:
             rng.standard_normal((k, 4)),
             rng.uniform(0.5, 2.0, (k, 4)),
             np.empty((200, 4)),
-        ),
+        ).T.copy(),
     }
 
 
 def test_row_logsumexp_matches_scipy():
     # the mixture's log-sum-exp is written out in numpy with scipy's own
     # arithmetic; scipy stays here as the independent reference.  Below 8
-    # components it runs column by column, from 8 on as row reductions, so
-    # both sides of that limit are checked.
+    # components it adds whole rows of the component-major (K, N) layout,
+    # from 8 on it sums pairwise, so both sides of that limit are checked.
     for k in (1, 3, 7, 8, 9):
         cases = logsumexp_cases(k)
         for name, a in cases.items():
             # exp underflowing to 0 is expected; any other floating-point
             # warning would be new
             with np.errstate(all="raise", under="ignore"):
-                got = gmm._logsumexp_rows(a)
+                got = gmm._logsumexp_rows(a.T.copy())
             assert np.array_equal(got, logsumexp(a, axis=1), equal_nan=True), (k, name)
-        assert np.isnan(gmm._logsumexp_rows(cases["a NaN row"])[0])
-        assert np.all(gmm._logsumexp_rows(cases["all weights zero"]) == -np.inf)
+        assert np.isnan(gmm._logsumexp_rows(cases["a NaN row"].T.copy())[0])
+        assert np.all(gmm._logsumexp_rows(cases["all weights zero"].T.copy()) == -np.inf)
 
 
 def assert_walks_agree(state, block):

@@ -5,13 +5,17 @@ checks see the same code paths the installed console script uses.
 """
 
 import csv
+import errno
 import hashlib
 import io
+import os
+import sys
 import tracemalloc
 
 import pytest
 
 from physec import evaluation as ev
+from physec import trace_io
 from physec.cli import RESULT_COLUMNS, main, read_config_file
 
 
@@ -508,6 +512,54 @@ def test_unreadable_and_unwritable_files_are_usage_errors(tmp_path, capsys, argv
     assert ".tmp" not in err
     assert "Traceback" not in err
     assert not missing.exists()  # nothing was created
+
+
+def test_a_directory_given_as_the_trace_is_a_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("evaluate", *DESK, "--m", "8", "--trace", str(tmp_path))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "cannot read trace" in err and f"'{tmp_path}'" in err
+
+
+def test_a_fault_reading_the_trace_rows_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    trace = tmp_path / "trace.csv"
+    trace.write_text("#CSI,m_full=48,interval_us=998.4,desc=x\n1,AB\n")
+
+    class UnreadableRows(io.StringIO):
+        """The header reads; the first row fails as a disk read can."""
+
+        name = str(trace)
+
+        def __next__(self):
+            line = super().__next__()
+            if not line.startswith("#"):
+                raise OSError(errno.EIO, os.strerror(errno.EIO))
+            return line
+
+    monkeypatch.setattr(trace_io, "open", lambda *args, **kwargs: UnreadableRows(trace.read_text()),
+                        raising=False)
+    with pytest.raises(SystemExit) as exc:
+        run_cli("evaluate", *DESK, "--m", "8", "--trace", str(trace))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "cannot read trace: [Errno 5]" in err and f"'{trace}'" in err
+
+
+@pytest.mark.parametrize("replay", [True, False], ids=["replay", "simulation"])
+def test_a_reader_of_stdout_that_goes_away_ends_the_run_quietly(tmp_path, monkeypatch, capsys, replay):
+    argv = ("evaluate", *DESK, "--m", "8", "--blocks", "3")
+    if replay:
+        trace = tmp_path / "trace.csv"
+        assert run_cli("simulate", *DESK, "--blocks", "3", "--out", str(trace)) == 0
+        argv += ("--trace", str(trace))
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # writing to the pipe now raises BrokenPipeError
+    with open(write_end, "w") as stdout:
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert run_cli(*argv) == 1
+    err = capsys.readouterr().err
+    assert "cannot read trace" not in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize(

@@ -10,6 +10,7 @@ import pytest
 
 from physec import cli
 from physec import evaluation as ev
+from physec import gmm
 from physec import trace_io
 from physec.evaluation import DetectorKind
 from physec.features import FeatureKind
@@ -318,6 +319,18 @@ def test_delta_feature_pipeline_runs():
 def test_oracle_labeled_updates_fire():
     r = ev.run_experiment(desk_config(oracle_update=True))
     assert any(b.model_updated for b in r.blocks)
+
+
+@pytest.mark.parametrize("oracle", [False, True])
+@pytest.mark.parametrize("blocks", [2, 3, 6])
+def test_no_refit_follows_the_last_block(monkeypatch, oracle, blocks):
+    # the model a refit after the last block would give scores nothing
+    calls = []
+    refit = gmm.update_block
+    monkeypatch.setattr(gmm, "update_block", lambda *args: calls.append(args) or refit(*args))
+    r = ev.run_experiment(desk_config(num_blocks=blocks, oracle_update=oracle))
+    assert len(calls) == blocks - 2
+    assert [b.model_updated for b in r.blocks] == [True] * (blocks - 2) + [False]
 
 
 def test_perfect_imitation_collapses_detection_to_chance_desk_scale():

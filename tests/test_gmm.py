@@ -199,7 +199,7 @@ def test_responsibilities_are_a_distribution(rng, monkeypatch):
     weights = np.array([0.2, 0.5, 0.3])
     means = rng.standard_normal((3, 3))
     variances = rng.uniform(0.5, 2.0, (3, 3))
-    lw = gmm._weighted_log_densities(x, weights, means, variances, np.empty_like(x))
+    lw = gmm._weighted_log_densities(x, weights, means, variances, np.empty_like(x)).T
     resp = np.exp(lw - logsumexp(lw, axis=1)[:, None])
     assert resp.shape == (64, 3)
     assert np.all(resp >= 0)
