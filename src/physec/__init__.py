@@ -24,8 +24,15 @@ from .evaluation import (
     run_grid,
 )
 from .features import FeatureKind, subcarrier_indices
-from .gmm import GmmModel, fit, log_likelihoods, update_block
+from .gmm import FeatureOverflowError, GmmModel, fit, log_likelihoods, update_block
 from .mse import MseDetectorState, fit_mse, score_block
-from .trace_io import TraceFormatError, TraceHeader, TraceReadError, TraceReader, write_trace
+from .trace_io import (
+    TraceDestinationError,
+    TraceFormatError,
+    TraceHeader,
+    TraceReadError,
+    TraceReader,
+    write_trace,
+)
 
 __version__ = "0.1.0"

@@ -45,18 +45,24 @@ def step_correlation(coherence_samples: float) -> float:
     return float(np.exp(-1.0 / coherence_samples))
 
 
-def _stationary_block(rngs, tap_powers: np.ndarray, m_full: int, count: int) -> np.ndarray:
-    """`count` stationary gains per generator, shape (count, len(rngs), m_full).
+def _stationary_block(rngs, tap_powers: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Stationary gains into `out`, shape (count, len(rngs), m_full); returns `out`.
 
     Row k takes the same draws as the k-th of `count` successive single-row
-    calls: the real parts of the taps, then the imaginary parts.
+    calls: the real parts of the taps, then the imaginary parts.  Each
+    link's taps are transformed straight into its strided view of `out`.
     """
+    count = out.shape[0]
     std = np.sqrt(tap_powers / 2.0)
-    taps = np.empty((count, len(rngs), tap_powers.size), dtype=np.complex128)
+    taps = np.empty((count, tap_powers.size), dtype=np.complex128)
     for link, rng in enumerate(rngs):
         z = rng.standard_normal((count, 2, tap_powers.size))
-        taps[:, link] = (z[:, 0] + 1j * z[:, 1]) * std
-    return np.fft.fft(taps, n=m_full, axis=2)
+        # (z[:, 0] + 1j * z[:, 1]) * std, the same operations in place
+        np.multiply(1j, z[:, 1], out=taps)
+        np.add(z[:, 0], taps, out=taps)
+        taps *= std
+        np.fft.fft(taps, n=out.shape[2], axis=1, out=out[:, link])
+    return out
 
 
 def sample_initial_channels(rngs, tap_powers: np.ndarray, m_full: int) -> np.ndarray:
@@ -66,11 +72,12 @@ def sample_initial_channels(rngs, tap_powers: np.ndarray, m_full: int) -> np.nda
     """
     if m_full < tap_powers.size:
         raise ValueError(f"m_full={m_full} must be >= num_taps={tap_powers.size}")
-    return _stationary_block(rngs, tap_powers, m_full, 1)[0]
+    out = np.empty((1, len(rngs), m_full), dtype=np.complex128)
+    return _stationary_block(rngs, tap_powers, out)[0]
 
 
 def evolve_block(
-    gains: np.ndarray, rngs, tap_powers: np.ndarray, rho: float, count: int
+    gains: np.ndarray, rngs, tap_powers: np.ndarray, rho: float, count: int, out=None
 ) -> np.ndarray:
     """Gains of L links after each of `count` successive one-interval evolutions.
 
@@ -81,7 +88,11 @@ def evolve_block(
     stationary distribution is preserved exactly.  `gains` has shape
     (L, m_full) and row l draws its innovations from `rngs[l]`.  The result
     has shape (count, L, m_full) and [k, l] is link l k + 1 evolutions after
-    `gains[l]`.
+    `gains[l]`.  It is written into `out`, a C-contiguous complex128 array
+    of that shape, when one is given, and returned; each link's innovations
+    are transformed straight into its view of the result, and the AR(1)
+    recursion runs over its contiguous time-major rows.  `out` must not
+    share memory with `gains`.
 
     A static channel (rho exactly 1) scales every innovation to +-0, and
     prev * 1 + (+-0) is prev for any non-zero prev, so gains without a zero
@@ -93,13 +104,26 @@ def evolve_block(
     gains = np.ascontiguousarray(gains, dtype=np.complex128)
     if gains.ndim != 2 or not len(gains):
         raise ValueError(f"gains must have shape (L, m_full) with L >= 1, got {gains.shape}")
-    m_full = gains.shape[1]
+    links, m_full = gains.shape
     if m_full < tap_powers.size:
         raise ValueError(f"m_full={m_full} must be >= num_taps={tap_powers.size}")
+    if len(rngs) != links:
+        raise ValueError(f"need one generator per link, got {len(rngs)} for {links}")
+    if out is None:
+        out = np.empty((count, links, m_full), dtype=np.complex128)
+    elif (
+        out.shape != (count, links, m_full) or out.dtype != np.complex128
+        or not out.flags.c_contiguous or np.may_share_memory(out, gains)
+    ):
+        raise ValueError(
+            f"out must be a C-contiguous complex128 array of shape {(count, links, m_full)} "
+            "apart from gains"
+        )
     # a zero part could turn into -0 or +0, so it takes the written-out path
     if rho == 1.0 and np.all(gains.view(np.float64)):
-        return np.repeat(gains[None], count, axis=0)
-    out = _stationary_block(rngs, tap_powers, m_full, count)
+        out[...] = gains
+        return out
+    _stationary_block(rngs, tap_powers, out)
     out *= np.sqrt(1.0 - rho * rho)
     # rho is real, so the recursion runs on the real and imaginary parts of
     # every link at once; it is sequential, everything else is one array op
@@ -113,24 +137,39 @@ def evolve_block(
     return out
 
 
+# Block-sized work that needs scratch (estimation noise here, picking rows
+# in evaluation.run_grid) goes a chunk of rows at a time through at most
+# this many bytes.  glibc serves a request of 128 KiB or more (its default
+# mmap threshold) with a fresh mapping, faulted in and zeroed on every
+# call; a chunk well under it reuses the same heap block call after call.
+CHUNK_BYTES = 64 * 1024
+
+
 def estimate_block(truth: np.ndarray, rngs, noise_variance: float) -> np.ndarray:
     """Add estimation noise to a (count, L, m_full) block of true gains, in place.
 
     Link l gets i.i.d. CN(0, noise_variance) from `rngs[l]`; row k takes the
     same draws as the k-th of `count` successive single-estimate draws.
+    Each link's noise is drawn in chunks of rows into one small scratch
+    (CHUNK_BYTES), which takes the generator's draws in the same order as
+    one block-sized draw would.
     Returns `truth`, which now holds the estimates.
     """
     count, links, m_full = truth.shape
     if len(rngs) != links:
         raise ValueError(f"need one generator per link, got {len(rngs)} for {links}")
-    scratch = np.empty((count, 2, m_full))
+    chunk = max(1, min(count, CHUNK_BYTES // (16 * m_full)))
+    scratch = np.empty((chunk, 2, m_full))
     std = np.sqrt(noise_variance / 2.0)
     for link, rng in enumerate(rngs):
-        rng.standard_normal(out=scratch)
-        scratch *= std
-        real, imag = truth[:, link].real, truth[:, link].imag
-        real += scratch[:, 0]
-        imag += scratch[:, 1]
+        for start in range(0, count, chunk):
+            rows = truth[start : start + chunk, link]
+            noise = scratch[: len(rows)]
+            rng.standard_normal(out=noise)
+            noise *= std
+            real, imag = rows.real, rows.imag
+            real += noise[:, 0]
+            imag += noise[:, 1]
     return truth
 
 

@@ -19,7 +19,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import evaluation as ev
-from . import trace_io
+from . import gmm, trace_io
 from .evaluation import DetectorKind, ExperimentConfig
 from .features import FeatureKind
 
@@ -34,6 +34,13 @@ RESULT_COLUMNS = [
     "blocks",
     "seed",
 ]
+
+
+class UsageError(ValueError):
+    """A refusal of what the user asked for: reported with the command's
+    usage line and exit status 2.  Every other ValueError is a fault of the
+    program and propagates."""
+
 
 # Small-scale override for quick runs, keyed by option name.
 DESK_PRESET = {"blocks": 10, "block_size": 200}
@@ -129,16 +136,16 @@ def _settings(args) -> dict:
         try:
             raw = read_config_file(path)
         except OSError as exc:
-            raise ValueError(f"cannot read config file: {exc}")
+            raise UsageError(f"cannot read config file: {exc}")
         except ValueError as exc:
-            raise ValueError(f"bad config file: {exc}")
+            raise UsageError(f"bad config file: {exc}")
         for key, text in raw.items():
             if key not in _OPTIONS:
-                raise ValueError(f"unknown config file key {key!r}")
+                raise UsageError(f"unknown config file key {key!r}")
             try:
                 settings[key] = _OPTIONS[key][0](text)
             except (argparse.ArgumentTypeError, ValueError) as exc:
-                raise ValueError(f"config file key {key!r}: {exc}")
+                raise UsageError(f"config file key {key!r}: {exc}")
     settings.update((key, value) for key, value in vars(args).items() if value is not None)
     return settings
 
@@ -152,7 +159,7 @@ def _experiment_kwargs(settings: dict) -> dict:
         try:
             kwargs["rng_seed"] = int(env)
         except ValueError:
-            raise ValueError(f"PHYSEC_SEED must be an integer, got {env!r}")
+            raise UsageError(f"PHYSEC_SEED must be an integer, got {env!r}")
     if settings.get("imitate"):
         kwargs["prefilter"] = ev.PERFECT_IMITATION
     return {field: value for field, value in kwargs.items() if value is not None}
@@ -189,7 +196,7 @@ def _write_file(path: str, what: str, write) -> None:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             write(fh)
     except OSError as exc:
-        raise ValueError(f"cannot write {what}: {exc}")
+        raise UsageError(f"cannot write {what}: {exc}")
 
 
 def _write_rows(rows: list, out: str | None) -> None:
@@ -233,10 +240,10 @@ def _configs(settings: dict, trace) -> list:
         # simulated one would change nothing (--snr still labels the rows)
         for key in ("coherence", "taps"):
             if settings.get(key) is not None:
-                raise ValueError(f"--{key} shapes the simulated channel; a trace replay has none")
+                raise UsageError(f"--{key} shapes the simulated channel; a trace replay has none")
         m_full = trace.header.m_full
         if kwargs.get("m_full", m_full) != m_full:
-            raise ValueError(f"--m-full {kwargs['m_full']} differs from the trace's m_full={m_full}")
+            raise UsageError(f"--m-full {kwargs['m_full']} differs from the trace's m_full={m_full}")
         # a replay draws no taps: any count the recording's width admits will do
         kwargs.update(m_full=m_full, num_taps=min(ExperimentConfig.num_taps, m_full))
     detectors = [{"detector": DetectorKind(name)} for name in settings.get("detector", [])] or [{}]
@@ -244,21 +251,56 @@ def _configs(settings: dict, trace) -> list:
     configs = []
     for detector in detectors:
         for m in m_values:
-            config = ExperimentConfig(**kwargs, **detector, **m)
+            config = _experiment_config(**kwargs, **detector, **m)
             if compare_update and config.detector is DetectorKind.GMM:
                 configs += [replace(config, update_enabled=u) for u in (True, False)]
             else:
                 configs.append(config)
     # an explicit flag that would change nothing is a usage error
     if compare_update and "update_enabled" in kwargs:
-        raise ValueError("--compare-update runs with and without updating; drop --update/--no-update")
+        raise UsageError("--compare-update runs with and without updating; drop --update/--no-update")
     if "oracle_update" in kwargs and kwargs.get("update_enabled") is False:
-        raise ValueError("--oracle-update picks what an update refits on; --no-update makes none")
+        raise UsageError("--oracle-update picks what an update refits on; --no-update makes none")
     if (compare_update or kwargs.keys() & {"update_enabled", "oracle_update"}) and all(
         config.detector is DetectorKind.MSE for config in configs
     ):
-        raise ValueError("update options apply to the mixture detector; mse has no update mode")
+        raise UsageError("update options apply to the mixture detector; mse has no update mode")
+    # block 0 trains every detector, and one it cannot train would fail mid-run
+    for config in configs:
+        training = config.block_size - (config.feature_kind is FeatureKind.DELTA)
+        need = config.gmm_components if config.detector is DetectorKind.GMM else 2
+        if training < need:
+            raise UsageError(
+                f"block 0 gives {training} training features; "
+                f"the {config.detector.value} detector needs {need}"
+            )
     return configs
+
+
+def _experiment_config(**kwargs) -> ExperimentConfig:
+    """An ExperimentConfig, whose refusals are the options' and so usage errors."""
+    try:
+        return ExperimentConfig(**kwargs)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
+def _run_grid(configs: list, trace) -> list:
+    """`run_grid`, with its refusals of the data as usage errors.
+
+    A replay's data is the user's recording, so each of its refusals is one
+    (a malformed trace keeps its own type).  A simulated run's data is the
+    program's, so only overflowing features, which its options produced,
+    are; any other ValueError there is a fault of the program.
+    """
+    try:
+        return ev.run_grid(configs, trace)
+    except trace_io.TraceFormatError:
+        raise
+    except ValueError as exc:
+        if trace is None and not isinstance(exc, gmm.FeatureOverflowError):
+            raise
+        raise UsageError(str(exc)) from exc
 
 
 def cmd_simulate(args) -> int:
@@ -266,9 +308,9 @@ def cmd_simulate(args) -> int:
     kwargs = _experiment_kwargs(settings)
     requested_blocks = kwargs.pop("num_blocks", ExperimentConfig.num_blocks)
     if requested_blocks < 1:
-        raise ValueError("--blocks must be >= 1")
+        raise UsageError("--blocks must be >= 1")
     # the generator only needs channel/seed parameters; keep the config valid
-    config = ExperimentConfig(
+    config = _experiment_config(
         m_subcarriers=kwargs.get("m_full", ExperimentConfig.m_full),
         num_blocks=max(requested_blocks, 2),
         **kwargs,
@@ -283,15 +325,20 @@ def cmd_simulate(args) -> int:
             gains = np.stack(next(streams), axis=1).reshape(2 * n, config.m_full)
             yield np.repeat(np.arange(b * n + 1, (b + 1) * n + 1), 2), labels, gains
 
-    header = trace_io.TraceHeader(
-        m_full=config.m_full,
-        sample_interval_us=settings.get("interval_us", trace_io.DEFAULT_INTERVAL_US),
-        description=settings.get("desc", "simulated"),
-    )
+    try:
+        header = trace_io.TraceHeader(
+            m_full=config.m_full,
+            sample_interval_us=settings.get("interval_us", trace_io.DEFAULT_INTERVAL_US),
+            description=settings.get("desc", "simulated"),
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     try:
         trace_io.write_trace(header, args.out, blocks())
+    except trace_io.TraceDestinationError as exc:
+        raise UsageError(str(exc)) from exc
     except OSError as exc:
-        raise ValueError(f"cannot write trace: {exc}")
+        raise UsageError(f"cannot write trace: {exc}")
     total = requested_blocks * n
     print(f"wrote {2 * total} records ({total} per link) to {args.out}", file=sys.stderr)
     return 0
@@ -301,7 +348,7 @@ def cmd_evaluate(args) -> int:
     settings = _settings(args)
     with trace_io.TraceReader(args.trace) if args.trace else nullcontext() as trace:
         configs = _configs(settings, trace)
-        results = ev.run_grid(configs, trace)
+        results = _run_grid(configs, trace)
     rows = [_result_row(config, result) for config, result in zip(configs, results)]
     _print_table(rows)
     _write_rows(rows, args.out)
@@ -313,10 +360,12 @@ def cmd_roc(args) -> int:
     with trace_io.TraceReader(args.trace) if args.trace else nullcontext() as trace:
         configs = _configs(settings, trace)
         if len(configs) != 1:
-            raise ValueError("roc needs exactly one detector and one m value")
+            raise UsageError("roc needs exactly one detector and one m value")
         if not args.out:
-            raise ValueError("roc requires --out")
-        (result,) = ev.run_grid(configs, trace)
+            raise UsageError("roc requires --out")
+        (result,) = _run_grid(configs, trace)
+        if not (result.bob_scores.size and result.eve_scores.size):
+            raise UsageError("roc needs legitimate and attacker messages in the test blocks")
         curve = ev.compute_roc(result.bob_scores, result.eve_scores)
     _write_roc(curve, args.out)
     print(f"wrote {curve.p_fa.size} operating points to {args.out}", file=sys.stderr)
@@ -396,9 +445,10 @@ def main(argv=None) -> int:
 
     What the command refuses is a usage error (exit 2), reported through the
     command's own parser, whose usage line shows that command's options: a
-    malformed trace, a trace that cannot be read, and any ValueError, by
+    malformed trace, a trace that cannot be read, and any UsageError, by
     its message.  A reader of the output that goes away ends the command
-    quietly (exit 1); any other OSError is not the user's and propagates.
+    quietly (exit 1); any other OSError or ValueError, such as a fault
+    inside a simulated run, is not the user's and propagates.
     """
     args = build_parser().parse_args(argv)
     try:
@@ -416,7 +466,7 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 1
-    except ValueError as exc:
+    except UsageError as exc:
         args.parser.error(str(exc))
 
 

@@ -177,6 +177,11 @@ def simulated_estimate_blocks(config: ExperimentConfig):
     PERFECT_IMITATION the attacker's channel passes through the imitation
     prefilter before estimation.
 
+    The stream owns that one array and draws every block into it: each
+    link's innovations are transformed straight into its view, and the
+    noise is added in place.  A block is valid until the next draw, so a
+    caller that keeps one copies it.
+
     A grid shares one stream among configs that agree on _STREAM_FIELDS:
     a config field read here must be listed there.
     """
@@ -190,21 +195,16 @@ def simulated_estimate_blocks(config: ExperimentConfig):
     coefficients = None
     if config.prefilter is not None:
         coefficients = ch.perfect_imitation_prefilter(state[0], state[1])
-
-    def next_block():
-        nonlocal state
-        truth = ch.evolve_block(state, channel_rngs, pdp, rho, config.block_size)
-        state = truth[-1].copy()
+    block = np.empty((config.block_size, 2, config.m_full), dtype=np.complex128)
+    while True:
+        truth = ch.evolve_block(state, channel_rngs, pdp, rho, config.block_size, out=block)
+        state = truth[-1].copy()  # the next draw overwrites the block
         if coefficients is not None:
             truth[:, 1] *= coefficients
         est = ch.estimate_block(truth, noise_rngs, noise_var)
         if not np.all(np.isfinite(est)):
             raise ValueError("gains must be finite")
-        return est[:, 0], est[:, 1]
-
-    # unlike a suspended generator, a returned call holds no block while the
-    # caller works on it, which keeps peak memory near one block
-    return iter(next_block, None)
+        yield est[:, 0], est[:, 1]
 
 
 class _Trial:
@@ -308,7 +308,10 @@ def run_grid(configs: list, trace=None) -> list:
     trace_io.TraceReader whose links are labelled BOB_LINK and EVE_LINK
     and are `m_full` wide.  Each block is drawn once and handed to every
     config's feature stage and detector before the next is drawn, so one
-    block is alive at a time.  Block 0 is legitimate only.  The configs
+    block is alive at a time.  The rows handed out are picked in place:
+    where a message is the attacker's, Eve's row is copied over Bob's
+    view of the block, so the rows, like the block, are valid until the
+    next draw.  Block 0 is legitimate only.  The configs
     must agree on what the stream reads (_STREAM_FIELDS).  Prefilters are
     a transmit-side construct and cannot be applied to recordings.  A
     replay reads the whole file, and a fault anywhere in the trace is
@@ -337,6 +340,7 @@ def run_grid(configs: list, trace=None) -> list:
     trials = [_Trial(config) for config in configs]
     attack_rng = np.random.default_rng(_derived_seeds(first.rng_seed)[4])
     n = first.block_size
+    chunk = max(1, ch.CHUNK_BYTES // (16 * first.m_full))  # rows picked per masked copy
     fault = None
     try:
         for b in range(first.num_blocks):
@@ -348,8 +352,13 @@ def run_grid(configs: list, trace=None) -> list:
                 if np.any(times[1:] <= times[:-1]):
                     raise ValueError("current estimate must be strictly later than previous")
                 last_time = times[-1:]
-            rows = np.where(from_eve[:, None], links[1], links[0])
-            del links  # hold no block while the trials step
+            # Eve's rows over Bob's view, in place and in chunks: one masked
+            # copy of a whole strided view buffers a whole link
+            rows, eve = links
+            for start in range(0, n, chunk):
+                part = slice(start, start + chunk)
+                np.copyto(rows[part], eve[part], where=from_eve[part, None])
+            del links, eve  # hold no more than the rows while the trials step
             for trial in trials:
                 trial.step(rows, from_eve)
             del rows  # nor while the next one is drawn

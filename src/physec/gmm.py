@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
+    "FeatureOverflowError",
     "GmmModel",
     "as_feature_matrix",
     "fit",
@@ -183,6 +184,14 @@ def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
     return np.where(a_max == -np.inf, -np.inf, out)
 
 
+class FeatureOverflowError(ValueError):
+    """Features too large to score: their squared distances overflow.
+
+    A refusal of the data a detector is given, which the run's options or
+    the recording produced, not a fault of the program.
+    """
+
+
 _OVERFLOW = "squared distances between features overflow"
 
 
@@ -190,7 +199,7 @@ def _mixture_scores(weighted_log_densities: np.ndarray) -> np.ndarray:
     """Each row's mixture log-likelihood; a non-finite one refuses the block."""
     scores = _logsumexp_rows(weighted_log_densities)
     if not np.all(np.isfinite(scores)):
-        raise ValueError(_OVERFLOW)
+        raise FeatureOverflowError(_OVERFLOW)
     return scores
 
 
@@ -221,7 +230,7 @@ def _seed_initial_parameters(x, k, rng):
     with np.errstate(over="ignore"):
         distances = [np.sum((x - centers[0]) ** 2, axis=1)]
         if not np.isfinite(distances[0].sum()):
-            raise ValueError(_OVERFLOW)
+            raise FeatureOverflowError(_OVERFLOW)
         for _ in range(1, k):
             d2 = np.min(distances, axis=0)
             total = d2.sum()
@@ -279,7 +288,7 @@ def _em(x, weights, means, variances):
             per_sample = _logsumexp_rows(lw)
             ll = float(per_sample.sum())
             if not math.isfinite(ll):
-                raise ValueError(_OVERFLOW)
+                raise FeatureOverflowError(_OVERFLOW)
             history.append(ll)
             # (N, K) in C order: nk and the variances' matrix-vector
             # products read it, and their bits depend on its layout

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gmm import as_feature_matrix, lower_tail_threshold
+from .gmm import FeatureOverflowError, as_feature_matrix, lower_tail_threshold
 
 __all__ = ["MseDetectorState", "score_block", "fit_mse"]
 
@@ -41,7 +41,7 @@ _LAGS = 4
 
 def _check_finite(scores: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(scores)):
-        raise ValueError("squared differences between features overflow")
+        raise FeatureOverflowError("squared differences between features overflow")
     return scores
 
 

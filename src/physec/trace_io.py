@@ -39,7 +39,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["TraceFormatError", "TraceHeader", "TraceReadError", "TraceReader", "write_trace"]
+__all__ = [
+    "TraceDestinationError", "TraceFormatError", "TraceHeader", "TraceReadError", "TraceReader",
+    "write_trace",
+]
 
 DEFAULT_INTERVAL_US = 998.4
 
@@ -60,6 +63,11 @@ class TraceFormatError(ValueError):
 
 class TraceReadError(OSError):
     """The trace file could not be opened or read; names the file."""
+
+
+class TraceDestinationError(ValueError):
+    """An existing destination that `write_trace` will not replace, such as
+    a device or a FIFO."""
 
 
 # every character `str.splitlines` breaks at
@@ -196,7 +204,7 @@ def write_trace(header: TraceHeader, path: str | os.PathLike, blocks) -> None:
     except FileNotFoundError:
         mode = None
     if mode is not None and not stat.S_ISREG(mode):
-        raise ValueError(f"{os.fspath(path)} exists and is not a regular file")
+        raise TraceDestinationError(f"{os.fspath(path)} exists and is not a regular file")
     try:
         temp, fd = _create_beside(path)
     except OSError as exc:  # name the destination, not the temporary file

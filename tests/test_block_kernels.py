@@ -7,6 +7,7 @@ written-out per-message reference, or the same kernel called on single rows.
 
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -230,6 +231,59 @@ def test_a_simulated_block_allocates_under_two_blocks_of_both_links(prefilter):
     assert peak < 2 * cfg.block_size * 2 * cfg.m_full * 16
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [dict(), dict(coherence_samples=1e6), dict(prefilter=ev.PERFECT_IMITATION)],
+    ids=["static", "drifting", "imitating"],
+)
+def test_a_warm_draw_allocates_under_a_third_of_a_block(overrides):
+    # every block is drawn into the stream's one (block_size, 2, m_full)
+    # array, so a warm draw allocates only scratch; with fresh arrays for
+    # every block a draw peaked at 1.63 blocks
+    cfg = desk_config(block_size=1000, **overrides)
+    blocks = ev.simulated_estimate_blocks(cfg)
+    next(blocks)
+    next(blocks)
+    tracemalloc.start()
+    try:
+        next(blocks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.3 * cfg.block_size * 2 * cfg.m_full * 16
+
+
+@pytest.mark.parametrize("case", ["static", "drifting", "zero real part"])
+def test_evolving_into_out_matches_the_allocating_call(case):
+    rho = ch.step_correlation(50.0) if case == "drifting" else 1.0
+    allocating, into_out = ([np.random.default_rng(s) for s in (5, 6)] for _ in range(2))
+    start = ch.sample_initial_channels(allocating, PDP, M_FULL)
+    assert np.array_equal(bits(ch.sample_initial_channels(into_out, PDP, M_FULL)), bits(start))
+    if case == "zero real part":  # the written-out path of a static channel
+        start[0, 3] = complex(0.0, start[0, 3].imag)
+    expected = ch.evolve_block(start, allocating, PDP, rho, BLOCK)
+    out = np.full((BLOCK, 2, M_FULL), complex(np.nan, np.nan))  # nothing of it may survive
+    assert ch.evolve_block(start, into_out, PDP, rho, BLOCK, out=out) is out
+    assert np.array_equal(bits(out), bits(expected))
+    assert all(a.bit_generator.state == b.bit_generator.state for a, b in zip(allocating, into_out))
+
+
+def test_evolve_block_refuses_an_out_it_cannot_fill():
+    rngs = [np.random.default_rng(s) for s in (1, 2)]
+    two = ch.sample_initial_channels(rngs, PDP, M_FULL)
+    wide = np.empty((4, 2, 2 * M_FULL), dtype=np.complex128)
+    holding = np.empty((4, 2, M_FULL), dtype=np.complex128)
+    holding[-1] = two
+    for gains, out in (
+        (two, np.empty((3, 2, M_FULL), dtype=np.complex128)),  # too few rows
+        (two, np.empty((4, 2, M_FULL))),  # real
+        (two, wide[:, :, :M_FULL]),  # not contiguous
+        (holding[-1], holding),  # holds the gains it evolves
+    ):
+        with pytest.raises(ValueError, match="out must be"):
+            ch.evolve_block(gains, rngs, PDP, 0.5, 4, out=out)
+
+
 def reference_pairs(config):
     """The estimate stream built one message at a time from single-row calls."""
     seeds = ev._derived_seeds(config.rng_seed)
@@ -267,6 +321,29 @@ def test_simulated_blocks_match_the_per_message_stream(overrides):
             bob_ref, eve_ref = next(pairs)
             assert np.array_equal(bob_row, bob_ref)
             assert np.array_equal(eve_row, eve_ref)
+
+
+# wide enough that a chunk of estimation noise holds one row
+WIDE = ch.CHUNK_BYTES // 16
+
+
+@pytest.mark.parametrize(
+    "block_size, m_full", [(1, M_FULL), (7, M_FULL), (1000, M_FULL), (1, WIDE), (7, WIDE)]
+)
+def test_chunked_noise_matches_the_per_message_stream(block_size, m_full):
+    # noise is drawn a chunk of rows at a time; the stream reads no field
+    # but these, so a namespace stands in for the block of one message
+    # that ExperimentConfig refuses
+    fields = vars(desk_config(coherence_samples=100.0, m_full=m_full))
+    cfg = SimpleNamespace(**{**fields, "block_size": block_size})
+    blocks = ev.simulated_estimate_blocks(cfg)
+    pairs = reference_pairs(cfg)
+    for _ in range(3):
+        bob_block, eve_block = next(blocks)
+        for bob_row, eve_row in zip(bob_block, eve_block):
+            bob_ref, eve_ref = next(pairs)
+            assert np.array_equal(bits(bob_row), bits(bob_ref))
+            assert np.array_equal(bits(eve_row), bits(eve_ref))
 
 
 # ---------------------------------------------------------------------------

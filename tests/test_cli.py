@@ -15,7 +15,7 @@ import tracemalloc
 import pytest
 
 from physec import evaluation as ev
-from physec import trace_io
+from physec import gmm, trace_io
 from physec.cli import RESULT_COLUMNS, main, read_config_file
 
 
@@ -301,6 +301,25 @@ def test_replaying_a_simulated_trace_matches_the_direct_run(tmp_path):
     assert direct.read_bytes() == replial.read_bytes()
 
 
+@pytest.mark.parametrize("imitate", [(), ("--imitate",)], ids=["plain", "imitate"])
+def test_replaying_a_drifting_trace_matches_the_direct_run(tmp_path, imitate):
+    # every simulated block is drawn into one reused array, so the writer
+    # must have taken each block before the next draw overwrites it
+    shape = ("--preset", "desk", "--seed", "3")
+    trace = tmp_path / "trace.csv"
+    direct = tmp_path / "direct.csv"
+    replayed = tmp_path / "replay.csv"
+    detectors = ("--detector", "gmm", "--detector", "mse", "--m", "8")
+    assert run_cli("simulate", *shape, "--coherence", "1e3", *imitate, "--out", str(trace)) == 0
+    assert run_cli("evaluate", *shape, "--coherence", "1e3", *imitate, *detectors,
+                   "--out", str(direct)) == 0
+    # the recording holds the drift and the imitation: a replay takes neither option
+    assert run_cli("evaluate", *shape, *detectors, "--trace", str(trace),
+                   "--out", str(replayed)) == 0
+    assert len(read_rows(direct.read_text())) == 2
+    assert direct.read_bytes() == replayed.read_bytes()
+
+
 def test_trace_problems_are_usage_errors(tmp_path, capsys):
     # a missing trace file is among the file errors below
     malformed = tmp_path / "junk.csv"
@@ -560,6 +579,47 @@ def test_a_reader_of_stdout_that_goes_away_ends_the_run_quietly(tmp_path, monkey
         assert run_cli(*argv) == 1
     err = capsys.readouterr().err
     assert "cannot read trace" not in err and "Traceback" not in err
+
+
+def test_a_fault_inside_a_simulated_run_is_not_a_usage_error(monkeypatch):
+    # a simulated run's data is the program's: its refusal is a fault to report
+    def broken(*args):
+        raise ValueError("a fault inside the refit")
+
+    monkeypatch.setattr(gmm, "update_block", broken)
+    with pytest.raises(ValueError, match="a fault inside the refit"):
+        run_cli("evaluate", *DESK, "--m", "8")
+
+
+def test_a_closed_stdout_is_not_a_usage_error(monkeypatch):
+    stdout = io.StringIO()
+    stdout.close()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    with pytest.raises(ValueError, match="closed file"):
+        run_cli("evaluate", *DESK, "--m", "8", "--blocks", "2")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("evaluate", *DESK, "--m", "8", "--components", "201"),
+         "block 0 gives 200 training features; the gmm detector needs 201"),
+        (("evaluate", *DESK, "--m", "8", "--block-size", "2", "--feature", "delta",
+          "--detector", "mse"), "block 0 gives 1 training features; the mse detector needs 2"),
+        (("roc", *DESK, "--m", "8", "--attack", "0", "--out", "roc.csv"),
+         "roc needs legitimate and attacker messages"),
+        (("simulate", *DESK, "--out", "fifo"), "exists and is not a regular file"),
+    ],
+    ids=["components", "mse-training", "roc-one-kind", "simulate-fifo"],
+)
+def test_options_a_run_cannot_serve_are_usage_errors(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    os.mkfifo("fifo")
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert sorted(os.listdir()) == ["fifo"]  # nothing was written
 
 
 @pytest.mark.parametrize(

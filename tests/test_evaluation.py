@@ -50,7 +50,8 @@ def solo_stream(monkeypatch, cfg) -> list:
     step = ev._Trial.step
 
     def spy(trial, rows, from_eve):
-        received.append((rows, from_eve))
+        # the rows are a view of the stream's block, valid until the next draw
+        received.append((rows.copy(), from_eve))
         step(trial, rows, from_eve)
 
     with monkeypatch.context() as patched:
@@ -105,10 +106,11 @@ def test_only_the_fields_a_stream_reads_split_a_grid(monkeypatch, field):
     ids=["gmm", "mse-drift"],
 )
 def test_a_run_holds_no_block_while_its_trials_step(overrides):
-    # A warm run peaks at 1.7 (block_size, 2, m_full) blocks, while a block
-    # is drawn.  Holding the drawn block while the trials step adds one
-    # block (2.66x), and holding the rows picked from it, half a block,
-    # while the next block is drawn adds half of one (2.20x).
+    # A warm run peaks at 1.44 (block_size, 2, m_full) blocks, while the
+    # trials step: the stream's one block, which every draw reuses, and the
+    # features of its rows; a draw peaks at 1.13 (static) to 1.28
+    # (drifting).  Drawing each block into a fresh array while the rows of
+    # the last one are still held keeps two blocks alive (2.44x).
     cfg = desk_config(m_subcarriers=16, num_blocks=4, block_size=1000, **overrides)
     ev.run_experiment(cfg)  # warm: first-call allocations are not the run's
     tracemalloc.start()
