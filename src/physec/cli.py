@@ -15,6 +15,7 @@ import os
 import sys
 from contextlib import nullcontext
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 
@@ -33,6 +34,8 @@ RESULT_COLUMNS = [
     "p_md",
     "blocks",
     "seed",
+    "update",
+    "components",
 ]
 
 
@@ -70,14 +73,18 @@ def _names(kind) -> list[str]:
     return [member.value for member in kind]
 
 
-def _detector_list(text: str) -> list[str]:
+def _name_list(text: str, what: str, choices: list) -> list[str]:
     names = [tok.strip() for tok in text.split(",") if tok.strip()]
-    for name in names:
-        if name not in _names(DetectorKind):
-            raise argparse.ArgumentTypeError(f"unknown detector {name!r}")
-    if not names:
-        raise argparse.ArgumentTypeError("empty detector list")
+    if not names or not set(names) <= set(choices):
+        raise argparse.ArgumentTypeError(f"not a comma-separated list of {what}s ({', '.join(choices)}): {text!r}")
     return names
+
+
+# --update mode -> the (update_enabled, oracle_update) pair of ExperimentConfig it sets
+UPDATE_MODES = {"off": (False, False), "decisions": (True, False), "labels": (True, True)}
+_detector_list = partial(_name_list, what="detector", choices=_names(DetectorKind))
+_update_list = partial(_name_list, what="update mode", choices=list(UPDATE_MODES))
+_UPDATE_MODE_OF = {fields: mode for mode, fields in UPDATE_MODES.items()}
 
 
 def _feature_kind(text: str) -> FeatureKind:
@@ -105,8 +112,8 @@ def read_config_file(path: str) -> dict:
 
 
 # option name -> (config-file parser, the ExperimentConfig field it sets);
-# names match the long CLI flags.  "seed", "imitate", "m" and "detector" are
-# turned into fields by hand.
+# names match the long CLI flags.  "seed", "imitate", "m", "detector" and
+# "update" are turned into fields by hand.
 _OPTIONS = {
     "m": (_int_list, None),
     "m_full": (int, "m_full"),
@@ -121,9 +128,8 @@ _OPTIONS = {
     "components": (int, "gmm_components"),
     "feature": (_feature_kind, "feature_kind"),
     "detector": (_detector_list, None),
-    "update": (_bool, "update_enabled"),
+    "update": (_update_list, None),
     "imitate": (_bool, None),
-    "oracle_update": (_bool, "oracle_update"),
 }
 
 
@@ -169,15 +175,9 @@ def _fmt(value) -> str:
     return "nan" if value is None else repr(value)
 
 
-def _detector_label(config: ExperimentConfig) -> str:
-    if config.detector is DetectorKind.MSE:
-        return "mse"
-    return "gmm" if config.update_enabled else "gmm-noupdate"
-
-
 def _result_row(config: ExperimentConfig, result) -> dict:
-    return {
-        "detector": _detector_label(config),
+    row = {
+        "detector": "gmm" if config.update_enabled else "gmm-noupdate",
         "M": config.m_subcarriers,
         "snr_db": _fmt(config.snr_db),
         "target_fa": _fmt(config.target_fa),
@@ -186,7 +186,13 @@ def _result_row(config: ExperimentConfig, result) -> dict:
         "p_md": _fmt(result.p_md),
         "blocks": config.num_blocks,
         "seed": config.rng_seed,
+        "update": _UPDATE_MODE_OF[config.update_enabled, config.oracle_update],
+        "components": config.gmm_components,
     }
+    if config.detector is DetectorKind.MSE:
+        # the baseline has neither an update mode nor mixture components
+        row.update(detector="mse", update="", components="")
+    return row
 
 
 def _write_file(path: str, what: str, write) -> None:
@@ -231,10 +237,9 @@ def _write_roc(curve: ev.RocCurve, out: str) -> None:
 
 def _configs(settings: dict, trace) -> list:
     """One ExperimentConfig per result row, in row order: detector, then M,
-    then, with --compare-update, the mixture detector with and without
-    updating."""
+    then, for the mixture detector, each --update mode."""
     kwargs = _experiment_kwargs(settings)
-    compare_update = settings.get("compare_update")
+    updates = [UPDATE_MODES[name] for name in settings.get("update", [])]
     if trace is not None:
         # a recording fixes the channel, so an option that only shapes the
         # simulated one would change nothing (--snr still labels the rows)
@@ -252,19 +257,13 @@ def _configs(settings: dict, trace) -> list:
     for detector in detectors:
         for m in m_values:
             config = _experiment_config(**kwargs, **detector, **m)
-            if compare_update and config.detector is DetectorKind.GMM:
-                configs += [replace(config, update_enabled=u) for u in (True, False)]
+            if updates and config.detector is DetectorKind.GMM:
+                configs += [replace(config, update_enabled=u, oracle_update=o) for u, o in updates]
             else:
                 configs.append(config)
-    # an explicit flag that would change nothing is a usage error
-    if compare_update and "update_enabled" in kwargs:
-        raise UsageError("--compare-update runs with and without updating; drop --update/--no-update")
-    if "oracle_update" in kwargs and kwargs.get("update_enabled") is False:
-        raise UsageError("--oracle-update picks what an update refits on; --no-update makes none")
-    if (compare_update or kwargs.keys() & {"update_enabled", "oracle_update"}) and all(
-        config.detector is DetectorKind.MSE for config in configs
-    ):
-        raise UsageError("update options apply to the mixture detector; mse has no update mode")
+    # an explicit option that would change nothing is a usage error
+    if updates and all(config.detector is DetectorKind.MSE for config in configs):
+        raise UsageError("--update applies to the mixture detector; mse has no update mode")
     # block 0 trains every detector, and one it cannot train would fail mid-run
     for config in configs:
         training = config.block_size - (config.feature_kind is FeatureKind.DELTA)
@@ -360,7 +359,7 @@ def cmd_roc(args) -> int:
     with trace_io.TraceReader(args.trace) if args.trace else nullcontext() as trace:
         configs = _configs(settings, trace)
         if len(configs) != 1:
-            raise UsageError("roc needs exactly one detector and one m value")
+            raise UsageError("roc needs exactly one detector, m value and update mode")
         if not args.out:
             raise UsageError("roc requires --out")
         (result,) = _run_grid(configs, trace)
@@ -404,10 +403,11 @@ def _add_eval_options(sub: argparse.ArgumentParser) -> None:
                           "delta flags a legitimate message that follows an attacker's, so its "
                           "realized false-alarm rate tracks the attack intensity (0.51-0.53 at 0.5)")
     sub.add_argument("--components", type=int, help=f"mixture components {_default('gmm_components')}")
-    sub.add_argument("--update", action=argparse.BooleanOptionalAction, default=None,
-                     help=f"block-wise model updating (default {'on' if ExperimentConfig.update_enabled else 'off'})")
-    sub.add_argument("--oracle-update", dest="oracle_update", action="store_true", default=None,
-                     help="update on ground-truth labels instead of decisions")
+    default_update = _UPDATE_MODE_OF[ExperimentConfig.update_enabled, ExperimentConfig.oracle_update]
+    sub.add_argument("--update", type=_update_list,
+                     help="comma-separated update modes of the mixture detector, a row each: off, decisions "
+                          "(refit on the messages it accepted) or labels (on the legitimate ones) "
+                          f"(default {default_update})")
     sub.add_argument("--trace", help="replay a recorded trace instead of simulating")
     sub.add_argument("--out", help="results CSV path (default: stdout)")
 
@@ -427,10 +427,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--out", required=True, help="trace CSV path")
     p_sim.set_defaults(func=cmd_simulate, parser=p_sim)
 
-    p_eval = subs.add_parser("evaluate", help="run a grid of detectors and M values, report rates")
+    p_eval = subs.add_parser("evaluate", help="run a grid of detectors, M values and update modes, report rates")
     _add_eval_options(p_eval)
-    p_eval.add_argument("--compare-update", dest="compare_update", action="store_true",
-                        help="emit an update and a no-update row per mixture-detector run")
     p_eval.set_defaults(func=cmd_evaluate, parser=p_eval)
 
     p_roc = subs.add_parser("roc", help="run one detector and write its ROC curve")

@@ -110,6 +110,8 @@ class ExperimentConfig:
             raise ValueError("gmm_components must be >= 1")
         if self.rng_seed < 0:
             raise ValueError("rng_seed must be non-negative")
+        if self.oracle_update and not self.update_enabled:
+            raise ValueError("oracle_update=True picks what an update refits on; update_enabled=False makes none")
         if self.prefilter is not None and not (
             isinstance(self.prefilter, str) and self.prefilter == PERFECT_IMITATION
         ):

@@ -93,6 +93,20 @@ def test_block_updates_sustain_detection_under_drift():
     assert updated.p_d >= 0.95
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="decision-directed updating ratchets its threshold upward and realizes a "
+    "false-alarm rate of 0.185 here (ROADMAP items 7 and 8)",
+)
+def test_block_updates_hold_the_false_alarm_target_under_drift():
+    """The run of the test above: the updating detector's realized false-alarm
+    rate must stay within twice its 1% target.  The test above bounds
+    detection only, which a detector that rejects every message meets."""
+    updated = run_cached(coherence_samples=1e6, update_enabled=True)
+    print(f"[updates-under-drift-fa] realized fa {updated.p_fa:.4f} <= 0.02")
+    assert updated.p_fa <= 2 * ExperimentConfig.target_fa
+
+
 # ---------------------------------------------------------------------------
 # 3. the mixture detector never trails the squared-error baseline
 # ---------------------------------------------------------------------------

@@ -90,10 +90,11 @@ def test_detector_and_m_lists_multiply_into_rows(tmp_path):
     ]
 
 
-def test_no_update_flag_changes_the_detector_label(tmp_path):
+def test_update_off_changes_the_detector_label(tmp_path):
     out = tmp_path / "r.csv"
-    assert run_cli("evaluate", *DESK, "--m", "8", "--no-update", "--out", str(out)) == 0
-    assert read_rows(out.read_text())[0]["detector"] == "gmm-noupdate"
+    assert run_cli("evaluate", *DESK, "--m", "8", "--update", "off", "--out", str(out)) == 0
+    row = read_rows(out.read_text())[0]
+    assert (row["detector"], row["update"]) == ("gmm-noupdate", "off")
 
 
 def test_desk_preset_sets_only_the_block_shape(monkeypatch, capsys):
@@ -204,6 +205,9 @@ def test_roc_flag_requires_out_and_a_single_combo(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run_cli("roc", *DESK, "--m", "8", "--detector", "gmm", "--detector", "mse", "--out", out)
     assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        run_cli("roc", *DESK, "--m", "8", "--update", "decisions,off", "--out", out)
+    assert exc.value.code == 2
     # `physec roc` is the one way to write a curve
     with pytest.raises(SystemExit) as exc:
         run_cli("evaluate", *DESK, "--m", "8", "--roc", "--out", out)
@@ -236,36 +240,43 @@ def test_simulate_writes_the_pinned_csv_bytes(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "argv, size, digest",
+    "argv, size, digest, nine_column_digest",
     [
         (
             ("evaluate", "--detector", "gmm", "--detector", "mse", "--m", "4,8",
-             "--compare-update"),
-            376,
+             "--update", "decisions,off"),
+            434,
+            "32f37eda6d04904cc9e20954ab2c02ccb74e091dbd4f988c30a48958a68adb06",
             "122b755007a100921669fd174763092d3eeeb6d80790e174d1c3fd28a96ee6a2",
         ),
         (
             ("evaluate", "--detector", "gmm", "--detector", "mse", "--m", "4,8",
-             "--compare-update", "--feature", "delta"),
-            549,
+             "--update", "decisions,off", "--feature", "delta"),
+            607,
+            "b819adcd5433f255ed0178f91f15df13cf9ae94729a28812317e8ccc70d0728c",
             "80aac8eaa2bed300937bd1a2a0dde348e5f239f4b6bfe7691dd3927af231ee68",
         ),
         (
             ("roc", "--m", "8"),
             20419,
             "d0e3d92564761bb1cbf1232875622a75f5a4d2aac8ebee02b4c2b17c2ff4bb37",
+            "d0e3d92564761bb1cbf1232875622a75f5a4d2aac8ebee02b4c2b17c2ff4bb37",
         ),
     ],
     ids=["evaluate-grid", "evaluate-grid-delta", "roc"],
 )
-def test_evaluate_and_roc_write_the_pinned_bytes(tmp_path, argv, size, digest):
+def test_evaluate_and_roc_write_the_pinned_bytes(tmp_path, argv, size, digest, nine_column_digest):
     # recorded before the trial loop was split into stream, feature and
-    # detector stages; any change to a score or a rate moves these bytes
+    # detector stages; any change to a score or a rate moves these bytes.
+    # The first nine columns of each line are the bytes of the results CSV
+    # before it gained its update and components columns.
     out = tmp_path / "out.csv"
     assert run_cli(*argv, *DESK, "--out", str(out)) == 0
     data = out.read_bytes()
     assert len(data) == size
     assert hashlib.sha256(data).hexdigest() == digest
+    nine_columns = b"".join(b",".join(line.split(b",")[:9]) + b"\n" for line in data.splitlines())
+    assert hashlib.sha256(nine_columns).hexdigest() == nine_column_digest
 
 
 @pytest.mark.parametrize(
@@ -463,18 +474,23 @@ def test_memory_stays_per_block(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_sweep_compare_update_emits_paired_rows(tmp_path):
+def test_update_list_emits_a_mixture_row_per_mode(tmp_path):
     out = tmp_path / "grid.csv"
     assert (
         run_cli("evaluate", *DESK, "--detector", "gmm", "--detector", "mse", "--m", "4,8",
-                "--compare-update", "--coherence", "100000", "--out", str(out))
+                "--update", "decisions,off,labels", "--components", "2", "--coherence", "100000",
+                "--out", str(out))
         == 0
     )
     rows = read_rows(out.read_text())
-    # the mixture detector runs with and without updating; MSE has no update mode
-    assert [(r["detector"], r["M"]) for r in rows] == [
-        ("gmm", "4"), ("gmm-noupdate", "4"), ("gmm", "8"), ("gmm-noupdate", "8"),
-        ("mse", "4"), ("mse", "8"),
+    # the mixture detector runs once per mode, in the order given, and labelled
+    # updates read "gmm" as they still update; the baseline has neither an
+    # update mode nor mixture components
+    assert [(r["detector"], r["M"], r["update"], r["components"]) for r in rows] == [
+        ("gmm", "4", "decisions", "2"), ("gmm-noupdate", "4", "off", "2"),
+        ("gmm", "4", "labels", "2"), ("gmm", "8", "decisions", "2"),
+        ("gmm-noupdate", "8", "off", "2"), ("gmm", "8", "labels", "2"),
+        ("mse", "4", "", ""), ("mse", "8", "", ""),
     ]
 
 
@@ -628,6 +644,8 @@ def test_options_a_run_cannot_serve_are_usage_errors(tmp_path, monkeypatch, caps
         ("evaluate", "--trace", "missing.csv"),
         ("simulate", *DESK, "--out", "missing/x.csv"),
         ("roc", *DESK, "--m", "8"),  # roc requires --out
+        ("evaluate", "--preset", "desk", "--update", "on"),  # modes, not a boolean
+        ("evaluate", "--preset", "desk", "--update", ","),
     ],
 )
 def test_usage_errors_show_the_usage_of_their_command(tmp_path, monkeypatch, capsys, argv):
@@ -652,13 +670,10 @@ def test_delta_features_whose_squares_overflow_are_usage_errors(detector, capsys
 @pytest.mark.parametrize(
     "flags, reason",
     [
-        (("--compare-update", "--no-update"), "--compare-update runs with and without"),
-        (("--compare-update", "--update"), "--compare-update runs with and without"),
-        (("--detector", "mse", "--no-update"), "mse has no update mode"),
-        (("--detector", "mse", "--update"), "mse has no update mode"),
-        (("--detector", "mse", "--oracle-update"), "mse has no update mode"),
-        (("--detector", "mse", "--compare-update"), "mse has no update mode"),
-        (("--no-update", "--oracle-update"), "--no-update makes none"),
+        (("--detector", "mse", "--update", "off"), "mse has no update mode"),
+        (("--detector", "mse", "--update", "decisions"), "mse has no update mode"),
+        (("--detector", "mse", "--update", "labels"), "mse has no update mode"),
+        (("--detector", "mse", "--update", "decisions,off"), "mse has no update mode"),
     ],
 )
 def test_update_flags_that_change_nothing_are_usage_errors(flags, reason, capsys):
@@ -668,20 +683,49 @@ def test_update_flags_that_change_nothing_are_usage_errors(flags, reason, capsys
     assert reason in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flag, spelling",
+    [("--no-update", "off"), ("--oracle-update", "labels"), ("--compare-update", "decisions,off")],
+)
+def test_update_flags_other_than_the_mode_list_are_gone(flag, spelling, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("evaluate", *DESK, "--m", "8", flag)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert run_cli("evaluate", *DESK, "--m", "8", "--update", spelling, "--out", str(tmp_path / "r.csv")) == 0
+
+
 def test_update_keys_in_a_config_file_count_as_explicit(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("update = off\n")
     with pytest.raises(SystemExit) as exc:
-        run_cli("evaluate", *DESK, "--m", "8", "--config", str(cfg), "--compare-update")
+        run_cli("evaluate", *DESK, "--m", "8", "--config", str(cfg), "--detector", "mse")
     assert exc.value.code == 2
-    assert "--compare-update runs with and without" in capsys.readouterr().err
+    assert "mse has no update mode" in capsys.readouterr().err
+
+
+def test_update_key_of_a_config_file_takes_a_list_and_the_flag_wins(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("update = labels, off\n")
+    out = tmp_path / "grid.csv"
+    assert run_cli("evaluate", *DESK, "--m", "8", "--config", str(cfg), "--out", str(out)) == 0
+    assert [r["update"] for r in read_rows(out.read_text())] == ["labels", "off"]
+    assert run_cli("evaluate", *DESK, "--m", "8", "--config", str(cfg), "--update", "decisions",
+                   "--out", str(out)) == 0
+    assert [r["update"] for r in read_rows(out.read_text())] == ["decisions"]
+    # labelled updating is a mode of the update key, no longer a key of its own
+    cfg.write_text("oracle_update = true\n")
+    with pytest.raises(SystemExit) as exc:
+        run_cli("evaluate", *DESK, "--m", "8", "--config", str(cfg))
+    assert exc.value.code == 2
+    assert "unknown config file key 'oracle_update'" in capsys.readouterr().err
 
 
 def test_update_flag_with_a_mixture_detector_in_the_grid_is_accepted(tmp_path):
     out = tmp_path / "grid.csv"
     assert (
         run_cli("evaluate", *DESK, "--m", "8", "--detector", "gmm", "--detector", "mse",
-                "--no-update", "--out", str(out))
+                "--update", "off", "--out", str(out))
         == 0
     )
     assert [r["detector"] for r in read_rows(out.read_text())] == ["gmm-noupdate", "mse"]

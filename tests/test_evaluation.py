@@ -291,9 +291,9 @@ def test_sweep_records_requested_subcarrier_counts(tmp_path, monkeypatch):
 
 def test_update_comparison_on_a_slow_channel_changes_nothing(tmp_path, monkeypatch):
     with_update, without_update = sweep_rows(
-        tmp_path, monkeypatch, "--m", "8", "--coherence", "1e12", "--compare-update"
+        tmp_path, monkeypatch, "--m", "8", "--coherence", "1e12", "--update", "decisions,off"
     )
-    assert (with_update["detector"], without_update["detector"]) == ("gmm", "gmm-noupdate")
+    assert (with_update["update"], without_update["update"]) == ("decisions", "off")
     assert abs(float(with_update["p_d"]) - float(without_update["p_d"])) <= 0.02
     assert float(with_update["p_md"]) <= 0.02
     assert float(without_update["p_md"]) <= 0.02
@@ -519,9 +519,10 @@ def captured_grid(monkeypatch, argv) -> list:
 
 
 GRIDS = {
-    "magnitude": ("--detector", "gmm", "--detector", "mse", "--m", "4,16", "--compare-update"),
-    "delta": ("--detector", "gmm", "--detector", "mse", "--m", "4,16", "--compare-update",
-              "--feature", "delta"),
+    "magnitude": ("--detector", "gmm", "--detector", "mse", "--m", "4,16",
+                  "--update", "decisions,off,labels"),
+    "delta": ("--detector", "gmm", "--detector", "mse", "--m", "4,16",
+              "--update", "decisions,off,labels", "--feature", "delta"),
 }
 
 
@@ -531,7 +532,8 @@ def test_every_grid_row_is_its_solo_run(tmp_path, monkeypatch, capsys, grid):
     assert cli.main(["simulate", "--preset", "desk", "--seed", "0", "--out", str(trace)]) == 0
     simulated = captured_grid(monkeypatch, grid)
     replayed = captured_grid(monkeypatch, (*grid, "--trace", str(trace)))
-    assert len(simulated) == len(replayed) == 6
+    assert len(simulated) == len(replayed) == 8
+    assert {(c.update_enabled, c.oracle_update) for c, _ in simulated} == set(cli.UPDATE_MODES.values())
     for (config, result), (replay_config, replay_result) in zip(simulated, replayed):
         assert replay_config == config
         solo = ev.run_experiment(config)
@@ -619,6 +621,12 @@ def test_count_fields_take_integers_only(field):
     for bad in (value + 0.5, float(value), True):
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             desk_config(**{field: bad})
+
+
+def test_labelled_updates_without_updating_are_refused():
+    # the pair used to run a frozen model, as if the labels were not asked for
+    with pytest.raises(ValueError, match="oracle_update.*update_enabled"):
+        desk_config(oracle_update=True, update_enabled=False)
 
 
 def test_update_variants_reported_in_block_traces():
