@@ -320,8 +320,9 @@ def cmd_simulate(args) -> int:
     def blocks():
         streams = ev.simulated_estimate_blocks(config)
         for b in range(requested_blocks):
-            # file order: both links' estimates for slot 1, then slot 2, ...
-            gains = np.stack(next(streams), axis=1).reshape(2 * n, config.m_full)
+            # the stream's block is already in file order, both links'
+            # estimates for slot 1, then slot 2, ...: write a view of it
+            gains = next(streams).reshape(2 * n, config.m_full)
             yield np.repeat(np.arange(b * n + 1, (b + 1) * n + 1), 2), labels, gains
 
     try:
@@ -448,7 +449,10 @@ def main(argv=None) -> int:
     quietly (exit 1); any other OSError or ValueError, such as a fault
     inside a simulated run, is not the user's and propagates.
     """
-    args = build_parser().parse_args(argv)
+    # parse_args would report an unknown option with the top-level usage
+    args, unknown = build_parser().parse_known_args(argv)
+    if unknown:
+        args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe shows here, not at exit

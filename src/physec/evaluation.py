@@ -171,15 +171,16 @@ def _derived_seeds(seed: int) -> list[int]:
 
 
 def simulated_estimate_blocks(config: ExperimentConfig):
-    """Infinite stream of (bob, eve) estimate blocks, one message per row.
+    """Infinite stream of estimate blocks of both links, one message per row.
 
-    Each block is a pair of (block_size, m_full) complex views of one
-    (block_size, 2, m_full) array, link 0 Bob's and link 1 Eve's.  Both
-    links evolve every message so their time bases stay aligned; with
-    PERFECT_IMITATION the attacker's channel passes through the imitation
-    prefilter before estimation.
+    Each block is one (block_size, 2, m_full) complex array: block[:, 0]
+    is Bob's link and block[:, 1] Eve's, and each row holds both links'
+    estimates of one time slot, in the order `physec simulate` writes
+    them.  Both links evolve every message so their time bases stay
+    aligned; with PERFECT_IMITATION the attacker's channel passes through
+    the imitation prefilter before estimation.
 
-    The stream owns that one array and draws every block into it: each
+    The stream owns that one array and yields it for every block: each
     link's innovations are transformed straight into its view, and the
     noise is added in place.  A block is valid until the next draw, so a
     caller that keeps one copies it.
@@ -206,7 +207,7 @@ def simulated_estimate_blocks(config: ExperimentConfig):
         est = ch.estimate_block(truth, noise_rngs, noise_var)
         if not np.all(np.isfinite(est)):
             raise ValueError("gains must be finite")
-        yield est[:, 0], est[:, 1]
+        yield est
 
 
 class _Trial:
@@ -310,10 +311,13 @@ def run_grid(configs: list, trace=None) -> list:
     trace_io.TraceReader whose links are labelled BOB_LINK and EVE_LINK
     and are `m_full` wide.  Each block is drawn once and handed to every
     config's feature stage and detector before the next is drawn, so one
-    block is alive at a time.  The rows handed out are picked in place:
-    where a message is the attacker's, Eve's row is copied over Bob's
-    view of the block, so the rows, like the block, are valid until the
-    next draw.  Block 0 is legitimate only.  The configs
+    block is alive at a time.  A simulated block is the stream's one
+    (block_size, 2, m_full) array, read as its link views block[:, 0]
+    (Bob's) and block[:, 1] (Eve's); a replayed block is one array per
+    link.  The rows handed out are picked in place: where a message is
+    the attacker's, Eve's row is copied over Bob's link of the block, so
+    the rows, like the block, are valid until the next draw.  Block 0 is
+    legitimate only.  The configs
     must agree on what the stream reads (_STREAM_FIELDS).  Prefilters are
     a transmit-side construct and cannot be applied to recordings.  A
     replay reads the whole file, and a fault anywhere in the trace is
@@ -347,7 +351,10 @@ def run_grid(configs: list, trace=None) -> list:
     try:
         for b in range(first.num_blocks):
             from_eve = attack_rng.random(n) < first.attack_intensity if b else np.zeros(n, bool)
-            links, times = (next(blocks), None) if trace is None else next(blocks)
+            if trace is None:  # the stream's one array, as its two link views
+                (rows, eve), times = next(blocks).swapaxes(0, 1), None
+            else:
+                (rows, eve), times = next(blocks)
             if timed:
                 times = np.concatenate([last_time, np.where(from_eve, times[1], times[0])])
                 # neighbours are compared, not subtracted: a difference can overflow
@@ -356,11 +363,10 @@ def run_grid(configs: list, trace=None) -> list:
                 last_time = times[-1:]
             # Eve's rows over Bob's view, in place and in chunks: one masked
             # copy of a whole strided view buffers a whole link
-            rows, eve = links
             for start in range(0, n, chunk):
                 part = slice(start, start + chunk)
                 np.copyto(rows[part], eve[part], where=from_eve[part, None])
-            del links, eve  # hold no more than the rows while the trials step
+            del eve  # hold no more than the rows while the trials step
             for trial in trials:
                 trial.step(rows, from_eve)
             del rows  # nor while the next one is drawn

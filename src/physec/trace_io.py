@@ -316,7 +316,12 @@ def _parse_row(line: str, lineno: int, fields: int, last_time: dict):
 
 
 class _LinkRows:
-    """One requested link's rows, gathered into blocks of `shape` (n, m_full)."""
+    """One requested link's rows, gathered into blocks of `shape` (n, m_full).
+
+    A block handed out is the caller's alone: the link drops every
+    reference to it, so it is freed once the caller lets it go, before the
+    link's next block is made.
+    """
 
     def __init__(self, shape: tuple, wanted: int):
         self.shape = shape
@@ -343,7 +348,7 @@ class _LinkRows:
         self.finite = self.finite and bool(np.isfinite(self.gains).all())
         if self.records // self.shape[0] <= self.wanted:
             self.ready.append((self.gains, self.times))
-            self.gains = None
+            self.gains = self.reals = self.times = None
         return True
 
     def finish(self):

@@ -4,6 +4,7 @@ Everything runs in-process through `main(argv)` so coverage and determinism
 checks see the same code paths the installed console script uses.
 """
 
+import argparse
 import csv
 import errno
 import hashlib
@@ -16,7 +17,8 @@ import pytest
 
 from physec import evaluation as ev
 from physec import gmm, trace_io
-from physec.cli import RESULT_COLUMNS, main, read_config_file
+from physec.cli import RESULT_COLUMNS, build_parser, main, read_config_file
+from physec.evaluation import ExperimentConfig
 
 
 @pytest.fixture(autouse=True)
@@ -469,6 +471,29 @@ def test_memory_stays_per_block(tmp_path):
         assert peaks[command, 16] <= 1.5 * peaks[command, 4], peaks
 
 
+def test_simulate_and_replay_peak_near_one_block(tmp_path):
+    # A block is one (block_size, 2, m_full) complex array, both links'
+    # rows.  simulate writes views of the stream's own block, and a replay
+    # holds only the two link blocks it is filling, so each peaks near one
+    # block: 1.23 and 1.14 blocks here.  A writer handed a copy of each
+    # block peaks at 3.19 blocks, and a reader that keeps a view of the
+    # blocks it handed out at 1.60.
+    shape = ("--block-size", "1000", "--seed", "0")
+    block = 1000 * 2 * ExperimentConfig.m_full * 16
+    trace = tmp_path / "trace.csv"
+    assert run_cli("simulate", "--blocks", "1", "--block-size", "10", "--out", str(trace)) == 0
+    peaks = {
+        "simulate": traced_peak("simulate", "--blocks", "3", *shape, "--out", str(trace)),
+        "replay": traced_peak(
+            "evaluate", "--blocks", "3", *shape, "--detector", "mse", "--m", "16",
+            "--trace", str(trace), "--out", str(tmp_path / "results.csv"),
+        ),
+    }
+    assert all(peak < 1.3 * block for peak in peaks.values()), {
+        command: peak / block for command, peak in peaks.items()
+    }
+
+
 # ---------------------------------------------------------------------------
 # grids with update comparison
 # ---------------------------------------------------------------------------
@@ -646,6 +671,10 @@ def test_options_a_run_cannot_serve_are_usage_errors(tmp_path, monkeypatch, caps
         ("roc", *DESK, "--m", "8"),  # roc requires --out
         ("evaluate", "--preset", "desk", "--update", "on"),  # modes, not a boolean
         ("evaluate", "--preset", "desk", "--update", ","),
+        # an option the command does not know
+        ("simulate", "--out", "x.csv", "--bogus"),
+        ("evaluate", "--preset", "desk", "--bogus", "1"),
+        ("roc", "--out", "roc.csv", "--bogus"),
     ],
 )
 def test_usage_errors_show_the_usage_of_their_command(tmp_path, monkeypatch, capsys, argv):
@@ -654,6 +683,30 @@ def test_usage_errors_show_the_usage_of_their_command(tmp_path, monkeypatch, cap
         run_cli(*argv)
     assert exc.value.code == 2
     assert capsys.readouterr().err.startswith(f"usage: physec {argv[0]} ")
+
+
+def subparsers(parser):
+    """{name: parser} of each command of the physec parser."""
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return commands.choices
+
+
+@pytest.mark.parametrize("command", [None, "simulate", "evaluate", "roc"])
+def test_help_shows_the_usage_and_every_option_of_its_command(capsys, command):
+    # help text is built from defaults and presets, and argparse expands
+    # its % formatting only when it prints: every command's help must print
+    parser = build_parser()
+    if command is not None:
+        parser = subparsers(parser)[command]
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*filter(None, [command, "--help"]))
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: {parser.prog} ")
+    options = [o for a in parser._actions for o in a.option_strings if o.startswith("--")]
+    assert options and all(option in out for option in options)
+    if command is None:
+        assert all(name in out for name in subparsers(parser))
 
 
 @pytest.mark.parametrize("detector", ["mse", "gmm"])

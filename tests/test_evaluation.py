@@ -352,9 +352,9 @@ def records_for(cfg, eve_time_offset=0) -> tuple:
     blocks = ev.simulated_estimate_blocks(cfg)
     rows = []
     for _ in range(cfg.num_blocks):
-        bob_block, eve_block = next(blocks)
-        assert bob_block.shape == eve_block.shape == (cfg.block_size, cfg.m_full)
-        rows.append(np.stack([bob_block, eve_block], axis=1))
+        block = next(blocks)
+        assert block.shape == (cfg.block_size, 2, cfg.m_full)
+        rows.append(block.copy())  # the stream draws its next block into this one
     total = cfg.num_blocks * cfg.block_size
     slots = np.arange(1, total + 1)
     return (

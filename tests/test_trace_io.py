@@ -7,6 +7,7 @@ import stat
 import sys
 import tempfile
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -467,6 +468,23 @@ def test_memory_stays_near_the_size_of_the_gains(tmp_path, rng):
     assert np.array_equal(ab, gains[0::2]) and np.array_equal(ae, gains[1::2])
     assert write_peak < 0.25 * gains.nbytes
     assert read_peak < 2 * gains.nbytes
+
+
+def test_a_block_handed_out_is_freed_once_the_caller_drops_it(tmp_path, rng):
+    # the reader keeps no reference to a block it yielded, so a replay holds
+    # the link blocks being filled and no earlier ones
+    n, m_full = 3, 2
+    gains = rng.standard_normal((4 * n, m_full)) + 1j * rng.standard_normal((4 * n, m_full))
+    path = tmp_path / "trace.csv"
+    write_records(path, m_full, np.repeat(np.arange(1, 2 * n + 1), 2), ["AB", "AE"] * (2 * n), gains)
+    with trace_io.TraceReader(path) as reader:
+        blocks = reader.blocks(("AB", "AE"), n, 2)
+        block = next(blocks)
+        refs = [weakref.ref(array) for arrays in block for array in arrays]
+        del block
+        assert [ref() for ref in refs] == [None] * 4
+        (ab, ae), _ = next(blocks)
+    assert np.array_equal(ab, gains[2 * n :: 2]) and np.array_equal(ae, gains[2 * n + 1 :: 2])
 
 
 def reads_cleanly(content):
