@@ -1,10 +1,14 @@
 """Command-line front end: simulate traces, evaluate detectors, export ROC tables.
 
-Subcommands: simulate | evaluate | roc.  Options can also come from a flat
-key=value config file ('#' starts a comment); explicit flags win over file
-entries, and file entries over the preset.  The PHYSEC_SEED environment
-variable overrides any --seed.  An option nobody sets is not passed on, so
-its default is the one ExperimentConfig declares.
+Subcommands: simulate | evaluate | roc.  Each experiment option is one row of
+`_OPTIONS`, which gives its flag, its config-file key, its parser, the
+ExperimentConfig field it sets and its help; each command takes a named
+subset of the rows.  Options can also come from a flat key=value config file
+('#' starts a comment); explicit flags win over file entries, and file
+entries over the preset.  A file key of an option the running command does
+not take is skipped, so one file can serve every command.  The PHYSEC_SEED
+environment variable overrides any --seed.  An option nobody sets is not
+passed on, so its default is the one ExperimentConfig declares.
 """
 
 from __future__ import annotations
@@ -59,12 +63,13 @@ def _int_list(text: str) -> list[int]:
     return values
 
 
-def _bool(text: str) -> bool:
+def _imitation(text: str) -> str | None:
+    """The attacker prefilter that a boolean turns on or leaves unset."""
     lowered = text.strip().lower()
     if lowered in {"1", "true", "yes", "on"}:
-        return True
+        return ev.PERFECT_IMITATION
     if lowered in {"0", "false", "no", "off"}:
-        return False
+        return None
     raise argparse.ArgumentTypeError(f"not a boolean: {text!r}")
 
 
@@ -111,36 +116,46 @@ def read_config_file(path: str) -> dict:
     return values
 
 
-# option name -> (config-file parser, the ExperimentConfig field it sets);
-# names match the long CLI flags.  "seed", "imitate", "m", "detector" and
-# "update" are turned into fields by hand.
+# option name -> (parser of its text, the ExperimentConfig field it sets or
+# None for a grid axis, help).  The name is the config-file key and, with
+# "_" as "-", the long flag.  A grid axis takes a comma list, and a repeated
+# flag extends it.  A field's help ends in its ExperimentConfig default.
 _OPTIONS = {
-    "m": (_int_list, None),
-    "m_full": (int, "m_full"),
-    "snr": (float, "snr_db"),
-    "attack": (float, "attack_intensity"),
-    "blocks": (int, "num_blocks"),
-    "block_size": (int, "block_size"),
-    "coherence": (float, "coherence_samples"),
-    "fa": (float, "target_fa"),
-    "seed": (int, None),
-    "taps": (int, "num_taps"),
-    "components": (int, "gmm_components"),
-    "feature": (_feature_kind, "feature_kind"),
-    "detector": (_detector_list, None),
-    "update": (_update_list, None),
-    "imitate": (_bool, None),
+    "seed": (int, "rng_seed", "experiment seed (PHYSEC_SEED overrides)"),
+    "snr": (float, "snr_db", "estimation SNR in dB"),
+    "m_full": (int, "m_full", "active subcarriers in the system"),
+    "taps": (int, "num_taps", "channel taps"),
+    "coherence": (float, "coherence_samples", "coherence time in estimation intervals, inf = static"),
+    "blocks": (int, "num_blocks", "total blocks incl. training"),
+    "block_size": (int, "block_size", "messages per block"),
+    "imitate": (_imitation, "prefilter", "give the attacker a prefilter imitating the legitimate link"),
+    "attack": (float, "attack_intensity", "attacker message probability"),
+    "detector": (_detector_list, None,
+                 f"detectors to run, {' or '.join(_names(DetectorKind))} (default {ExperimentConfig.detector.value})"),
+    "m": (_int_list, None, f"subcarrier counts, e.g. 4,16 (default {ExperimentConfig.m_subcarriers})"),
+    "fa": (float, "target_fa", "target false-alarm rate"),
+    "feature": (_feature_kind, "feature_kind",
+                f"{' or '.join(_names(FeatureKind))}; delta flags a legitimate message that follows an "
+                "attacker's, so its realized false-alarm rate tracks the attack intensity (0.51-0.53 at 0.5)"),
+    "components": (int, "gmm_components", "mixture components"),
+    "update": (_update_list, None,
+               "update modes of the mixture detector, a row each: off, decisions (refit on the messages "
+               "it accepted) or labels (on the legitimate ones) "
+               f"(default {_UPDATE_MODE_OF[ExperimentConfig.update_enabled, ExperimentConfig.oracle_update]})"),
 }
+# the options of each command: what shapes the simulated estimates of both
+# links, and for a run of detectors also what the detectors read
+_STREAM_OPTIONS = ("seed", "snr", "m_full", "taps", "coherence", "blocks", "block_size", "imitate")
+_RUN_OPTIONS = (*_STREAM_OPTIONS, "attack", "detector", "m", "fa", "feature", "components", "update")
 
 
 def _settings(args) -> dict:
     """Every option's value by name: the preset's, overridden by the config
-    file's, overridden by the flags set."""
-    settings = dict(DESK_PRESET) if getattr(args, "preset", None) == "desk" else {}
-    path = getattr(args, "config", None)
-    if path:
+    file's, overridden by the flags set, and the seed by PHYSEC_SEED."""
+    settings = dict(DESK_PRESET) if args.preset == "desk" else {}
+    if args.config:
         try:
-            raw = read_config_file(path)
+            raw = read_config_file(args.config)
         except OSError as exc:
             raise UsageError(f"cannot read config file: {exc}")
         except ValueError as exc:
@@ -148,27 +163,26 @@ def _settings(args) -> dict:
         for key, text in raw.items():
             if key not in _OPTIONS:
                 raise UsageError(f"unknown config file key {key!r}")
+            if not hasattr(args, key):
+                continue  # an option of another command
             try:
                 settings[key] = _OPTIONS[key][0](text)
             except (argparse.ArgumentTypeError, ValueError) as exc:
                 raise UsageError(f"config file key {key!r}: {exc}")
     settings.update((key, value) for key, value in vars(args).items() if value is not None)
+    env = os.environ.get("PHYSEC_SEED")
+    if env is not None:
+        try:
+            settings["seed"] = int(env)
+        except ValueError:
+            raise UsageError(f"PHYSEC_SEED must be an integer, got {env!r}")
     return settings
 
 
 def _experiment_kwargs(settings: dict) -> dict:
     """The ExperimentConfig fields that some option set, and only those."""
-    kwargs = {field: settings.get(key) for key, (_, field) in _OPTIONS.items() if field}
-    kwargs["rng_seed"] = settings.get("seed")
-    env = os.environ.get("PHYSEC_SEED")
-    if env is not None:
-        try:
-            kwargs["rng_seed"] = int(env)
-        except ValueError:
-            raise UsageError(f"PHYSEC_SEED must be an integer, got {env!r}")
-    if settings.get("imitate"):
-        kwargs["prefilter"] = ev.PERFECT_IMITATION
-    return {field: value for field, value in kwargs.items() if value is not None}
+    fields = ((field, settings.get(key)) for key, (_, field, _) in _OPTIONS.items() if field)
+    return {field: value for field, value in fields if value is not None}
 
 
 def _fmt(value) -> str:
@@ -361,8 +375,6 @@ def cmd_roc(args) -> int:
         configs = _configs(settings, trace)
         if len(configs) != 1:
             raise UsageError("roc needs exactly one detector, m value and update mode")
-        if not args.out:
-            raise UsageError("roc requires --out")
         (result,) = _run_grid(configs, trace)
         if not (result.bob_scores.size and result.eve_scores.size):
             raise UsageError("roc needs legitimate and attacker messages in the test blocks")
@@ -372,45 +384,36 @@ def cmd_roc(args) -> int:
     return 0
 
 
-def _default(field: str) -> str:
-    """Help-text note of an ExperimentConfig field's default."""
-    return f"(default {getattr(ExperimentConfig, field):g})"
+class _CommandParser(argparse.ArgumentParser):
+    """A command's parser, which refuses an option it does not know under
+    its own usage line; the top-level parser reports only its own."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, unknown = super().parse_known_args(args, namespace)
+        if unknown:
+            self.error(f"unrecognized arguments: {' '.join(unknown)}")
+        return namespace, unknown
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
+def _add_command(subs, name: str, func, options: tuple, help: str) -> argparse.ArgumentParser:
+    """The parser of one command, with the table rows it takes."""
+    sub = subs.add_parser(name, help=help)
+    sub.set_defaults(func=func, parser=sub)
     sub.add_argument("--config", help="flat key=value config file")
-    sub.add_argument("--seed", type=int, help="experiment seed (PHYSEC_SEED overrides)")
-    sub.add_argument("--snr", type=float, help=f"estimation SNR in dB {_default('snr_db')}")
-    sub.add_argument("--m-full", dest="m_full", type=int, help=f"active subcarriers in the system {_default('m_full')}")
-    sub.add_argument("--taps", type=int, help=f"channel taps {_default('num_taps')}")
-    sub.add_argument("--coherence", type=float, help=f"coherence time in estimation intervals, inf = static {_default('coherence_samples')}")
-    sub.add_argument("--blocks", type=int, help=f"total blocks incl. training {_default('num_blocks')}")
-    sub.add_argument("--block-size", dest="block_size", type=int, help=f"messages per block {_default('block_size')}")
-    sub.add_argument("--attack", type=float, help=f"attacker message probability {_default('attack_intensity')}")
-    sub.add_argument("--imitate", action="store_true", default=None,
-                     help="give the attacker a prefilter imitating the legitimate link")
     sub.add_argument("--preset", choices=["desk"],
                      help="desk = {blocks} blocks x {block_size} messages".format(**DESK_PRESET))
-
-
-def _add_eval_options(sub: argparse.ArgumentParser) -> None:
-    _add_common(sub)
-    sub.add_argument("--detector", action="append", choices=_names(DetectorKind),
-                     help=f"detector to run, repeatable (default {ExperimentConfig.detector.value})")
-    sub.add_argument("--m", type=_int_list, help=f"comma-separated subcarrier counts, e.g. 4,16 {_default('m_subcarriers')}")
-    sub.add_argument("--fa", type=float, help=f"target false-alarm rate {_default('target_fa')}")
-    sub.add_argument("--feature", type=_feature_kind,
-                     help=f"{' or '.join(_names(FeatureKind))} (default {ExperimentConfig.feature_kind.value}); "
-                          "delta flags a legitimate message that follows an attacker's, so its "
-                          "realized false-alarm rate tracks the attack intensity (0.51-0.53 at 0.5)")
-    sub.add_argument("--components", type=int, help=f"mixture components {_default('gmm_components')}")
-    default_update = _UPDATE_MODE_OF[ExperimentConfig.update_enabled, ExperimentConfig.oracle_update]
-    sub.add_argument("--update", type=_update_list,
-                     help="comma-separated update modes of the mixture detector, a row each: off, decisions "
-                          "(refit on the messages it accepted) or labels (on the legitimate ones) "
-                          f"(default {default_update})")
-    sub.add_argument("--trace", help="replay a recorded trace instead of simulating")
-    sub.add_argument("--out", help="results CSV path (default: stdout)")
+    for option in options:
+        parse, field, text = _OPTIONS[option]
+        flag = "--" + option.replace("_", "-")
+        if field is None:
+            sub.add_argument(flag, type=parse, action="extend", help=f"{text}; a comma list, repeatable")
+        elif parse is _imitation:  # a switch: the flag takes no value
+            sub.add_argument(flag, action="store_const", const=parse("on"), help=text)
+        else:
+            default = getattr(ExperimentConfig, field)
+            shown = default.value if isinstance(default, FeatureKind) else f"{default:g}"
+            sub.add_argument(flag, type=parse, help=f"{text} (default {shown})")
+    return sub
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -418,23 +421,23 @@ def build_parser() -> argparse.ArgumentParser:
         prog="physec",
         description="Channel-based message authentication experiments",
     )
-    subs = parser.add_subparsers(dest="command", required=True)
+    subs = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
 
-    p_sim = subs.add_parser("simulate", help="write a simulated two-link estimate trace")
-    _add_common(p_sim)
+    p_sim = _add_command(subs, "simulate", cmd_simulate, _STREAM_OPTIONS,
+                         "write a simulated two-link estimate trace")
     p_sim.add_argument("--interval-us", dest="interval_us", type=float,
                        help=f"estimation interval in microseconds (default {trace_io.DEFAULT_INTERVAL_US:g})")
     p_sim.add_argument("--desc", help="trace description text")
     p_sim.add_argument("--out", required=True, help="trace CSV path")
-    p_sim.set_defaults(func=cmd_simulate, parser=p_sim)
 
-    p_eval = subs.add_parser("evaluate", help="run a grid of detectors, M values and update modes, report rates")
-    _add_eval_options(p_eval)
-    p_eval.set_defaults(func=cmd_evaluate, parser=p_eval)
+    p_eval = _add_command(subs, "evaluate", cmd_evaluate, _RUN_OPTIONS,
+                          "run a grid of detectors, M values and update modes, report rates")
+    p_eval.add_argument("--trace", help="replay a recorded trace instead of simulating")
+    p_eval.add_argument("--out", help="results CSV path (default: stdout)")
 
-    p_roc = subs.add_parser("roc", help="run one detector and write its ROC curve")
-    _add_eval_options(p_roc)
-    p_roc.set_defaults(func=cmd_roc, parser=p_roc)
+    p_roc = _add_command(subs, "roc", cmd_roc, _RUN_OPTIONS, "run one detector and write its ROC curve")
+    p_roc.add_argument("--trace", help="replay a recorded trace instead of simulating")
+    p_roc.add_argument("--out", required=True, help="ROC curve CSV path")
 
     return parser
 
@@ -449,10 +452,7 @@ def main(argv=None) -> int:
     quietly (exit 1); any other OSError or ValueError, such as a fault
     inside a simulated run, is not the user's and propagates.
     """
-    # parse_args would report an unknown option with the top-level usage
-    args, unknown = build_parser().parse_known_args(argv)
-    if unknown:
-        args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
+    args = build_parser().parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe shows here, not at exit

@@ -47,7 +47,6 @@ class GmmModel:
     means: np.ndarray
     variances: np.ndarray
     threshold: float | None = None
-    trained_on: int = 0
     em_log_likelihoods: list = field(default_factory=list, repr=False, compare=False)
 
     def __post_init__(self):
@@ -337,14 +336,7 @@ def _fit_from(x, weights, means, variances, target_fa: float) -> GmmModel:
     would give for `x`; as there, a non-finite score refuses the fit.
     """
     weights, means, variances, history, lw = _em(x, weights, means, variances)
-    model = GmmModel(
-        weights,
-        means,
-        variances,
-        threshold=None,
-        trained_on=x.shape[0],
-        em_log_likelihoods=history,
-    )
+    model = GmmModel(weights, means, variances, threshold=None, em_log_likelihoods=history)
     model.threshold = lower_tail_threshold(_mixture_scores(lw), target_fa)
     return model
 

@@ -10,13 +10,14 @@ import errno
 import hashlib
 import io
 import os
+import re
 import sys
 import tracemalloc
 
 import pytest
 
 from physec import evaluation as ev
-from physec import gmm, trace_io
+from physec import cli, gmm, trace_io
 from physec.cli import RESULT_COLUMNS, build_parser, main, read_config_file
 from physec.evaluation import ExperimentConfig
 
@@ -675,6 +676,9 @@ def test_options_a_run_cannot_serve_are_usage_errors(tmp_path, monkeypatch, caps
         ("simulate", "--out", "x.csv", "--bogus"),
         ("evaluate", "--preset", "desk", "--bogus", "1"),
         ("roc", "--out", "roc.csv", "--bogus"),
+        ("simulate", "--attack", "0.5", "--out", "x.csv"),  # the stream has no attacker share
+        # one the top-level parser does not know
+        ("--bogus", "evaluate"),
     ],
 )
 def test_usage_errors_show_the_usage_of_their_command(tmp_path, monkeypatch, capsys, argv):
@@ -682,7 +686,32 @@ def test_usage_errors_show_the_usage_of_their_command(tmp_path, monkeypatch, cap
     with pytest.raises(SystemExit) as exc:
         run_cli(*argv)
     assert exc.value.code == 2
-    assert capsys.readouterr().err.startswith(f"usage: physec {argv[0]} ")
+    usage = "usage: physec [-h] " if argv[0].startswith("-") else f"usage: physec {argv[0]} "
+    assert capsys.readouterr().err.startswith(usage)
+
+
+# ---------------------------------------------------------------------------
+# the option table: one declaration per option
+# ---------------------------------------------------------------------------
+
+STREAM_OPTIONS = ("seed", "snr", "m_full", "taps", "coherence", "blocks", "block_size", "imitate")
+RUN_OPTIONS = (*STREAM_OPTIONS, "attack", "detector", "m", "fa", "feature", "components", "update")
+COMMAND_OPTIONS = {"simulate": STREAM_OPTIONS, "evaluate": RUN_OPTIONS, "roc": RUN_OPTIONS}
+PLAIN_FLAGS = {
+    "simulate": ("--config", "--preset", "--interval-us", "--desc", "--out"),
+    "evaluate": ("--config", "--preset", "--trace", "--out"),
+    "roc": ("--config", "--preset", "--trace", "--out"),
+}
+# a text each option's parser accepts, other than its default
+SAMPLES = {
+    "seed": "7", "snr": "5", "m_full": "32", "taps": "4", "coherence": "1e3", "blocks": "3",
+    "block_size": "50", "imitate": "true", "attack": "0.25", "detector": "mse,gmm", "m": "4,8",
+    "fa": "0.05", "feature": "delta", "components": "2", "update": "off,labels",
+}
+
+
+def flag_of(key: str) -> str:
+    return "--" + key.replace("_", "-")
 
 
 def subparsers(parser):
@@ -707,6 +736,65 @@ def test_help_shows_the_usage_and_every_option_of_its_command(capsys, command):
     assert options and all(option in out for option in options)
     if command is None:
         assert all(name in out for name in subparsers(parser))
+    else:
+        # exactly the command's table options and its plain flags
+        table = {flag_of(key) for key in COMMAND_OPTIONS[command]}
+        assert set(re.findall(r"--[a-z][a-z-]*", out)) == {"--help", *PLAIN_FLAGS[command], *table}
+
+
+def test_every_option_has_a_sample_and_a_command():
+    assert set(SAMPLES) == set(cli._OPTIONS) == set(RUN_OPTIONS)
+
+
+@pytest.mark.parametrize(
+    "command, key", [(command, key) for command, keys in COMMAND_OPTIONS.items() for key in keys]
+)
+def test_a_flag_and_its_config_file_key_give_the_same_settings(tmp_path, command, key):
+    out = () if command == "evaluate" else ("--out", "x.csv")
+    # the one switch takes no value on the command line
+    flag = (flag_of(key),) if key == "imitate" else (flag_of(key), SAMPLES[key])
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {SAMPLES[key]}\n")
+    parser = build_parser()
+
+    def options(*argv):
+        settings = cli._settings(parser.parse_args([command, *argv, *out]))
+        return {name: value for name, value in settings.items() if name in cli._OPTIONS}
+
+    by_flag = options(*flag)
+    assert list(by_flag) == [key]
+    assert options("--config", str(cfg)) == by_flag
+
+
+def test_list_options_take_commas_and_a_repeated_flag_extends_them(tmp_path):
+    shape = (*DESK, "--blocks", "2", "--block-size", "50", "--update", "off")
+    commas, repeated = tmp_path / "commas.csv", tmp_path / "repeated.csv"
+    assert run_cli("evaluate", *shape, "--detector", "gmm,mse", "--m", "4", "--m", "8",
+                   "--out", str(commas)) == 0
+    assert run_cli("evaluate", *shape, "--detector", "gmm", "--detector", "mse", "--m", "4,8",
+                   "--out", str(repeated)) == 0
+    assert commas.read_bytes() == repeated.read_bytes()
+    assert [(r["detector"], r["M"]) for r in read_rows(commas.read_text())] == [
+        ("gmm-noupdate", "4"), ("gmm-noupdate", "8"), ("mse", "4"), ("mse", "8"),
+    ]
+
+
+def test_a_config_file_key_of_another_command_is_skipped(tmp_path, capsys):
+    # fa = 2 would stop evaluate; simulate has no target false-alarm rate
+    shape = ("--seed", "0", "--blocks", "1", "--block-size", "20")
+    cfg = tmp_path / "shared.cfg"
+    cfg.write_text("snr = 5\nfa = 2\nfeature = delta\ncomponents = 2\nattack = 0.25\n")
+    by_file, by_flag = tmp_path / "by-file.csv", tmp_path / "by-flag.csv"
+    assert run_cli("simulate", *shape, "--config", str(cfg), "--out", str(by_file)) == 0
+    assert run_cli("simulate", *shape, "--snr", "5", "--out", str(by_flag)) == 0
+    assert by_file.read_bytes() == by_flag.read_bytes()
+    # a key that no command takes is still refused
+    cfg.write_text("snr = 5\nmystery = 1\n")
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        run_cli("simulate", *shape, "--config", str(cfg), "--out", str(by_file))
+    assert exc.value.code == 2
+    assert "unknown config file key 'mystery'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("detector", ["mse", "gmm"])
