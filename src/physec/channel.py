@@ -49,20 +49,18 @@ def _stationary_block(rngs, tap_powers: np.ndarray, out: np.ndarray) -> np.ndarr
     """Stationary gains into `out`, shape (count, len(rngs), m_full); returns `out`.
 
     Row k takes the same draws as the k-th of `count` successive single-row
-    calls: the real parts of the taps, then the imaginary parts.  Each
-    link's taps are transformed straight into its strided view of `out`.
+    calls: the real parts of the taps, then the imaginary parts.  The taps
+    of all links are transformed straight into `out` in one call.
     """
-    count = out.shape[0]
-    std = np.sqrt(tap_powers / 2.0)
-    taps = np.empty((count, tap_powers.size), dtype=np.complex128)
+    count, links, m_full = out.shape
+    taps = np.empty((count, links, tap_powers.size), dtype=np.complex128)
     for link, rng in enumerate(rngs):
         z = rng.standard_normal((count, 2, tap_powers.size))
-        # (z[:, 0] + 1j * z[:, 1]) * std, the same operations in place
-        np.multiply(1j, z[:, 1], out=taps)
-        np.add(z[:, 0], taps, out=taps)
-        taps *= std
-        np.fft.fft(taps, n=out.shape[2], axis=1, out=out[:, link])
-    return out
+        # z[:, 0] + 1j * z[:, 1], the same operations in place
+        np.multiply(1j, z[:, 1], out=taps[:, link])
+        np.add(z[:, 0], taps[:, link], out=taps[:, link])
+    taps *= np.sqrt(tap_powers / 2.0)  # each tap's standard deviation
+    return np.fft.fft(taps, n=m_full, axis=2, out=out)
 
 
 def sample_initial_channels(rngs, tap_powers: np.ndarray, m_full: int) -> np.ndarray:
@@ -89,8 +87,8 @@ def evolve_block(
     (L, m_full) and row l draws its innovations from `rngs[l]`.  The result
     has shape (count, L, m_full) and [k, l] is link l k + 1 evolutions after
     `gains[l]`.  It is written into `out`, a C-contiguous complex128 array
-    of that shape, when one is given, and returned; each link's innovations
-    are transformed straight into its view of the result, and the AR(1)
+    of that shape, when one is given, and returned; the innovations of all
+    links are transformed straight into the result in one call, and the AR(1)
     recursion runs over its contiguous time-major rows.  `out` must not
     share memory with `gains`.
 
@@ -137,39 +135,24 @@ def evolve_block(
     return out
 
 
-# Block-sized work that needs scratch (estimation noise here, picking rows
-# in evaluation.run_grid) goes a chunk of rows at a time through at most
-# this many bytes.  glibc serves a request of 128 KiB or more (its default
-# mmap threshold) with a fresh mapping, faulted in and zeroed on every
-# call; a chunk well under it reuses the same heap block call after call.
-CHUNK_BYTES = 64 * 1024
-
-
 def estimate_block(truth: np.ndarray, rngs, noise_variance: float) -> np.ndarray:
     """Add estimation noise to a (count, L, m_full) block of true gains, in place.
 
-    Link l gets i.i.d. CN(0, noise_variance) from `rngs[l]`; row k takes the
-    same draws as the k-th of `count` successive single-estimate draws.
-    Each link's noise is drawn in chunks of rows into one small scratch
-    (CHUNK_BYTES), which takes the generator's draws in the same order as
-    one block-sized draw would.
-    Returns `truth`, which now holds the estimates.
+    Link l gets i.i.d. CN(0, noise_variance) from `rngs[l]`, drawn in one
+    call; row k takes the same draws as the k-th of `count` successive
+    single-estimate draws.  Returns `truth`, which now holds the estimates.
     """
     count, links, m_full = truth.shape
     if len(rngs) != links:
         raise ValueError(f"need one generator per link, got {len(rngs)} for {links}")
-    chunk = max(1, min(count, CHUNK_BYTES // (16 * m_full)))
-    scratch = np.empty((chunk, 2, m_full))
     std = np.sqrt(noise_variance / 2.0)
     for link, rng in enumerate(rngs):
-        for start in range(0, count, chunk):
-            rows = truth[start : start + chunk, link]
-            noise = scratch[: len(rows)]
-            rng.standard_normal(out=noise)
-            noise *= std
-            real, imag = rows.real, rows.imag
-            real += noise[:, 0]
-            imag += noise[:, 1]
+        noise = rng.standard_normal((count, 2, m_full))
+        noise *= std
+        rows = truth[:, link]
+        real, imag = rows.real, rows.imag
+        real += noise[:, 0]
+        imag += noise[:, 1]
     return truth
 
 

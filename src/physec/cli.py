@@ -102,8 +102,12 @@ def _feature_kind(text: str) -> FeatureKind:
 
 
 def read_config_file(path: str) -> dict:
-    """Flat key=value file; '#' comments and blank lines are ignored."""
-    values = {}
+    """Flat key=value file; '#' comments and blank lines are ignored.
+
+    A key may be given once: keys are compared with '-' read as '_', so
+    `block-size` and `block_size` are one key.
+    """
+    values, lines = {}, {}  # by key: its text and its line number
     with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -112,7 +116,11 @@ def read_config_file(path: str) -> dict:
             key, sep, value = line.partition("=")
             if not sep:
                 raise ValueError(f"line {lineno}: expected key=value, got {raw.rstrip()!r}")
-            values[key.strip().replace("-", "_")] = value.strip()
+            key = key.strip().replace("-", "_")
+            if key in lines:
+                raise ValueError(f"line {lineno}: key {key!r} repeats line {lines[key]}")
+            lines[key] = lineno
+            values[key] = value.strip()
     return values
 
 
@@ -328,16 +336,19 @@ def cmd_simulate(args) -> int:
         num_blocks=max(requested_blocks, 2),
         **kwargs,
     )
-    n = config.block_size
-    labels = [ev.BOB_LINK, ev.EVE_LINK] * n
+    total = requested_blocks * config.block_size
 
-    def blocks():
-        streams = ev.simulated_estimate_blocks(config)
-        for b in range(requested_blocks):
-            # the stream's block is already in file order, both links'
-            # estimates for slot 1, then slot 2, ...: write a view of it
-            gains = next(streams).reshape(2 * n, config.m_full)
-            yield np.repeat(np.arange(b * n + 1, (b + 1) * n + 1), 2), labels, gains
+    def chunks():
+        stream = ev.simulated_estimate_chunks(config)
+        written = 0
+        while written < total:  # no chunk straddles two blocks
+            # each chunk is already in file order, both links' estimates
+            # for one slot, then the next: write a view of it as it is drawn
+            gains = next(stream)
+            count = len(gains)
+            slots = np.repeat(np.arange(written + 1, written + count + 1), 2)
+            yield slots, [ev.BOB_LINK, ev.EVE_LINK] * count, gains.reshape(2 * count, config.m_full)
+            written += count
 
     try:
         header = trace_io.TraceHeader(
@@ -348,12 +359,11 @@ def cmd_simulate(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     try:
-        trace_io.write_trace(header, args.out, blocks())
+        trace_io.write_trace(header, args.out, chunks())
     except trace_io.TraceDestinationError as exc:
         raise UsageError(str(exc)) from exc
     except OSError as exc:
         raise UsageError(f"cannot write trace: {exc}")
-    total = requested_blocks * n
     print(f"wrote {2 * total} records ({total} per link) to {args.out}", file=sys.stderr)
     return 0
 

@@ -34,7 +34,7 @@ __all__ = [
     "RocCurve",
     "run_grid",
     "run_experiment",
-    "simulated_estimate_blocks",
+    "simulated_estimate_chunks",
     "compute_roc",
     "detection_at_fa",
 ]
@@ -170,20 +170,37 @@ def _derived_seeds(seed: int) -> list[int]:
     return [int(s) for s in np.random.SeedSequence(seed).generate_state(6, dtype=np.uint64)]
 
 
-def simulated_estimate_blocks(config: ExperimentConfig):
-    """Infinite stream of estimate blocks of both links, one message per row.
+# The simulated stream and run_grid work a chunk of a block's rows at a time,
+# CHUNK_BYTES of each link.  glibc serves a request of 128 KiB or more (its
+# default mmap threshold) with a fresh mapping, faulted in and zeroed on
+# every call; chunk-sized arrays stay under it and reuse the same heap
+# block call after call.
+CHUNK_BYTES = 64 * 1024
 
-    Each block is one (block_size, 2, m_full) complex array: block[:, 0]
-    is Bob's link and block[:, 1] Eve's, and each row holds both links'
+
+def _chunks(block_size: int, m_full: int) -> list:
+    """The row slices of a block, CHUNK_BYTES of each link a slice; the last
+    is shorter, so no chunk straddles two blocks."""
+    rows = max(1, CHUNK_BYTES // (16 * m_full))
+    return [slice(start, min(start + rows, block_size)) for start in range(0, block_size, rows)]
+
+
+def simulated_estimate_chunks(config: ExperimentConfig):
+    """Infinite stream of both links' estimates, one message per row, a chunk of rows at a time.
+
+    Each block of `block_size` rows comes as the chunks `_chunks` cuts it
+    into.  A chunk is one (rows, 2, m_full) complex array: chunk[:, 0] is
+    Bob's link and chunk[:, 1] Eve's, and each row holds both links'
     estimates of one time slot, in the order `physec simulate` writes
     them.  Both links evolve every message so their time bases stay
     aligned; with PERFECT_IMITATION the attacker's channel passes through
     the imitation prefilter before estimation.
 
-    The stream owns that one array and yields it for every block: each
-    link's innovations are transformed straight into its view, and the
-    noise is added in place.  A block is valid until the next draw, so a
-    caller that keeps one copies it.
+    The stream owns one array of a full chunk and yields it, or its
+    leading rows for a block's shorter last chunk, for every chunk: both
+    links' innovations are transformed straight into it, and the noise is
+    added in place.  A chunk is valid until the next draw, so a caller
+    that keeps one copies it.
 
     A grid shares one stream among configs that agree on _STREAM_FIELDS:
     a config field read here must be listed there.
@@ -198,24 +215,30 @@ def simulated_estimate_blocks(config: ExperimentConfig):
     coefficients = None
     if config.prefilter is not None:
         coefficients = ch.perfect_imitation_prefilter(state[0], state[1])
-    block = np.empty((config.block_size, 2, config.m_full), dtype=np.complex128)
+    parts = _chunks(config.block_size, config.m_full)
+    chunk = np.empty((parts[0].stop, 2, config.m_full), dtype=np.complex128)
     while True:
-        truth = ch.evolve_block(state, channel_rngs, pdp, rho, config.block_size, out=block)
-        state = truth[-1].copy()  # the next draw overwrites the block
-        if coefficients is not None:
-            truth[:, 1] *= coefficients
-        est = ch.estimate_block(truth, noise_rngs, noise_var)
-        if not np.all(np.isfinite(est)):
-            raise ValueError("gains must be finite")
-        yield est
+        for part in parts:
+            rows = chunk[: part.stop - part.start]
+            truth = ch.evolve_block(state, channel_rngs, pdp, rho, len(rows), out=rows)
+            state[...] = truth[-1]  # the next draw overwrites the chunk
+            if coefficients is not None:
+                truth[:, 1] *= coefficients
+            est = ch.estimate_block(truth, noise_rngs, noise_var)
+            if not np.all(np.isfinite(est)):
+                raise ValueError("gains must be finite")
+            yield est
 
 
 class _Trial:
-    """One config's feature stage and detector pass, stepped a block at a time.
+    """One config's feature stage and detector pass.
 
-    The first block fits the detector; every later one is scored, tallied in
-    one BlockTrace and, with updating, refits the mixture model when another
-    block follows.  Counts and rates are sums over the BlockTraces.
+    The feature stage takes a block's rows a chunk at a time, into the
+    trial's one (block_size, M) feature array; the detector pass steps
+    once the block is complete.  The first block fits the detector; every
+    later one is scored, tallied in one BlockTrace and, with updating,
+    refits the mixture model when another block follows.  Counts and rates
+    are sums over the BlockTraces.
     """
 
     def __init__(self, config: ExperimentConfig):
@@ -223,6 +246,8 @@ class _Trial:
         self.detector = None
         self.previous = None  # delta features' carry-over
         self.records = []
+        self.features = np.empty((config.block_size, config.m_subcarriers))
+        self.filled = 0  # rows of `features` the block has filled so far
         # one array per run, not one per block: a grid holds every trial's
         # scores at once, and thousands of small arrays held that long
         # fragment the heap
@@ -230,19 +255,24 @@ class _Trial:
         self.scores = np.empty(tests)
         self.from_eve = np.empty(tests, dtype=bool)
 
-    def _features(self, rows: np.ndarray) -> np.ndarray:
-        """Delta features carry the last selected row into the next block."""
+    def add_rows(self, rows: np.ndarray) -> None:
+        """The features of the block's next chunk of rows; delta features
+        carry the last selected row into the next chunk."""
         selected = ft.select_block(rows, self.config.m_subcarriers)
         if self.config.feature_kind is not ft.FeatureKind.DELTA:
-            return ft.normalize_magnitude_block(selected)
-        # the first training message has no predecessor and gives no feature
-        features = ft.delta_feature_block(selected, self.previous)
-        self.previous = selected[-1].copy()
-        return features
+            features = ft.normalize_magnitude_block(selected)
+        else:
+            # the first training message has no predecessor and gives no feature
+            features = ft.delta_feature_block(selected, self.previous)
+            self.previous = selected[-1].copy()
+        self.features[self.filled : self.filled + len(features)] = features
+        self.filled += len(features)
 
-    def step(self, rows: np.ndarray, from_eve: np.ndarray) -> None:
+    def step(self, from_eve: np.ndarray) -> None:
+        """The detector pass over the block whose rows `add_rows` took."""
         config = self.config
-        features = self._features(rows)
+        features = self.features[: self.filled]
+        self.filled = 0
         use_gmm = config.detector is DetectorKind.GMM
         if self.detector is None:
             if use_gmm:
@@ -296,7 +326,7 @@ class _Trial:
         )
 
 
-# What run_grid's block loop and simulated_estimate_blocks read: the configs
+# What run_grid's block loop and simulated_estimate_chunks read: the configs
 # of a grid must agree on these to share one stream.
 _STREAM_FIELDS = (
     "rng_seed", "attack_intensity", "num_blocks", "block_size",
@@ -309,20 +339,20 @@ def run_grid(configs: list, trace=None) -> list:
 
     The stream is simulated, or replayed from `trace`, an open
     trace_io.TraceReader whose links are labelled BOB_LINK and EVE_LINK
-    and are `m_full` wide.  Each block is drawn once and handed to every
-    config's feature stage and detector before the next is drawn, so one
-    block is alive at a time.  A simulated block is the stream's one
-    (block_size, 2, m_full) array, read as its link views block[:, 0]
-    (Bob's) and block[:, 1] (Eve's); a replayed block is one array per
-    link.  The rows handed out are picked in place: where a message is
-    the attacker's, Eve's row is copied over Bob's link of the block, so
-    the rows, like the block, are valid until the next draw.  Block 0 is
-    legitimate only.  The configs
-    must agree on what the stream reads (_STREAM_FIELDS).  Prefilters are
-    a transmit-side construct and cannot be applied to recordings.  A
-    replay reads the whole file, and a fault anywhere in the trace is
-    reported before one in the run.  When a config uses delta features, the
-    replayed messages' time indices must increase strictly, block to block.
+    and are `m_full` wide.  Either way a block goes to the configs a chunk
+    of rows at a time (`_chunks`): a simulated chunk is the stream's, read
+    as its link views chunk[:, 0] (Bob's) and chunk[:, 1] (Eve's), and a
+    replayed block, one array per link, is sliced into the same chunks.
+    The rows are picked in place: where a message is the attacker's, Eve's
+    row is copied over Bob's.  Each chunk is drawn once and handed to every
+    config's feature stage before the next is drawn; once a block's chunks
+    are done, every config's detector steps on the block's features.
+    Block 0 is legitimate only.  The configs must agree on what the stream
+    reads (_STREAM_FIELDS).  Prefilters are a transmit-side construct and
+    cannot be applied to recordings.  A replay reads the whole file, and a
+    fault anywhere in the trace is reported before one in the run.  When a
+    config uses delta features, the replayed messages' time indices must
+    increase strictly, block to block.
     """
     if not configs:
         raise ValueError("a grid needs at least one config")
@@ -331,7 +361,7 @@ def run_grid(configs: list, trace=None) -> list:
     if mixed:
         raise ValueError(f"the configs of a grid must share one message stream; {mixed} differ")
     if trace is None:
-        blocks = simulated_estimate_blocks(first)
+        stream = simulated_estimate_chunks(first)
     else:
         if first.prefilter is not None:
             raise ValueError("prefilters require the simulator; traces are already recorded")
@@ -346,30 +376,32 @@ def run_grid(configs: list, trace=None) -> list:
     trials = [_Trial(config) for config in configs]
     attack_rng = np.random.default_rng(_derived_seeds(first.rng_seed)[4])
     n = first.block_size
-    chunk = max(1, ch.CHUNK_BYTES // (16 * first.m_full))  # rows picked per masked copy
+    parts = _chunks(n, first.m_full)
     fault = None
     try:
         for b in range(first.num_blocks):
             from_eve = attack_rng.random(n) < first.attack_intensity if b else np.zeros(n, bool)
-            if trace is None:  # the stream's one array, as its two link views
-                (rows, eve), times = next(blocks).swapaxes(0, 1), None
-            else:
-                (rows, eve), times = next(blocks)
-            if timed:
-                times = np.concatenate([last_time, np.where(from_eve, times[1], times[0])])
-                # neighbours are compared, not subtracted: a difference can overflow
-                if np.any(times[1:] <= times[:-1]):
-                    raise ValueError("current estimate must be strictly later than previous")
-                last_time = times[-1:]
-            # Eve's rows over Bob's view, in place and in chunks: one masked
-            # copy of a whole strided view buffers a whole link
-            for start in range(0, n, chunk):
-                part = slice(start, start + chunk)
-                np.copyto(rows[part], eve[part], where=from_eve[part, None])
-            del eve  # hold no more than the rows while the trials step
+            if trace is not None:
+                links, times = next(blocks)
+                if timed:
+                    times = np.concatenate([last_time, np.where(from_eve, times[1], times[0])])
+                    # neighbours are compared, not subtracted: a difference can overflow
+                    if np.any(times[1:] <= times[:-1]):
+                        raise ValueError("current estimate must be strictly later than previous")
+                    last_time = times[-1:]
+            for part in parts:
+                if trace is None:  # the stream's next chunk, as its two link views
+                    rows, eve = next(stream).swapaxes(0, 1)
+                else:
+                    rows, eve = links[0][part], links[1][part]
+                np.copyto(rows, eve, where=from_eve[part, None])
+                for trial in trials:
+                    trial.add_rows(rows)
+            # the features hold what the detectors read: no replayed block
+            # stays alive while they step, nor while the next one is read
+            rows = eve = links = times = None
             for trial in trials:
-                trial.step(rows, from_eve)
-            del rows  # nor while the next one is drawn
+                trial.step(from_eve)
     except ValueError as exc:
         if trace is None:
             raise

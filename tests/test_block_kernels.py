@@ -205,30 +205,35 @@ def test_estimate_block_writes_into_its_input():
 
 def test_imitation_prefilter_leaves_bob_untouched():
     cfg = desk_config(block_size=100, coherence_samples=100.0)
-    plain = ev.simulated_estimate_blocks(cfg)
-    imitated = ev.simulated_estimate_blocks(
+    plain = ev.simulated_estimate_chunks(cfg)
+    imitated = ev.simulated_estimate_chunks(
         desk_config(block_size=100, coherence_samples=100.0, prefilter=ev.PERFECT_IMITATION)
     )
-    for _ in range(3):
-        block, block_imitated = next(plain), next(imitated)
-        assert np.array_equal(bits(block_imitated[:, 0]), bits(block[:, 0]))
-        assert not np.array_equal(block_imitated[:, 1], block[:, 1])
+    for _ in range(6):  # 3 blocks of 85 + 15 rows
+        chunk, chunk_imitated = next(plain), next(imitated)
+        assert np.array_equal(bits(chunk_imitated[:, 0]), bits(chunk[:, 0]))
+        assert not np.array_equal(chunk_imitated[:, 1], chunk[:, 1])
+
+
+# one (rows, 2, m_full) complex array of a full chunk, both links' rows
+CHUNK_ARRAY_BYTES = ev.CHUNK_BYTES // (16 * M_FULL) * 2 * M_FULL * 16
 
 
 @pytest.mark.parametrize("prefilter", [None, ev.PERFECT_IMITATION])
-def test_a_simulated_block_allocates_under_two_blocks_of_both_links(prefilter):
-    # one (block_size, 2, m_full) complex array holds both links' estimates;
-    # evolving and estimating it may not cost two such arrays at once
+def test_a_simulated_chunk_allocates_under_two_chunks_of_both_links(prefilter):
+    # the stream draws every chunk into its one (rows, 2, m_full) array;
+    # evolving and estimating it may not cost two such arrays at once: a
+    # draw peaks at 1.26 chunks, and at 1.51 with the prefilter
     cfg = desk_config(block_size=1000, prefilter=prefilter)
-    blocks = ev.simulated_estimate_blocks(cfg)
-    next(blocks)
+    chunks = ev.simulated_estimate_chunks(cfg)
+    next(chunks)
     tracemalloc.start()
     try:
-        next(blocks)
+        next(chunks)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 * cfg.block_size * 2 * cfg.m_full * 16
+    assert peak < 2 * CHUNK_ARRAY_BYTES
 
 
 @pytest.mark.parametrize(
@@ -236,21 +241,22 @@ def test_a_simulated_block_allocates_under_two_blocks_of_both_links(prefilter):
     [dict(), dict(coherence_samples=1e6), dict(prefilter=ev.PERFECT_IMITATION)],
     ids=["static", "drifting", "imitating"],
 )
-def test_a_warm_draw_allocates_under_a_third_of_a_block(overrides):
-    # every block is drawn into the stream's one (block_size, 2, m_full)
-    # array, so a warm draw allocates only scratch; with fresh arrays for
-    # every block a draw peaked at 1.63 blocks
+def test_a_warm_draw_allocates_under_a_chunk_and_six_tenths(overrides):
+    # every chunk is drawn into the stream's one array, so a warm draw
+    # allocates only scratch: a link's noise, half a chunk, and numpy's
+    # buffers for the strided adds; it peaks at 1.26 chunks (1.51 with the
+    # prefilter).  A fresh array for every chunk would add a whole chunk.
     cfg = desk_config(block_size=1000, **overrides)
-    blocks = ev.simulated_estimate_blocks(cfg)
-    next(blocks)
-    next(blocks)
+    chunks = ev.simulated_estimate_chunks(cfg)
+    for _ in range(len(ev._chunks(cfg.block_size, cfg.m_full)) + 1):
+        next(chunks)  # a block and one chunk: the last, short chunk is behind
     tracemalloc.start()
     try:
-        next(blocks)
+        next(chunks)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 0.3 * cfg.block_size * 2 * cfg.m_full * 16
+    assert peak < 1.6 * CHUNK_ARRAY_BYTES
 
 
 @pytest.mark.parametrize("case", ["static", "drifting", "zero real part"])
@@ -306,43 +312,56 @@ def reference_pairs(config):
         )
 
 
+def stream_rows(config, blocks: int):
+    """(Bob's, Eve's) rows of the first `blocks` blocks of the simulated
+    stream, each the concatenation of the chunks.  Every chunk of a block
+    but the last holds CHUNK_BYTES of each link, and the last the rest."""
+    chunks = ev.simulated_estimate_chunks(config)
+    rows_per_chunk = max(1, ev.CHUNK_BYTES // (16 * config.m_full))
+    full, rest = divmod(config.block_size, rows_per_chunk)
+    sizes = [rows_per_chunk] * full + [rest] * (rest > 0)
+    rows = []
+    for _ in range(blocks):
+        for size in sizes:
+            chunk = next(chunks)
+            assert chunk.shape == (size, 2, config.m_full)
+            rows.append(chunk.copy())  # the next draw overwrites it
+    rows = np.concatenate(rows)
+    return rows[:, 0], rows[:, 1]
+
+
+def assert_matches_the_per_message_stream(config, blocks: int = 3):
+    bob, eve = stream_rows(config, blocks)
+    pairs = reference_pairs(config)
+    for bob_row, eve_row in zip(bob, eve):
+        bob_ref, eve_ref = next(pairs)
+        assert np.array_equal(bits(bob_row), bits(bob_ref))
+        assert np.array_equal(bits(eve_row), bits(eve_ref))
+
+
 @pytest.mark.parametrize(
     "overrides",
     [dict(), dict(coherence_samples=100.0), dict(prefilter=ev.PERFECT_IMITATION, snr_db=5.0)],
 )
 def test_simulated_blocks_match_the_per_message_stream(overrides):
-    cfg = desk_config(block_size=50, **overrides)
-    blocks = ev.simulated_estimate_blocks(cfg)
-    pairs = reference_pairs(cfg)
-    for _ in range(3):
-        block = next(blocks)
-        assert block.shape == (cfg.block_size, 2, cfg.m_full)
-        for bob_row, eve_row in block:
-            bob_ref, eve_ref = next(pairs)
-            assert np.array_equal(bob_row, bob_ref)
-            assert np.array_equal(eve_row, eve_ref)
+    assert_matches_the_per_message_stream(desk_config(block_size=200, **overrides))
 
 
-# wide enough that a chunk of estimation noise holds one row
-WIDE = ch.CHUNK_BYTES // 16
+# wide enough that a chunk holds one row of each link
+WIDE = ev.CHUNK_BYTES // 16
 
 
 @pytest.mark.parametrize(
-    "block_size, m_full", [(1, M_FULL), (7, M_FULL), (1000, M_FULL), (1, WIDE), (7, WIDE)]
+    "block_size, m_full",
+    [(1, M_FULL), (7, M_FULL), (85, M_FULL), (86, M_FULL), (200, M_FULL), (1000, M_FULL),
+     (1, WIDE), (7, WIDE)],
 )
 def test_chunked_noise_matches_the_per_message_stream(block_size, m_full):
-    # noise is drawn a chunk of rows at a time; the stream reads no field
-    # but these, so a namespace stands in for the block of one message
-    # that ExperimentConfig refuses
+    # a block is drawn a chunk of rows at a time, 85 rows at m_full 48 and
+    # one at WIDE; the stream reads no field but these, so a namespace
+    # stands in for the block of one message that ExperimentConfig refuses
     fields = vars(desk_config(coherence_samples=100.0, m_full=m_full))
-    cfg = SimpleNamespace(**{**fields, "block_size": block_size})
-    blocks = ev.simulated_estimate_blocks(cfg)
-    pairs = reference_pairs(cfg)
-    for _ in range(3):
-        for bob_row, eve_row in next(blocks):
-            bob_ref, eve_ref = next(pairs)
-            assert np.array_equal(bits(bob_row), bits(bob_ref))
-            assert np.array_equal(bits(eve_row), bits(eve_ref))
+    assert_matches_the_per_message_stream(SimpleNamespace(**{**fields, "block_size": block_size}))
 
 
 # ---------------------------------------------------------------------------

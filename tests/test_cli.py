@@ -181,6 +181,28 @@ def test_bad_config_files_are_usage_errors(tmp_path, content):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "content, lines",
+    [("m = 4\n# the grid\nm = 8\n", (1, 3)), ("snr = 5\nblock-size = 64\nblock_size = 50\n", (2, 3))],
+    ids=["same spelling", "dash and underscore"],
+)
+def test_a_key_given_twice_in_a_config_file_is_a_usage_error(tmp_path, capsys, content, lines):
+    # the last line used to win without a word: `m = 4` then `m = 8` wrote
+    # one row, gmm,8
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text(content)
+    out = tmp_path / "rows.csv"
+    with pytest.raises(SystemExit) as exc:
+        run_cli("evaluate", *DESK, "--blocks", "2", "--block-size", "50", "--config", str(cfg),
+                "--out", str(out))
+    assert exc.value.code == 2
+    first, second = lines
+    assert f"line {second}: key" in capsys.readouterr().err
+    with pytest.raises(ValueError, match=f"line {second}: key '.*' repeats line {first}"):
+        read_config_file(str(cfg))
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # roc output
 # ---------------------------------------------------------------------------
@@ -230,16 +252,41 @@ def test_simulate_reports_record_totals(tmp_path, capsys):
     assert out.exists()
 
 
-def test_simulate_writes_the_pinned_csv_bytes(tmp_path):
-    # recorded from the per-record writer this format started with
+@pytest.mark.parametrize(
+    "argv, size, digest",
+    [
+        # recorded from the per-record writer this format started with
+        (
+            ("--blocks", "1", "--block-size", "7", "--m-full", "16", "--taps", "4"),
+            8993,
+            "22f634bd6762382e5e4bf60c3d52d1980720967721d6b115a0374c80c48f7b50",
+        ),
+        # recorded from the stream that drew a whole block at a time: each
+        # block is drawn in chunks of 85, 85 and 30 rows at m_full 48
+        (
+            ("--blocks", "3", "--block-size", "200", "--coherence", "1e3"),
+            2286684,
+            "cf57c4e681f8bc6e5aad806419cb98f7be6b04960e70c78fe99223e923697cd8",
+        ),
+        (
+            ("--blocks", "3", "--block-size", "200", "--coherence", "1e3", "--imitate"),
+            2295207,
+            "e6f01f5fc628c4e66cfd35c63d801124daf20ce59f29003c28262ca85f75735b",
+        ),
+        (
+            ("--blocks", "3", "--block-size", "200", "--imitate"),
+            2297362,
+            "88bf40eb4e0bb227d974cfd889ae0e9e123e929b57d62c6eaa1df405d89ca9ce",
+        ),
+    ],
+    ids=["one-chunk", "drifting-chunks", "drifting-imitate-chunks", "static-imitate-chunks"],
+)
+def test_simulate_writes_the_pinned_csv_bytes(tmp_path, argv, size, digest):
     out = tmp_path / "trace.csv"
-    argv = ("--blocks", "1", "--block-size", "7", "--m-full", "16", "--taps", "4")
     assert run_cli("simulate", *argv, "--seed", "0", "--out", str(out)) == 0
     data = out.read_bytes()
-    assert len(data) == 8993
-    assert hashlib.sha256(data).hexdigest() == (
-        "22f634bd6762382e5e4bf60c3d52d1980720967721d6b115a0374c80c48f7b50"
-    )
+    assert len(data) == size
+    assert hashlib.sha256(data).hexdigest() == digest
 
 
 @pytest.mark.parametrize(
@@ -474,11 +521,11 @@ def test_memory_stays_per_block(tmp_path):
 
 def test_simulate_and_replay_peak_near_one_block(tmp_path):
     # A block is one (block_size, 2, m_full) complex array, both links'
-    # rows.  simulate writes views of the stream's own block, and a replay
-    # holds only the two link blocks it is filling, so each peaks near one
-    # block: 1.23 and 1.14 blocks here.  A writer handed a copy of each
-    # block peaks at 3.19 blocks, and a reader that keeps a view of the
-    # blocks it handed out at 1.60.
+    # rows.  simulate writes views of the stream's chunks, and a replay
+    # holds only the two link blocks it is filling and the trials' feature
+    # arrays, so each peaks near one block or under: 0.24 and 1.22 blocks
+    # here.  A writer handed a copy of each block peaks at 3.19 blocks, and
+    # a reader that keeps a view of the blocks it handed out at 1.60.
     shape = ("--block-size", "1000", "--seed", "0")
     block = 1000 * 2 * ExperimentConfig.m_full * 16
     trace = tmp_path / "trace.csv"
@@ -493,6 +540,23 @@ def test_simulate_and_replay_peak_near_one_block(tmp_path):
     assert all(peak < 1.3 * block for peak in peaks.values()), {
         command: peak / block for command, peak in peaks.items()
     }
+
+
+@pytest.mark.parametrize("detector", ["mse", "gmm"])
+def test_a_simulated_evaluate_peaks_under_half_a_block(tmp_path, detector):
+    # The stream draws a chunk of rows at a time into one array, and each
+    # trial keeps only the (block_size, M) features of the block: 0.41
+    # (mse) and 0.42 (gmm) blocks here.  With the stream's one
+    # (block_size, 2, m_full) array and the feature stage's block-sized
+    # temporaries, the run peaked at 1.46 and 1.47 blocks.
+    block = 1000 * 2 * ExperimentConfig.m_full * 16
+    run_cli("evaluate", "--blocks", "2", "--block-size", "10", "--detector", detector,
+            "--out", str(tmp_path / "warm-up.csv"))
+    peak = traced_peak(
+        "evaluate", "--blocks", "3", "--block-size", "1000", "--seed", "0", "--detector", detector,
+        "--m", "16", "--out", str(tmp_path / "results.csv"),
+    )
+    assert peak < 0.5 * block, peak / block
 
 
 # ---------------------------------------------------------------------------

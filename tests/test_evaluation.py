@@ -45,17 +45,24 @@ def test_counts_conserve_message_totals():
 
 
 def solo_stream(monkeypatch, cfg) -> list:
-    """The (rows, from_eve) the trial of a solo run of `cfg` is handed, block by block."""
-    received = []
-    step = ev._Trial.step
+    """The (rows, from_eve) the trial of a solo run of `cfg` is handed, block
+    by block: the rows are the block's chunks, concatenated."""
+    received, chunks = [], []
+    add_rows, step = ev._Trial.add_rows, ev._Trial.step
 
-    def spy(trial, rows, from_eve):
-        # the rows are a view of the stream's block, valid until the next draw
-        received.append((rows.copy(), from_eve))
-        step(trial, rows, from_eve)
+    def spy_rows(trial, rows):
+        # the rows are a view of the stream's chunk, valid until the next draw
+        chunks.append(rows.copy())
+        add_rows(trial, rows)
+
+    def spy_step(trial, from_eve):
+        received.append((np.concatenate(chunks), from_eve))
+        chunks.clear()
+        step(trial, from_eve)
 
     with monkeypatch.context() as patched:
-        patched.setattr(ev._Trial, "step", spy)
+        patched.setattr(ev._Trial, "add_rows", spy_rows)
+        patched.setattr(ev._Trial, "step", spy_step)
         ev.run_experiment(cfg)
     return received
 
@@ -106,11 +113,11 @@ def test_only_the_fields_a_stream_reads_split_a_grid(monkeypatch, field):
     ids=["gmm", "mse-drift"],
 )
 def test_a_run_holds_no_block_while_its_trials_step(overrides):
-    # A warm run peaks at 1.44 (block_size, 2, m_full) blocks, while the
-    # trials step: the stream's one block, which every draw reuses, and the
-    # features of its rows; a draw peaks at 1.13 (static) to 1.28
-    # (drifting).  Drawing each block into a fresh array while the rows of
-    # the last one are still held keeps two blocks alive (2.44x).
+    # A warm run peaks at 0.39 (block_size, 2, m_full) blocks: the stream
+    # draws a chunk of rows at a time into its one reused array, and the
+    # trial keeps the block's features and its scores.  A stream that drew
+    # whole blocks peaked at 1.44 blocks, and one that drew each block into
+    # a fresh array while the rows of the last one were still held at 2.44.
     cfg = desk_config(m_subcarriers=16, num_blocks=4, block_size=1000, **overrides)
     ev.run_experiment(cfg)  # warm: first-call allocations are not the run's
     tracemalloc.start()
@@ -349,13 +356,11 @@ def test_perfect_imitation_collapses_detection_to_chance_desk_scale():
 def records_for(cfg, eve_time_offset=0) -> tuple:
     """(time_index, link_labels, gains) of both links of `cfg`'s simulation,
     interleaved as `physec simulate` writes them."""
-    blocks = ev.simulated_estimate_blocks(cfg)
-    rows = []
-    for _ in range(cfg.num_blocks):
-        block = next(blocks)
-        assert block.shape == (cfg.block_size, 2, cfg.m_full)
-        rows.append(block.copy())  # the stream draws its next block into this one
+    chunks = ev.simulated_estimate_chunks(cfg)
     total = cfg.num_blocks * cfg.block_size
+    rows = []
+    while sum(map(len, rows)) < total:
+        rows.append(next(chunks).copy())  # the stream draws its next chunk into this one
     slots = np.arange(1, total + 1)
     return (
         np.stack([slots, slots + eve_time_offset], axis=1).reshape(-1),
