@@ -339,20 +339,20 @@ def run_grid(configs: list, trace=None) -> list:
 
     The stream is simulated, or replayed from `trace`, an open
     trace_io.TraceReader whose links are labelled BOB_LINK and EVE_LINK
-    and are `m_full` wide.  Either way a block goes to the configs a chunk
-    of rows at a time (`_chunks`): a simulated chunk is the stream's, read
-    as its link views chunk[:, 0] (Bob's) and chunk[:, 1] (Eve's), and a
-    replayed block, one array per link, is sliced into the same chunks.
-    The rows are picked in place: where a message is the attacker's, Eve's
-    row is copied over Bob's.  Each chunk is drawn once and handed to every
-    config's feature stage before the next is drawn; once a block's chunks
-    are done, every config's detector steps on the block's features.
-    Block 0 is legitimate only.  The configs must agree on what the stream
-    reads (_STREAM_FIELDS).  Prefilters are a transmit-side construct and
-    cannot be applied to recordings.  A replay reads the whole file, and a
-    fault anywhere in the trace is reported before one in the run.  When a
+    and are `m_full` wide.  Either way a block comes a chunk of rows at a
+    time (`_chunks`), one (rows, 2, m_full) array read as its link views
+    chunk[:, 0] (Bob's) and chunk[:, 1] (Eve's).  The rows are picked in
+    place: where a message is the attacker's, Eve's row is copied over
+    Bob's.  Each chunk is drawn once and handed to every config's feature
+    stage before the next is drawn; once a block's chunks are done, every
+    config's detector steps on the block's features.  Block 0 is
+    legitimate only.  The configs must agree on what the stream reads
+    (_STREAM_FIELDS).  Prefilters are a transmit-side construct and cannot
+    be applied to recordings.  A replay reads the whole file, and a fault
+    anywhere in the trace is reported before one in the run.  When a
     config uses delta features, the replayed messages' time indices must
-    increase strictly, block to block.
+    increase strictly, chunk to chunk; a chunk's are checked before its
+    features.
     """
     if not configs:
         raise ValueError("a grid needs at least one config")
@@ -360,8 +360,10 @@ def run_grid(configs: list, trace=None) -> list:
     mixed = [f for f in _STREAM_FIELDS if any(getattr(c, f) != getattr(first, f) for c in configs)]
     if mixed:
         raise ValueError(f"the configs of a grid must share one message stream; {mixed} differ")
+    n = first.block_size
+    parts = _chunks(n, first.m_full)
     if trace is None:
-        stream = simulated_estimate_chunks(first)
+        stream = ((chunk, None) for chunk in simulated_estimate_chunks(first))
     else:
         if first.prefilter is not None:
             raise ValueError("prefilters require the simulator; traces are already recorded")
@@ -369,37 +371,35 @@ def run_grid(configs: list, trace=None) -> list:
             raise ValueError(
                 f"config m_full={first.m_full} differs from the trace's {trace.header.m_full}"
             )
-        blocks = trace.blocks((BOB_LINK, EVE_LINK), first.block_size, first.num_blocks)
+        sizes = [part.stop - part.start for part in parts]
+        stream = trace.chunks((BOB_LINK, EVE_LINK), sizes, first.num_blocks)
     # only delta features read the order of the messages
     timed = trace is not None and any(c.feature_kind is ft.FeatureKind.DELTA for c in configs)
     last_time = np.empty(0, dtype=np.int64)  # the last replayed message's, once there is one
     trials = [_Trial(config) for config in configs]
     attack_rng = np.random.default_rng(_derived_seeds(first.rng_seed)[4])
-    n = first.block_size
-    parts = _chunks(n, first.m_full)
     fault = None
     try:
         for b in range(first.num_blocks):
             from_eve = attack_rng.random(n) < first.attack_intensity if b else np.zeros(n, bool)
-            if trace is not None:
-                links, times = next(blocks)
+            for part in parts:
+                chunk, times = next(stream)
                 if timed:
-                    times = np.concatenate([last_time, np.where(from_eve, times[1], times[0])])
+                    times = np.concatenate(
+                        [last_time, np.where(from_eve[part], times[:, 1], times[:, 0])]
+                    )
                     # neighbours are compared, not subtracted: a difference can overflow
                     if np.any(times[1:] <= times[:-1]):
                         raise ValueError("current estimate must be strictly later than previous")
                     last_time = times[-1:]
-            for part in parts:
-                if trace is None:  # the stream's next chunk, as its two link views
-                    rows, eve = next(stream).swapaxes(0, 1)
-                else:
-                    rows, eve = links[0][part], links[1][part]
+                rows, eve = chunk.swapaxes(0, 1)
                 np.copyto(rows, eve, where=from_eve[part, None])
                 for trial in trials:
                     trial.add_rows(rows)
-            # the features hold what the detectors read: no replayed block
-            # stays alive while they step, nor while the next one is read
-            rows = eve = links = times = None
+                # the features hold what the detectors read: no replayed
+                # chunk stays alive while the next one is read, nor while
+                # the detectors step
+                chunk = rows = eve = times = None
             for trial in trials:
                 trial.step(from_eve)
     except ValueError as exc:
@@ -409,7 +409,7 @@ def run_grid(configs: list, trace=None) -> list:
     if trace is not None:
         # the rows after the last block are checked too, and a fault anywhere
         # in the trace is reported before one in the run
-        for _ in blocks:
+        for _ in stream:
             pass
     if fault is not None:
         raise fault

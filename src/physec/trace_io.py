@@ -19,13 +19,13 @@ The file is UTF-8.  Rows end at \n (as written), \r\n or \r; any other
 character `str.splitlines` breaks at (\v, \f, \x1c-\x1e, \x85,
 \u2028, \u2029) is an error inside a row.
 
-Both directions work one block of rows at a time, so memory stays near one
-block whatever the length of the trace.  `write_trace` formats each block
-it is given into a temporary file beside the destination, which replaces
-the destination once the last block is written.  `TraceReader` reads the
-header on opening; its `blocks` parses each row straight into its link's
-current block and hands out one block of every requested link at a time,
-so a file that interleaves the links holds one block of each.
+Neither direction holds the whole trace.  `write_trace` formats each block
+of rows it is given into a temporary file beside the destination, which
+replaces the destination once the last block is written.  `TraceReader`
+reads the header on opening; its `chunks` parses each row straight into
+its link's slot of a chunk of rows, one array for every requested link,
+and hands the chunk out once every link has filled it, so a file that
+interleaves the links holds about one chunk.
 """
 
 from __future__ import annotations
@@ -315,47 +315,69 @@ def _parse_row(line: str, lineno: int, fields: int, last_time: dict):
     return t, label, values
 
 
-class _LinkRows:
-    """One requested link's rows, gathered into blocks of `shape` (n, m_full).
+class _ChunkRows:
+    """The requested links' rows, gathered into chunks of (rows, links, m_full).
 
-    A block handed out is the caller's alone: the link drops every
-    reference to it, so it is freed once the caller lets it go, before the
-    link's next block is made.
+    Chunk k of every link is one array: a link's rows fill its slot of the
+    oldest chunk it has not filled, and a link that runs ahead starts the
+    next ones.  A chunk is done once every link has filled it, so chunks
+    are done oldest first.  A chunk handed out is the caller's alone, so
+    it is freed once the caller lets it go.  Rows past the last wanted
+    chunk are only checked.
     """
 
-    def __init__(self, shape: tuple, wanted: int):
-        self.shape = shape
-        self.wanted = wanted  # blocks to hand out; later rows are only checked
-        self.records = 0
+    def __init__(self, width: int, m_full: int, sizes: list, wanted: int):
+        self.width = width
+        self.m_full = m_full
+        self.sizes = sizes  # the rows of each chunk of a block, in order
+        self.wanted = wanted  # chunks to hand out
+        self.records = [0] * width
+        self.chunk = [0] * width  # the number of the chunk each link fills
+        self.row = [0] * width  # and its next row there
+        self.pending = deque()  # [gains, reals, times, slots left] from chunk `first` on
+        self.first = 0
         self.finite = True
-        self.ready = deque()
-        # made on the block's first row: a link holds no empty block while
-        # the one it handed out is in use, nor after its last row
-        self.gains = None
 
-    def add(self, t: int, values: list) -> bool:
-        """Store one row; whether it completed a block."""
-        k = self.records % self.shape[0]
-        if self.gains is None:
-            self.gains = np.empty(self.shape, dtype=np.complex128)
-            self.reals = self.gains.view(np.float64)
-            self.times = np.empty(self.shape[0], dtype=np.int64)
-        self.reals[k] = values
-        self.times[k] = t
-        self.records += 1
-        if k + 1 < self.shape[0]:
+    def add(self, link: int, t: int, values: list) -> bool:
+        """Store one row of the link at index `link`; whether the oldest
+        chunk is done, finite like every chunk before it, and to be handed out."""
+        self.records[link] += 1
+        k = self.chunk[link]
+        if k >= self.wanted:
+            self.finite = self.finite and all(map(math.isfinite, values))
             return False
-        self.finite = self.finite and bool(np.isfinite(self.gains).all())
-        if self.records // self.shape[0] <= self.wanted:
-            self.ready.append((self.gains, self.times))
-            self.gains = self.reals = self.times = None
-        return True
+        if k - self.first == len(self.pending):
+            rows = self.sizes[k % len(self.sizes)]
+            # zeroed: the slots no row has filled yet read as finite
+            gains = np.zeros((rows, self.width, self.m_full), dtype=np.complex128)
+            times = np.empty((rows, self.width), dtype=np.int64)
+            self.pending.append([gains, gains.view(np.float64), times, rows * self.width])
+        entry = self.pending[k - self.first]
+        r = self.row[link]
+        entry[1][r, link] = values
+        entry[2][r, link] = t
+        entry[3] -= 1
+        if r + 1 < len(entry[2]):
+            self.row[link] = r + 1
+        else:
+            self.chunk[link], self.row[link] = k + 1, 0
+        if entry[3]:
+            return False
+        self.finite = self.finite and bool(np.isfinite(entry[0]).all())
+        if not self.finite:
+            self.pop()
+        return self.finite
 
-    def finish(self):
-        """Check the rows of the last, incomplete block."""
-        if self.gains is not None:
-            partial = self.gains[: self.records % self.shape[0]]
-            self.finite = self.finite and bool(np.isfinite(partial).all())
+    def pop(self) -> tuple:
+        """(gains, times) of the oldest chunk, dropped here."""
+        gains, _, times, _ = self.pending.popleft()
+        self.first += 1
+        return gains, times
+
+    def finish(self) -> None:
+        """Check the rows of the chunks some link has not filled."""
+        for gains, _, _, _ in self.pending:
+            self.finite = self.finite and bool(np.isfinite(gains).all())
 
 
 class TraceReader:
@@ -385,40 +407,40 @@ class TraceReader:
     def __exit__(self, *exc):
         self._file.close()
 
-    def blocks(self, labels, block_size: int, count: int):
-        """Yield `count` blocks of the links `labels`, reading to the end of the file.
+    def chunks(self, labels, sizes, count: int):
+        """Yield `count` blocks of the links `labels`, a chunk of rows at a
+        time, reading to the end of the file.
 
-        Each block is a (gains, times) pair of tuples with one entry per
-        label: a (block_size, m_full) complex128 array and a (block_size,)
-        int64 array of that link's next rows in file order.  A link's rows
-        wait until every link has a block.  Rows of other links, and rows
-        past the last block, are parsed and checked, then dropped.  A
-        format fault raises TraceFormatError at its line; once the file
+        A block is cut into chunks of `sizes` rows, in order.  Each chunk
+        is a (gains, times) pair: a (rows, len(labels), m_full) complex128
+        array, whose gains[:, i] are the next rows of labels[i] in file
+        order, and a (rows, len(labels)) int64 array of their time indices.
+        A chunk is yielded once every link has filled it, so a file that
+        interleaves the links holds about one chunk.  Rows of other links,
+        and rows past the last block, are parsed and checked, then dropped.
+        A format fault raises TraceFormatError at its line; once the file
         has been read, a non-finite gain in a row of `labels`, or a link
-        with fewer than count * block_size rows, raises ValueError.  The
-        rows are read on from the header, so a reader serves one call.
+        with fewer than count * sum(sizes) rows, raises ValueError, and no
+        chunk after the first non-finite one is yielded.  The rows are read
+        on from the header, so a reader serves one call.
         """
         fields = 2 + 2 * self.header.m_full
-        links = {label: _LinkRows((block_size, self.header.m_full), count) for label in labels}
+        sizes = list(sizes)
+        slots = {label: i for i, label in enumerate(labels)}
+        gathered = _ChunkRows(len(slots), self.header.m_full, sizes, count * len(sizes))
         last_time: dict[str, int] = {}
         for lineno, line in self._lines:
             row = _parse_row(line, lineno, fields, last_time)
-            link = None if row is None else links.get(row[1])
-            # a link readies at most `count` blocks, so at most `count` go out
-            if (
-                link is not None
-                and link.add(row[0], row[2])
-                and all(other.ready and other.finite for other in links.values())
-            ):
+            link = None if row is None else slots.get(row[1])
+            if link is not None and gathered.add(link, row[0], row[2]):
                 # not bound to a name: a suspended generator keeps its locals alive
-                yield tuple(zip(*(other.ready.popleft() for other in links.values())))
-        for link in links.values():
-            link.finish()
-        if not all(link.finite for link in links.values()):
+                yield gathered.pop()
+        gathered.finish()
+        if not gathered.finite:
             raise ValueError("gains must be finite")
-        need = count * block_size
-        for label, link in links.items():
-            if link.records < need:
+        need = count * sum(sizes)
+        for label, link in slots.items():
+            if gathered.records[link] < need:
                 raise ValueError(
-                    f"trace has {link.records} records for link {label!r}, need {need}"
+                    f"trace has {gathered.records[link]} records for link {label!r}, need {need}"
                 )

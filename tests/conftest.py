@@ -32,10 +32,23 @@ def read_links(path, labels, block_size, count=1):
     """(header, gains, times) of a trace file: per label, the gains and the
     time indices of its first `count` blocks, concatenated."""
     with trace_io.TraceReader(path) as reader:
-        blocks = list(reader.blocks(labels, block_size, count))
+        chunks = list(reader.chunks(labels, [block_size], count))
         header = reader.header
-    gains, times = ([np.concatenate(parts) for parts in zip(*side)] for side in zip(*blocks))
-    return header, gains, times
+    gains, times = (np.concatenate(side) for side in zip(*chunks))
+    return header, list(gains.swapaxes(0, 1)), list(times.T)
+
+
+def relinked_order(total: int, eve_ahead: int | None) -> np.ndarray:
+    """Where to move the 2 * total rows of a trace that interleaves two
+    links, the first link's row first, as `physec simulate` writes them:
+    every row of the first link before every row of the second when
+    `eve_ahead` is None, else the second link's rows running `eve_ahead`
+    rows ahead of the first's."""
+    bob, eve = np.arange(0, 2 * total, 2), np.arange(1, 2 * total, 2)
+    if eve_ahead is None:
+        return np.concatenate([bob, eve])
+    paired = np.stack([bob[: total - eve_ahead], eve[eve_ahead:]], axis=1).reshape(-1)
+    return np.concatenate([eve[:eve_ahead], paired, bob[total - eve_ahead :]])
 
 
 @pytest.fixture

@@ -15,7 +15,7 @@ from physec import trace_io
 from physec.evaluation import DetectorKind
 from physec.features import FeatureKind
 
-from conftest import desk_config, write_records
+from conftest import desk_config, relinked_order, write_records
 
 
 # ---------------------------------------------------------------------------
@@ -409,6 +409,39 @@ def test_a_replay_reads_the_links_in_any_order_beside_other_links(tmp_path):
     assert_same_trial(replayed, ev.run_experiment(cfg))
 
 
+# the links as `physec simulate` writes them, one after the other, and Eve's
+# three desk chunks and more (85 rows a chunk) ahead of Bob's
+@pytest.mark.parametrize("eve_ahead", [0, None, 300], ids=["as-written", "links-apart", "eve-ahead"])
+@pytest.mark.parametrize("fault", ["non-finite", "short"])
+def test_a_late_trace_fault_is_reported_once_the_last_row_is_read(tmp_path, eve_ahead, fault):
+    cfg = desk_config()
+    total = cfg.num_blocks * cfg.block_size
+    order = relinked_order(total, eve_ahead)
+    times, labels, gains = records_for(cfg)
+    times, labels, gains = times[order], np.array(labels)[order], gains[order]
+    if fault == "non-finite":  # a message of Bob's in the last block's first chunk
+        gains[(times == total - 150) & (labels == ev.BOB_LINK), 3] = np.nan
+        message = "gains must be finite"
+        keep = slice(None)
+    else:  # Eve's link ends 10 messages early
+        message = f"trace has {total - 10} records for link 'AE', need {total}"
+        keep = ~((times > total - 10) & (labels == ev.EVE_LINK))
+    path = tmp_path / "trace.csv"
+    write_records(path, cfg.m_full, times[keep], labels[keep].tolist(), gains[keep])
+    read = []
+
+    def counted(lines):
+        for lineno, line in lines:
+            read.append(lineno)
+            yield lineno, line
+
+    with trace_io.TraceReader(path) as trace:
+        trace._lines = counted(trace._lines)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ev.run_grid([cfg], trace)
+    assert read[-1] == 1 + len(times[keep])  # the header and every row
+
+
 def test_replay_rejects_short_traces_and_prefilters(tmp_path):
     cfg = desk_config()
     records = records_for(dataclasses.replace(cfg, num_blocks=2))
@@ -463,6 +496,13 @@ def test_replayed_delta_features_need_forward_time_indices(tmp_path):
         replay_records(tmp_path, skewed, cfg)
     # magnitude features do not look at time indices
     replay_records(tmp_path, skewed, desk_config())
+    # the check carries the last time index from chunk to chunk: every test
+    # message is the attacker's, whose clock runs 5 behind, so the one step
+    # back is from block 0's last chunk to block 1's first
+    spoofed = dataclasses.replace(cfg, attack_intensity=1.0)
+    with pytest.raises(ValueError, match="later"):
+        replay_records(tmp_path, records_for(spoofed, eve_time_offset=-5), spoofed)
+    replay_records(tmp_path, records_for(spoofed), spoofed)
     # strictly increasing indices that jump across almost the whole int64
     # range: their difference overflows, yet they move forward in time
     _, labels, gains = records_for(cfg)

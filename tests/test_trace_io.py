@@ -49,9 +49,9 @@ def as_file(directory, content, name="trace.csv") -> pathlib.Path:
 
 
 def parse(path, labels=(), block_size=1, count=0):
-    """Read every row of the file at `path`; the blocks it yields."""
+    """Read every row of the file at `path`; the chunks it yields, one a block."""
     with trace_io.TraceReader(path) as reader:
-        return list(reader.blocks(labels, block_size, count))
+        return list(reader.chunks(labels, [block_size], count))
 
 
 def canonical(gains: np.ndarray) -> np.ndarray:
@@ -447,10 +447,11 @@ def test_a_destination_that_is_not_a_regular_file_is_refused(tmp_path):
 
 
 def test_memory_stays_near_the_size_of_the_gains(tmp_path, rng):
-    # The writer formats one row at a time and the reader fills one block
-    # per link, so neither holds the whole trace as Python floats (about
-    # 24 bytes per float against the array's 8) or as text.
+    # The writer formats one row at a time and the reader fills one chunk
+    # of both links, so neither holds the whole trace as Python floats
+    # (about 24 bytes per float against the array's 8) or as text.
     n, m_full = 2000, 48
+    sizes = [part.stop - part.start for part in ev._chunks(n // 2, m_full)]
     labels = ["AB", "AE"] * (n // 2)
     gains = rng.standard_normal((n, m_full)) + 1j * rng.standard_normal((n, m_full))
     path = tmp_path / "trace.csv"
@@ -459,32 +460,37 @@ def test_memory_stays_near_the_size_of_the_gains(tmp_path, rng):
         write_records(path, m_full, np.repeat(np.arange(1, n // 2 + 1), 2), labels, gains)
         write_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
+        read = 0
         with trace_io.TraceReader(path) as reader:
-            (blocks,) = reader.blocks(("AB", "AE"), n // 2, 1)
+            for chunk, _ in reader.chunks(("AB", "AE"), sizes, 1):
+                rows = slice(2 * read, 2 * (read + len(chunk)))
+                assert np.array_equal(chunk.reshape(-1, m_full), gains[rows])
+                read += len(chunk)
+                del chunk  # not kept while the next one is read
         read_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    (ab, ae), _ = blocks
-    assert np.array_equal(ab, gains[0::2]) and np.array_equal(ae, gains[1::2])
+    assert read == n // 2
     assert write_peak < 0.25 * gains.nbytes
-    assert read_peak < 2 * gains.nbytes
+    assert read_peak < 0.25 * gains.nbytes, read_peak / gains.nbytes
 
 
 def test_a_block_handed_out_is_freed_once_the_caller_drops_it(tmp_path, rng):
-    # the reader keeps no reference to a block it yielded, so a replay holds
-    # the link blocks being filled and no earlier ones
+    # the reader keeps no reference to a chunk of a block it yielded, so a
+    # replay holds the chunks being filled and no earlier ones
     n, m_full = 3, 2
     gains = rng.standard_normal((4 * n, m_full)) + 1j * rng.standard_normal((4 * n, m_full))
     path = tmp_path / "trace.csv"
     write_records(path, m_full, np.repeat(np.arange(1, 2 * n + 1), 2), ["AB", "AE"] * (2 * n), gains)
     with trace_io.TraceReader(path) as reader:
-        blocks = reader.blocks(("AB", "AE"), n, 2)
-        block = next(blocks)
-        refs = [weakref.ref(array) for arrays in block for array in arrays]
-        del block
-        assert [ref() for ref in refs] == [None] * 4
-        (ab, ae), _ = next(blocks)
-    assert np.array_equal(ab, gains[2 * n :: 2]) and np.array_equal(ae, gains[2 * n + 1 :: 2])
+        chunks = reader.chunks(("AB", "AE"), [2, 1], 2)
+        chunk = next(chunks)
+        refs = [weakref.ref(array) for array in chunk]
+        del chunk
+        assert [ref() for ref in refs] == [None] * 2
+        rest = [chunk for chunk, _ in chunks]
+    assert [len(chunk) for chunk in rest] == [1, 2, 1]
+    assert np.array_equal(np.concatenate(rest).reshape(-1, m_full), gains[4:])
 
 
 def reads_cleanly(content):
