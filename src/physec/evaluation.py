@@ -340,15 +340,15 @@ def run_grid(configs: list, trace=None) -> list:
     The stream is simulated, or replayed from `trace`, an open
     trace_io.TraceReader whose links are labelled BOB_LINK and EVE_LINK
     and are `m_full` wide.  Either way a block comes a chunk of rows at a
-    time (`_chunks`), one (rows, 2, m_full) array read as its link views
-    chunk[:, 0] (Bob's) and chunk[:, 1] (Eve's).  The rows are picked in
-    place: where a message is the attacker's, Eve's row is copied over
-    Bob's.  Each chunk is drawn once and handed to every config's feature
-    stage before the next is drawn; once a block's chunks are done, every
-    config's detector steps on the block's features.  Block 0 is
-    legitimate only.  The configs must agree on what the stream reads
-    (_STREAM_FIELDS).  Prefilters are a transmit-side construct and cannot
-    be applied to recordings.  A replay reads the whole file, and a fault
+    time (`_chunks`), as one (rows, m_full) array of each link: views of
+    the simulated chunk, or the arrays the reader fills.  The rows are
+    picked in place: where a message is the attacker's, Eve's row is
+    copied over Bob's.  Each chunk is drawn once and handed to every
+    config's feature stage before the next is drawn; once a block's
+    chunks are done, every config's detector steps on the block's
+    features.  Block 0 is legitimate only.  The configs must agree on
+    what the stream reads (_STREAM_FIELDS).  Prefilters are a
+    transmit-side construct and cannot be applied to recordings.  A replay reads the whole file, and a fault
     anywhere in the trace is reported before one in the run.  When a
     config uses delta features, the replayed messages' time indices must
     increase strictly, chunk to chunk; a chunk's are checked before its
@@ -363,7 +363,7 @@ def run_grid(configs: list, trace=None) -> list:
     n = first.block_size
     parts = _chunks(n, first.m_full)
     if trace is None:
-        stream = ((chunk, None) for chunk in simulated_estimate_chunks(first))
+        stream = ((chunk.swapaxes(0, 1), None) for chunk in simulated_estimate_chunks(first))
     else:
         if first.prefilter is not None:
             raise ValueError("prefilters require the simulator; traces are already recorded")
@@ -383,23 +383,22 @@ def run_grid(configs: list, trace=None) -> list:
         for b in range(first.num_blocks):
             from_eve = attack_rng.random(n) < first.attack_intensity if b else np.zeros(n, bool)
             for part in parts:
-                chunk, times = next(stream)
+                (rows, eve), times = next(stream)
                 if timed:
                     times = np.concatenate(
-                        [last_time, np.where(from_eve[part], times[:, 1], times[:, 0])]
+                        [last_time, np.where(from_eve[part], times[1], times[0])]
                     )
                     # neighbours are compared, not subtracted: a difference can overflow
                     if np.any(times[1:] <= times[:-1]):
                         raise ValueError("current estimate must be strictly later than previous")
                     last_time = times[-1:]
-                rows, eve = chunk.swapaxes(0, 1)
                 np.copyto(rows, eve, where=from_eve[part, None])
                 for trial in trials:
                     trial.add_rows(rows)
                 # the features hold what the detectors read: no replayed
                 # chunk stays alive while the next one is read, nor while
                 # the detectors step
-                chunk = rows = eve = times = None
+                rows = eve = times = None
             for trial in trials:
                 trial.step(from_eve)
     except ValueError as exc:

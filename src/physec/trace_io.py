@@ -23,8 +23,8 @@ Neither direction holds the whole trace.  `write_trace` formats each block
 of rows it is given into a temporary file beside the destination, which
 replaces the destination once the last block is written.  `TraceReader`
 reads the header on opening; its `chunks` parses each row straight into
-its link's slot of a chunk of rows, one array for every requested link,
-and hands the chunk out once every link has filled it, so a file that
+the chunk its link is filling, one (rows, m_full) array per link, and
+hands a chunk of every link out once each has one, so a file that
 interleaves the links holds about one chunk.
 """
 
@@ -315,78 +315,63 @@ def _parse_row(line: str, lineno: int, fields: int, last_time: dict):
     return t, label, values
 
 
-class _ChunkRows:
-    """The requested links' rows, gathered into chunks of (rows, links, m_full).
+class _LinkRows:
+    """One requested link's rows, gathered into chunks of (rows, m_full).
 
-    Chunk k of every link is one array: a link's rows fill its slot of the
-    oldest chunk it has not filled, and a link that runs ahead starts the
-    next ones.  A chunk is done once every link has filled it, so chunks
-    are done oldest first.  A chunk handed out is the caller's alone, so
-    it is freed once the caller lets it go.  Rows past the last wanted
-    chunk are only checked.
+    A full chunk waits in `ready` until it is handed out; the link keeps no
+    reference to it then, so it is freed once the caller lets it go.  Rows
+    past the last wanted chunk are only checked.
     """
 
-    def __init__(self, width: int, m_full: int, sizes: list, wanted: int):
-        self.width = width
+    def __init__(self, m_full: int, sizes: list, wanted: int):
         self.m_full = m_full
         self.sizes = sizes  # the rows of each chunk of a block, in order
-        self.wanted = wanted  # chunks to hand out
-        self.records = [0] * width
-        self.chunk = [0] * width  # the number of the chunk each link fills
-        self.row = [0] * width  # and its next row there
-        self.pending = deque()  # [gains, reals, times, slots left] from chunk `first` on
-        self.first = 0
-        self.finite = True
+        self.wanted = wanted  # chunks to fill
+        self.records = 0
+        self.filled = 0
+        self.ready = deque()
+        self.past_finite = True  # the rows past the last wanted chunk
+        # made on a chunk's first row: a link holds no empty chunk while the
+        # one it filled last is in use, nor after its last row
+        self.gains = None
 
-    def add(self, link: int, t: int, values: list) -> bool:
-        """Store one row of the link at index `link`; whether the oldest
-        chunk is done, finite like every chunk before it, and to be handed out."""
-        self.records[link] += 1
-        k = self.chunk[link]
-        if k >= self.wanted:
-            self.finite = self.finite and all(map(math.isfinite, values))
+    def add(self, t: int, values: list) -> bool:
+        """Store one row; whether it completed a chunk."""
+        self.records += 1
+        if self.filled == self.wanted:
+            self.past_finite = self.past_finite and all(map(math.isfinite, values))
             return False
-        if k - self.first == len(self.pending):
-            rows = self.sizes[k % len(self.sizes)]
-            # zeroed: the slots no row has filled yet read as finite
-            gains = np.zeros((rows, self.width, self.m_full), dtype=np.complex128)
-            times = np.empty((rows, self.width), dtype=np.int64)
-            self.pending.append([gains, gains.view(np.float64), times, rows * self.width])
-        entry = self.pending[k - self.first]
-        r = self.row[link]
-        entry[1][r, link] = values
-        entry[2][r, link] = t
-        entry[3] -= 1
-        if r + 1 < len(entry[2]):
-            self.row[link] = r + 1
-        else:
-            self.chunk[link], self.row[link] = k + 1, 0
-        if entry[3]:
+        if self.gains is None:
+            rows = self.sizes[self.filled % len(self.sizes)]
+            self.gains = np.empty((rows, self.m_full), dtype=np.complex128)
+            self.reals = self.gains.view(np.float64)
+            self.times = np.empty(rows, dtype=np.int64)
+            self.row = 0
+        self.reals[self.row] = values
+        self.times[self.row] = t
+        self.row += 1
+        if self.row < len(self.times):
             return False
-        self.finite = self.finite and bool(np.isfinite(entry[0]).all())
-        if not self.finite:
-            self.pop()
-        return self.finite
+        self.ready.append((self.gains, self.times))
+        self.gains = self.reals = self.times = None
+        self.filled += 1
+        return True
 
-    def pop(self) -> tuple:
-        """(gains, times) of the oldest chunk, dropped here."""
-        gains, _, times, _ = self.pending.popleft()
-        self.first += 1
-        return gains, times
-
-    def finish(self) -> None:
-        """Check the rows of the chunks some link has not filled."""
-        for gains, _, _, _ in self.pending:
-            self.finite = self.finite and bool(np.isfinite(gains).all())
+    def finite(self) -> bool:
+        """Whether the rows not handed out are finite."""
+        stored = [gains for gains, _ in self.ready]
+        if self.gains is not None:
+            stored.append(self.gains[: self.row])
+        return self.past_finite and all(np.isfinite(gains).all() for gains in stored)
 
 
 class TraceReader:
     """A trace file opened for reading, with its header read.
 
-    Use it as a context manager, which closes the file; `blocks` parses
+    Use it as a context manager, which closes the file; `chunks` parses
     the rows.  A leading byte-order mark is skipped, and bytes that are not
     UTF-8 are kept as lone surrogates for `_lines` to report.  A file that
-    cannot be opened or read raises TraceReadError, here or in `blocks`.
+    cannot be opened or read raises TraceReadError, here or in `chunks`.
     """
 
     def __init__(self, path: str | os.PathLike):
@@ -412,35 +397,41 @@ class TraceReader:
         time, reading to the end of the file.
 
         A block is cut into chunks of `sizes` rows, in order.  Each chunk
-        is a (gains, times) pair: a (rows, len(labels), m_full) complex128
-        array, whose gains[:, i] are the next rows of labels[i] in file
-        order, and a (rows, len(labels)) int64 array of their time indices.
-        A chunk is yielded once every link has filled it, so a file that
-        interleaves the links holds about one chunk.  Rows of other links,
-        and rows past the last block, are parsed and checked, then dropped.
-        A format fault raises TraceFormatError at its line; once the file
-        has been read, a non-finite gain in a row of `labels`, or a link
-        with fewer than count * sum(sizes) rows, raises ValueError, and no
-        chunk after the first non-finite one is yielded.  The rows are read
-        on from the header, so a reader serves one call.
+        is a (gains, times) pair of tuples with one entry per label: a
+        C-contiguous (rows, m_full) complex128 array of that link's next
+        rows in file order, and a (rows,) int64 array of their time
+        indices.  A link that runs ahead queues its chunks until every
+        link has one, so a file that interleaves the links holds about one
+        chunk.  Rows of other links, and rows past the last block, are
+        parsed and checked, then dropped.  A format fault raises
+        TraceFormatError at its line; once the file has been read, a
+        non-finite gain in a row of `labels`, or a link with fewer than
+        count * sum(sizes) rows, raises ValueError.  Each chunk is checked
+        as it is handed out, and none after a non-finite one is yielded.
+        The rows are read on from the header, so a reader serves one call.
         """
         fields = 2 + 2 * self.header.m_full
         sizes = list(sizes)
-        slots = {label: i for i, label in enumerate(labels)}
-        gathered = _ChunkRows(len(slots), self.header.m_full, sizes, count * len(sizes))
+        wanted = count * len(sizes)
+        links = {label: _LinkRows(self.header.m_full, sizes, wanted) for label in labels}
+        finite = True
         last_time: dict[str, int] = {}
         for lineno, line in self._lines:
             row = _parse_row(line, lineno, fields, last_time)
-            link = None if row is None else slots.get(row[1])
-            if link is not None and gathered.add(link, row[0], row[2]):
-                # not bound to a name: a suspended generator keeps its locals alive
-                yield gathered.pop()
-        gathered.finish()
-        if not gathered.finite:
+            link = None if row is None else links.get(row[1])
+            if link is not None and link.add(row[0], row[2]) and all(
+                other.ready for other in links.values()
+            ):
+                if not all(np.isfinite(other.ready[0][0]).all() for other in links.values()):
+                    finite, links = False, {}  # the fault is certain: the rest is only parsed
+                else:
+                    # not bound to a name: a suspended generator keeps its locals alive
+                    yield tuple(zip(*(other.ready.popleft() for other in links.values())))
+        if not (finite and all(link.finite() for link in links.values())):
             raise ValueError("gains must be finite")
         need = count * sum(sizes)
-        for label, link in slots.items():
-            if gathered.records[link] < need:
+        for label, link in links.items():
+            if link.records < need:
                 raise ValueError(
-                    f"trace has {gathered.records[link]} records for link {label!r}, need {need}"
+                    f"trace has {link.records} records for link {label!r}, need {need}"
                 )

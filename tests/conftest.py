@@ -28,14 +28,27 @@ def write_records(path, m_full, time_index, link_labels, gains, **header):
     trace_io.write_trace(header, path, [(time_index, link_labels, gains)])
 
 
+def check_chunk(chunk, links, rows, m_full):
+    """Assert that a chunk `TraceReader.chunks` yielded holds, per link, a
+    C-contiguous (rows, m_full) complex128 array and a (rows,) int64 one."""
+    gains, times = chunk
+    assert len(gains) == len(times) == links
+    for link_gains, link_times in zip(gains, times):
+        assert link_gains.dtype == np.complex128 and link_gains.shape == (rows, m_full)
+        assert link_gains.flags.c_contiguous
+        assert link_times.dtype == np.int64 and link_times.shape == (rows,)
+
+
 def read_links(path, labels, block_size, count=1):
     """(header, gains, times) of a trace file: per label, the gains and the
     time indices of its first `count` blocks, concatenated."""
     with trace_io.TraceReader(path) as reader:
         chunks = list(reader.chunks(labels, [block_size], count))
         header = reader.header
-    gains, times = (np.concatenate(side) for side in zip(*chunks))
-    return header, list(gains.swapaxes(0, 1)), list(times.T)
+    for chunk in chunks:
+        check_chunk(chunk, len(set(labels)), block_size, header.m_full)
+    gains, times = ([np.concatenate(link) for link in zip(*side)] for side in zip(*chunks))
+    return header, gains, times
 
 
 def relinked_order(total: int, eve_ahead: int | None) -> np.ndarray:

@@ -383,14 +383,18 @@ def test_replaying_a_simulated_trace_matches_the_direct_run(tmp_path, shape, run
     assert direct.read_bytes() == replial.read_bytes()
 
 
-@pytest.mark.parametrize("eve_ahead", [None, 300], ids=["links-apart", "eve-ahead"])
+@pytest.mark.parametrize(
+    "eve_ahead", [None, 300, "all"], ids=["links-apart", "eve-ahead", "eve-first"]
+)
 def test_a_replay_does_not_depend_on_how_the_links_interleave(tmp_path, eve_ahead):
-    # 300 rows is three chunks and more of a desk block (85 rows a chunk)
+    # 300 rows is three chunks and more of a desk block (85 rows a chunk);
+    # with all of AE's rows ahead, every AE row comes before every AB row
     trace = tmp_path / "trace.csv"
     moved = tmp_path / "moved.csv"
     assert run_cli("simulate", *DESK, "--out", str(trace)) == 0
     header, *rows = trace.read_text(encoding="utf-8").splitlines(keepends=True)
-    order = relinked_order(len(rows) // 2, eve_ahead)
+    total = len(rows) // 2
+    order = relinked_order(total, total if eve_ahead == "all" else eve_ahead)
     moved.write_text("".join([header, *(rows[i] for i in order)]), encoding="utf-8", newline="")
     assert sorted(moved.read_bytes().splitlines()) == sorted(trace.read_bytes().splitlines())
     results = {}
@@ -562,8 +566,8 @@ def test_memory_stays_per_block(tmp_path):
 def test_simulate_and_replay_peak_near_one_block(tmp_path):
     # A block is one (block_size, 2, m_full) complex array, both links'
     # rows.  simulate writes views of the stream's chunks, and a replay
-    # holds only the chunk of both links it is filling and the trials'
-    # feature arrays: 0.24 and 0.36 blocks here.  A writer handed a copy of
+    # holds only the chunk of each link it is filling and the trials'
+    # feature arrays: 0.25 and 0.34 blocks here.  A writer handed a copy of
     # each block peaks at 3.19 blocks, and a reader that filled a whole
     # block of each link before handing it out at 1.22.
     shape = ("--block-size", "1000", "--seed", "0")
@@ -581,6 +585,25 @@ def test_simulate_and_replay_peak_near_one_block(tmp_path):
     assert all(peak < bounds[command] * block for command, peak in peaks.items()), {
         command: peak / block for command, peak in peaks.items()
     }
+
+
+def test_a_replay_with_the_links_apart_peaks_under_two_blocks(tmp_path):
+    # With every AB row before every AE row, the AB link queues each of its
+    # chunks, half a block of rows per block, until the AE rows reach it:
+    # 1.75 blocks here.  A reader that gathered both links into one zeroed
+    # (rows, 2, m_full) chunk buffered the AE half of each as zeros and
+    # peaked at 3.23 blocks.
+    shape = ("--block-size", "1000", "--seed", "0")
+    block = 1000 * 2 * ExperimentConfig.m_full * 16
+    trace, apart = tmp_path / "trace.csv", tmp_path / "apart.csv"
+    assert run_cli("simulate", "--blocks", "3", *shape, "--out", str(trace)) == 0
+    header, *rows = trace.read_text(encoding="utf-8").splitlines(keepends=True)
+    ab, ae = ([row for row in rows if f",{label}," in row] for label in ("AB", "AE"))
+    apart.write_text("".join([header, *ab, *ae]), encoding="utf-8", newline="")
+    argv = ("evaluate", "--blocks", "3", *shape, "--detector", "mse", "--m", "16", "--trace")
+    assert run_cli(*argv, str(apart), "--out", str(tmp_path / "warm-up.csv")) == 0
+    peak = traced_peak(*argv, str(apart), "--out", str(tmp_path / "results.csv"))
+    assert peak < 2.0 * block, peak / block
 
 
 @pytest.mark.parametrize("detector", ["mse", "gmm"])

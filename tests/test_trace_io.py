@@ -19,7 +19,7 @@ from physec import trace_io
 from physec.cli import main
 from physec.trace_io import TraceFormatError, TraceHeader
 
-from conftest import desk_config, read_links, write_records
+from conftest import check_chunk, desk_config, read_links, relinked_order, write_records
 
 TRICKY = [
     [1.5 + 2.5j, math.pi - 1e-9j],
@@ -462,11 +462,13 @@ def test_memory_stays_near_the_size_of_the_gains(tmp_path, rng):
         tracemalloc.reset_peak()
         read = 0
         with trace_io.TraceReader(path) as reader:
-            for chunk, _ in reader.chunks(("AB", "AE"), sizes, 1):
-                rows = slice(2 * read, 2 * (read + len(chunk)))
-                assert np.array_equal(chunk.reshape(-1, m_full), gains[rows])
-                read += len(chunk)
-                del chunk  # not kept while the next one is read
+            for k, chunk in enumerate(reader.chunks(("AB", "AE"), sizes, 1)):
+                check_chunk(chunk, 2, sizes[k], m_full)
+                (bob, eve), _ = chunk
+                assert np.array_equal(bob, gains[2 * read : 2 * (read + len(bob)) : 2])
+                assert np.array_equal(eve, gains[2 * read + 1 : 2 * (read + len(eve)) : 2])
+                read += len(bob)
+                del chunk, bob, eve  # not kept while the next one is read
         read_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -476,8 +478,8 @@ def test_memory_stays_near_the_size_of_the_gains(tmp_path, rng):
 
 
 def test_a_block_handed_out_is_freed_once_the_caller_drops_it(tmp_path, rng):
-    # the reader keeps no reference to a chunk of a block it yielded, so a
-    # replay holds the chunks being filled and no earlier ones
+    # the reader keeps no reference to the link arrays of a chunk it
+    # yielded, so a replay holds the chunks being filled and no earlier ones
     n, m_full = 3, 2
     gains = rng.standard_normal((4 * n, m_full)) + 1j * rng.standard_normal((4 * n, m_full))
     path = tmp_path / "trace.csv"
@@ -485,12 +487,70 @@ def test_a_block_handed_out_is_freed_once_the_caller_drops_it(tmp_path, rng):
     with trace_io.TraceReader(path) as reader:
         chunks = reader.chunks(("AB", "AE"), [2, 1], 2)
         chunk = next(chunks)
-        refs = [weakref.ref(array) for array in chunk]
+        check_chunk(chunk, 2, 2, m_full)
+        refs = [weakref.ref(array) for side in chunk for array in side]
         del chunk
-        assert [ref() for ref in refs] == [None] * 2
-        rest = [chunk for chunk, _ in chunks]
-    assert [len(chunk) for chunk in rest] == [1, 2, 1]
-    assert np.array_equal(np.concatenate(rest).reshape(-1, m_full), gains[4:])
+        assert [ref() for ref in refs] == [None] * 4
+        rest = list(chunks)
+    for chunk, rows in zip(rest, [1, 2, 1], strict=True):
+        check_chunk(chunk, 2, rows, m_full)
+    bob, eve = (np.concatenate(link) for link in zip(*(chunk[0] for chunk in rest)))
+    assert np.array_equal(bob, gains[4::2]) and np.array_equal(eve, gains[5::2])
+
+
+def test_no_chunk_after_a_non_finite_one_is_handed_out(tmp_path, rng):
+    # AB's rows run five ahead of AE's, and AB's chunk 2 (of 2 rows) holds
+    # a NaN: chunks 0 and 1 go out as written, and the fault is raised once
+    # the last line is read
+    n, m_full = 8, 3
+    gains = rng.standard_normal((2 * n, m_full)) + 1j * rng.standard_normal((2 * n, m_full))
+    gains[2 * 5 + 1, 1] = np.nan  # AB's row 5
+    times, labels = np.repeat(np.arange(1, n + 1), 2), np.array(["AE", "AB"] * n)
+    order = relinked_order(n, 5)  # the second link's rows, here AB's, run ahead
+    path = tmp_path / "trace.csv"
+    write_records(path, m_full, times[order], labels[order].tolist(), gains[order])
+    read, handed_out = [], []
+
+    def counted(lines):
+        for lineno, line in lines:
+            read.append(lineno)
+            yield lineno, line
+
+    with trace_io.TraceReader(path) as reader:
+        reader._lines = counted(reader._lines)
+        with pytest.raises(ValueError, match="^gains must be finite$"):
+            for chunk in reader.chunks(("AB", "AE"), [2], 4):
+                handed_out.append(chunk)
+    assert read[-1] == 1 + 2 * n  # the header and every row
+    assert len(handed_out) == 2
+    for k, chunk in enumerate(handed_out):
+        check_chunk(chunk, 2, 2, m_full)
+        rows = slice(2 * k, 2 * k + 2)
+        (ab, ae), (ab_times, ae_times) = chunk
+        assert np.array_equal(ab, gains[1::2][rows]) and np.array_equal(ae, gains[0::2][rows])
+        assert np.array_equal(ab_times, times[1::2][rows])
+        assert np.array_equal(ae_times, times[0::2][rows])
+
+
+@pytest.mark.parametrize(
+    "ab_rows, nan_row, ae_rows", [(4, 2, 3), (3, 2, 4), (5, 4, 3)],
+    ids=["queued", "unfilled", "past-the-last-block"],
+)
+def test_a_non_finite_gain_never_handed_out_is_reported_before_a_short_link(
+    tmp_path, rng, ab_rows, nan_row, ae_rows
+):
+    # two chunks of 2 rows a link, every AB row first: the NaN is in an AB
+    # chunk that AE never completes, in an AB chunk that AB never
+    # completes, or in an AB row past the last chunk; either way a link is
+    # short, and the non-finite gain is the fault reported
+    m_full = 2
+    gains = rng.standard_normal((ab_rows + ae_rows, m_full)) + 0j
+    gains[nan_row, 1] = np.nan
+    times = np.concatenate([np.arange(1, ab_rows + 1), np.arange(1, ae_rows + 1)])
+    path = tmp_path / "trace.csv"
+    write_records(path, m_full, times, ["AB"] * ab_rows + ["AE"] * ae_rows, gains)
+    with pytest.raises(ValueError, match="^gains must be finite$"):
+        parse(path, ("AB", "AE"), 2, 2)
 
 
 def reads_cleanly(content):
