@@ -144,7 +144,8 @@ _OPTIONS = {
     "fa": (float, "target_fa", "target false-alarm rate"),
     "feature": (_feature_kind, "feature_kind",
                 f"{' or '.join(_names(FeatureKind))}; delta flags a legitimate message that follows an "
-                "attacker's, so its realized false-alarm rate tracks the attack intensity (0.51-0.53 at 0.5)"),
+                "attacker's, so its realized false-alarm rate tracks the attack intensity (0.51-0.53 at 0.5), "
+                "and a replay (--trace) refuses it"),
     "components": (int, "gmm_components", "mixture components"),
     "update": (_update_list, None,
                "update modes of the mixture detector, a row each: off, decisions (refit on the messages "
@@ -161,7 +162,7 @@ def _settings(args) -> dict:
     """Every option's value by name: the preset's, overridden by the config
     file's, overridden by the flags set, and the seed by PHYSEC_SEED."""
     settings = dict(DESK_PRESET) if args.preset == "desk" else {}
-    if args.config:
+    if args.config is not None:
         try:
             raw = read_config_file(args.config)
         except OSError as exc:
@@ -233,7 +234,7 @@ def _write_rows(rows: list, out: str | None) -> None:
         writer.writeheader()
         writer.writerows(rows)
 
-    if out:
+    if out is not None:
         _write_file(out, "results", emit)
     else:
         emit(sys.stdout)
@@ -370,7 +371,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_evaluate(args) -> int:
     settings = _settings(args)
-    with trace_io.TraceReader(args.trace) if args.trace else nullcontext() as trace:
+    with trace_io.TraceReader(args.trace) if args.trace is not None else nullcontext() as trace:
         configs = _configs(settings, trace)
         results = _run_grid(configs, trace)
     rows = [_result_row(config, result) for config, result in zip(configs, results)]
@@ -381,7 +382,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_roc(args) -> int:
     settings = _settings(args)
-    with trace_io.TraceReader(args.trace) if args.trace else nullcontext() as trace:
+    with trace_io.TraceReader(args.trace) if args.trace is not None else nullcontext() as trace:
         configs = _configs(settings, trace)
         if len(configs) != 1:
             raise UsageError("roc needs exactly one detector, m value and update mode")

@@ -347,12 +347,12 @@ def run_grid(configs: list, trace=None) -> list:
     config's feature stage before the next is drawn; once a block's
     chunks are done, every config's detector steps on the block's
     features.  Block 0 is legitimate only.  The configs must agree on
-    what the stream reads (_STREAM_FIELDS).  Prefilters are a
-    transmit-side construct and cannot be applied to recordings.  A replay reads the whole file, and a fault
-    anywhere in the trace is reported before one in the run.  When a
-    config uses delta features, the replayed messages' time indices must
-    increase strictly, chunk to chunk; a chunk's are checked before its
-    features.
+    what the stream reads (_STREAM_FIELDS).  A replay is refused before
+    any row is read when a config has a prefilter, a transmit-side
+    construct that cannot be applied to recordings, or uses delta
+    features, which would difference two links' recordings.  A replay
+    reads the whole file, and a fault anywhere in the trace is reported
+    before one in the run.
     """
     if not configs:
         raise ValueError("a grid needs at least one config")
@@ -363,19 +363,20 @@ def run_grid(configs: list, trace=None) -> list:
     n = first.block_size
     parts = _chunks(n, first.m_full)
     if trace is None:
-        stream = ((chunk.swapaxes(0, 1), None) for chunk in simulated_estimate_chunks(first))
+        stream = (chunk.swapaxes(0, 1) for chunk in simulated_estimate_chunks(first))
     else:
         if first.prefilter is not None:
             raise ValueError("prefilters require the simulator; traces are already recorded")
+        if any(c.feature_kind is ft.FeatureKind.DELTA for c in configs):
+            raise ValueError(
+                "delta features require the simulator; a replay takes magnitude features only"
+            )
         if first.m_full != trace.header.m_full:
             raise ValueError(
                 f"config m_full={first.m_full} differs from the trace's {trace.header.m_full}"
             )
         sizes = [part.stop - part.start for part in parts]
         stream = trace.chunks((BOB_LINK, EVE_LINK), sizes, first.num_blocks)
-    # only delta features read the order of the messages
-    timed = trace is not None and any(c.feature_kind is ft.FeatureKind.DELTA for c in configs)
-    last_time = np.empty(0, dtype=np.int64)  # the last replayed message's, once there is one
     trials = [_Trial(config) for config in configs]
     attack_rng = np.random.default_rng(_derived_seeds(first.rng_seed)[4])
     fault = None
@@ -383,22 +384,14 @@ def run_grid(configs: list, trace=None) -> list:
         for b in range(first.num_blocks):
             from_eve = attack_rng.random(n) < first.attack_intensity if b else np.zeros(n, bool)
             for part in parts:
-                (rows, eve), times = next(stream)
-                if timed:
-                    times = np.concatenate(
-                        [last_time, np.where(from_eve[part], times[1], times[0])]
-                    )
-                    # neighbours are compared, not subtracted: a difference can overflow
-                    if np.any(times[1:] <= times[:-1]):
-                        raise ValueError("current estimate must be strictly later than previous")
-                    last_time = times[-1:]
+                rows, eve = next(stream)
                 np.copyto(rows, eve, where=from_eve[part, None])
                 for trial in trials:
                     trial.add_rows(rows)
                 # the features hold what the detectors read: no replayed
                 # chunk stays alive while the next one is read, nor while
                 # the detectors step
-                rows = eve = times = None
+                rows = eve = None
             for trial in trials:
                 trial.step(from_eve)
     except ValueError as exc:

@@ -25,11 +25,13 @@ replaces the destination once the last block is written.  `TraceReader`
 reads the header on opening; its `chunks` parses each row straight into
 the chunk its link is filling, one (rows, m_full) array per link, and
 hands a chunk of every link out once each has one, so a file that
-interleaves the links holds about one chunk.
+interleaves the links holds about one chunk.  The time indices are
+checked as they are read and not handed out.
 """
 
 from __future__ import annotations
 
+import errno
 import math
 import numbers
 import os
@@ -177,8 +179,11 @@ def _checked_block(block, m_full: int, last_time: dict):
 
 def _create_beside(path) -> tuple[str, int]:
     """(name, descriptor) of a new file in `path`'s directory, created with
-    the permissions open() gives a new file: 0o666 less the umask."""
+    the permissions open() gives a new file: 0o666 less the umask.  A path
+    with no file name, such as '', names no file to replace."""
     directory, name = os.path.split(os.fspath(path))
+    if not name:  # else the rows would go out and only the replace fail
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT))
     while True:
         temp = os.path.join(directory, f".{name}.{os.urandom(4).hex()}.tmp")
         try:
@@ -281,8 +286,8 @@ def _parse_header(header: str) -> TraceHeader:
 
 
 def _parse_row(line: str, lineno: int, fields: int, last_time: dict):
-    """(time index, label, gain values) of one row, or None for a blank or
-    comment line.  `last_time` maps each link label to its last time index."""
+    """(label, gain values) of one row, or None for a blank or comment
+    line.  `last_time` maps each link label to its last time index."""
     stripped = line.strip()
     if not stripped or stripped.startswith("#"):
         return None
@@ -312,7 +317,7 @@ def _parse_row(line: str, lineno: int, fields: int, last_time: dict):
             f"time index {t} not increasing for link {label!r} (previous {prev})", line=lineno
         )
     last_time[label] = t
-    return t, label, values
+    return label, values
 
 
 class _LinkRows:
@@ -335,7 +340,7 @@ class _LinkRows:
         # one it filled last is in use, nor after its last row
         self.gains = None
 
-    def add(self, t: int, values: list) -> bool:
+    def add(self, values: list) -> bool:
         """Store one row; whether it completed a chunk."""
         self.records += 1
         if self.filled == self.wanted:
@@ -345,21 +350,19 @@ class _LinkRows:
             rows = self.sizes[self.filled % len(self.sizes)]
             self.gains = np.empty((rows, self.m_full), dtype=np.complex128)
             self.reals = self.gains.view(np.float64)
-            self.times = np.empty(rows, dtype=np.int64)
             self.row = 0
         self.reals[self.row] = values
-        self.times[self.row] = t
         self.row += 1
-        if self.row < len(self.times):
+        if self.row < len(self.gains):
             return False
-        self.ready.append((self.gains, self.times))
-        self.gains = self.reals = self.times = None
+        self.ready.append(self.gains)
+        self.gains = self.reals = None
         self.filled += 1
         return True
 
     def finite(self) -> bool:
         """Whether the rows not handed out are finite."""
-        stored = [gains for gains, _ in self.ready]
+        stored = list(self.ready)
         if self.gains is not None:
             stored.append(self.gains[: self.row])
         return self.past_finite and all(np.isfinite(gains).all() for gains in stored)
@@ -397,18 +400,18 @@ class TraceReader:
         time, reading to the end of the file.
 
         A block is cut into chunks of `sizes` rows, in order.  Each chunk
-        is a (gains, times) pair of tuples with one entry per label: a
-        C-contiguous (rows, m_full) complex128 array of that link's next
-        rows in file order, and a (rows,) int64 array of their time
-        indices.  A link that runs ahead queues its chunks until every
-        link has one, so a file that interleaves the links holds about one
-        chunk.  Rows of other links, and rows past the last block, are
-        parsed and checked, then dropped.  A format fault raises
-        TraceFormatError at its line; once the file has been read, a
-        non-finite gain in a row of `labels`, or a link with fewer than
-        count * sum(sizes) rows, raises ValueError.  Each chunk is checked
-        as it is handed out, and none after a non-finite one is yielded.
-        The rows are read on from the header, so a reader serves one call.
+        is a tuple with one C-contiguous (rows, m_full) complex128 array
+        per label, of that link's next rows in file order; the time
+        indices are only checked.  A link that runs ahead queues its
+        chunks until every link has one, so a file that interleaves the
+        links holds about one chunk.  Rows of other links, and rows past
+        the last block, are parsed and checked, then dropped.  A format
+        fault raises TraceFormatError at its line; once the file has been
+        read, a non-finite gain in a row of `labels`, or a link with fewer
+        than count * sum(sizes) rows, raises ValueError.  Each chunk is
+        checked as it is handed out, and none after a non-finite one is
+        yielded.  The rows are read on from the header, so a reader serves
+        one call.
         """
         fields = 2 + 2 * self.header.m_full
         sizes = list(sizes)
@@ -418,15 +421,15 @@ class TraceReader:
         last_time: dict[str, int] = {}
         for lineno, line in self._lines:
             row = _parse_row(line, lineno, fields, last_time)
-            link = None if row is None else links.get(row[1])
-            if link is not None and link.add(row[0], row[2]) and all(
+            link = None if row is None else links.get(row[0])
+            if link is not None and link.add(row[1]) and all(
                 other.ready for other in links.values()
             ):
-                if not all(np.isfinite(other.ready[0][0]).all() for other in links.values()):
+                if not all(np.isfinite(other.ready[0]).all() for other in links.values()):
                     finite, links = False, {}  # the fault is certain: the rest is only parsed
                 else:
                     # not bound to a name: a suspended generator keeps its locals alive
-                    yield tuple(zip(*(other.ready.popleft() for other in links.values())))
+                    yield tuple(other.ready.popleft() for other in links.values())
         if not (finite and all(link.finite() for link in links.values())):
             raise ValueError("gains must be finite")
         need = count * sum(sizes)

@@ -29,26 +29,23 @@ def write_records(path, m_full, time_index, link_labels, gains, **header):
 
 
 def check_chunk(chunk, links, rows, m_full):
-    """Assert that a chunk `TraceReader.chunks` yielded holds, per link, a
-    C-contiguous (rows, m_full) complex128 array and a (rows,) int64 one."""
-    gains, times = chunk
-    assert len(gains) == len(times) == links
-    for link_gains, link_times in zip(gains, times):
-        assert link_gains.dtype == np.complex128 and link_gains.shape == (rows, m_full)
-        assert link_gains.flags.c_contiguous
-        assert link_times.dtype == np.int64 and link_times.shape == (rows,)
+    """Assert that a chunk `TraceReader.chunks` yielded is a tuple of one
+    C-contiguous (rows, m_full) complex128 array per link."""
+    assert isinstance(chunk, tuple) and len(chunk) == links
+    for gains in chunk:
+        assert gains.dtype == np.complex128 and gains.shape == (rows, m_full)
+        assert gains.flags.c_contiguous
 
 
 def read_links(path, labels, block_size, count=1):
-    """(header, gains, times) of a trace file: per label, the gains and the
-    time indices of its first `count` blocks, concatenated."""
+    """(header, gains) of a trace file: per label, the gains of its first
+    `count` blocks, concatenated."""
     with trace_io.TraceReader(path) as reader:
         chunks = list(reader.chunks(labels, [block_size], count))
         header = reader.header
     for chunk in chunks:
         check_chunk(chunk, len(set(labels)), block_size, header.m_full)
-    gains, times = ([np.concatenate(link) for link in zip(*side)] for side in zip(*chunks))
-    return header, gains, times
+    return header, [np.concatenate(link) for link in zip(*chunks)]
 
 
 def relinked_order(total: int, eve_ahead: int | None) -> np.ndarray:

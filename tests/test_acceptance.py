@@ -300,7 +300,7 @@ def test_reproducibility_and_lossless_round_trips(tmp_path):
     gains = np.array([[g, g * 1j] for g in awkward])
     path = tmp_path / "trace.csv"
     write_records(path, 2, [1, 2, 3], ["AB"] * 3, gains, description="round trip")
-    _, (back,), _ = read_links(path, ("AB",), 3)
+    _, (back,) = read_links(path, ("AB",), 3)
     assert back.shape == gains.shape
     for row_in, row_out in zip(gains, back):
         assert np.array_equal(np.where(row_in == 0, 0.0, row_in), row_out)

@@ -400,7 +400,7 @@ def test_a_replay_does_not_depend_on_how_the_links_interleave(tmp_path, eve_ahea
     results = {}
     for path in (trace, moved):
         results[path] = tmp_path / f"{path.stem}-results.csv"
-        argv = ("--detector", "gmm", "--detector", "mse", "--m", "8", "--feature", "delta")
+        argv = ("--detector", "gmm", "--detector", "mse", "--m", "8")
         assert run_cli("evaluate", *DESK, *argv, "--trace", str(path),
                        "--out", str(results[path])) == 0
     assert results[trace].read_bytes() == results[moved].read_bytes()
@@ -816,6 +816,60 @@ def test_usage_errors_show_the_usage_of_their_command(tmp_path, monkeypatch, cap
     assert exc.value.code == 2
     usage = "usage: physec [-h] " if argv[0].startswith("-") else f"usage: physec {argv[0]} "
     assert capsys.readouterr().err.startswith(usage)
+
+
+SHAPE = ("--blocks", "2", "--block-size", "50")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("evaluate", *SHAPE, "--trace", ""), "cannot read trace"),
+        (("roc", *SHAPE, "--m", "8", "--trace", "", "--out", "roc.csv"), "cannot read trace"),
+        (("evaluate", *SHAPE, "--config", ""), "cannot read config file"),
+        (("evaluate", *SHAPE, "--out", ""), "cannot write results"),
+        (("simulate", *SHAPE, "--out", ""), "cannot write trace"),
+        (("roc", *SHAPE, "--m", "8", "--out", ""), "cannot write ROC curve"),
+    ],
+    ids=["evaluate-trace", "roc-trace", "config", "evaluate-out", "simulate-out", "roc-out"],
+)
+def test_an_empty_path_is_a_usage_error_that_names_it(tmp_path, monkeypatch, capsys, argv, message):
+    # an empty path names no file: not a simulation in place of a replay,
+    # not a config left unread, not stdout, not a temporary file
+    monkeypatch.chdir(tmp_path)
+    drawn = []
+
+    def counted_chunks(config):
+        drawn.append(config)
+        return simulated_estimate_chunks(config)
+
+    simulated_estimate_chunks = ev.simulated_estimate_chunks
+    monkeypatch.setattr(ev, "simulated_estimate_chunks", counted_chunks)
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"{message}: [Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: ''" in err
+    assert os.listdir() == []  # nothing was written, not even a temporary file
+    if argv[0] == "simulate" or "--trace" in argv or "--config" in argv:
+        assert drawn == []  # refused before a row was drawn
+
+
+@pytest.mark.parametrize("command", ["evaluate", "roc"])
+def test_a_replay_with_delta_features_is_a_usage_error(tmp_path, capsys, command):
+    trace = tmp_path / "trace.csv"
+    assert run_cli("simulate", *DESK, *SHAPE, "--out", str(trace)) == 0
+    capsys.readouterr()
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command, *DESK, *SHAPE, "--m", "8", "--feature", "delta", "--trace", str(trace),
+                "--out", str(out))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: physec {command} ")
+    assert "delta features require the simulator; a replay takes magnitude features only" in err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

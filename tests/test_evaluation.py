@@ -485,33 +485,35 @@ def test_replay_rejects_records_of_the_wrong_width(tmp_path):
         replay_records(tmp_path, (times, labels, gains[:, :-1]), cfg)
 
 
-def test_replayed_delta_features_need_forward_time_indices(tmp_path):
-    from physec.features import FeatureKind
+@pytest.mark.parametrize("kinds", [["delta"], ["magnitude", "delta"]], ids=["delta", "mixed"])
+def test_a_replay_with_delta_features_is_refused_before_a_row_is_parsed(
+    tmp_path, monkeypatch, kinds
+):
+    # a delta feature differences consecutive messages of two links'
+    # recordings; any config of a grid that uses them refuses the replay
+    path = tmp_path / "trace.csv"
+    write_records(path, 48, *records_for(desk_config()))
+    configs = [desk_config(feature_kind=FeatureKind(kind)) for kind in kinds]
+    parsed = []
 
-    cfg = desk_config(feature_kind=FeatureKind.DELTA)
-    # the attacker link's clock runs far ahead: going back to the legitimate
-    # link after an attacker message steps back in time
-    skewed = records_for(cfg, eve_time_offset=10**6)
-    with pytest.raises(ValueError, match="later"):
-        replay_records(tmp_path, skewed, cfg)
-    # magnitude features do not look at time indices
-    replay_records(tmp_path, skewed, desk_config())
-    # the check carries the last time index from chunk to chunk: every test
-    # message is the attacker's, whose clock runs 5 behind, so the one step
-    # back is from block 0's last chunk to block 1's first
-    spoofed = dataclasses.replace(cfg, attack_intensity=1.0)
-    with pytest.raises(ValueError, match="later"):
-        replay_records(tmp_path, records_for(spoofed, eve_time_offset=-5), spoofed)
-    replay_records(tmp_path, records_for(spoofed), spoofed)
-    # strictly increasing indices that jump across almost the whole int64
-    # range: their difference overflows, yet they move forward in time
-    _, labels, gains = records_for(cfg)
-    slots = np.arange(cfg.num_blocks * cfg.block_size, dtype=np.int64)
-    half = slots.size // 2
-    jumping = np.where(slots < half, -(2**63) + slots, 2**63 - 1 - slots.size + slots)
-    assert np.all(jumping[1:] > jumping[:-1])
-    (replayed,) = replay_records(tmp_path, (np.repeat(jumping, 2), labels, gains), cfg)
-    assert replayed.counts == ev.run_experiment(cfg).counts
+    def counting_parse(*args):
+        parsed.append(args[1])
+        return parse_row(*args)
+
+    parse_row = trace_io._parse_row
+    monkeypatch.setattr(trace_io, "_parse_row", counting_parse)
+    with pytest.raises(ValueError, match="^delta features require the simulator; "
+                       "a replay takes magnitude features only$"):
+        replay(path, *configs)
+    assert parsed == []
+
+
+def test_a_replay_does_not_read_the_time_indices_across_links(tmp_path):
+    # the attacker link's clock runs far ahead of the legitimate one's, so
+    # the mixed stream steps back in time whenever it returns to Bob
+    cfg = desk_config()
+    (replayed,) = replay_records(tmp_path, records_for(cfg, eve_time_offset=10**6), cfg)
+    assert_same_trial(replayed, ev.run_experiment(cfg))
 
 
 def test_a_fault_in_the_trace_outranks_one_in_the_run(tmp_path):
@@ -573,17 +575,19 @@ GRIDS = {
 
 @pytest.mark.parametrize("grid", GRIDS.values(), ids=GRIDS.keys())
 def test_every_grid_row_is_its_solo_run(tmp_path, monkeypatch, capsys, grid):
+    simulated = captured_grid(monkeypatch, grid)
+    assert len(simulated) == 8
+    assert {(c.update_enabled, c.oracle_update) for c, _ in simulated} == set(cli.UPDATE_MODES.values())
+    for config, result in simulated:
+        assert_same_trial(result, ev.run_experiment(config))
+    if "delta" in grid:
+        return  # a replay refuses delta features
     trace = tmp_path / "trace.csv"
     assert cli.main(["simulate", "--preset", "desk", "--seed", "0", "--out", str(trace)]) == 0
-    simulated = captured_grid(monkeypatch, grid)
     replayed = captured_grid(monkeypatch, (*grid, "--trace", str(trace)))
-    assert len(simulated) == len(replayed) == 8
-    assert {(c.update_enabled, c.oracle_update) for c, _ in simulated} == set(cli.UPDATE_MODES.values())
-    for (config, result), (replay_config, replay_result) in zip(simulated, replayed):
-        assert replay_config == config
-        solo = ev.run_experiment(config)
-        assert_same_trial(result, solo)
-        assert_same_trial(replay_result, solo)
+    assert [config for config, _ in replayed] == [config for config, _ in simulated]
+    for (config, result), (_, replay_result) in zip(simulated, replayed):
+        assert_same_trial(replay_result, result)
         (solo_replay,) = replay(trace, config)
         assert_same_trial(replay_result, solo_replay)
 

@@ -64,15 +64,15 @@ def canonical(gains: np.ndarray) -> np.ndarray:
 def test_round_trip_is_lossless(tmp_path):
     path = tmp_path / "trace.csv"
     write_two_links(path)
-    header, (bob, eve), (bob_t, eve_t) = read_links(path, ("AB", "AE"), 2)
+    header, (bob, eve) = read_links(path, ("AB", "AE"), 2)
     assert header == TraceHeader(2, 998.4, "bench test")
-    assert bob_t.tolist() == eve_t.tolist() == [1, 2]
-    assert bob_t.dtype == np.int64
     assert bob.shape == eve.shape == (2, 2)
     assert np.array_equal(np.concatenate([bob, eve]), canonical(np.array(TRICKY)))
+    # rewritten with the time indices write_two_links gave, every column,
+    # the time index too, comes back byte for byte
     rewritten = tmp_path / "rewritten.csv"
     trace_io.write_trace(
-        header, rewritten, [(bob_t, ["AB"] * 2, bob), (eve_t, ["AE"] * 2, eve)]
+        header, rewritten, [([1, 2], ["AB"] * 2, bob), ([1, 2], ["AE"] * 2, eve)]
     )
     assert rewritten.read_bytes() == path.read_bytes()  # write is byte-deterministic
 
@@ -98,7 +98,7 @@ def test_labels_and_descriptions_stay_free_text(tmp_path):
     path = tmp_path / "trace.csv"
     labels = ("A_B", "\xc6\uff12")
     write_records(path, 1, [1, 1], labels, [[1 + 1j], [2 - 1j]], description="b\xfcro_2 \uff12")
-    header, gains, _ = read_links(path, labels, 1)
+    header, gains = read_links(path, labels, 1)
     assert header.description == "b\xfcro_2 \uff12"
     assert [g.tolist() for g in gains] == [[[1 + 1j]], [[2 - 1j]]]
 
@@ -111,7 +111,7 @@ def test_comments_and_blank_lines_are_skipped(tmp_path):
         "1,AB,0.5,0.25\n"
         "\n"
     )
-    _, (gains,), _ = read_links(as_file(tmp_path, text), ("AB",), 1)
+    _, (gains,) = read_links(as_file(tmp_path, text), ("AB",), 1)
     assert gains.tolist() == [[0.5 + 0.25j]]
 
 
@@ -123,11 +123,11 @@ def test_the_writers_spellings_and_plain_decimals_are_read(tmp_path):
     with trace_io.TraceReader(path) as reader:
         assert reader.header.sample_interval_us == 1000.0
     # the row parser's values: replay refuses non-finite gains on its links
-    first = trace_io._parse_row(rows[0], 2, 6, {})
-    assert first[:2] == (1, "AB")
-    assert first[2][:2] == [0.5, -math.inf]
-    assert math.isnan(first[2][2]) and first[2][3] == 1e300
-    assert trace_io._parse_row(rows[1], 3, 6, {})[2] == [math.inf, -0.5, 1e5, 2.5e-7]
+    label, first = trace_io._parse_row(rows[0], 2, 6, {})
+    assert label == "AB"
+    assert first[:2] == [0.5, -math.inf]
+    assert math.isnan(first[2]) and first[3] == 1e300
+    assert trace_io._parse_row(rows[1], 3, 6, {})[1] == [math.inf, -0.5, 1e5, 2.5e-7]
 
 
 def test_header_errors_carry_line_one(tmp_path):
@@ -242,8 +242,8 @@ def test_time_must_increase_per_link_on_read(tmp_path):
         "2,AE,0.6,0.6\n"
     )
     # the per-link rule only
-    _, _, times = read_links(as_file(tmp_path, interleaved), ("AB", "AE"), 2)
-    assert [t.tolist() for t in times] == [[1, 2], [1, 2]]
+    _, gains = read_links(as_file(tmp_path, interleaved), ("AB", "AE"), 2)
+    assert [g.tolist() for g in gains] == [[[0.5 + 0.5j], [0.6 + 0.6j]]] * 2
 
 
 def test_write_rejects_bad_records(tmp_path):
@@ -326,7 +326,7 @@ def test_trace_validation(tmp_path):
 def test_labels_differing_only_by_a_trailing_nul_stay_apart(tmp_path):
     header = "#CSI,m_full=1,interval_us=1.0,desc=\n"
     path = as_file(tmp_path, header + "1,AB,0.5,0.5\n1,AB\x00,0.25,0.5\n")
-    _, gains, _ = read_links(path, ("AB", "AB\x00"), 1)
+    _, gains = read_links(path, ("AB", "AB\x00"), 1)
     assert [g.tolist() for g in gains] == [[[0.5 + 0.5j]], [[0.25 + 0.5j]]]
     # enough rows for both links, but the legitimate one is labelled "AB\x00"
     cfg = desk_config(num_blocks=2, block_size=2, m_full=1, m_subcarriers=1, num_taps=1)
@@ -339,10 +339,10 @@ def test_labels_differing_only_by_a_trailing_nul_stay_apart(tmp_path):
 def outcome(path):
     """What reading `path` gives: the trace's contents or the error's line."""
     try:
-        header, gains, times = read_links(path, ("AB", "AE"), 2)
+        header, gains = read_links(path, ("AB", "AE"), 2)
     except TraceFormatError as exc:
         return ("error", exc.line)
-    return (header, [t.tolist() for t in times], [g.tobytes() for g in gains])
+    return (header, [g.tobytes() for g in gains])
 
 
 @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
@@ -464,7 +464,7 @@ def test_memory_stays_near_the_size_of_the_gains(tmp_path, rng):
         with trace_io.TraceReader(path) as reader:
             for k, chunk in enumerate(reader.chunks(("AB", "AE"), sizes, 1)):
                 check_chunk(chunk, 2, sizes[k], m_full)
-                (bob, eve), _ = chunk
+                bob, eve = chunk
                 assert np.array_equal(bob, gains[2 * read : 2 * (read + len(bob)) : 2])
                 assert np.array_equal(eve, gains[2 * read + 1 : 2 * (read + len(eve)) : 2])
                 read += len(bob)
@@ -488,13 +488,13 @@ def test_a_block_handed_out_is_freed_once_the_caller_drops_it(tmp_path, rng):
         chunks = reader.chunks(("AB", "AE"), [2, 1], 2)
         chunk = next(chunks)
         check_chunk(chunk, 2, 2, m_full)
-        refs = [weakref.ref(array) for side in chunk for array in side]
+        refs = [weakref.ref(array) for array in chunk]
         del chunk
-        assert [ref() for ref in refs] == [None] * 4
+        assert [ref() for ref in refs] == [None] * 2
         rest = list(chunks)
     for chunk, rows in zip(rest, [1, 2, 1], strict=True):
         check_chunk(chunk, 2, rows, m_full)
-    bob, eve = (np.concatenate(link) for link in zip(*(chunk[0] for chunk in rest)))
+    bob, eve = (np.concatenate(link) for link in zip(*rest))
     assert np.array_equal(bob, gains[4::2]) and np.array_equal(eve, gains[5::2])
 
 
@@ -526,10 +526,8 @@ def test_no_chunk_after_a_non_finite_one_is_handed_out(tmp_path, rng):
     for k, chunk in enumerate(handed_out):
         check_chunk(chunk, 2, 2, m_full)
         rows = slice(2 * k, 2 * k + 2)
-        (ab, ae), (ab_times, ae_times) = chunk
+        ab, ae = chunk
         assert np.array_equal(ab, gains[1::2][rows]) and np.array_equal(ae, gains[0::2][rows])
-        assert np.array_equal(ab_times, times[1::2][rows])
-        assert np.array_equal(ae_times, times[0::2][rows])
 
 
 @pytest.mark.parametrize(
