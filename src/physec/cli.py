@@ -287,9 +287,10 @@ def _configs(settings: dict, trace) -> list:
     # an explicit option that would change nothing is a usage error
     if updates and all(config.detector is DetectorKind.MSE for config in configs):
         raise UsageError("--update applies to the mixture detector; mse has no update mode")
-    # block 0 trains every detector, and one it cannot train would fail mid-run
+    # block 0 trains every detector, and one it cannot train would fail
+    # mid-run; delta features, which a replay refuses, give one fewer
     for config in configs:
-        training = config.block_size - (config.feature_kind is FeatureKind.DELTA)
+        training = config.block_size - (trace is None and config.feature_kind is FeatureKind.DELTA)
         need = config.gmm_components if config.detector is DetectorKind.GMM else 2
         if training < need:
             raise UsageError(

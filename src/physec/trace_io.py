@@ -26,7 +26,10 @@ reads the header on opening; its `chunks` parses each row straight into
 the chunk its link is filling, one (rows, m_full) array per link, and
 hands a chunk of every link out once each has one, so a file that
 interleaves the links holds about one chunk.  The time indices are
-checked as they are read and not handed out.
+checked as they are read and not handed out.  A replay stops at the first
+fault it meets, in file order: a row of a replayed link with a non-finite
+gain is refused at its line, and a link with too few rows is found at the
+end of the file.
 """
 
 from __future__ import annotations
@@ -54,7 +57,8 @@ _INT64 = np.iinfo(np.int64)
 
 
 class TraceFormatError(ValueError):
-    """Malformed trace content; carries the offending 1-based line number."""
+    """Malformed trace content, or a non-finite gain on a replayed link;
+    carries the offending 1-based line number."""
 
     def __init__(self, message: str, line: int | None = None):
         self.line = line
@@ -325,7 +329,7 @@ class _LinkRows:
 
     A full chunk waits in `ready` until it is handed out; the link keeps no
     reference to it then, so it is freed once the caller lets it go.  Rows
-    past the last wanted chunk are only checked.
+    past the last wanted chunk are only counted.
     """
 
     def __init__(self, m_full: int, sizes: list, wanted: int):
@@ -335,7 +339,6 @@ class _LinkRows:
         self.records = 0
         self.filled = 0
         self.ready = deque()
-        self.past_finite = True  # the rows past the last wanted chunk
         # made on a chunk's first row: a link holds no empty chunk while the
         # one it filled last is in use, nor after its last row
         self.gains = None
@@ -344,7 +347,6 @@ class _LinkRows:
         """Store one row; whether it completed a chunk."""
         self.records += 1
         if self.filled == self.wanted:
-            self.past_finite = self.past_finite and all(map(math.isfinite, values))
             return False
         if self.gains is None:
             rows = self.sizes[self.filled % len(self.sizes)]
@@ -359,13 +361,6 @@ class _LinkRows:
         self.gains = self.reals = None
         self.filled += 1
         return True
-
-    def finite(self) -> bool:
-        """Whether the rows not handed out are finite."""
-        stored = list(self.ready)
-        if self.gains is not None:
-            stored.append(self.gains[: self.row])
-        return self.past_finite and all(np.isfinite(gains).all() for gains in stored)
 
 
 class TraceReader:
@@ -406,32 +401,29 @@ class TraceReader:
         chunks until every link has one, so a file that interleaves the
         links holds about one chunk.  Rows of other links, and rows past
         the last block, are parsed and checked, then dropped.  A format
-        fault raises TraceFormatError at its line; once the file has been
-        read, a non-finite gain in a row of `labels`, or a link with fewer
-        than count * sum(sizes) rows, raises ValueError.  Each chunk is
-        checked as it is handed out, and none after a non-finite one is
-        yielded.  The rows are read on from the header, so a reader serves
-        one call.
+        fault, or a non-finite gain in a row of `labels`, raises
+        TraceFormatError at its line, so no chunk that holds one is
+        yielded; a link with fewer than count * sum(sizes) rows raises
+        ValueError once the file has been read.  The rows are read on from
+        the header, so a reader serves one call.
         """
         fields = 2 + 2 * self.header.m_full
         sizes = list(sizes)
         wanted = count * len(sizes)
         links = {label: _LinkRows(self.header.m_full, sizes, wanted) for label in labels}
-        finite = True
         last_time: dict[str, int] = {}
         for lineno, line in self._lines:
             row = _parse_row(line, lineno, fields, last_time)
             link = None if row is None else links.get(row[0])
-            if link is not None and link.add(row[1]) and all(
-                other.ready for other in links.values()
-            ):
-                if not all(np.isfinite(other.ready[0]).all() for other in links.values()):
-                    finite, links = False, {}  # the fault is certain: the rest is only parsed
-                else:
-                    # not bound to a name: a suspended generator keeps its locals alive
-                    yield tuple(other.ready.popleft() for other in links.values())
-        if not (finite and all(link.finite() for link in links.values())):
-            raise ValueError("gains must be finite")
+            if link is None:
+                continue
+            # an inf or a NaN makes the sum non-finite, and so do finite
+            # values that overflow it: only then is each value checked
+            if not math.isfinite(sum(row[1])) and not all(map(math.isfinite, row[1])):
+                raise TraceFormatError("gains must be finite", line=lineno)
+            if link.add(row[1]) and all(other.ready for other in links.values()):
+                # not bound to a name: a suspended generator keeps its locals alive
+                yield tuple(other.ready.popleft() for other in links.values())
         need = count * sum(sizes)
         for label, link in links.items():
             if link.records < need:

@@ -48,6 +48,20 @@ def read_links(path, labels, block_size, count=1):
     return header, [np.concatenate(link) for link in zip(*chunks)]
 
 
+def lines_read(reader) -> list:
+    """The numbers of the lines an open TraceReader reads from now on, in a
+    list that grows as each is read."""
+    read = []
+
+    def counted(lines):
+        for lineno, line in lines:
+            read.append(lineno)
+            yield lineno, line
+
+    reader._lines = counted(reader._lines)
+    return read
+
+
 def relinked_order(total: int, eve_ahead: int | None) -> np.ndarray:
     """Where to move the 2 * total rows of a trace that interleaves two
     links, the first link's row first, as `physec simulate` writes them:

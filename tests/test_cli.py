@@ -506,8 +506,8 @@ def edit_cell(row: str, column: int, value: str) -> str:
     [
         (4799, lambda row: edit_cell(row, 6, "zz"),
          "bad trace file: line 4799: bad gain value: could not convert string to float: 'zz'"),
-        (4798, lambda row: edit_cell(row, 4, "nan"), "error: gains must be finite"),
-        (4799, lambda row: edit_cell(row, 4, "inf"), "error: gains must be finite"),
+        (4798, lambda row: edit_cell(row, 4, "nan"), "bad trace file: line 4798: gains must be finite"),
+        (4799, lambda row: edit_cell(row, 4, "inf"), "bad trace file: line 4799: gains must be finite"),
         (4800, lambda row: edit_cell(row, 0, "3"),
          "bad trace file: line 4800: time index 3 not increasing for link 'AB' (previous 2399)"),
     ],
@@ -856,14 +856,24 @@ def test_an_empty_path_is_a_usage_error_that_names_it(tmp_path, monkeypatch, cap
         assert drawn == []  # refused before a row was drawn
 
 
-@pytest.mark.parametrize("command", ["evaluate", "roc"])
-def test_a_replay_with_delta_features_is_a_usage_error(tmp_path, capsys, command):
+@pytest.mark.parametrize(
+    "command, shape",
+    [
+        ("evaluate", SHAPE),
+        ("roc", SHAPE),
+        # block 0 gives 2 training messages; on a replay no delta feature
+        # would drop one, so the delta refusal is the fault reported
+        ("evaluate", ("--blocks", "3", "--block-size", "2", "--detector", "mse")),
+    ],
+    ids=["evaluate", "roc", "evaluate-mse-training"],
+)
+def test_a_replay_with_delta_features_is_a_usage_error(tmp_path, capsys, command, shape):
     trace = tmp_path / "trace.csv"
-    assert run_cli("simulate", *DESK, *SHAPE, "--out", str(trace)) == 0
+    assert run_cli("simulate", *DESK, *shape[:4], "--out", str(trace)) == 0
     capsys.readouterr()
     out = tmp_path / "out.csv"
     with pytest.raises(SystemExit) as exc:
-        run_cli(command, *DESK, *SHAPE, "--m", "8", "--feature", "delta", "--trace", str(trace),
+        run_cli(command, *DESK, *shape, "--m", "8", "--feature", "delta", "--trace", str(trace),
                 "--out", str(out))
     assert exc.value.code == 2
     err = capsys.readouterr().err

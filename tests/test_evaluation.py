@@ -15,7 +15,7 @@ from physec import trace_io
 from physec.evaluation import DetectorKind
 from physec.features import FeatureKind
 
-from conftest import desk_config, relinked_order, write_records
+from conftest import desk_config, lines_read, relinked_order, write_records
 
 
 # ---------------------------------------------------------------------------
@@ -420,26 +420,22 @@ def test_a_late_trace_fault_is_reported_once_the_last_row_is_read(tmp_path, eve_
     times, labels, gains = records_for(cfg)
     times, labels, gains = times[order], np.array(labels)[order], gains[order]
     if fault == "non-finite":  # a message of Bob's in the last block's first chunk
-        gains[(times == total - 150) & (labels == ev.BOB_LINK), 3] = np.nan
-        message = "gains must be finite"
+        nan_row = (times == total - 150) & (labels == ev.BOB_LINK)
+        gains[nan_row, 3] = np.nan
+        last_line = 2 + int(np.flatnonzero(nan_row)[0])  # the header is line 1
+        message = f"line {last_line}: gains must be finite"
         keep = slice(None)
     else:  # Eve's link ends 10 messages early
         message = f"trace has {total - 10} records for link 'AE', need {total}"
         keep = ~((times > total - 10) & (labels == ev.EVE_LINK))
+        last_line = 1 + len(times[keep])  # the header and every row
     path = tmp_path / "trace.csv"
     write_records(path, cfg.m_full, times[keep], labels[keep].tolist(), gains[keep])
-    read = []
-
-    def counted(lines):
-        for lineno, line in lines:
-            read.append(lineno)
-            yield lineno, line
-
     with trace_io.TraceReader(path) as trace:
-        trace._lines = counted(trace._lines)
+        read = lines_read(trace)
         with pytest.raises(ValueError, match=f"^{message}$"):
             ev.run_grid([cfg], trace)
-    assert read[-1] == 1 + len(times[keep])  # the header and every row
+    assert read[-1] == last_line
 
 
 def test_replay_rejects_short_traces_and_prefilters(tmp_path):
@@ -516,25 +512,37 @@ def test_a_replay_does_not_read_the_time_indices_across_links(tmp_path):
     assert_same_trial(replayed, ev.run_experiment(cfg))
 
 
-def test_a_fault_in_the_trace_outranks_one_in_the_run(tmp_path):
-    # the run's fault comes first in the file, as the all-zero message of
-    # block 2; the trace's, a NaN gain or a malformed row, comes last
+@pytest.mark.parametrize("case", ["run-fault-first", "nan-before-malformed", "nan-before-short"])
+def test_a_replay_stops_at_its_first_fault_in_file_order(tmp_path, case):
+    # `last_line` is the last line the replay reads
     cfg = desk_config()
     times, labels, gains = records_for(cfg)
-    gains[2 * cfg.block_size : 2 * cfg.block_size + 2] = 0.0
-    gains[-1, 0] = np.nan
-    with pytest.raises(ValueError, match="gains must be finite"):
-        replay_records(tmp_path, (times, labels, gains), cfg)
+    if case == "run-fault-first":  # the first test message all-zero, a NaN in the last row
+        gains[2 * cfg.block_size : 2 * cfg.block_size + 2] = 0.0
+        gains[-1, 0] = np.nan
+        error, message = ValueError, "^all-zero estimate"
+        # the chunk that holds the message is featurized once it is full
+        last_line = 1 + 2 * (cfg.block_size + ev._chunks(cfg.block_size, cfg.m_full)[0].stop)
+        assert last_line < 1 + len(times)  # the NaN is never read
+    elif case == "nan-before-malformed":  # the run's last row, then a row after it
+        gains[-1, 0] = np.nan
+        last_line = 1 + len(times)
+        error, message = trace_io.TraceFormatError, f"^line {last_line}: gains must be finite$"
+    else:  # Bob's row 2 of a trace with 2 of the 10 blocks the run needs
+        times, labels, gains = records_for(dataclasses.replace(cfg, num_blocks=2))
+        gains[4, 0] = np.nan
+        last_line = 6
+        error, message = trace_io.TraceFormatError, f"^line {last_line}: gains must be finite$"
     path = tmp_path / "trace.csv"
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write("not,a,row\n")
-    with pytest.raises(trace_io.TraceFormatError, match="line 4002: expected 98 fields"):
-        replay(path, cfg)
-    # a NaN gain outranks too few rows, as reading the whole file first did
-    times, labels, gains = records_for(dataclasses.replace(cfg, num_blocks=2))
-    gains[5, 0] = np.nan
-    with pytest.raises(ValueError, match="gains must be finite"):
-        replay_records(tmp_path, (times, labels, gains), cfg)
+    write_records(path, cfg.m_full, times, labels, gains)
+    if case == "nan-before-malformed":
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("not,a,row\n")
+    with trace_io.TraceReader(path) as trace:
+        read = lines_read(trace)
+        with pytest.raises(error, match=message):
+            ev.run_grid([cfg], trace)
+    assert read[-1] == last_line
 
 
 def test_a_grid_must_share_one_message_stream():

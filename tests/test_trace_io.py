@@ -19,7 +19,9 @@ from physec import trace_io
 from physec.cli import main
 from physec.trace_io import TraceFormatError, TraceHeader
 
-from conftest import check_chunk, desk_config, read_links, relinked_order, write_records
+from conftest import (
+    check_chunk, desk_config, lines_read, read_links, relinked_order, write_records,
+)
 
 TRICKY = [
     [1.5 + 2.5j, math.pi - 1e-9j],
@@ -499,35 +501,31 @@ def test_a_block_handed_out_is_freed_once_the_caller_drops_it(tmp_path, rng):
 
 
 def test_no_chunk_after_a_non_finite_one_is_handed_out(tmp_path, rng):
-    # AB's rows run five ahead of AE's, and AB's chunk 2 (of 2 rows) holds
-    # a NaN: chunks 0 and 1 go out as written, and the fault is raised once
-    # the last line is read
+    # AE's rows run five ahead of AB's, and AB's chunk 2 (of 2 rows) holds
+    # a NaN in AB's row 5: chunks 0 and 1 go out as written, and the fault
+    # is raised at the NaN's line before a later line is read
     n, m_full = 8, 3
     gains = rng.standard_normal((2 * n, m_full)) + 1j * rng.standard_normal((2 * n, m_full))
-    gains[2 * 5 + 1, 1] = np.nan  # AB's row 5
-    times, labels = np.repeat(np.arange(1, n + 1), 2), np.array(["AE", "AB"] * n)
-    order = relinked_order(n, 5)  # the second link's rows, here AB's, run ahead
+    gains[2 * 5, 1] = np.nan  # AB's row 5
+    times, labels = np.repeat(np.arange(1, n + 1), 2), np.array(["AB", "AE"] * n)
+    order = relinked_order(n, 5)  # the second link's rows, here AE's, run ahead
+    nan_line = 2 + int(np.flatnonzero(order == 2 * 5)[0])  # the header is line 1
+    assert nan_line == 15  # of 17: every AE row and AB's rows 0-4 come first
     path = tmp_path / "trace.csv"
     write_records(path, m_full, times[order], labels[order].tolist(), gains[order])
-    read, handed_out = [], []
-
-    def counted(lines):
-        for lineno, line in lines:
-            read.append(lineno)
-            yield lineno, line
-
+    handed_out = []
     with trace_io.TraceReader(path) as reader:
-        reader._lines = counted(reader._lines)
-        with pytest.raises(ValueError, match="^gains must be finite$"):
+        read = lines_read(reader)
+        with pytest.raises(TraceFormatError, match=f"^line {nan_line}: gains must be finite$"):
             for chunk in reader.chunks(("AB", "AE"), [2], 4):
                 handed_out.append(chunk)
-    assert read[-1] == 1 + 2 * n  # the header and every row
+    assert read[-1] == nan_line
     assert len(handed_out) == 2
     for k, chunk in enumerate(handed_out):
         check_chunk(chunk, 2, 2, m_full)
         rows = slice(2 * k, 2 * k + 2)
         ab, ae = chunk
-        assert np.array_equal(ab, gains[1::2][rows]) and np.array_equal(ae, gains[0::2][rows])
+        assert np.array_equal(ab, gains[0::2][rows]) and np.array_equal(ae, gains[1::2][rows])
 
 
 @pytest.mark.parametrize(
@@ -540,20 +538,20 @@ def test_a_non_finite_gain_never_handed_out_is_reported_before_a_short_link(
     # two chunks of 2 rows a link, every AB row first: the NaN is in an AB
     # chunk that AE never completes, in an AB chunk that AB never
     # completes, or in an AB row past the last chunk; either way a link is
-    # short, and the non-finite gain is the fault reported
+    # short, and the non-finite gain, met first, is the fault reported
     m_full = 2
     gains = rng.standard_normal((ab_rows + ae_rows, m_full)) + 0j
     gains[nan_row, 1] = np.nan
     times = np.concatenate([np.arange(1, ab_rows + 1), np.arange(1, ae_rows + 1)])
     path = tmp_path / "trace.csv"
     write_records(path, m_full, times, ["AB"] * ab_rows + ["AE"] * ae_rows, gains)
-    with pytest.raises(ValueError, match="^gains must be finite$"):
+    with pytest.raises(TraceFormatError, match=f"^line {2 + nan_row}: gains must be finite$"):
         parse(path, ("AB", "AE"), 2, 2)
 
 
 def reads_cleanly(content):
     """Read `content` from a file; a TraceFormatError, or a replay's refusal
-    of a non-finite gain or of too few rows, is the only way to fail.
+    of too few rows, is the only way to fail.
 
     The fuzz tests make their own directory: hypothesis refuses a
     function-scoped fixture such as tmp_path, which is not reset between
@@ -564,7 +562,7 @@ def reads_cleanly(content):
         except TraceFormatError:
             pass
         except ValueError as exc:
-            assert str(exc).startswith(("gains must be finite", "trace has "))
+            assert str(exc).startswith("trace has ")
 
 
 @settings(max_examples=200)
