@@ -6,9 +6,8 @@ ExperimentConfig field it sets and its help; each command takes a named
 subset of the rows.  Options can also come from a flat key=value config file
 ('#' starts a comment); explicit flags win over file entries, and file
 entries over the preset.  A file key of an option the running command does
-not take is skipped, so one file can serve every command.  The PHYSEC_SEED
-environment variable overrides any --seed.  An option nobody sets is not
-passed on, so its default is the one ExperimentConfig declares.
+not take is skipped, so one file can serve every command.  An option nobody
+sets is not passed on, so its default is the one ExperimentConfig declares.
 """
 
 from __future__ import annotations
@@ -24,9 +23,8 @@ from functools import partial
 import numpy as np
 
 from . import evaluation as ev
-from . import gmm, trace_io
+from . import trace_io
 from .evaluation import DetectorKind, ExperimentConfig
-from .features import FeatureKind
 
 RESULT_COLUMNS = [
     "detector",
@@ -92,15 +90,6 @@ _update_list = partial(_name_list, what="update mode", choices=list(UPDATE_MODES
 _UPDATE_MODE_OF = {fields: mode for mode, fields in UPDATE_MODES.items()}
 
 
-def _feature_kind(text: str) -> FeatureKind:
-    try:
-        return FeatureKind(text.strip().lower())
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"unknown feature {text!r} (choose from {sorted(_names(FeatureKind))})"
-        )
-
-
 def read_config_file(path: str) -> dict:
     """Flat key=value file; '#' comments and blank lines are ignored.
 
@@ -129,7 +118,7 @@ def read_config_file(path: str) -> dict:
 # "_" as "-", the long flag.  A grid axis takes a comma list, and a repeated
 # flag extends it.  A field's help ends in its ExperimentConfig default.
 _OPTIONS = {
-    "seed": (int, "rng_seed", "experiment seed (PHYSEC_SEED overrides)"),
+    "seed": (int, "rng_seed", "experiment seed"),
     "snr": (float, "snr_db", "estimation SNR in dB"),
     "m_full": (int, "m_full", "active subcarriers in the system"),
     "taps": (int, "num_taps", "channel taps"),
@@ -142,10 +131,6 @@ _OPTIONS = {
                  f"detectors to run, {' or '.join(_names(DetectorKind))} (default {ExperimentConfig.detector.value})"),
     "m": (_int_list, None, f"subcarrier counts, e.g. 4,16 (default {ExperimentConfig.m_subcarriers})"),
     "fa": (float, "target_fa", "target false-alarm rate"),
-    "feature": (_feature_kind, "feature_kind",
-                f"{' or '.join(_names(FeatureKind))}; delta flags a legitimate message that follows an "
-                "attacker's, so its realized false-alarm rate tracks the attack intensity (0.51-0.53 at 0.5), "
-                "and a replay (--trace) refuses it"),
     "components": (int, "gmm_components", "mixture components"),
     "update": (_update_list, None,
                "update modes of the mixture detector, a row each: off, decisions (refit on the messages "
@@ -155,12 +140,12 @@ _OPTIONS = {
 # the options of each command: what shapes the simulated estimates of both
 # links, and for a run of detectors also what the detectors read
 _STREAM_OPTIONS = ("seed", "snr", "m_full", "taps", "coherence", "blocks", "block_size", "imitate")
-_RUN_OPTIONS = (*_STREAM_OPTIONS, "attack", "detector", "m", "fa", "feature", "components", "update")
+_RUN_OPTIONS = (*_STREAM_OPTIONS, "attack", "detector", "m", "fa", "components", "update")
 
 
 def _settings(args) -> dict:
     """Every option's value by name: the preset's, overridden by the config
-    file's, overridden by the flags set, and the seed by PHYSEC_SEED."""
+    file's, overridden by the flags set."""
     settings = dict(DESK_PRESET) if args.preset == "desk" else {}
     if args.config is not None:
         try:
@@ -179,12 +164,6 @@ def _settings(args) -> dict:
             except (argparse.ArgumentTypeError, ValueError) as exc:
                 raise UsageError(f"config file key {key!r}: {exc}")
     settings.update((key, value) for key, value in vars(args).items() if value is not None)
-    env = os.environ.get("PHYSEC_SEED")
-    if env is not None:
-        try:
-            settings["seed"] = int(env)
-        except ValueError:
-            raise UsageError(f"PHYSEC_SEED must be an integer, got {env!r}")
     return settings
 
 
@@ -287,15 +266,13 @@ def _configs(settings: dict, trace) -> list:
     # an explicit option that would change nothing is a usage error
     if updates and all(config.detector is DetectorKind.MSE for config in configs):
         raise UsageError("--update applies to the mixture detector; mse has no update mode")
-    # block 0 trains every detector, and one it cannot train would fail
-    # mid-run; delta features, which a replay refuses, give one fewer
+    # block 0 trains every detector, and a mixture it cannot train would
+    # fail mid-run; every block gives the baseline the 2 features it needs
     for config in configs:
-        training = config.block_size - (trace is None and config.feature_kind is FeatureKind.DELTA)
-        need = config.gmm_components if config.detector is DetectorKind.GMM else 2
-        if training < need:
+        if config.detector is DetectorKind.GMM and config.block_size < config.gmm_components:
             raise UsageError(
-                f"block 0 gives {training} training features; "
-                f"the {config.detector.value} detector needs {need}"
+                f"block 0 gives {config.block_size} training features; "
+                f"the gmm detector needs {config.gmm_components}"
             )
     return configs
 
@@ -309,19 +286,16 @@ def _experiment_config(**kwargs) -> ExperimentConfig:
 
 
 def _run_grid(configs: list, trace) -> list:
-    """`run_grid`, with its refusals of the data as usage errors.
+    """`run_grid`, with a replay's refusals of its data as usage errors.
 
     A replay's data is the user's recording, so each of its refusals is one
     (a malformed trace keeps its own type).  A simulated run's data is the
-    program's, so only overflowing features, which its options produced,
-    are; any other ValueError there is a fault of the program.
+    program's, so a ValueError there is a fault of the program.
     """
     try:
         return ev.run_grid(configs, trace)
-    except trace_io.TraceFormatError:
-        raise
     except ValueError as exc:
-        if trace is None and not isinstance(exc, gmm.FeatureOverflowError):
+        if trace is None or isinstance(exc, trace_io.TraceFormatError):
             raise
         raise UsageError(str(exc)) from exc
 
@@ -422,9 +396,7 @@ def _add_command(subs, name: str, func, options: tuple, help: str) -> argparse.A
         elif parse is _imitation:  # a switch: the flag takes no value
             sub.add_argument(flag, action="store_const", const=parse("on"), help=text)
         else:
-            default = getattr(ExperimentConfig, field)
-            shown = default.value if isinstance(default, FeatureKind) else f"{default:g}"
-            sub.add_argument(flag, type=parse, help=f"{text} (default {shown})")
+            sub.add_argument(flag, type=parse, help=f"{text} (default {getattr(ExperimentConfig, field):g})")
     return sub
 
 

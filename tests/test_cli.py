@@ -24,11 +24,6 @@ from physec.evaluation import ExperimentConfig
 from conftest import relinked_order
 
 
-@pytest.fixture(autouse=True)
-def _clean_seed_env(monkeypatch):
-    monkeypatch.delenv("PHYSEC_SEED", raising=False)
-
-
 def run_cli(*argv) -> int:
     return main(list(argv))
 
@@ -126,22 +121,17 @@ def test_imitating_attacker_is_detected_only_at_chance_level(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# seed layering: env > flag > config file > default
+# layering: flag > config file > preset > default
 # ---------------------------------------------------------------------------
 
 
-def test_seed_env_variable_beats_the_flag(tmp_path, monkeypatch):
-    monkeypatch.setenv("PHYSEC_SEED", "42")
+@pytest.mark.parametrize("env", ["42", "not-a-number"])
+def test_the_seed_comes_from_the_options_alone(tmp_path, monkeypatch, env):
+    # no environment variable sets an option, not even a seed
+    monkeypatch.setenv("PHYSEC_SEED", env)
     out = tmp_path / "r.csv"
     assert run_cli("evaluate", *DESK, "--m", "8", "--seed", "3", "--out", str(out)) == 0
-    assert read_rows(out.read_text())[0]["seed"] == "42"
-
-
-def test_invalid_seed_env_variable_is_a_usage_error(monkeypatch):
-    monkeypatch.setenv("PHYSEC_SEED", "not-a-number")
-    with pytest.raises(SystemExit) as exc:
-        run_cli("evaluate", *DESK, "--m", "8")
-    assert exc.value.code == 2
+    assert read_rows(out.read_text())[0]["seed"] == "3"
 
 
 def test_config_file_fills_gaps_but_flags_win(tmp_path):
@@ -172,15 +162,22 @@ def test_a_config_file_saved_with_a_byte_order_mark_is_read(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "content",
-    ["mystery_key=1\n", "snr=not-a-float\n", "just some words\n", "detector=foo\n"],
+    "content, message",
+    [
+        ("mystery_key=1\n", "unknown config file key 'mystery_key'"),
+        ("snr=not-a-float\n", "config file key 'snr'"),
+        ("just some words\n", "expected key=value"),
+        ("detector=foo\n", "config file key 'detector'"),
+        ("feature = delta\n", "unknown config file key 'feature'"),  # an option that is gone
+    ],
 )
-def test_bad_config_files_are_usage_errors(tmp_path, content):
+def test_bad_config_files_are_usage_errors(tmp_path, capsys, content, message):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(content)
     with pytest.raises(SystemExit) as exc:
         run_cli("evaluate", *DESK, "--m", "8", "--config", str(cfg))
     assert exc.value.code == 2
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -302,20 +299,13 @@ def test_simulate_writes_the_pinned_csv_bytes(tmp_path, argv, size, digest):
             "122b755007a100921669fd174763092d3eeeb6d80790e174d1c3fd28a96ee6a2",
         ),
         (
-            ("evaluate", "--detector", "gmm", "--detector", "mse", "--m", "4,8",
-             "--update", "decisions,off", "--feature", "delta"),
-            607,
-            "b819adcd5433f255ed0178f91f15df13cf9ae94729a28812317e8ccc70d0728c",
-            "80aac8eaa2bed300937bd1a2a0dde348e5f239f4b6bfe7691dd3927af231ee68",
-        ),
-        (
             ("roc", "--m", "8"),
             20419,
             "d0e3d92564761bb1cbf1232875622a75f5a4d2aac8ebee02b4c2b17c2ff4bb37",
             "d0e3d92564761bb1cbf1232875622a75f5a4d2aac8ebee02b4c2b17c2ff4bb37",
         ),
     ],
-    ids=["evaluate-grid", "evaluate-grid-delta", "roc"],
+    ids=["evaluate-grid", "roc"],
 )
 def test_evaluate_and_roc_write_the_pinned_bytes(tmp_path, argv, size, digest, nine_column_digest):
     # recorded before the trial loop was split into stream, feature and
@@ -751,6 +741,23 @@ def test_a_reader_of_stdout_that_goes_away_ends_the_run_quietly(tmp_path, monkey
     assert "cannot read trace" not in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # noise variance near 1e307: magnitude features still lie in [0, 1]
+        ("--snr", "-3079", "--detector", "gmm,mse"),
+        # the smallest block gives the baseline the 2 features it trains on
+        ("--blocks", "3", "--block-size", "2", "--detector", "mse"),
+    ],
+    ids=["snr", "mse-training"],
+)
+def test_simulated_runs_at_the_edge_of_their_options_finish(tmp_path, argv):
+    out = tmp_path / "r.csv"
+    assert run_cli("evaluate", *DESK, "--m", "8", *argv, "--out", str(out)) == 0
+    for row in read_rows(out.read_text()):
+        assert all(0.0 <= float(row[column]) <= 1.0 for column in ("realized_fa", "p_d", "p_md"))
+
+
 def test_a_fault_inside_a_simulated_run_is_not_a_usage_error(monkeypatch):
     # a simulated run's data is the program's: its refusal is a fault to report
     def broken(*args):
@@ -774,13 +781,15 @@ def test_a_closed_stdout_is_not_a_usage_error(monkeypatch):
     [
         (("evaluate", *DESK, "--m", "8", "--components", "201"),
          "block 0 gives 200 training features; the gmm detector needs 201"),
-        (("evaluate", *DESK, "--m", "8", "--block-size", "2", "--feature", "delta",
-          "--detector", "mse"), "block 0 gives 1 training features; the mse detector needs 2"),
         (("roc", *DESK, "--m", "8", "--attack", "0", "--out", "roc.csv"),
          "roc needs legitimate and attacker messages"),
         (("simulate", *DESK, "--out", "fifo"), "exists and is not a regular file"),
+        # an option that is gone
+        (("evaluate", *DESK, "--m", "8", "--feature", "delta"), "unrecognized arguments: --feature delta"),
+        (("roc", *DESK, "--m", "8", "--feature", "delta", "--out", "roc.csv"),
+         "unrecognized arguments: --feature delta"),
     ],
-    ids=["components", "mse-training", "roc-one-kind", "simulate-fifo"],
+    ids=["components", "roc-one-kind", "simulate-fifo", "evaluate-feature", "roc-feature"],
 )
 def test_options_a_run_cannot_serve_are_usage_errors(tmp_path, monkeypatch, capsys, argv, message):
     monkeypatch.chdir(tmp_path)
@@ -856,38 +865,12 @@ def test_an_empty_path_is_a_usage_error_that_names_it(tmp_path, monkeypatch, cap
         assert drawn == []  # refused before a row was drawn
 
 
-@pytest.mark.parametrize(
-    "command, shape",
-    [
-        ("evaluate", SHAPE),
-        ("roc", SHAPE),
-        # block 0 gives 2 training messages; on a replay no delta feature
-        # would drop one, so the delta refusal is the fault reported
-        ("evaluate", ("--blocks", "3", "--block-size", "2", "--detector", "mse")),
-    ],
-    ids=["evaluate", "roc", "evaluate-mse-training"],
-)
-def test_a_replay_with_delta_features_is_a_usage_error(tmp_path, capsys, command, shape):
-    trace = tmp_path / "trace.csv"
-    assert run_cli("simulate", *DESK, *shape[:4], "--out", str(trace)) == 0
-    capsys.readouterr()
-    out = tmp_path / "out.csv"
-    with pytest.raises(SystemExit) as exc:
-        run_cli(command, *DESK, *shape, "--m", "8", "--feature", "delta", "--trace", str(trace),
-                "--out", str(out))
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"usage: physec {command} ")
-    assert "delta features require the simulator; a replay takes magnitude features only" in err
-    assert not out.exists()
-
-
 # ---------------------------------------------------------------------------
 # the option table: one declaration per option
 # ---------------------------------------------------------------------------
 
 STREAM_OPTIONS = ("seed", "snr", "m_full", "taps", "coherence", "blocks", "block_size", "imitate")
-RUN_OPTIONS = (*STREAM_OPTIONS, "attack", "detector", "m", "fa", "feature", "components", "update")
+RUN_OPTIONS = (*STREAM_OPTIONS, "attack", "detector", "m", "fa", "components", "update")
 COMMAND_OPTIONS = {"simulate": STREAM_OPTIONS, "evaluate": RUN_OPTIONS, "roc": RUN_OPTIONS}
 PLAIN_FLAGS = {
     "simulate": ("--config", "--preset", "--interval-us", "--desc", "--out"),
@@ -898,7 +881,7 @@ PLAIN_FLAGS = {
 SAMPLES = {
     "seed": "7", "snr": "5", "m_full": "32", "taps": "4", "coherence": "1e3", "blocks": "3",
     "block_size": "50", "imitate": "true", "attack": "0.25", "detector": "mse,gmm", "m": "4,8",
-    "fa": "0.05", "feature": "delta", "components": "2", "update": "off,labels",
+    "fa": "0.05", "components": "2", "update": "off,labels",
 }
 
 
@@ -975,7 +958,7 @@ def test_a_config_file_key_of_another_command_is_skipped(tmp_path, capsys):
     # fa = 2 would stop evaluate; simulate has no target false-alarm rate
     shape = ("--seed", "0", "--blocks", "1", "--block-size", "20")
     cfg = tmp_path / "shared.cfg"
-    cfg.write_text("snr = 5\nfa = 2\nfeature = delta\ncomponents = 2\nattack = 0.25\n")
+    cfg.write_text("snr = 5\nfa = 2\ncomponents = 2\nattack = 0.25\n")
     by_file, by_flag = tmp_path / "by-file.csv", tmp_path / "by-flag.csv"
     assert run_cli("simulate", *shape, "--config", str(cfg), "--out", str(by_file)) == 0
     assert run_cli("simulate", *shape, "--snr", "5", "--out", str(by_flag)) == 0
@@ -987,17 +970,6 @@ def test_a_config_file_key_of_another_command_is_skipped(tmp_path, capsys):
         run_cli("simulate", *shape, "--config", str(cfg), "--out", str(by_file))
     assert exc.value.code == 2
     assert "unknown config file key 'mystery'" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("detector", ["mse", "gmm"])
-def test_delta_features_whose_squares_overflow_are_usage_errors(detector, capsys):
-    # noise variance near 1e307: the delta magnitudes are finite, their
-    # squares are not, and used to come out as rates of 0.0 or a numpy error
-    with pytest.raises(SystemExit) as exc:
-        run_cli("evaluate", "--preset", "desk", "--m", "8", "--snr", "-3079",
-                "--feature", "delta", "--detector", detector)
-    assert exc.value.code == 2
-    assert "overflow" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

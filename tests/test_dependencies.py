@@ -25,7 +25,6 @@ print(json.dumps([status, sorted(n for n in sys.modules if n.split(".")[0] == "s
 
 def test_a_gmm_evaluation_imports_no_scipy(tmp_path):
     env = dict(os.environ)
-    env.pop("PHYSEC_SEED", None)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )

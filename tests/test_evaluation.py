@@ -273,32 +273,31 @@ def test_detection_at_matched_false_alarm_hand_example():
 # ---------------------------------------------------------------------------
 
 
-def sweep_rows(tmp_path, monkeypatch, *argv) -> list:
+def sweep_rows(tmp_path, *argv) -> list:
     """Result rows of a desk-scale `physec evaluate` with desk_config()'s seed."""
-    monkeypatch.delenv("PHYSEC_SEED", raising=False)
     out = tmp_path / "grid.csv"
     assert cli.main(["evaluate", "--preset", "desk", "--seed", "0", *argv, "--out", str(out)]) == 0
     with open(out, encoding="utf-8", newline="") as fh:
         return list(csv.DictReader(fh))
 
 
-def test_sweep_repeats_are_bit_identical(tmp_path, monkeypatch):
-    first, second = sweep_rows(tmp_path, monkeypatch, "--m", "8,8")
+def test_sweep_repeats_are_bit_identical(tmp_path):
+    first, second = sweep_rows(tmp_path, "--m", "8,8")
     assert first["M"] == second["M"] == "8"
     assert first == second  # rates are written repr-exact
 
 
-def test_sweep_records_requested_subcarrier_counts(tmp_path, monkeypatch):
-    rows = sweep_rows(tmp_path, monkeypatch, "--m", "4,8")
+def test_sweep_records_requested_subcarrier_counts(tmp_path):
+    rows = sweep_rows(tmp_path, "--m", "4,8")
     assert [r["M"] for r in rows] == ["4", "8"]
     with pytest.raises(SystemExit) as exc:
-        sweep_rows(tmp_path, monkeypatch, "--m", ",")
+        sweep_rows(tmp_path, "--m", ",")
     assert exc.value.code == 2
 
 
-def test_update_comparison_on_a_slow_channel_changes_nothing(tmp_path, monkeypatch):
+def test_update_comparison_on_a_slow_channel_changes_nothing(tmp_path):
     with_update, without_update = sweep_rows(
-        tmp_path, monkeypatch, "--m", "8", "--coherence", "1e12", "--update", "decisions,off"
+        tmp_path, "--m", "8", "--coherence", "1e12", "--update", "decisions,off"
     )
     assert (with_update["update"], without_update["update"]) == ("decisions", "off")
     assert abs(float(with_update["p_d"]) - float(without_update["p_d"])) <= 0.02
@@ -558,7 +557,6 @@ def test_a_grid_must_share_one_message_stream():
 
 def captured_grid(monkeypatch, argv) -> list:
     """(config, result) of every row of `physec evaluate argv`."""
-    monkeypatch.delenv("PHYSEC_SEED", raising=False)
     seen = []
 
     def run_grid(configs, trace=None):
@@ -573,26 +571,18 @@ def captured_grid(monkeypatch, argv) -> list:
     return seen
 
 
-GRIDS = {
-    "magnitude": ("--detector", "gmm", "--detector", "mse", "--m", "4,16",
-                  "--update", "decisions,off,labels"),
-    "delta": ("--detector", "gmm", "--detector", "mse", "--m", "4,16",
-              "--update", "decisions,off,labels", "--feature", "delta"),
-}
+GRID = ("--detector", "gmm", "--detector", "mse", "--m", "4,16", "--update", "decisions,off,labels")
 
 
-@pytest.mark.parametrize("grid", GRIDS.values(), ids=GRIDS.keys())
-def test_every_grid_row_is_its_solo_run(tmp_path, monkeypatch, capsys, grid):
-    simulated = captured_grid(monkeypatch, grid)
+def test_every_grid_row_is_its_solo_run(tmp_path, monkeypatch):
+    simulated = captured_grid(monkeypatch, GRID)
     assert len(simulated) == 8
     assert {(c.update_enabled, c.oracle_update) for c, _ in simulated} == set(cli.UPDATE_MODES.values())
     for config, result in simulated:
         assert_same_trial(result, ev.run_experiment(config))
-    if "delta" in grid:
-        return  # a replay refuses delta features
     trace = tmp_path / "trace.csv"
     assert cli.main(["simulate", "--preset", "desk", "--seed", "0", "--out", str(trace)]) == 0
-    replayed = captured_grid(monkeypatch, (*grid, "--trace", str(trace)))
+    replayed = captured_grid(monkeypatch, (*GRID, "--trace", str(trace)))
     assert [config for config, _ in replayed] == [config for config, _ in simulated]
     for (config, result), (_, replay_result) in zip(simulated, replayed):
         assert_same_trial(replay_result, result)
@@ -618,7 +608,7 @@ def test_a_replayed_grid_opens_and_parses_its_trace_once(tmp_path, monkeypatch):
     parse_row = trace_io._parse_row
     monkeypatch.setattr(trace_io, "open", counting_open, raising=False)
     monkeypatch.setattr(trace_io, "_parse_row", counting_parse)
-    captured_grid(monkeypatch, (*GRIDS["magnitude"], "--trace", str(trace)))
+    captured_grid(monkeypatch, (*GRID, "--trace", str(trace)))
     assert opened == [str(trace)]
     lines = len(trace.read_text(encoding="utf-8").splitlines())
     assert parsed == list(range(2, lines + 1))  # every line after the header, once

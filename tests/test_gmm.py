@@ -553,9 +553,8 @@ def test_identical_training_rows_give_a_finite_model_that_accepts_them(rng):
     assert np.all(gmm.log_likelihoods(model, x) >= model.threshold)
 
 
-def test_a_noiseless_static_channel_gives_finite_rates(tmp_path, monkeypatch):
+def test_a_noiseless_static_channel_gives_finite_rates(tmp_path):
     # every legitimate feature is the same, so EM trains on identical rows
-    monkeypatch.delenv("PHYSEC_SEED", raising=False)
     out = tmp_path / "results.csv"
     assert main(["evaluate", "--preset", "desk", "--snr", "inf", "--out", str(out)]) == 0
     with open(out, newline="") as fh:

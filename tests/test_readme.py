@@ -39,8 +39,7 @@ def test_the_readme_has_a_config_file_example():
 
 
 @pytest.mark.parametrize("line, source", CONFIG_BLOCKS, ids=[f"line{line}" for line, _ in CONFIG_BLOCKS])
-def test_readme_config_block_runs(line, source, tmp_path, monkeypatch):
-    monkeypatch.delenv("PHYSEC_SEED", raising=False)
+def test_readme_config_block_runs(line, source, tmp_path):
     config = tmp_path / "readme.cfg"
     config.write_text(source, encoding="utf-8")
     values = {}

@@ -173,8 +173,7 @@ def test_header_fields_out_of_order_are_named(tmp_path, text, message):
     assert err.value.line == 1
 
 
-def test_a_trace_saved_with_a_byte_order_mark_replays(tmp_path, monkeypatch):
-    monkeypatch.delenv("PHYSEC_SEED", raising=False)
+def test_a_trace_saved_with_a_byte_order_mark_replays(tmp_path):
     desk = ["--preset", "desk", "--seed", "0"]
     trace = tmp_path / "trace.csv"
     assert main(["simulate", *desk, "--out", str(trace)]) == 0
