@@ -134,6 +134,16 @@ def test_the_seed_comes_from_the_options_alone(tmp_path, monkeypatch, env):
     assert read_rows(out.read_text())[0]["seed"] == "3"
 
 
+@pytest.mark.parametrize("config, seed", [("seed = 5\n", "5"), ("", "0")], ids=["config", "default"])
+def test_a_seed_the_flags_leave_unset_ignores_the_environment(tmp_path, monkeypatch, config, seed):
+    monkeypatch.setenv("PHYSEC_SEED", "42")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    out = tmp_path / "r.csv"
+    assert run_cli("evaluate", "--preset", "desk", "--m", "8", "--config", str(cfg), "--out", str(out)) == 0
+    assert read_rows(out.read_text())[0]["seed"] == seed
+
+
 def test_config_file_fills_gaps_but_flags_win(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("snr = 5        # low-quality estimates\nm = 8\n\n")

@@ -324,6 +324,22 @@ def test_delta_feature_pipeline_runs():
     assert r.p_fa is not None and r.p_d is not None
 
 
+@pytest.mark.parametrize("detector", list(DetectorKind), ids=lambda d: d.value)
+def test_delta_features_whose_squares_overflow_are_rejected(detector):
+    # noise variance near 1e307: the delta magnitudes are finite, their
+    # squares are not, and used to come out as rates of 0.0 or a numpy error
+    cfg = desk_config(snr_db=-3079.0, feature_kind=FeatureKind.DELTA, detector=detector)
+    with pytest.raises(gmm.FeatureOverflowError, match="overflow"):
+        ev.run_experiment(cfg)
+
+
+def test_a_delta_baseline_with_one_training_feature_is_refused():
+    # block 0 of 2 messages gives one delta feature; the baseline needs 2
+    cfg = desk_config(feature_kind=FeatureKind.DELTA, detector=DetectorKind.MSE, num_blocks=3, block_size=2)
+    with pytest.raises(ValueError, match="need at least two training features"):
+        ev.run_experiment(cfg)
+
+
 def test_oracle_labeled_updates_fire():
     r = ev.run_experiment(desk_config(oracle_update=True))
     assert any(b.model_updated for b in r.blocks)
@@ -588,6 +604,22 @@ def test_every_grid_row_is_its_solo_run(tmp_path, monkeypatch):
         assert_same_trial(replay_result, result)
         (solo_replay,) = replay(trace, config)
         assert_same_trial(replay_result, solo_replay)
+
+
+def test_every_row_of_a_delta_grid_is_its_solo_run():
+    # the command line takes magnitude features only; the library's grid
+    # still runs delta features, each row as it would run alone
+    configs = [
+        desk_config(feature_kind=FeatureKind.DELTA, detector=detector, m_subcarriers=m,
+                    update_enabled=update, oracle_update=oracle)
+        for detector in DetectorKind
+        for m in (4, 16)
+        for update, oracle in cli.UPDATE_MODES.values()
+        if detector is DetectorKind.GMM or (update, oracle) == (False, False)
+    ]
+    assert len(configs) == 8
+    for config, result in zip(configs, ev.run_grid(configs)):
+        assert_same_trial(result, ev.run_experiment(config))
 
 
 def test_a_replayed_grid_opens_and_parses_its_trace_once(tmp_path, monkeypatch):
