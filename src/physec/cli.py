@@ -20,8 +20,6 @@ from contextlib import nullcontext
 from dataclasses import replace
 from functools import partial
 
-import numpy as np
-
 from . import evaluation as ev
 from . import trace_io
 from .evaluation import DetectorKind, ExperimentConfig
@@ -318,13 +316,9 @@ def cmd_simulate(args) -> int:
         stream = ev.simulated_estimate_chunks(config)
         written = 0
         while written < total:  # no chunk straddles two blocks
-            # each chunk is already in file order, both links' estimates
-            # for one slot, then the next: write a view of it as it is drawn
             gains = next(stream)
-            count = len(gains)
-            slots = np.repeat(np.arange(written + 1, written + count + 1), 2)
-            yield slots, [ev.BOB_LINK, ev.EVE_LINK] * count, gains.reshape(2 * count, config.m_full)
-            written += count
+            yield gains  # written before the next draw overwrites it
+            written += len(gains)
 
     try:
         header = trace_io.TraceHeader(
@@ -335,7 +329,7 @@ def cmd_simulate(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     try:
-        trace_io.write_trace(header, args.out, chunks())
+        trace_io.write_trace(header, args.out, [ev.BOB_LINK, ev.EVE_LINK], chunks())
     except trace_io.TraceDestinationError as exc:
         raise UsageError(str(exc)) from exc
     except OSError as exc:

@@ -4,7 +4,9 @@ Protocol: block 0 carries legitimate traffic only and trains the detector;
 every later block mixes legitimate and attacker messages, where each message
 comes from the attacker independently with probability `attack_intensity`.
 Both links evolve one step per message.  With updating enabled, the mixture
-detector refits itself on its own accepted samples at every block boundary.
+detector refits itself after each test block that another block follows, on
+the samples it accepted, or with `oracle_update` on the legitimate ones; it
+keeps its model when too few were accepted.  No refit follows the last block.
 """
 
 from __future__ import annotations

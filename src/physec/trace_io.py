@@ -19,9 +19,11 @@ The file is UTF-8.  Rows end at \n (as written), \r\n or \r; any other
 character `str.splitlines` breaks at (\v, \f, \x1c-\x1e, \x85,
 \u2028, \u2029) is an error inside a row.
 
-Neither direction holds the whole trace.  `write_trace` formats each block
-of rows it is given into a temporary file beside the destination, which
-replaces the destination once the last block is written.  `TraceReader`
+Neither direction holds the whole trace.  `write_trace` takes the link
+labels, checked once, and an iterable of (slots, links, m_full) chunks; it
+numbers the slots from 1 and formats each chunk's rows, slot by slot in
+label order, into a temporary file beside the destination, which replaces
+the destination once the last chunk is written.  `TraceReader`
 reads the header on opening; its `chunks` parses each row straight into
 the chunk its link is filling, one (rows, m_full) array per link, and
 hands a chunk of every link out once each has one, so a file that
@@ -60,11 +62,9 @@ class TraceFormatError(ValueError):
     """Malformed trace content, or a non-finite gain on a replayed link;
     carries the offending 1-based line number."""
 
-    def __init__(self, message: str, line: int | None = None):
+    def __init__(self, message: str, line: int):
         self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
+        super().__init__(f"line {line}: {message}")
 
 
 class TraceReadError(OSError):
@@ -147,38 +147,25 @@ def _format_row(t: int, label: str, values: list) -> str:
     return f"{t},{label}," + ",".join([repr(v + 0.0) for v in values]) + "\n"
 
 
-def _checked_block(block, m_full: int, last_time: dict):
-    """(time indices, labels, float rows) of a block of records, each checked.
+def _format_header(header: TraceHeader) -> str:
+    return (
+        f"#CSI,m_full={header.m_full},"
+        f"interval_us={float(header.sample_interval_us)!r},"
+        f"desc={header.description}\n"
+    )
 
-    `last_time` maps each link label seen so far to its last time index.
-    """
-    times, labels, gains = block
+
+def _checked_labels(labels) -> list:
+    """The link labels as a list, each one a label the reader reads back."""
     labels = list(labels)
-    n = len(labels)
-    try:
-        times = np.asarray(times, dtype=np.int64)
-    except OverflowError as exc:
-        raise ValueError(f"time index outside int64: {exc}") from exc
-    gains = np.asarray(gains, dtype=np.complex128)
-    if times.shape != (n,) or gains.shape != (n, m_full):
-        raise ValueError(
-            f"{n} link labels need time_index of shape ({n},) and gains of shape "
-            f"(n, m_full) = ({n}, {m_full}); got {times.shape} and {gains.shape}"
-        )
-    times = times.tolist()
-    for t, label in zip(times, labels):
-        prev = last_time.get(label)
-        if prev is None:
-            if "," in label or _breaks_line(label):
-                raise ValueError(f"link label {label!r} contains a delimiter or line break")
-            _check_utf8(label)
-        elif t <= prev:
-            raise ValueError(
-                f"time indices must be strictly increasing per link; "
-                f"{label} goes {prev} -> {t}"
-            )
-        last_time[label] = t
-    return times, labels, np.ascontiguousarray(gains).view(np.float64)
+    for label in labels:
+        if "," in label or _breaks_line(label):
+            raise ValueError(f"link label {label!r} contains a delimiter or line break")
+        _check_utf8(label)
+    if len(set(labels)) != len(labels):
+        # its rows would repeat a time index of one link
+        raise ValueError(f"link labels must be distinct, got {labels!r}")
+    return labels
 
 
 def _create_beside(path) -> tuple[str, int]:
@@ -196,18 +183,21 @@ def _create_beside(path) -> tuple[str, int]:
             continue
 
 
-def write_trace(header: TraceHeader, path: str | os.PathLike, blocks) -> None:
-    """Write a trace to the file at `path`, one block of rows at a time.
+def write_trace(header: TraceHeader, path: str | os.PathLike, labels, chunks) -> None:
+    """Write a trace of the links `labels` to the file at `path`, one chunk
+    of time slots at a time.
 
-    Each block is a (time_index, link_labels, gains) triple of n records in
-    file order: n int64 time indices, n link labels and an (n, m_full)
-    complex array.  A block's records are all checked before any is
-    written.  The rows go to a temporary file beside `path` that replaces
-    it only after the last block, so a refused record leaves no file and
-    an existing `path` as it was.  An existing `path` that is not a
-    regular file, such as a device or a FIFO, is refused rather than
-    replaced.  Output is byte-deterministic.
+    Each chunk is a (slots, len(labels), m_full) complex array.  The
+    writer numbers the slots from 1 across the chunks and writes each
+    slot's rows in label order.  The labels must be distinct, UTF-8 and
+    free of delimiters and line breaks; they are checked before anything
+    is written.  The rows go to a temporary file beside `path` that
+    replaces it only after the last chunk, so a refused chunk, or a fault
+    raised by `chunks`, leaves no file and an existing `path` as it was.
+    An existing `path` that is not a regular file, such as a device or a
+    FIFO, is refused rather than replaced.  Output is byte-deterministic.
     """
+    labels = _checked_labels(labels)
     try:
         mode = os.stat(path).st_mode
     except FileNotFoundError:
@@ -218,19 +208,20 @@ def write_trace(header: TraceHeader, path: str | os.PathLike, blocks) -> None:
         temp, fd = _create_beside(path)
     except OSError as exc:  # name the destination, not the temporary file
         raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc
+    shape = (len(labels), header.m_full)
     try:
         with open(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(
-                f"#CSI,m_full={header.m_full},"
-                f"interval_us={float(header.sample_interval_us)!r},"
-                f"desc={header.description}\n"
-            )
-            last_time: dict[str, int] = {}
-            for block in blocks:
-                times, labels, floats = _checked_block(block, header.m_full, last_time)
-                # one row at a time: Python floats for a whole block outweigh its text
-                for t, label, row in zip(times, labels, floats):
-                    fh.write(_format_row(t, label, row.tolist()))
+            fh.write(_format_header(header))
+            slot = 0
+            for chunk in chunks:
+                gains = np.asarray(chunk, dtype=np.complex128)
+                if gains.shape[1:] != shape:
+                    raise ValueError(f"a chunk must have shape (slots, {shape[0]}, m_full={shape[1]}), not {gains.shape}")
+                # one slot at a time: Python floats for a whole chunk outweigh its text
+                for rows in np.ascontiguousarray(gains).view(np.float64):
+                    slot += 1
+                    for label, values in zip(labels, rows.tolist()):
+                        fh.write(_format_row(slot, label, values))
         os.replace(temp, path)
     except BaseException:
         os.unlink(temp)

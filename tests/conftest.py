@@ -21,11 +21,27 @@ def desk_config(**overrides) -> ExperimentConfig:
     return ExperimentConfig(**kwargs)
 
 
-def write_records(path, m_full, time_index, link_labels, gains, **header):
-    """Write a trace of one block of records, in file order, to `path`;
-    `header` holds TraceHeader's other fields."""
+def write_rows(path, m_full, rows, **header):
+    """Write a trace of `rows`, each a (time index, link label, complex
+    gains) triple, in file order and as given, to `path`: the layouts that
+    `trace_io.write_trace` does not make.  `header` holds TraceHeader's
+    other fields."""
     header = trace_io.TraceHeader(m_full, **header)
-    trace_io.write_trace(header, path, [(time_index, link_labels, gains)])
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(trace_io._format_header(header))
+        for t, label, gains in rows:
+            values = np.ascontiguousarray(gains, dtype=np.complex128).view(np.float64)
+            fh.write(trace_io._format_row(t, label, values.tolist()))
+
+
+def slot_rows(gains, labels=("AB", "AE"), order=None) -> list:
+    """The rows `trace_io.write_trace` writes of a (slots, links, m_full)
+    array, as (time index, link label, gains) triples, taken in `order` of
+    their positions in its file, or in its order."""
+    links = len(labels)
+    if order is None:
+        order = range(len(gains) * links)
+    return [(k // links + 1, labels[k % links], gains[k // links, k % links]) for k in order]
 
 
 def check_chunk(chunk, links, rows, m_full):

@@ -18,7 +18,7 @@ from physec import gmm
 from physec import trace_io
 from physec.evaluation import DetectorKind, ExperimentConfig
 
-from conftest import desk_config, read_links, write_records
+from conftest import desk_config, read_links
 
 # ---------------------------------------------------------------------------
 # shared full-scale runs (cached: several tests reuse the same scenarios)
@@ -299,7 +299,8 @@ def test_reproducibility_and_lossless_round_trips(tmp_path):
     awkward = [math.pi - 1e-9j, -0.0 + 1e300j, 2.2250738585072014e-308 + 0.25j]
     gains = np.array([[g, g * 1j] for g in awkward])
     path = tmp_path / "trace.csv"
-    write_records(path, 2, [1, 2, 3], ["AB"] * 3, gains, description="round trip")
+    header = trace_io.TraceHeader(2, description="round trip")
+    trace_io.write_trace(header, path, ["AB"], [gains[:, None]])
     _, (back,) = read_links(path, ("AB",), 3)
     assert back.shape == gains.shape
     for row_in, row_out in zip(gains, back):

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import itertools
 import math
 import tracemalloc
 
@@ -15,7 +16,7 @@ from physec import trace_io
 from physec.evaluation import DetectorKind
 from physec.features import FeatureKind
 
-from conftest import desk_config, lines_read, relinked_order, write_records
+from conftest import desk_config, lines_read, relinked_order, slot_rows, write_rows
 
 
 # ---------------------------------------------------------------------------
@@ -368,20 +369,27 @@ def test_perfect_imitation_collapses_detection_to_chance_desk_scale():
 # ---------------------------------------------------------------------------
 
 
-def records_for(cfg, eve_time_offset=0) -> tuple:
-    """(time_index, link_labels, gains) of both links of `cfg`'s simulation,
-    interleaved as `physec simulate` writes them."""
-    chunks = ev.simulated_estimate_chunks(cfg)
-    total = cfg.num_blocks * cfg.block_size
-    rows = []
-    while sum(map(len, rows)) < total:
-        rows.append(next(chunks).copy())  # the stream draws its next chunk into this one
-    slots = np.arange(1, total + 1)
-    return (
-        np.stack([slots, slots + eve_time_offset], axis=1).reshape(-1),
-        [ev.BOB_LINK, ev.EVE_LINK] * total,
-        np.concatenate(rows).reshape(2 * total, cfg.m_full),
-    )
+LINKS = (ev.BOB_LINK, ev.EVE_LINK)
+
+
+def simulated_chunks(cfg):
+    """The chunks of `cfg`'s simulated stream that its blocks take."""
+    count = cfg.num_blocks * len(ev._chunks(cfg.block_size, cfg.m_full))
+    return itertools.islice(ev.simulated_estimate_chunks(cfg), count)
+
+
+def simulated_gains(cfg) -> np.ndarray:
+    """Both links' gains of `cfg`'s simulation, one (2, m_full) row a slot."""
+    # the stream draws its next chunk into the one it yielded last
+    return np.concatenate([chunk.copy() for chunk in simulated_chunks(cfg)])
+
+
+def write_simulated(path, cfg, chunks=None):
+    """Write a trace as `physec simulate` does, of `chunks` or else of
+    `cfg`'s simulated stream."""
+    chunks = simulated_chunks(cfg) if chunks is None else chunks
+    trace_io.write_trace(trace_io.TraceHeader(cfg.m_full), path, LINKS, chunks)
+    return path
 
 
 def replay(path, *configs) -> list:
@@ -389,10 +397,8 @@ def replay(path, *configs) -> list:
         return ev.run_grid(list(configs), trace)
 
 
-def replay_records(tmp_path, records, *configs) -> list:
-    path = tmp_path / "trace.csv"
-    write_records(path, configs[0].m_full, *records)
-    return replay(path, *configs)
+def replay_gains(tmp_path, gains, *configs) -> list:
+    return replay(write_simulated(tmp_path / "trace.csv", configs[0], [gains]), *configs)
 
 
 def assert_same_trial(result, expected):
@@ -403,7 +409,7 @@ def assert_same_trial(result, expected):
 
 def test_replaying_a_recorded_trace_reproduces_the_simulation(tmp_path):
     cfg = desk_config()
-    (replayed,) = replay_records(tmp_path, records_for(cfg), cfg)
+    (replayed,) = replay(write_simulated(tmp_path / "trace.csv", cfg), cfg)
     assert_same_trial(replayed, ev.run_experiment(cfg))
 
 
@@ -411,16 +417,14 @@ def test_a_replay_reads_the_links_in_any_order_beside_other_links(tmp_path):
     # all of the legitimate link's rows first, then the attacker's, each
     # followed by a row of a third link whose gains no replay reads
     cfg = desk_config(num_blocks=3)
-    times, labels, gains = records_for(cfg)
-    bob, eve = slice(0, None, 2), slice(1, None, 2)
-    total = times.size // 2
-    third = np.full((total, cfg.m_full), np.nan)
-    records = (
-        np.concatenate([times[bob], np.repeat(times[eve], 2)]),
-        [ev.BOB_LINK] * total + [ev.EVE_LINK, "XY"] * total,
-        np.concatenate([gains[bob], np.stack([gains[eve], third], axis=1).reshape(-1, cfg.m_full)]),
-    )
-    (replayed,) = replay_records(tmp_path, records, cfg)
+    gains = simulated_gains(cfg)
+    third = np.full(cfg.m_full, np.nan)
+    rows = [(t, ev.BOB_LINK, pair[0]) for t, pair in enumerate(gains, start=1)]
+    for t, pair in enumerate(gains, start=1):
+        rows += [(t, ev.EVE_LINK, pair[1]), (t, "XY", third)]
+    path = tmp_path / "trace.csv"
+    write_rows(path, cfg.m_full, rows)
+    (replayed,) = replay(path, cfg)
     assert_same_trial(replayed, ev.run_experiment(cfg))
 
 
@@ -432,20 +436,18 @@ def test_a_late_trace_fault_is_reported_once_the_last_row_is_read(tmp_path, eve_
     cfg = desk_config()
     total = cfg.num_blocks * cfg.block_size
     order = relinked_order(total, eve_ahead)
-    times, labels, gains = records_for(cfg)
-    times, labels, gains = times[order], np.array(labels)[order], gains[order]
+    rows = slot_rows(simulated_gains(cfg), LINKS, order)
     if fault == "non-finite":  # a message of Bob's in the last block's first chunk
-        nan_row = (times == total - 150) & (labels == ev.BOB_LINK)
-        gains[nan_row, 3] = np.nan
-        last_line = 2 + int(np.flatnonzero(nan_row)[0])  # the header is line 1
+        nan_row = next(k for k, (t, label, _) in enumerate(rows) if (t, label) == (total - 150, ev.BOB_LINK))
+        rows[nan_row][2][3] = np.nan
+        last_line = 2 + nan_row  # the header is line 1
         message = f"line {last_line}: gains must be finite"
-        keep = slice(None)
     else:  # Eve's link ends 10 messages early
         message = f"trace has {total - 10} records for link 'AE', need {total}"
-        keep = ~((times > total - 10) & (labels == ev.EVE_LINK))
-        last_line = 1 + len(times[keep])  # the header and every row
+        rows = [row for row in rows if row[0] <= total - 10 or row[1] != ev.EVE_LINK]
+        last_line = 1 + len(rows)  # the header and every row
     path = tmp_path / "trace.csv"
-    write_records(path, cfg.m_full, times[keep], labels[keep].tolist(), gains[keep])
+    write_rows(path, cfg.m_full, rows)
     with trace_io.TraceReader(path) as trace:
         read = lines_read(trace)
         with pytest.raises(ValueError, match=f"^{message}$"):
@@ -455,17 +457,16 @@ def test_a_late_trace_fault_is_reported_once_the_last_row_is_read(tmp_path, eve_
 
 def test_replay_rejects_short_traces_and_prefilters(tmp_path):
     cfg = desk_config()
-    records = records_for(dataclasses.replace(cfg, num_blocks=2))
+    path = write_simulated(tmp_path / "trace.csv", dataclasses.replace(cfg, num_blocks=2))
     # the count is the whole file's
     with pytest.raises(ValueError, match="trace has 400 records for link 'AB', need 2000"):
-        replay_records(tmp_path, records, cfg)
+        replay(path, cfg)
     with pytest.raises(ValueError, match="prefilter"):
-        replay_records(tmp_path, records, dataclasses.replace(cfg, prefilter=ev.PERFECT_IMITATION))
+        replay(path, dataclasses.replace(cfg, prefilter=ev.PERFECT_IMITATION))
 
 
 def test_replay_rejects_a_config_of_another_width(tmp_path):
-    path = tmp_path / "trace.csv"
-    write_records(path, 48, *records_for(desk_config()))
+    path = write_simulated(tmp_path / "trace.csv", desk_config())
     with pytest.raises(ValueError, match="m_full=16"):
         replay(path, desk_config(m_full=16, num_taps=4))
 
@@ -473,27 +474,18 @@ def test_replay_rejects_a_config_of_another_width(tmp_path):
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_replay_rejects_non_finite_gains(tmp_path, bad):
     cfg = desk_config()
-    times, labels, gains = records_for(cfg)
-    gains[2 * cfg.block_size + 1, 5] = complex(bad, 0.0)
+    gains = simulated_gains(cfg)
+    gains[cfg.block_size, 1, 5] = complex(bad, 0.0)  # Eve's first test message
     with pytest.raises(ValueError, match="finite"):
-        replay_records(tmp_path, (times, labels, gains), cfg)
+        replay_gains(tmp_path, gains, cfg)
 
 
 def test_replay_rejects_all_zero_selected_estimates(tmp_path):
     cfg = desk_config()
-    times, labels, gains = records_for(cfg)
-    # both links of the first test message
-    gains[2 * cfg.block_size : 2 * cfg.block_size + 2] = 0.0
+    gains = simulated_gains(cfg)
+    gains[cfg.block_size] = 0.0  # both links of the first test message
     with pytest.raises(ValueError, match="all-zero"):
-        replay_records(tmp_path, (times, labels, gains), cfg)
-
-
-def test_replay_rejects_records_of_the_wrong_width(tmp_path):
-    cfg = desk_config()
-    times, labels, gains = records_for(cfg)
-    # the writer refuses rows narrower than the header's m_full, so none reach replay
-    with pytest.raises(ValueError, match="m_full"):
-        replay_records(tmp_path, (times, labels, gains[:, :-1]), cfg)
+        replay_gains(tmp_path, gains, cfg)
 
 
 @pytest.mark.parametrize("kinds", [["delta"], ["magnitude", "delta"]], ids=["delta", "mixed"])
@@ -502,8 +494,7 @@ def test_a_replay_with_delta_features_is_refused_before_a_row_is_parsed(
 ):
     # a delta feature differences consecutive messages of two links'
     # recordings; any config of a grid that uses them refuses the replay
-    path = tmp_path / "trace.csv"
-    write_records(path, 48, *records_for(desk_config()))
+    path = write_simulated(tmp_path / "trace.csv", desk_config())
     configs = [desk_config(feature_kind=FeatureKind(kind)) for kind in kinds]
     parsed = []
 
@@ -523,7 +514,11 @@ def test_a_replay_does_not_read_the_time_indices_across_links(tmp_path):
     # the attacker link's clock runs far ahead of the legitimate one's, so
     # the mixed stream steps back in time whenever it returns to Bob
     cfg = desk_config()
-    (replayed,) = replay_records(tmp_path, records_for(cfg, eve_time_offset=10**6), cfg)
+    rows = [(t + 10**6 if label == ev.EVE_LINK else t, label, gains)
+            for t, label, gains in slot_rows(simulated_gains(cfg), LINKS)]
+    path = tmp_path / "trace.csv"
+    write_rows(path, cfg.m_full, rows)
+    (replayed,) = replay(path, cfg)
     assert_same_trial(replayed, ev.run_experiment(cfg))
 
 
@@ -531,25 +526,24 @@ def test_a_replay_does_not_read_the_time_indices_across_links(tmp_path):
 def test_a_replay_stops_at_its_first_fault_in_file_order(tmp_path, case):
     # `last_line` is the last line the replay reads
     cfg = desk_config()
-    times, labels, gains = records_for(cfg)
+    gains = simulated_gains(cfg)
     if case == "run-fault-first":  # the first test message all-zero, a NaN in the last row
-        gains[2 * cfg.block_size : 2 * cfg.block_size + 2] = 0.0
-        gains[-1, 0] = np.nan
+        gains[cfg.block_size] = 0.0
+        gains[-1, 1, 0] = np.nan
         error, message = ValueError, "^all-zero estimate"
         # the chunk that holds the message is featurized once it is full
         last_line = 1 + 2 * (cfg.block_size + ev._chunks(cfg.block_size, cfg.m_full)[0].stop)
-        assert last_line < 1 + len(times)  # the NaN is never read
+        assert last_line < 1 + 2 * len(gains)  # the NaN is never read
     elif case == "nan-before-malformed":  # the run's last row, then a row after it
-        gains[-1, 0] = np.nan
-        last_line = 1 + len(times)
+        gains[-1, 1, 0] = np.nan
+        last_line = 1 + 2 * len(gains)
         error, message = trace_io.TraceFormatError, f"^line {last_line}: gains must be finite$"
     else:  # Bob's row 2 of a trace with 2 of the 10 blocks the run needs
-        times, labels, gains = records_for(dataclasses.replace(cfg, num_blocks=2))
-        gains[4, 0] = np.nan
+        gains = simulated_gains(dataclasses.replace(cfg, num_blocks=2))
+        gains[2, 0, 0] = np.nan
         last_line = 6
         error, message = trace_io.TraceFormatError, f"^line {last_line}: gains must be finite$"
-    path = tmp_path / "trace.csv"
-    write_records(path, cfg.m_full, times, labels, gains)
+    path = write_simulated(tmp_path / "trace.csv", cfg, [gains])
     if case == "nan-before-malformed":
         with open(path, "a", encoding="utf-8") as fh:
             fh.write("not,a,row\n")

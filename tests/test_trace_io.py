@@ -1,5 +1,6 @@
 """Estimate-trace format: lossless round trips, strict parsing, fuzz safety."""
 
+import itertools
 import math
 import os
 import pathlib
@@ -20,7 +21,7 @@ from physec.cli import main
 from physec.trace_io import TraceFormatError, TraceHeader
 
 from conftest import (
-    check_chunk, desk_config, lines_read, read_links, relinked_order, write_records,
+    check_chunk, desk_config, lines_read, read_links, relinked_order, slot_rows, write_rows,
 )
 
 TRICKY = [
@@ -33,10 +34,15 @@ TRICKY = [
 
 def write_two_links(path):
     """Two rows of each of two links, all of the first link's rows first."""
-    write_records(
-        path, 2, [1, 2, 1, 2], ["AB", "AB", "AE", "AE"], TRICKY,
-        sample_interval_us=998.4, description="bench test",
-    )
+    rows = [(1, "AB", TRICKY[0]), (2, "AB", TRICKY[1]), (1, "AE", TRICKY[2]), (2, "AE", TRICKY[3])]
+    write_rows(path, 2, rows, sample_interval_us=998.4, description="bench test")
+
+
+def write(path, labels, *chunks, m_full=None, **header):
+    """Write `chunks` of the links `labels` with `trace_io.write_trace`;
+    `m_full` defaults to the chunks' width."""
+    m_full = np.shape(chunks[0])[-1] if m_full is None else m_full
+    trace_io.write_trace(TraceHeader(m_full, **header), path, labels, chunks)
 
 
 def as_file(directory, content, name="trace.csv") -> pathlib.Path:
@@ -65,23 +71,54 @@ def canonical(gains: np.ndarray) -> np.ndarray:
 
 def test_round_trip_is_lossless(tmp_path):
     path = tmp_path / "trace.csv"
-    write_two_links(path)
+    # two slots of two links, in two chunks
+    gains = np.array(TRICKY).reshape(2, 2, 2)
+    write(path, ["AB", "AE"], gains[:1], gains[1:], sample_interval_us=998.4, description="bench test")
     header, (bob, eve) = read_links(path, ("AB", "AE"), 2)
     assert header == TraceHeader(2, 998.4, "bench test")
     assert bob.shape == eve.shape == (2, 2)
-    assert np.array_equal(np.concatenate([bob, eve]), canonical(np.array(TRICKY)))
-    # rewritten with the time indices write_two_links gave, every column,
-    # the time index too, comes back byte for byte
+    assert np.array_equal(np.stack([bob, eve], axis=1), canonical(gains))
+    # rewritten from what was read, every column, the time index too,
+    # comes back byte for byte
     rewritten = tmp_path / "rewritten.csv"
-    trace_io.write_trace(
-        header, rewritten, [([1, 2], ["AB"] * 2, bob), ([1, 2], ["AE"] * 2, eve)]
-    )
+    trace_io.write_trace(header, rewritten, ["AB", "AE"], [np.stack([bob, eve], axis=1)])
     assert rewritten.read_bytes() == path.read_bytes()  # write is byte-deterministic
+
+
+def test_the_writer_numbers_simulated_chunks_that_read_back_as_they_were_drawn(tmp_path):
+    # the simulated stream's chunks, at the sizes run_grid reads a block
+    # in, read back as the arrays drawn: the writer takes each before the
+    # stream draws the next into the same array
+    cfg = desk_config(num_blocks=2)
+    sizes = [part.stop - part.start for part in ev._chunks(cfg.block_size, cfg.m_full)]
+    assert sizes == [85, 85, 30]
+    drawn = []
+
+    def chunks():
+        for chunk in itertools.islice(ev.simulated_estimate_chunks(cfg), 2 * len(sizes)):
+            if not drawn:
+                chunk[0, 1, 3] = complex(-0.0, -0.0)  # written as 0.0
+            drawn.append(chunk.copy())
+            yield chunk
+
+    path = tmp_path / "trace.csv"
+    trace_io.write_trace(TraceHeader(cfg.m_full), path, [ev.BOB_LINK, ev.EVE_LINK], chunks())
+    with trace_io.TraceReader(path) as reader:
+        read = list(reader.chunks((ev.BOB_LINK, ev.EVE_LINK), sizes, 2))
+    assert len(read) == len(drawn)
+    for (bob, eve), gains in zip(read, drawn):
+        check_chunk((bob, eve), 2, len(gains), cfg.m_full)
+        assert np.array_equal(np.stack([bob, eve], axis=1), canonical(gains))
+    assert not np.signbit(read[0][1][0, 3].real)
+    # slots numbered from 1 across the chunks, each slot's rows in label order
+    rows = [line.split(",", 2)[:2] for line in path.read_text(encoding="utf-8").splitlines()[1:]]
+    total = 2 * cfg.block_size
+    assert rows == [[str(t), label] for t in range(1, total + 1) for label in (ev.BOB_LINK, ev.EVE_LINK)]
 
 
 def test_negative_zero_is_canonicalized(tmp_path):
     path = tmp_path / "trace.csv"
-    write_records(path, 1, [1], ["AB"], [[-0.0 - 0.0j]])
+    write(path, ["AB"], [[[complex(-0.0, -0.0)]]])
     assert "-0.0" not in path.read_text(encoding="utf-8")
     gain = read_links(path, ("AB",), 1)[1][0][0, 0]
     assert gain == 0
@@ -91,7 +128,7 @@ def test_negative_zero_is_canonicalized(tmp_path):
 
 def test_description_may_contain_commas(tmp_path):
     path = tmp_path / "trace.csv"
-    write_records(path, 1, [1], ["AB"], [[1 + 1j]], description="office, day 2, desk by the window")
+    write(path, ["AB"], [[[1 + 1j]]], description="office, day 2, desk by the window")
     assert read_links(path, ("AB",), 1)[0].description == "office, day 2, desk by the window"
 
 
@@ -99,7 +136,7 @@ def test_labels_and_descriptions_stay_free_text(tmp_path):
     # only numeric fields refuse '_' and non-ASCII characters
     path = tmp_path / "trace.csv"
     labels = ("A_B", "\xc6\uff12")
-    write_records(path, 1, [1, 1], labels, [[1 + 1j], [2 - 1j]], description="b\xfcro_2 \uff12")
+    write(path, labels, [[[1 + 1j], [2 - 1j]]], description="b\xfcro_2 \uff12")
     header, gains = read_links(path, labels, 1)
     assert header.description == "b\xfcro_2 \uff12"
     assert [g.tolist() for g in gains] == [[[1 + 1j]], [[2 - 1j]]]
@@ -247,23 +284,24 @@ def test_time_must_increase_per_link_on_read(tmp_path):
     assert [g.tolist() for g in gains] == [[[0.5 + 0.5j], [0.6 + 0.6j]]] * 2
 
 
-def test_write_rejects_bad_records(tmp_path):
-    path = tmp_path / "trace.csv"
-    gains = [[1 + 0j, 2 + 0j]] * 2
-    with pytest.raises(ValueError, match="increasing"):
-        write_records(path, 2, [2, 1], ["AB", "AB"], gains)
-    with pytest.raises(ValueError, match="delimiter"):
-        write_records(path, 1, [1], ["A,B"], [[1 + 0j]])
-    with pytest.raises(ValueError, match="newline"):
-        TraceHeader(1, description="two\nlines")
+# every line break the reader's str.splitlines honours, not just \n and \r
+LINE_BREAKS = ("\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
 
-    # every line break the reader's str.splitlines honours, not just \n and \r
-    for brk in ("\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"):
-        with pytest.raises(ValueError, match="delimiter"):
-            write_records(path, 1, [1], [f"A{brk}B"], [[1 + 0j]])
-        with pytest.raises(ValueError, match="newline"):
-            TraceHeader(1, description=f"x{brk}y")
+
+@pytest.mark.parametrize(
+    "labels, reason",
+    [(["AB", "A,B"], "delimiter"), (["AB", "AE", "A\ud800"], "UTF-8"),
+     (["AB", "AE", "AB"], "distinct")]
+    + [(["AB", f"A{brk}B"], "delimiter") for brk in LINE_BREAKS],
+    ids=["comma", "not-utf8", "repeated"] + [f"break-{ord(brk):x}" for brk in LINE_BREAKS],
+)
+def test_write_rejects_bad_records(tmp_path, labels, reason):
+    # a repeated label would write two rows of one link at each time index
+    chunks = iter([np.ones((2, len(labels), 1))])
+    with pytest.raises(ValueError, match=reason):
+        trace_io.write_trace(TraceHeader(1), tmp_path / "trace.csv", labels, chunks)
     assert os.listdir(tmp_path) == []  # neither the trace nor a temporary file
+    assert next(chunks, None) is not None  # refused before a chunk was taken
 
 
 def test_line_break_check_agrees_with_splitlines_for_every_code_point():
@@ -293,7 +331,7 @@ def test_a_header_refuses_an_m_full_that_is_not_an_integer(m_full):
 @pytest.mark.parametrize("m_full", [np.int64(2), np.uint16(2)])
 def test_a_header_takes_numpy_integers(tmp_path, m_full):
     path = tmp_path / "trace.csv"
-    write_records(path, m_full, [1], ["AB"], [[1 + 0j, 2 + 0j]])
+    write(path, ["AB"], [[[1 + 0j, 2 + 0j]]], m_full=m_full)
     assert read_links(path, ["AB"], 1)[0] == TraceHeader(2)
 
 
@@ -308,20 +346,20 @@ def test_trace_validation(tmp_path):
             TraceHeader(1, sample_interval_us=interval)
     with pytest.raises(ValueError, match="UTF-8"):
         TraceHeader(1, description="\ud800")
+    for brk in LINE_BREAKS:
+        with pytest.raises(ValueError, match="newline"):
+            TraceHeader(1, description=f"x{brk}y")
     path = tmp_path / "trace.csv"
-    with pytest.raises(ValueError, match="m_full"):
-        write_records(path, 2, [1], ["AB"], [[1 + 0j]])
-    with pytest.raises(ValueError, match="m_full"):
-        write_records(path, 2, [1], ["AB"], np.zeros((1, 2, 2)))
-    with pytest.raises(ValueError, match="m_full"):
-        write_records(path, 1, [1], ["AB"], np.zeros((2, 1)))
-    with pytest.raises(ValueError, match="time_index"):
-        write_records(path, 1, [1, 2], ["AB"], [[1 + 0j]])
-    with pytest.raises(ValueError, match="int64"):
-        write_records(path, 1, [2**63], ["AB"], [[1 + 0j]])
+    # chunks of another width, of another number of links, or not (slots, links, m_full)
+    for chunk in (np.zeros((1, 1, 1)), np.zeros((1, 2, 2)), np.zeros((2, 2)), np.zeros((1, 1, 1, 2))):
+        with pytest.raises(ValueError, match="m_full"):
+            write(path, ["AB"], chunk, m_full=2)
     assert os.listdir(tmp_path) == []
-    write_records(path, 3, [], [], np.empty((0, 3)))
+    # no link, or no slot, writes the header alone
+    write(path, [], np.empty((4, 0, 3)))
     assert parse(path) == []
+    write(path, ["AB"], np.empty((0, 1, 3)))
+    assert path.read_text(encoding="utf-8") == "#CSI,m_full=3,interval_us=998.4,desc=\n"
 
 
 def test_labels_differing_only_by_a_trailing_nul_stay_apart(tmp_path):
@@ -380,7 +418,7 @@ def test_non_utf8_byte_reports_its_line(tmp_path, rng):
     n = 400
     path = tmp_path / "trace.csv"
     gains = rng.standard_normal((n, 48)) + 1j * rng.standard_normal((n, 48))
-    write_records(path, 48, np.arange(1, n + 1), ["AB"] * n, gains)
+    write(path, ["AB"], gains[:, None])
     lines = path.read_bytes().split(b"\n")
     for k in (1, 2, 300, n + 1):
         bad = lines.copy()
@@ -390,44 +428,41 @@ def test_non_utf8_byte_reports_its_line(tmp_path, rng):
         assert err.value.line == k
 
 
-def test_a_bad_last_record_is_found_before_anything_is_written(tmp_path):
-    gains = [[1 + 0j]] * 4
-    bad_time = ([1, 1, 2, 2], ["AB", "AE", "AB", "AB"])
-    bad_text = ([1, 1, 2, 2], ["AB", "AE", "AB", "A\ud800"])
-    for (times, labels), reason in ((bad_time, "increasing"), (bad_text, "UTF-8")):
-        path = tmp_path / "trace.csv"
-        with pytest.raises(ValueError, match=reason):
-            write_records(path, 1, times, labels, gains)
-        assert os.listdir(tmp_path) == []
-
-
 def test_writes_are_atomic(tmp_path):
-    header = TraceHeader(1)
+    header, labels = TraceHeader(1), ["AB", "AE"]
 
-    def blocks(last_time):
-        yield [1, 1], ["AB", "AE"], [[1 + 0j], [2 + 0j]]
-        yield [2, 2], ["AB", "AE"], [[3 + 0j], [4 + 0j]]
-        yield [3, last_time], ["AB", "AE"], [[5 + 0j], [6 + 0j]]  # AE goes back in time
+    def chunks(last):
+        """Two chunks of both links, then `last`: a chunk, or the fault
+        raised by the iterable."""
+        yield [[[1 + 0j], [2 + 0j]]]
+        yield [[[3 + 0j], [4 + 0j]], [[5 + 0j], [6 + 0j]]]
+        if isinstance(last, Exception):
+            raise last
+        yield last
 
     path = tmp_path / "trace.csv"
-    # a record refused after two blocks were written leaves nothing behind
-    with pytest.raises(ValueError, match="increasing"):
-        trace_io.write_trace(header, path, blocks(1))
+    wrong_shape = [[[7 + 0j], [8 + 0j], [9 + 0j]]]  # three links
+    # a chunk refused after two were written, or a fault of the iterable,
+    # leaves nothing behind
+    with pytest.raises(ValueError, match="m_full"):
+        trace_io.write_trace(header, path, labels, chunks(wrong_shape))
+    with pytest.raises(ZeroDivisionError):
+        trace_io.write_trace(header, path, labels, chunks(ZeroDivisionError()))
     assert os.listdir(tmp_path) == []
     # an existing file keeps its bytes, whatever fails
     path.write_bytes(b"precious")
-    with pytest.raises(ValueError, match="increasing"):
-        trace_io.write_trace(header, path, blocks(2))
+    with pytest.raises(ValueError, match="m_full"):
+        trace_io.write_trace(header, path, labels, chunks(wrong_shape))
     with pytest.raises(ZeroDivisionError):
-        trace_io.write_trace(header, path, (1 / 0 for _ in range(1)))
+        trace_io.write_trace(header, path, labels, chunks(ZeroDivisionError()))
     assert os.listdir(tmp_path) == ["trace.csv"]
     assert path.read_bytes() == b"precious"
     # a finished write replaces it and has the permissions open() would give
     old_mask = os.umask(0o027)
     try:
-        trace_io.write_trace(header, path, blocks(3))
+        trace_io.write_trace(header, path, labels, chunks([[[5 + 0j], [6 + 0j]]]))
         fresh = tmp_path / "fresh.csv"
-        trace_io.write_trace(header, fresh, blocks(3))
+        trace_io.write_trace(header, fresh, labels, chunks([[[5 + 0j], [6 + 0j]]]))
     finally:
         os.umask(old_mask)
     assert sorted(os.listdir(tmp_path)) == ["fresh.csv", "trace.csv"]
@@ -441,24 +476,29 @@ def test_a_destination_that_is_not_a_regular_file_is_refused(tmp_path):
     # os.replace would swap a device or FIFO out for a regular file
     fifo = tmp_path / "pipe"
     os.mkfifo(fifo)
-    with pytest.raises(ValueError, match="not a regular file"):
-        write_records(fifo, 1, [1], ["AB"], [[1 + 0j]])
+    # a read end held open: were the FIFO opened for writing, the open
+    # would not block and the test would fail rather than hang
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        with pytest.raises(ValueError, match="not a regular file"):
+            trace_io.write_trace(TraceHeader(1), fifo, ["AB"], [[[1 + 0j]]])
+    finally:
+        os.close(reader)
     assert stat.S_ISFIFO(fifo.stat().st_mode)
     assert os.listdir(tmp_path) == ["pipe"]
 
 
 def test_memory_stays_near_the_size_of_the_gains(tmp_path, rng):
-    # The writer formats one row at a time and the reader fills one chunk
+    # The writer formats one slot at a time and the reader fills one chunk
     # of both links, so neither holds the whole trace as Python floats
     # (about 24 bytes per float against the array's 8) or as text.
     n, m_full = 2000, 48
     sizes = [part.stop - part.start for part in ev._chunks(n // 2, m_full)]
-    labels = ["AB", "AE"] * (n // 2)
     gains = rng.standard_normal((n, m_full)) + 1j * rng.standard_normal((n, m_full))
     path = tmp_path / "trace.csv"
     tracemalloc.start()
     try:
-        write_records(path, m_full, np.repeat(np.arange(1, n // 2 + 1), 2), labels, gains)
+        write(path, ["AB", "AE"], gains.reshape(n // 2, 2, m_full))
         write_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         read = 0
@@ -484,7 +524,7 @@ def test_a_block_handed_out_is_freed_once_the_caller_drops_it(tmp_path, rng):
     n, m_full = 3, 2
     gains = rng.standard_normal((4 * n, m_full)) + 1j * rng.standard_normal((4 * n, m_full))
     path = tmp_path / "trace.csv"
-    write_records(path, m_full, np.repeat(np.arange(1, 2 * n + 1), 2), ["AB", "AE"] * (2 * n), gains)
+    write(path, ["AB", "AE"], gains.reshape(2 * n, 2, m_full))
     with trace_io.TraceReader(path) as reader:
         chunks = reader.chunks(("AB", "AE"), [2, 1], 2)
         chunk = next(chunks)
@@ -506,12 +546,11 @@ def test_no_chunk_after_a_non_finite_one_is_handed_out(tmp_path, rng):
     n, m_full = 8, 3
     gains = rng.standard_normal((2 * n, m_full)) + 1j * rng.standard_normal((2 * n, m_full))
     gains[2 * 5, 1] = np.nan  # AB's row 5
-    times, labels = np.repeat(np.arange(1, n + 1), 2), np.array(["AB", "AE"] * n)
     order = relinked_order(n, 5)  # the second link's rows, here AE's, run ahead
     nan_line = 2 + int(np.flatnonzero(order == 2 * 5)[0])  # the header is line 1
     assert nan_line == 15  # of 17: every AE row and AB's rows 0-4 come first
     path = tmp_path / "trace.csv"
-    write_records(path, m_full, times[order], labels[order].tolist(), gains[order])
+    write_rows(path, m_full, slot_rows(gains.reshape(n, 2, m_full), order=order))
     handed_out = []
     with trace_io.TraceReader(path) as reader:
         read = lines_read(reader)
@@ -541,9 +580,10 @@ def test_a_non_finite_gain_never_handed_out_is_reported_before_a_short_link(
     m_full = 2
     gains = rng.standard_normal((ab_rows + ae_rows, m_full)) + 0j
     gains[nan_row, 1] = np.nan
-    times = np.concatenate([np.arange(1, ab_rows + 1), np.arange(1, ae_rows + 1)])
+    rows = [(t, "AB", gains[t - 1]) for t in range(1, ab_rows + 1)]
+    rows += [(t, "AE", gains[ab_rows + t - 1]) for t in range(1, ae_rows + 1)]
     path = tmp_path / "trace.csv"
-    write_records(path, m_full, times, ["AB"] * ab_rows + ["AE"] * ae_rows, gains)
+    write_rows(path, m_full, rows)
     with pytest.raises(TraceFormatError, match=f"^line {2 + nan_row}: gains must be finite$"):
         parse(path, ("AB", "AE"), 2, 2)
 
