@@ -6,8 +6,10 @@ ExperimentConfig field it sets and its help; each command takes a named
 subset of the rows.  Options can also come from a flat key=value config file
 ('#' starts a comment); explicit flags win over file entries, and file
 entries over the preset.  A file key of an option the running command does
-not take is skipped, so one file can serve every command.  An option nobody
-sets is not passed on, so its default is the one ExperimentConfig declares.
+not take is skipped, so one file can serve every command, but a replay
+refuses the options that shape the simulated channel from a file as from a
+flag.  An option nobody sets is not passed on, so its default is the one
+ExperimentConfig declares.
 """
 
 from __future__ import annotations
@@ -175,64 +177,49 @@ def _fmt(value) -> str:
     return "nan" if value is None else repr(value)
 
 
-def _result_row(config: ExperimentConfig, result) -> dict:
-    row = {
-        "detector": "gmm" if config.update_enabled else "gmm-noupdate",
-        "M": config.m_subcarriers,
-        "snr_db": _fmt(config.snr_db),
-        "target_fa": _fmt(config.target_fa),
-        "realized_fa": _fmt(result.p_fa),
-        "p_d": _fmt(result.p_d),
-        "p_md": _fmt(result.p_md),
-        "blocks": config.num_blocks,
-        "seed": config.rng_seed,
-        "update": _UPDATE_MODE_OF[config.update_enabled, config.oracle_update],
-        "components": config.gmm_components,
-    }
-    if config.detector is DetectorKind.MSE:
-        # the baseline has neither an update mode nor mixture components
-        row.update(detector="mse", update="", components="")
-    return row
+def _result_row(config: ExperimentConfig, result) -> tuple:
+    """One config's row, in RESULT_COLUMNS order; the baseline has neither
+    an update mode nor mixture components."""
+    use_gmm = config.detector is DetectorKind.GMM
+    return (
+        ("gmm" if config.update_enabled else "gmm-noupdate") if use_gmm else "mse",
+        config.m_subcarriers,
+        _fmt(config.snr_db),
+        _fmt(config.target_fa),
+        _fmt(result.p_fa),
+        _fmt(result.p_d),
+        _fmt(result.p_md),
+        config.num_blocks,
+        config.rng_seed,
+        _UPDATE_MODE_OF[config.update_enabled, config.oracle_update] if use_gmm else "",
+        config.gmm_components if use_gmm else "",
+    )
 
 
-def _write_file(path: str, what: str, write) -> None:
-    """Open `path` for writing and hand it to `write`; an OSError (say, a
-    missing directory) is a usage error that names the path."""
+def _write_csv(out: str | None, what: str, header: list, rows) -> None:
+    """Write `header` and `rows` as CSV to the file `out`, or to stdout when
+    `out` is None.  The file's OSError (say, a missing directory) is a usage
+    error that names `what`; stdout's, such as a closed pipe, is not."""
+    def emit(fh):
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+    if out is None:
+        return emit(sys.stdout)
     try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            write(fh)
+        with open(out, "w", encoding="utf-8", newline="") as fh:
+            emit(fh)
     except OSError as exc:
         raise UsageError(f"cannot write {what}: {exc}")
 
 
-def _write_rows(rows: list, out: str | None) -> None:
-    def emit(fh):
-        writer = csv.DictWriter(fh, fieldnames=RESULT_COLUMNS, lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
-
-    if out is not None:
-        _write_file(out, "results", emit)
-    else:
-        emit(sys.stdout)
-
-
 def _print_table(rows: list) -> None:
-    widths = {c: max(len(c), max((len(str(r[c])) for r in rows), default=0)) for c in RESULT_COLUMNS}
-    header = "  ".join(c.ljust(widths[c]) for c in RESULT_COLUMNS)
-    print(header, file=sys.stderr)
-    print("-" * len(header), file=sys.stderr)
-    for r in rows:
-        print("  ".join(str(r[c]).ljust(widths[c]) for c in RESULT_COLUMNS), file=sys.stderr)
-
-
-def _write_roc(curve: ev.RocCurve, out: str) -> None:
-    def emit(fh):
-        fh.write("p_fa,p_d\n")
-        for fa, pd in zip(curve.p_fa, curve.p_d):
-            fh.write(f"{repr(float(fa))},{repr(float(pd))}\n")
-
-    _write_file(out, "ROC curve", emit)
+    lines = [RESULT_COLUMNS, *([str(value) for value in row] for row in rows)]
+    widths = [max(len(cell) for cell in column) for column in zip(*lines)]
+    lines = ["  ".join(cell.ljust(width) for cell, width in zip(line, widths)) for line in lines]
+    lines.insert(1, "-" * len(lines[0]))
+    print(*lines, sep="\n", file=sys.stderr)
 
 
 def _configs(settings: dict, trace) -> list:
@@ -264,14 +251,6 @@ def _configs(settings: dict, trace) -> list:
     # an explicit option that would change nothing is a usage error
     if updates and all(config.detector is DetectorKind.MSE for config in configs):
         raise UsageError("--update applies to the mixture detector; mse has no update mode")
-    # block 0 trains every detector, and a mixture it cannot train would
-    # fail mid-run; every block gives the baseline the 2 features it needs
-    for config in configs:
-        if config.detector is DetectorKind.GMM and config.block_size < config.gmm_components:
-            raise UsageError(
-                f"block 0 gives {config.block_size} training features; "
-                f"the gmm detector needs {config.gmm_components}"
-            )
     return configs
 
 
@@ -283,43 +262,40 @@ def _experiment_config(**kwargs) -> ExperimentConfig:
         raise UsageError(str(exc)) from exc
 
 
-def _run_grid(configs: list, trace) -> list:
-    """`run_grid`, with a replay's refusals of its data as usage errors.
+def _run(args, single: bool = False) -> tuple:
+    """The configs the options ask for, in row order, and their results,
+    simulated or replayed from --trace; with `single`, more than one config
+    is refused before a row is drawn.
 
-    A replay's data is the user's recording, so each of its refusals is one
-    (a malformed trace keeps its own type).  A simulated run's data is the
-    program's, so a ValueError there is a fault of the program.
+    A replay's data is the user's recording, so each of its refusals is a
+    usage error (a malformed trace keeps its own type).  A simulated run's
+    data is the program's, so a ValueError there is a fault of the program.
     """
-    try:
-        return ev.run_grid(configs, trace)
-    except ValueError as exc:
-        if trace is None or isinstance(exc, trace_io.TraceFormatError):
-            raise
-        raise UsageError(str(exc)) from exc
+    settings = _settings(args)
+    with trace_io.TraceReader(args.trace) if args.trace is not None else nullcontext() as trace:
+        configs = _configs(settings, trace)
+        if single and len(configs) != 1:
+            raise UsageError("roc needs exactly one detector, m value and update mode")
+        try:
+            return configs, ev.run_grid(configs, trace)
+        except ValueError as exc:
+            if trace is None or isinstance(exc, trace_io.TraceFormatError):
+                raise
+            raise UsageError(str(exc)) from exc
 
 
 def cmd_simulate(args) -> int:
     settings = _settings(args)
     kwargs = _experiment_kwargs(settings)
-    requested_blocks = kwargs.pop("num_blocks", ExperimentConfig.num_blocks)
-    if requested_blocks < 1:
+    blocks = kwargs.pop("num_blocks", ExperimentConfig.num_blocks)
+    if blocks < 1:
         raise UsageError("--blocks must be >= 1")
-    # the generator only needs channel/seed parameters; keep the config valid
+    # the stream reads only the seed, block size and channel fields; the
+    # others only keep the config valid, and the baseline trains on any block size
     config = _experiment_config(
-        m_subcarriers=kwargs.get("m_full", ExperimentConfig.m_full),
-        num_blocks=max(requested_blocks, 2),
-        **kwargs,
+        m_subcarriers=kwargs.get("m_full", ExperimentConfig.m_full), detector=DetectorKind.MSE, **kwargs
     )
-    total = requested_blocks * config.block_size
-
-    def chunks():
-        stream = ev.simulated_estimate_chunks(config)
-        written = 0
-        while written < total:  # no chunk straddles two blocks
-            gains = next(stream)
-            yield gains  # written before the next draw overwrites it
-            written += len(gains)
-
+    total = blocks * config.block_size
     try:
         header = trace_io.TraceHeader(
             m_full=config.m_full,
@@ -329,7 +305,9 @@ def cmd_simulate(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     try:
-        trace_io.write_trace(header, args.out, [ev.BOB_LINK, ev.EVE_LINK], chunks())
+        trace_io.write_trace(
+            header, args.out, [ev.BOB_LINK, ev.EVE_LINK], ev.simulated_estimate_chunks(config, blocks)
+        )
     except trace_io.TraceDestinationError as exc:
         raise UsageError(str(exc)) from exc
     except OSError as exc:
@@ -339,27 +317,18 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    settings = _settings(args)
-    with trace_io.TraceReader(args.trace) if args.trace is not None else nullcontext() as trace:
-        configs = _configs(settings, trace)
-        results = _run_grid(configs, trace)
-    rows = [_result_row(config, result) for config, result in zip(configs, results)]
+    rows = [_result_row(config, result) for config, result in zip(*_run(args))]
     _print_table(rows)
-    _write_rows(rows, args.out)
+    _write_csv(args.out, "results", RESULT_COLUMNS, rows)
     return 0
 
 
 def cmd_roc(args) -> int:
-    settings = _settings(args)
-    with trace_io.TraceReader(args.trace) if args.trace is not None else nullcontext() as trace:
-        configs = _configs(settings, trace)
-        if len(configs) != 1:
-            raise UsageError("roc needs exactly one detector, m value and update mode")
-        (result,) = _run_grid(configs, trace)
-        if not (result.bob_scores.size and result.eve_scores.size):
-            raise UsageError("roc needs legitimate and attacker messages in the test blocks")
-        curve = ev.compute_roc(result.bob_scores, result.eve_scores)
-    _write_roc(curve, args.out)
+    _, (result,) = _run(args, single=True)
+    if not (result.bob_scores.size and result.eve_scores.size):
+        raise UsageError("roc needs legitimate and attacker messages in the test blocks")
+    curve = ev.compute_roc(result.bob_scores, result.eve_scores)
+    _write_csv(args.out, "ROC curve", ["p_fa", "p_d"], zip(curve.p_fa.tolist(), curve.p_d.tolist()))
     print(f"wrote {curve.p_fa.size} operating points to {args.out}", file=sys.stderr)
     return 0
 

@@ -110,6 +110,14 @@ class ExperimentConfig:
             raise ValueError("need 1 <= num_taps <= m_full")
         if self.gmm_components < 1:
             raise ValueError("gmm_components must be >= 1")
+        # block 0 trains the detector; its first message has no predecessor
+        # and so gives no delta feature
+        training = self.block_size - (self.feature_kind is ft.FeatureKind.DELTA)
+        detector, needed = ("gmm", self.gmm_components) if self.detector is DetectorKind.GMM else ("mse", 2)
+        if training < needed:
+            raise ValueError(
+                f"block 0 gives {training} training features; the {detector} detector needs {needed}"
+            )
         if self.rng_seed < 0:
             raise ValueError("rng_seed must be non-negative")
         if self.oracle_update and not self.update_enabled:
@@ -187,16 +195,17 @@ def _chunks(block_size: int, m_full: int) -> list:
     return [slice(start, min(start + rows, block_size)) for start in range(0, block_size, rows)]
 
 
-def simulated_estimate_chunks(config: ExperimentConfig):
-    """Infinite stream of both links' estimates, one message per row, a chunk of rows at a time.
+def simulated_estimate_chunks(config: ExperimentConfig, blocks: int):
+    """Both links' estimates of `blocks` blocks, one message per row, a chunk of rows at a time.
 
     Each block of `block_size` rows comes as the chunks `_chunks` cuts it
-    into.  A chunk is one (rows, 2, m_full) complex array: chunk[:, 0] is
-    Bob's link and chunk[:, 1] Eve's, and each row holds both links'
-    estimates of one time slot, in the order `physec simulate` writes
-    them.  Both links evolve every message so their time bases stay
-    aligned; with PERFECT_IMITATION the attacker's channel passes through
-    the imitation prefilter before estimation.
+    into, and the stream stops after the last chunk of the last block.  A
+    chunk is one (rows, 2, m_full) complex array: chunk[:, 0] is Bob's link
+    and chunk[:, 1] Eve's, and each row holds both links' estimates of one
+    time slot, in the order `physec simulate` writes them.  Both links
+    evolve every message so their time bases stay aligned; with
+    PERFECT_IMITATION the attacker's channel passes through the imitation
+    prefilter before estimation.
 
     The stream owns one array of a full chunk and yields it, or its
     leading rows for a block's shorter last chunk, for every chunk: both
@@ -219,7 +228,7 @@ def simulated_estimate_chunks(config: ExperimentConfig):
         coefficients = ch.perfect_imitation_prefilter(state[0], state[1])
     parts = _chunks(config.block_size, config.m_full)
     chunk = np.empty((parts[0].stop, 2, config.m_full), dtype=np.complex128)
-    while True:
+    for _ in range(blocks):
         for part in parts:
             rows = chunk[: part.stop - part.start]
             truth = ch.evolve_block(state, channel_rngs, pdp, rho, len(rows), out=rows)
@@ -366,7 +375,7 @@ def run_grid(configs: list, trace=None) -> list:
     n = first.block_size
     parts = _chunks(n, first.m_full)
     if trace is None:
-        stream = (chunk.swapaxes(0, 1) for chunk in simulated_estimate_chunks(first))
+        stream = (chunk.swapaxes(0, 1) for chunk in simulated_estimate_chunks(first, first.num_blocks))
     else:
         if first.prefilter is not None:
             raise ValueError("prefilters require the simulator; traces are already recorded")

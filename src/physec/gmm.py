@@ -376,5 +376,4 @@ def update_block(model: GmmModel, block, accepted: np.ndarray, target_fa: float)
     # weight so EM can revive it instead of freezing it at exactly zero
     weights = np.maximum(model.weights, 1e-12)
     weights = weights / weights.sum()
-    variances = np.maximum(model.variances, MIN_VARIANCE)
-    return _fit_from(x[accepted], weights, model.means, variances, target_fa)
+    return _fit_from(x[accepted], weights, model.means, model.variances, target_fa)

@@ -5,6 +5,7 @@ must give exactly (np.array_equal) what one message at a time gives: a
 written-out per-message reference, or the same kernel called on single rows.
 """
 
+import itertools
 import math
 import tracemalloc
 from types import SimpleNamespace
@@ -205,9 +206,9 @@ def test_estimate_block_writes_into_its_input():
 
 def test_imitation_prefilter_leaves_bob_untouched():
     cfg = desk_config(block_size=100, coherence_samples=100.0)
-    plain = ev.simulated_estimate_chunks(cfg)
+    plain = ev.simulated_estimate_chunks(cfg, 3)
     imitated = ev.simulated_estimate_chunks(
-        desk_config(block_size=100, coherence_samples=100.0, prefilter=ev.PERFECT_IMITATION)
+        desk_config(block_size=100, coherence_samples=100.0, prefilter=ev.PERFECT_IMITATION), 3
     )
     for _ in range(6):  # 3 blocks of 85 + 15 rows
         chunk, chunk_imitated = next(plain), next(imitated)
@@ -225,7 +226,7 @@ def test_a_simulated_chunk_allocates_under_two_chunks_of_both_links(prefilter):
     # evolving and estimating it may not cost two such arrays at once: a
     # draw peaks at 1.26 chunks, and at 1.51 with the prefilter
     cfg = desk_config(block_size=1000, prefilter=prefilter)
-    chunks = ev.simulated_estimate_chunks(cfg)
+    chunks = ev.simulated_estimate_chunks(cfg, 1)
     next(chunks)
     tracemalloc.start()
     try:
@@ -247,7 +248,7 @@ def test_a_warm_draw_allocates_under_a_chunk_and_six_tenths(overrides):
     # buffers for the strided adds; it peaks at 1.26 chunks (1.51 with the
     # prefilter).  A fresh array for every chunk would add a whole chunk.
     cfg = desk_config(block_size=1000, **overrides)
-    chunks = ev.simulated_estimate_chunks(cfg)
+    chunks = ev.simulated_estimate_chunks(cfg, 2)
     for _ in range(len(ev._chunks(cfg.block_size, cfg.m_full)) + 1):
         next(chunks)  # a block and one chunk: the last, short chunk is behind
     tracemalloc.start()
@@ -313,19 +314,17 @@ def reference_pairs(config):
 
 
 def stream_rows(config, blocks: int):
-    """(Bob's, Eve's) rows of the first `blocks` blocks of the simulated
-    stream, each the concatenation of the chunks.  Every chunk of a block
-    but the last holds CHUNK_BYTES of each link, and the last the rest."""
-    chunks = ev.simulated_estimate_chunks(config)
+    """(Bob's, Eve's) rows of the simulated stream of `blocks` blocks, each
+    the concatenation of the chunks.  Every chunk of a block but the last
+    holds CHUNK_BYTES of each link, and the last the rest; the stream stops
+    after the last chunk of the last block."""
     rows_per_chunk = max(1, ev.CHUNK_BYTES // (16 * config.m_full))
     full, rest = divmod(config.block_size, rows_per_chunk)
     sizes = [rows_per_chunk] * full + [rest] * (rest > 0)
-    rows = []
-    for _ in range(blocks):
-        for size in sizes:
-            chunk = next(chunks)
-            assert chunk.shape == (size, 2, config.m_full)
-            rows.append(chunk.copy())  # the next draw overwrites it
+    # one chunk past the last block, should the stream not stop there
+    chunks = itertools.islice(ev.simulated_estimate_chunks(config, blocks), len(sizes) * blocks + 1)
+    rows = [chunk.copy() for chunk in chunks]  # the next draw overwrites the chunk
+    assert [chunk.shape for chunk in rows] == [(size, 2, config.m_full) for size in sizes] * blocks
     rows = np.concatenate(rows)
     return rows[:, 0], rows[:, 1]
 
@@ -345,6 +344,18 @@ def assert_matches_the_per_message_stream(config, blocks: int = 3):
 )
 def test_simulated_blocks_match_the_per_message_stream(overrides):
     assert_matches_the_per_message_stream(desk_config(block_size=200, **overrides))
+
+
+@pytest.mark.parametrize("blocks", [1, 2, 5])
+@pytest.mark.parametrize("block_size", [2, 85, 200])
+def test_the_stream_stops_after_the_blocks_it_was_asked_for(blocks, block_size):
+    # the baseline trains on a block of 2
+    cfg = desk_config(block_size=block_size, coherence_samples=100.0, detector=ev.DetectorKind.MSE)
+    expected = blocks * len(ev._chunks(block_size, cfg.m_full))
+    # one chunk past the last block, should the stream not stop there
+    drawn = sum(1 for _ in itertools.islice(ev.simulated_estimate_chunks(cfg, blocks), expected + 1))
+    assert drawn == expected
+    assert_matches_the_per_message_stream(cfg, blocks)
 
 
 # wide enough that a chunk holds one row of each link

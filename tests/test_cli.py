@@ -35,6 +35,21 @@ def read_rows(text: str) -> list:
 DESK = ("--preset", "desk", "--seed", "0")
 
 
+@pytest.fixture
+def drawn_chunks(monkeypatch):
+    """The row count of each simulated chunk drawn while the test runs."""
+    drawn = []
+    simulated_estimate_chunks = ev.simulated_estimate_chunks
+
+    def counted_chunks(config, blocks):
+        for chunk in simulated_estimate_chunks(config, blocks):
+            drawn.append(len(chunk))
+            yield chunk
+
+    monkeypatch.setattr(ev, "simulated_estimate_chunks", counted_chunks)
+    return drawn
+
+
 # ---------------------------------------------------------------------------
 # evaluate
 # ---------------------------------------------------------------------------
@@ -248,6 +263,21 @@ def test_roc_flag_requires_out_and_a_single_combo(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "grid",
+    [("--m", "4,8"), ("--m", "8", "--detector", "gmm,mse"), ("--m", "8", "--update", "decisions,off")],
+    ids=["m", "detector", "update"],
+)
+def test_a_roc_grid_is_refused_before_a_row_is_drawn(tmp_path, capsys, drawn_chunks, grid):
+    out = tmp_path / "roc.csv"
+    with pytest.raises(SystemExit) as exc:
+        run_cli("roc", *DESK, *grid, "--out", str(out))
+    assert exc.value.code == 2
+    assert "roc needs exactly one detector, m value and update mode" in capsys.readouterr().err
+    assert drawn_chunks == []
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # simulate + trace replay
 # ---------------------------------------------------------------------------
@@ -259,6 +289,15 @@ def test_simulate_reports_record_totals(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "wrote 1200 records (600 per link)" in err
     assert out.exists()
+
+
+def test_simulate_writes_one_block_of_two_messages(tmp_path, capsys):
+    # the smallest trace: one block, of the smallest block size a config takes
+    out = tmp_path / "trace.csv"
+    assert run_cli("simulate", "--blocks", "1", "--block-size", "2", "--out", str(out)) == 0
+    assert "wrote 4 records (2 per link)" in capsys.readouterr().err
+    rows = [line.split(",")[:2] for line in out.read_text().splitlines()[1:]]
+    assert rows == [["1", "AB"], ["1", "AE"], ["2", "AB"], ["2", "AE"]]
 
 
 @pytest.mark.parametrize(
@@ -852,18 +891,12 @@ SHAPE = ("--blocks", "2", "--block-size", "50")
     ],
     ids=["evaluate-trace", "roc-trace", "config", "evaluate-out", "simulate-out", "roc-out"],
 )
-def test_an_empty_path_is_a_usage_error_that_names_it(tmp_path, monkeypatch, capsys, argv, message):
+def test_an_empty_path_is_a_usage_error_that_names_it(
+    tmp_path, monkeypatch, capsys, drawn_chunks, argv, message
+):
     # an empty path names no file: not a simulation in place of a replay,
     # not a config left unread, not stdout, not a temporary file
     monkeypatch.chdir(tmp_path)
-    drawn = []
-
-    def counted_chunks(config):
-        drawn.append(config)
-        return simulated_estimate_chunks(config)
-
-    simulated_estimate_chunks = ev.simulated_estimate_chunks
-    monkeypatch.setattr(ev, "simulated_estimate_chunks", counted_chunks)
     with pytest.raises(SystemExit) as exc:
         run_cli(*argv)
     assert exc.value.code == 2
@@ -872,7 +905,7 @@ def test_an_empty_path_is_a_usage_error_that_names_it(tmp_path, monkeypatch, cap
     assert f"{message}: [Errno {errno.ENOENT}] {os.strerror(errno.ENOENT)}: ''" in err
     assert os.listdir() == []  # nothing was written, not even a temporary file
     if argv[0] == "simulate" or "--trace" in argv or "--config" in argv:
-        assert drawn == []  # refused before a row was drawn
+        assert drawn_chunks == []  # refused before a row was drawn
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,6 @@
 
 import csv
 import dataclasses
-import itertools
 import math
 import tracemalloc
 
@@ -336,9 +335,27 @@ def test_delta_features_whose_squares_overflow_are_rejected(detector):
 
 def test_a_delta_baseline_with_one_training_feature_is_refused():
     # block 0 of 2 messages gives one delta feature; the baseline needs 2
-    cfg = desk_config(feature_kind=FeatureKind.DELTA, detector=DetectorKind.MSE, num_blocks=3, block_size=2)
-    with pytest.raises(ValueError, match="need at least two training features"):
-        ev.run_experiment(cfg)
+    with pytest.raises(ValueError, match="block 0 gives 1 training features; the mse detector needs 2"):
+        desk_config(feature_kind=FeatureKind.DELTA, detector=DetectorKind.MSE, num_blocks=3, block_size=2)
+
+
+@pytest.mark.parametrize(
+    "overrides, trained, needed",
+    [
+        (dict(block_size=2), 2, 3),
+        (dict(block_size=4, gmm_components=5), 4, 5),
+        (dict(block_size=3, feature_kind=FeatureKind.DELTA), 2, 3),
+    ],
+    ids=["default-components", "more-components", "delta"],
+)
+def test_a_mixture_that_block_0_cannot_train_is_refused_by_the_config(overrides, trained, needed):
+    # refused where the config is made, not once block 0 has been drawn
+    message = f"block 0 gives {trained} training features; the gmm detector needs {needed}"
+    with pytest.raises(ValueError, match=message):
+        desk_config(**overrides)
+    # one more message trains each detector
+    desk_config(**{**overrides, "block_size": overrides["block_size"] + 1})
+    desk_config(**overrides, detector=DetectorKind.MSE)
 
 
 def test_oracle_labeled_updates_fire():
@@ -374,8 +391,7 @@ LINKS = (ev.BOB_LINK, ev.EVE_LINK)
 
 def simulated_chunks(cfg):
     """The chunks of `cfg`'s simulated stream that its blocks take."""
-    count = cfg.num_blocks * len(ev._chunks(cfg.block_size, cfg.m_full))
-    return itertools.islice(ev.simulated_estimate_chunks(cfg), count)
+    return ev.simulated_estimate_chunks(cfg, cfg.num_blocks)
 
 
 def simulated_gains(cfg) -> np.ndarray:

@@ -1,6 +1,5 @@
 """Estimate-trace format: lossless round trips, strict parsing, fuzz safety."""
 
-import itertools
 import math
 import os
 import pathlib
@@ -95,7 +94,7 @@ def test_the_writer_numbers_simulated_chunks_that_read_back_as_they_were_drawn(t
     drawn = []
 
     def chunks():
-        for chunk in itertools.islice(ev.simulated_estimate_chunks(cfg), 2 * len(sizes)):
+        for chunk in ev.simulated_estimate_chunks(cfg, 2):
             if not drawn:
                 chunk[0, 1, 3] = complex(-0.0, -0.0)  # written as 0.0
             drawn.append(chunk.copy())
@@ -368,7 +367,7 @@ def test_labels_differing_only_by_a_trailing_nul_stay_apart(tmp_path):
     _, gains = read_links(path, ("AB", "AB\x00"), 1)
     assert [g.tolist() for g in gains] == [[[0.5 + 0.5j]], [[0.25 + 0.5j]]]
     # enough rows for both links, but the legitimate one is labelled "AB\x00"
-    cfg = desk_config(num_blocks=2, block_size=2, m_full=1, m_subcarriers=1, num_taps=1)
+    cfg = desk_config(num_blocks=2, block_size=2, m_full=1, m_subcarriers=1, num_taps=1, gmm_components=2)
     rows = "".join(f"{t},AB\x00,0.5,0.5\n{t},AE,0.25,0.5\n" for t in range(1, 5))
     with trace_io.TraceReader(as_file(tmp_path, header + rows)) as nul_only:
         with pytest.raises(ValueError, match="trace has 0 records for link 'AB'"):
