@@ -285,8 +285,7 @@ def _run(args, single: bool = False) -> tuple:
 
 
 def cmd_simulate(args) -> int:
-    settings = _settings(args)
-    kwargs = _experiment_kwargs(settings)
+    kwargs = _experiment_kwargs(_settings(args))
     blocks = kwargs.pop("num_blocks", ExperimentConfig.num_blocks)
     if blocks < 1:
         raise UsageError("--blocks must be >= 1")
@@ -296,14 +295,8 @@ def cmd_simulate(args) -> int:
         m_subcarriers=kwargs.get("m_full", ExperimentConfig.m_full), detector=DetectorKind.MSE, **kwargs
     )
     total = blocks * config.block_size
-    try:
-        header = trace_io.TraceHeader(
-            m_full=config.m_full,
-            sample_interval_us=settings.get("interval_us", trace_io.DEFAULT_INTERVAL_US),
-            description=settings.get("desc", "simulated"),
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    # a config's m_full is narrower than any a header refuses
+    header = trace_io.TraceHeader(config.m_full, description="simulated")
     try:
         trace_io.write_trace(
             header, args.out, [ev.BOB_LINK, ev.EVE_LINK], ev.simulated_estimate_chunks(config, blocks)
@@ -372,9 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = _add_command(subs, "simulate", cmd_simulate, _STREAM_OPTIONS,
                          "write a simulated two-link estimate trace")
-    p_sim.add_argument("--interval-us", dest="interval_us", type=float,
-                       help=f"estimation interval in microseconds (default {trace_io.DEFAULT_INTERVAL_US:g})")
-    p_sim.add_argument("--desc", help="trace description text")
     p_sim.add_argument("--out", required=True, help="trace CSV path")
 
     p_eval = _add_command(subs, "evaluate", cmd_evaluate, _RUN_OPTIONS,

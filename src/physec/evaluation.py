@@ -49,6 +49,9 @@ EVE_LINK = "AE"
 # with quasi-static channels (large coherence_samples).
 PERFECT_IMITATION = "imitate-bob"
 
+# the widest row that both links' complex gains can fill in one array
+_MAX_M_FULL = np.iinfo(np.intp).max // 32
+
 
 class DetectorKind(Enum):
     GMM = "gmm"
@@ -86,6 +89,8 @@ class ExperimentConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+        if self.m_full > _MAX_M_FULL:
+            raise ValueError(f"m_full must fit in an array of both links' gains, got {self.m_full}")
         if not 1 <= self.m_subcarriers <= self.m_full:
             raise ValueError(
                 f"need 1 <= m_subcarriers <= m_full, got {self.m_subcarriers} / {self.m_full}"

@@ -370,24 +370,42 @@ def test_evaluate_and_roc_write_the_pinned_bytes(tmp_path, argv, size, digest, n
     assert hashlib.sha256(nine_columns).hexdigest() == nine_column_digest
 
 
-@pytest.mark.parametrize(
-    "option, message",
-    [
-        (("--interval-us", "inf"), "interval"),
-        (("--interval-us", "nan"), "interval"),
-        (("--interval-us", "-1"), "interval"),
-        (("--desc", "two\nlines"), "newline"),
-    ],
-    ids=["interval-inf", "interval-nan", "interval-negative", "desc-newline"],
-)
-def test_simulate_refuses_a_header_the_reader_would_reject(tmp_path, capsys, option, message):
+@pytest.mark.parametrize("option", ["--interval-us 5", "--desc x"])
+def test_simulate_takes_no_header_label_options(tmp_path, capsys, option):
+    # every simulated trace's header reads interval_us=998.4,desc=simulated
     out = tmp_path / "trace.csv"
-    argv = ("--blocks", "1", "--block-size", "7", "--m-full", "16", "--taps", "4")
     with pytest.raises(SystemExit) as exc:
-        run_cli("simulate", *argv, *option, "--out", str(out))
+        run_cli("simulate", *DESK, *option.split(), "--out", str(out))
     assert exc.value.code == 2
-    assert message in capsys.readouterr().err
+    assert f"unrecognized arguments: {option}" in capsys.readouterr().err
     assert not out.exists()
+
+
+# one more than ExperimentConfig admits, and a width a trace header admits:
+# a (rows, 2, m_full) complex chunk of it is too big for numpy
+TOO_WIDE = 2**58
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("simulate", "--m-full", str(TOO_WIDE), "--taps", "1", "--out", "{tmp}/trace.csv"),
+        ("evaluate", "--m-full", str(TOO_WIDE), "--taps", "1"),
+        ("roc", "--m-full", str(TOO_WIDE), "--taps", "1", "--out", "{tmp}/roc.csv"),
+        ("evaluate", "--trace", "{tmp}/wide.csv"),
+        ("roc", "--trace", "{tmp}/wide.csv", "--out", "{tmp}/roc.csv"),
+    ],
+    ids=["simulate", "evaluate", "roc", "evaluate-replay", "roc-replay"],
+)
+def test_an_m_full_no_array_can_hold_is_a_usage_error(tmp_path, capsys, drawn_chunks, argv):
+    wide = tmp_path / "wide.csv"
+    wide.write_text(f"#CSI,m_full={TOO_WIDE},interval_us=998.4,desc=x\n")
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*(arg.format(tmp=tmp_path) for arg in argv))
+    assert exc.value.code == 2
+    assert "m_full must fit in an array" in capsys.readouterr().err
+    assert drawn_chunks == []
+    assert os.listdir(tmp_path) == ["wide.csv"]
 
 
 # A block is cut into chunks of 85 rows at m_full 48 (ev._chunks): block
@@ -916,7 +934,7 @@ STREAM_OPTIONS = ("seed", "snr", "m_full", "taps", "coherence", "blocks", "block
 RUN_OPTIONS = (*STREAM_OPTIONS, "attack", "detector", "m", "fa", "components", "update")
 COMMAND_OPTIONS = {"simulate": STREAM_OPTIONS, "evaluate": RUN_OPTIONS, "roc": RUN_OPTIONS}
 PLAIN_FLAGS = {
-    "simulate": ("--config", "--preset", "--interval-us", "--desc", "--out"),
+    "simulate": ("--config", "--preset", "--out"),
     "evaluate": ("--config", "--preset", "--trace", "--out"),
     "roc": ("--config", "--preset", "--trace", "--out"),
 }

@@ -712,6 +712,15 @@ def test_count_fields_take_integers_only(field):
             desk_config(**{field: bad})
 
 
+def test_an_m_full_no_array_of_both_links_can_hold_is_refused():
+    # the stream draws both links into one (rows, 2, m_full) complex array;
+    # the config is checked, never allocated, at the bound
+    bound = np.iinfo(np.intp).max // 32
+    assert desk_config(m_full=bound, num_taps=1).m_full == bound
+    with pytest.raises(ValueError, match="^m_full must fit in an array of both links' gains, got 2882"):
+        desk_config(m_full=bound + 1, num_taps=1)
+
+
 def test_labelled_updates_without_updating_are_refused():
     # the pair used to run a frozen model, as if the labels were not asked for
     with pytest.raises(ValueError, match="oracle_update.*update_enabled"):
